@@ -67,7 +67,9 @@ impl Microphone {
     /// the self-noise floor, clip at full scale.
     pub fn capture(&self, pressure: &Signal) -> Signal {
         let mut sig = band_limit(pressure, self.band.0, self.band.1);
-        sig = resample(&sig, self.sample_rate);
+        if sig.sample_rate() != self.sample_rate {
+            sig = resample(&sig, self.sample_rate);
+        }
         if !sig.is_empty() {
             let floor = white_noise(
                 sig.duration(),

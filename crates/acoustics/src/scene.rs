@@ -15,6 +15,11 @@
 //! is what makes a closed control loop O(window) per tick instead of
 //! re-rendering the entire elapsed history; [`SceneCursor`] streams
 //! consecutive windows through one reusable scratch buffer.
+//!
+//! The ambient bed is one field every listener hears, so a scene keeps
+//! the most recently synthesised span of it and serves any window inside
+//! that span by copying: a hall's listens and heal re-captures of one
+//! window synthesise the bed once between them.
 
 use crate::ambient::AmbientProfile;
 use crate::faults::SceneFaultPlan;
@@ -24,7 +29,7 @@ use mdn_audio::noise::white_noise_add;
 use mdn_audio::signal::{duration_to_samples, spl_to_amplitude, Window};
 use mdn_audio::Signal;
 use mdn_obs::{Counter, Histogram, Registry, SpanKind, TraceId, TraceSink, TraceSpan};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Registry handles for a [`Scene`]'s counters; disabled by default.
@@ -56,6 +61,50 @@ pub struct Emission {
 /// Samples-per-thread floor for parallel rendering: below this much output
 /// per worker, spawning threads costs more than the mixing saves.
 const MIN_SAMPLES_PER_THREAD: usize = 1 << 16;
+
+/// Single-entry memo of the ambient bed: samples `[from, from +
+/// samples.len())` of the scene's ambient stream, synthesised onto a
+/// zeroed buffer exactly as a direct render would. The bed depends only
+/// on the absolute sample index, the seed and the sample rate, so a slice
+/// of it is byte-identical to synthesising the slice alone. A clone
+/// starts empty.
+#[derive(Debug, Default)]
+struct AmbientMemo(Mutex<AmbientSpan>);
+
+#[derive(Debug, Default)]
+struct AmbientSpan {
+    from: usize,
+    samples: Vec<f32>,
+}
+
+impl Clone for AmbientMemo {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl AmbientSpan {
+    /// Replace the memo with samples `[from, from + len)` of the bed,
+    /// reusing the allocation. The buffer is taken out while it is
+    /// written, so a panic mid-synthesis leaves an empty memo behind.
+    #[cold]
+    #[inline(never)]
+    fn synthesise(
+        &mut self,
+        ambient: &AmbientProfile,
+        from: usize,
+        len: usize,
+        sr: u32,
+        seed: u64,
+    ) {
+        let mut samples = std::mem::take(&mut self.samples);
+        samples.clear();
+        samples.resize(len, 0.0);
+        ambient.render_into(&mut samples, from as u64, sr, seed);
+        self.from = from;
+        self.samples = samples;
+    }
+}
 
 /// Start-sorted interval index over a scene's emissions, built lazily on
 /// first render and invalidated by [`Scene::add`]. `prefix_max_end[k]`
@@ -128,6 +177,9 @@ pub struct Scene {
     faults: Option<SceneFaultPlan>,
     render_threads: usize,
     index: OnceLock<EmissionIndex>,
+    /// The last synthesised span of the ambient bed; cleared by
+    /// [`Scene::set_ambient_seed`].
+    ambient_memo: AmbientMemo,
     obs: SceneObs,
     trace: TraceSink,
     /// A trace armed by [`Scene::set_next_emission_trace`], consumed by
@@ -147,6 +199,7 @@ impl Scene {
             faults: None,
             render_threads: 0,
             index: OnceLock::new(),
+            ambient_memo: AmbientMemo::default(),
             obs: SceneObs::default(),
             trace: TraceSink::disabled(),
             pending_trace: None,
@@ -202,6 +255,12 @@ impl Scene {
     /// Replace the ambient noise seed (defaults to 0).
     pub fn set_ambient_seed(&mut self, seed: u64) {
         self.ambient_seed = seed;
+        let memo = self
+            .ambient_memo
+            .0
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        memo.samples.clear();
     }
 
     /// Worker threads for rendering: `0` (the default) sizes from the
@@ -414,6 +473,28 @@ impl Scene {
         }
     }
 
+    /// Overwrite `out` with samples `[a, a + out.len())` of the ambient
+    /// bed, copied from the memo when it covers them and synthesised
+    /// into the memo first when it does not.
+    fn ambient_into(&self, a: usize, out: &mut [f32]) {
+        let mut memo = self
+            .ambient_memo
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let b = a + out.len();
+        if a < memo.from || b > memo.from + memo.samples.len() {
+            memo.synthesise(
+                &self.ambient,
+                a,
+                out.len(),
+                self.sample_rate,
+                self.ambient_seed,
+            );
+        }
+        out.copy_from_slice(&memo.samples[a - memo.from..b - memo.from]);
+    }
+
     /// Render window `w` of the listener's timeline into `out`, reusing
     /// its allocation ([`Signal::reset`]). Touches only work overlapping
     /// the window; the output is byte-identical to the same span of a
@@ -433,12 +514,7 @@ impl Scene {
         if a == b {
             return;
         }
-        self.ambient.render_into(
-            out.samples_mut(),
-            a as u64,
-            self.sample_rate,
-            self.ambient_seed,
-        );
+        self.ambient_into(a, out.samples_mut());
         let placed = self.place_in_window(listener, w);
         self.mix_placed(&placed, a, out);
         if let Some(plan) = &self.faults {

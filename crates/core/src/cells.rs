@@ -33,7 +33,7 @@
 use crate::controller::{merge_event_streams, MdnController, MdnEvent};
 pub use crate::controller::{CellId, ShardEvent};
 use crate::detector::DetectorConfig;
-use crate::encoder::SoundingDevice;
+use crate::encoder::{EmitError, SoundingDevice};
 use crate::freqplan::{FrequencyPlan, FrequencySet};
 use mdn_acoustics::ambient::AmbientProfile;
 use mdn_acoustics::medium::{incident_amplitude, spreading_gain, Pos};
@@ -183,6 +183,16 @@ pub enum CellPlanError {
         /// The measured magnitude.
         magnitude: f64,
     },
+    /// `verify_reuse` could not sound a foreign worst-case tone over a
+    /// cell's mic (e.g. the test speaker cannot drive the tone's band).
+    VerifyEmit {
+        /// The cell under verification.
+        cell: usize,
+        /// The foreign device whose emission failed.
+        device: String,
+        /// Why the emission failed.
+        error: EmitError,
+    },
 }
 
 impl fmt::Display for CellPlanError {
@@ -229,6 +239,14 @@ impl fmt::Display for CellPlanError {
                 f,
                 "detector leak at cell {cell}: foreign tone attributed to {device} slot {slot} \
                  at magnitude {magnitude:.2e}"
+            ),
+            CellPlanError::VerifyEmit {
+                cell,
+                device,
+                error,
+            } => write!(
+                f,
+                "cannot verify cell {cell}: worst-case emission from {device} failed: {error}"
             ),
         }
     }
@@ -879,13 +897,7 @@ impl CellPlan {
                     foreign.switch_pos[j],
                 );
                 dev.level_db = foreign.levels[j];
-                dev.emit_slot(
-                    &mut scene,
-                    0,
-                    Duration::from_millis(100),
-                    Duration::from_millis(200),
-                )
-                .expect("worst-case emission");
+                emit_worst_case(&mut dev, &mut scene, cell.id)?;
                 // Migrated switches (extra sets past the planned row)
                 // play boosted from the evacuated cell's rack — include
                 // them so their leakage into this cell is tested too.
@@ -896,13 +908,7 @@ impl CellPlan {
                         foreign.switch_pos[m],
                     );
                     dev.level_db = foreign.levels[m];
-                    dev.emit_slot(
-                        &mut scene,
-                        0,
-                        Duration::from_millis(100),
-                        Duration::from_millis(200),
-                    )
-                    .expect("migrated worst-case emission");
+                    emit_worst_case(&mut dev, &mut scene, cell.id)?;
                 }
             }
             let ctl = self.controller_for(cell.id);
@@ -918,6 +924,26 @@ impl CellPlan {
         }
         Ok(())
     }
+}
+
+/// Sound `dev`'s first slot over `[100, 300)` ms of a verification scene
+/// for `cell`, as a typed error if the device cannot play it.
+fn emit_worst_case(
+    dev: &mut SoundingDevice,
+    scene: &mut Scene,
+    cell: usize,
+) -> Result<(), CellPlanError> {
+    dev.emit_slot(
+        scene,
+        0,
+        Duration::from_millis(100),
+        Duration::from_millis(200),
+    )
+    .map_err(|error| CellPlanError::VerifyEmit {
+        cell,
+        device: dev.name.clone(),
+        error,
+    })
 }
 
 /// One controller + microphone per cell, listened in parallel, merged

@@ -143,6 +143,10 @@ pub struct UnifiedLoop {
     window_start: Duration,
     /// Tag registry: heap tick `tag` indexes this; entries are one-shot.
     tags: Vec<Option<ControlEvent>>,
+    /// Slots of `tags` whose event has fired, reused by the next
+    /// schedule so the registry stays as large as the peak number of
+    /// pending control events.
+    free_tags: Vec<u64>,
     /// Emissions fired but not yet folded into a heal pass, in fire
     /// (time, seq) order.
     pending_expected: Vec<PendingTone>,
@@ -214,6 +218,7 @@ impl UnifiedLoop {
             window_len,
             window_start,
             tags: Vec::new(),
+            free_tags: Vec::new(),
             pending_expected: Vec::new(),
             observed: None,
             retire_delay_bound: None,
@@ -317,8 +322,18 @@ impl UnifiedLoop {
     }
 
     fn schedule_control(&mut self, at: Duration, ev: ControlEvent) {
-        let tag = self.tags.len() as u64;
-        self.tags.push(Some(ev));
+        // Tags are opaque handles: same-time order comes from the heap's
+        // schedule sequence, so reusing a fired slot changes no output.
+        let tag = match self.free_tags.pop() {
+            Some(tag) => {
+                self.tags[tag as usize] = Some(ev);
+                tag
+            }
+            None => {
+                self.tags.push(Some(ev));
+                self.tags.len() as u64 - 1
+            }
+        };
         self.net.schedule_tick(at, tag);
     }
 
@@ -337,6 +352,7 @@ impl UnifiedLoop {
                 debug_assert!(false, "tick tag {tag} not in the loop's registry");
                 continue;
             };
+            self.free_tags.push(tag);
             match ev {
                 ControlEvent::App(token) => return Step::App { token, at },
                 ControlEvent::Fault(fault) => match fault {
@@ -682,5 +698,42 @@ mod tests {
             }
         }
         assert_eq!(order, ["a7@50", "w@200", "a8@350", "w@400"]);
+    }
+
+    #[test]
+    fn tag_registry_reuses_fired_slots() {
+        let plan = CellPlan::plan(
+            1,
+            &[AmbientProfile::quiet()],
+            CellConfig {
+                switches_per_cell: 1,
+                ..CellConfig::default()
+            },
+        )
+        .expect("1-cell plan");
+        let device = plan.cells()[0].device_names[0].clone();
+        let scene = Scene::new(44_100, AmbientProfile::quiet());
+        let heal = SelfHealingController::new(plan);
+        let window = Duration::from_millis(20);
+        let mut lp = UnifiedLoop::new(Network::new(), scene, heal, window);
+
+        let mut peak_pending = 0;
+        let mut windows = 0;
+        while windows < 2_000 {
+            // One tone in every window on top of the boundary chain.
+            let at = lp.window_start() + window / 2;
+            lp.schedule_emission(at, &device, 0, Duration::from_millis(5));
+            let pending = lp.tags.iter().filter(|t| t.is_some()).count();
+            peak_pending = peak_pending.max(pending);
+            if let Step::Window { .. } = lp.step(at + window) {
+                windows += 1;
+            }
+            assert!(
+                lp.tags.len() <= peak_pending,
+                "registry grew to {} slots with at most {peak_pending} pending",
+                lp.tags.len()
+            );
+        }
+        assert_eq!(lp.emissions_fired(), 2_000);
     }
 }

@@ -395,3 +395,62 @@ fn selfheal_chaos_is_deterministic() {
     let b = run_scenario(SEED, true);
     assert_eq!(a, b);
 }
+
+/// `verify_on_replan` in an ultrasound-fitted hall: the re-plan proof
+/// sounds the worst-case foreign tones through the default cheap
+/// speaker, whose band ends at 15 kHz, while this hall's high sub-bands
+/// sit above it. The evacuation must fail as a typed re-plan failure —
+/// journalled and counted, the old plan kept — instead of aborting the
+/// run. The mic dies at 0.3 s and is declared dead in the fourth (last)
+/// window, so the run sees exactly one attempt.
+#[test]
+fn ultrasound_hall_verify_failure_is_a_replan_failure_not_a_panic() {
+    let spec = ScenarioSpec::from_json(
+        r#"{
+          "name": "ultrasound_verify",
+          "seed": 7,
+          "windows": 4,
+          "hall": {
+            "cells": 6,
+            "ambient": "office",
+            "speaker": "ultrasound",
+            "cell": { "switches_per_cell": 2, "slots_per_switch": 16 }
+          },
+          "selfheal": { "config": { "verify_on_replan": true } },
+          "emissions": { "pattern": "all", "slot": 0 },
+          "faults": [ { "kind": "mic_dead", "cell": 1, "at_ms": 300 } ]
+        }"#,
+    )
+    .expect("spec parses");
+
+    let batch = mdn_core::scenario::run_batch(&spec).expect("batch run");
+    assert_eq!(batch.len(), 4);
+    assert!(batch.iter().all(|w| w.replanned.is_none()), "no plan swap");
+    assert_eq!(batch[3].missed.len(), 2, "cell 1's two switches starve");
+
+    // The event path replays the same windows and exposes the counters.
+    let registry = mdn_obs::Registry::new();
+    let out = mdn_core::scenario::run(&spec, &registry).expect("event run");
+    assert_eq!(out.windows, batch);
+    let counters = registry.snapshot().counters;
+    assert_eq!(counters["mdn_selfheal_replan_failures_total"], 1);
+    assert_eq!(
+        counters
+            .get("mdn_selfheal_replans_total")
+            .copied()
+            .unwrap_or(0),
+        0
+    );
+    let failures: Vec<_> = registry
+        .journal()
+        .events()
+        .into_iter()
+        .filter(|e| e.kind == "selfheal.replan_failed")
+        .collect();
+    assert_eq!(failures.len(), 1);
+    assert!(
+        failures[0].detail.contains("outside speaker band"),
+        "{}",
+        failures[0].detail
+    );
+}

@@ -3,6 +3,9 @@
 //! for any emissions, ambient profile/seed, fault plan, and thread count —
 //! and a [`SceneCursor`](mdn_acoustics::scene::SceneCursor) walking the
 //! timeline in arbitrary chunks reproduces the batch render exactly.
+//! The scene's shared ambient memo never shows: any interleaving of
+//! windows, listeners, re-seeds and clones renders what a fresh scene
+//! renders.
 
 use mdn_acoustics::ambient::AmbientProfile;
 use mdn_acoustics::faults::{SceneFaultPlan, Window};
@@ -108,8 +111,90 @@ fn build_scene(
     scene
 }
 
+/// One call against a long-lived scene in [`memo_never_shows`].
+#[derive(Debug, Clone)]
+enum RenderOp {
+    /// Render `[from, from + len)` at listener `who`: overlapping,
+    /// disjoint or earlier than the last window, as drawn.
+    Window {
+        from_ms: u64,
+        len_ms: u64,
+        who: usize,
+    },
+    /// Render the last window minus its first `skip_ms` — the heal
+    /// pass's re-capture of a listen's pre-rolled window.
+    Suffix { skip_ms: u64, who: usize },
+    /// Replace the ambient seed.
+    Reseed(u64),
+    /// Carry on with a clone of the scene.
+    Clone,
+}
+
+fn render_op_strategy() -> impl Strategy<Value = RenderOp> {
+    prop_oneof![
+        (0u64..900, 0u64..500, 0usize..3).prop_map(|(from_ms, len_ms, who)| RenderOp::Window {
+            from_ms,
+            len_ms,
+            who
+        }),
+        (0u64..300, 0usize..3).prop_map(|(skip_ms, who)| RenderOp::Suffix { skip_ms, who }),
+        (0u64..1000).prop_map(RenderOp::Reseed),
+        Just(RenderOp::Clone),
+    ]
+}
+
+const LISTENERS: [Pos; 3] = [
+    Pos::new(0.5, 0.3, 0.0),
+    Pos::new(-4.0, 2.0, 0.0),
+    Pos::new(12.0, -1.0, 1.0),
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every render of an interleaved sequence on one scene is
+    /// byte-identical to a fresh scene's render of the same window,
+    /// whatever the scene rendered before, for every ambient profile
+    /// and render thread count.
+    #[test]
+    fn memo_never_shows(
+        emissions in proptest::collection::vec(emission_strategy(), 0..3),
+        ambient_idx in 0usize..3,
+        ambient_seed in 0u64..1000,
+        faults in faults_strategy(),
+        threads in 1usize..=4,
+        ops in proptest::collection::vec(render_op_strategy(), 1..16),
+    ) {
+        let mut scene = build_scene(&emissions, ambient_idx, ambient_seed, &faults, threads);
+        let mut seed = ambient_seed;
+        let mut last = Window::new(MS(0), MS(300));
+        for op in &ops {
+            let (w, who) = match *op {
+                RenderOp::Window { from_ms, len_ms, who } => {
+                    (Window::new(MS(from_ms), MS(len_ms)), who)
+                }
+                RenderOp::Suffix { skip_ms, who } => {
+                    let skip = MS(skip_ms).min(last.len);
+                    (Window::new(last.from + skip, last.len - skip), who)
+                }
+                RenderOp::Reseed(s) => {
+                    seed = s;
+                    scene.set_ambient_seed(s);
+                    continue;
+                }
+                RenderOp::Clone => {
+                    scene = scene.clone();
+                    continue;
+                }
+            };
+            last = w;
+            let listener = LISTENERS[who];
+            let fresh = build_scene(&emissions, ambient_idx, seed, &faults, 1)
+                .render_window(listener, w);
+            prop_assert_eq!(scene.render_window(listener, w).samples(), fresh.samples(),
+                "{:?} diverged from a fresh scene", op);
+        }
+    }
 
     /// `render_window(w)` is bit-for-bit the `w` span of a from-zero
     /// render, whatever the emissions, ambient bed, faults, or thread
@@ -127,8 +212,10 @@ proptest! {
         let scene = build_scene(&emissions, ambient_idx, ambient_seed, &faults, threads);
         let w = Window::new(MS(from_ms), MS(len_ms));
         let listener = Pos::new(0.5, 0.3, 0.0);
-        let full = scene.render_at(listener, w.end());
+        // Windowed first, so the window's ambient bed is synthesised on
+        // its own rather than sliced from the full render's.
         let windowed = scene.render_window(listener, w);
+        let full = scene.render_at(listener, w.end());
         let (a, b) = w.sample_range(SR);
         prop_assert_eq!(windowed.samples(), &full.samples()[a..b]);
     }
