@@ -20,6 +20,10 @@
 //! the most recently synthesised span of it and serves any window inside
 //! that span by copying: a hall's listens and heal re-captures of one
 //! window synthesise the bed once between them.
+//!
+//! A render is sequential. The one parallel layer sits above it, in the
+//! per-cell listens of `mdn_core::cells::ShardedController`, which share
+//! one `&Scene`: hence the atomic counters and the memo's `Mutex`.
 
 use crate::ambient::AmbientProfile;
 use crate::faults::SceneFaultPlan;
@@ -33,8 +37,8 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Registry handles for a [`Scene`]'s counters; disabled by default.
-/// Updates happen from `&self` render paths (including scoped worker
-/// threads), which the atomic handles make safe.
+/// Updates happen from `&self` render paths, which may run on the
+/// per-cell listen workers at once; the atomic handles make that safe.
 #[derive(Debug, Clone, Default)]
 struct SceneObs {
     emissions: Counter,
@@ -57,10 +61,6 @@ pub struct Emission {
     /// Label for debugging/tracing (e.g. "switch-3").
     pub label: String,
 }
-
-/// Samples-per-thread floor for parallel rendering: below this much output
-/// per worker, spawning threads costs more than the mixing saves.
-const MIN_SAMPLES_PER_THREAD: usize = 1 << 16;
 
 /// Single-entry memo of the ambient bed: samples `[from, from +
 /// samples.len())` of the scene's ambient stream, synthesised onto a
@@ -175,7 +175,6 @@ pub struct Scene {
     ambient: AmbientProfile,
     ambient_seed: u64,
     faults: Option<SceneFaultPlan>,
-    render_threads: usize,
     index: OnceLock<EmissionIndex>,
     /// The last synthesised span of the ambient bed; cleared by
     /// [`Scene::set_ambient_seed`].
@@ -197,7 +196,6 @@ impl Scene {
             ambient,
             ambient_seed: 0,
             faults: None,
-            render_threads: 0,
             index: OnceLock::new(),
             ambient_memo: AmbientMemo::default(),
             obs: SceneObs::default(),
@@ -261,15 +259,6 @@ impl Scene {
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
         memo.samples.clear();
-    }
-
-    /// Worker threads for rendering: `0` (the default) sizes from the
-    /// machine's available parallelism, `1` forces sequential rendering,
-    /// `n` caps at `n`. The rendered samples are byte-identical for every
-    /// setting — workers own disjoint ranges of the output and mix
-    /// emissions into each range in emission order.
-    pub fn set_render_threads(&mut self, threads: usize) {
-        self.render_threads = threads;
     }
 
     /// Attach (or replace) an acoustic fault plan. Faults apply at render
@@ -369,18 +358,6 @@ impl Scene {
         retired
     }
 
-    /// Worker threads for rendering `total_len` output samples.
-    fn render_workers(&self, total_len: usize) -> usize {
-        let requested = if self.render_threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.render_threads
-        };
-        requested
-            .min(total_len.div_ceil(MIN_SAMPLES_PER_THREAD))
-            .max(1)
-    }
-
     /// Placement pass for window `w`: `(emission index, spreading gain,
     /// absolute start sample)` for every emission whose delayed sample
     /// range overlaps the window's. The interval index prunes the scan to
@@ -434,42 +411,27 @@ impl Scene {
     }
 
     /// Mix placed emissions into `out`, whose first sample sits at
-    /// absolute scene sample `range0`, in parallel across disjoint output
-    /// ranges.
+    /// absolute scene sample `range0`.
     ///
     /// Each output sample accumulates its emissions in emission order with
     /// the same per-sample arithmetic as `Signal::scaled` + `Signal::mix_at`
     /// (`out[i] += (src as f64 * gain) as f32`), so the result is
-    /// byte-identical for any thread count and any window split.
+    /// byte-identical for any window split.
     fn mix_placed(&self, placed: &[(usize, f64, usize)], range0: usize, out: &mut Signal) {
-        let total_len = out.len();
-        let threads = self.render_workers(total_len);
-        let mix_range = |range_start: usize, dst: &mut [f32]| {
-            let range_end = range_start + dst.len();
-            for &(ei, gain, offset) in placed {
-                let src = self.emissions[ei].signal.samples();
-                let begin = offset.max(range_start);
-                let end = (offset + src.len()).min(range_end);
-                if begin >= end {
-                    continue;
-                }
-                let src = &src[begin - offset..end - offset];
-                let dst = &mut dst[begin - range_start..end - range_start];
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d += (s as f64 * gain) as f32;
-                }
+        let range_end = range0 + out.len();
+        let out = out.samples_mut();
+        for &(ei, gain, offset) in placed {
+            let src = self.emissions[ei].signal.samples();
+            let begin = offset.max(range0);
+            let end = (offset + src.len()).min(range_end);
+            if begin >= end {
+                continue;
             }
-        };
-        if threads <= 1 {
-            mix_range(range0, out.samples_mut());
-        } else {
-            let per = total_len.div_ceil(threads);
-            let mix_range = &mix_range;
-            std::thread::scope(|s| {
-                for (t, dst) in out.samples_mut().chunks_mut(per).enumerate() {
-                    s.spawn(move || mix_range(range0 + t * per, dst));
-                }
-            });
+            let src = &src[begin - offset..end - offset];
+            let dst = &mut out[begin - range0..end - range0];
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d += (s as f64 * gain) as f32;
+            }
         }
     }
 
@@ -556,9 +518,8 @@ impl Scene {
     /// delayed by propagation, plus the ambient bed, with any fault plan
     /// applied — all clipped to the window.
     ///
-    /// Long windows are mixed in parallel ([`Scene::set_render_threads`]);
-    /// the output is byte-identical for any thread count and equals the
-    /// `[w.from, w.end())` span of `render_at(listener, w.end())` exactly.
+    /// The output equals the `[w.from, w.end())` span of
+    /// `render_at(listener, w.end())` exactly.
     pub fn render_window(&self, listener: Pos, w: Window) -> Signal {
         let mut out = Signal::empty(self.sample_rate);
         self.render_window_into(listener, w, &mut out);
@@ -1020,32 +981,6 @@ mod tests {
         let w = win(230, 71);
         let (a, b) = w.sample_range(SR);
         assert_eq!(again.samples(), &batch.samples()[a..b]);
-    }
-
-    #[test]
-    fn parallel_render_is_byte_identical_to_sequential() {
-        // Several overlapping emissions at different distances (distinct
-        // gains and delays), long enough to clear the per-thread floor.
-        let mut scene = Scene::quiet(SR);
-        for i in 0..6 {
-            scene.add(
-                Pos::new(0.3 * (i + 1) as f64, 0.2, 0.0),
-                Duration::from_millis(150 * i as u64),
-                tone(500.0 + 120.0 * i as f64, 900, 60.0),
-                format!("sw-{i}"),
-            );
-        }
-        let listener = Pos::new(0.7, -0.4, 0.1);
-        let dur = Duration::from_secs(3);
-        let mut seq = scene.clone();
-        seq.set_render_threads(1);
-        let baseline = seq.render_at(listener, dur);
-        for threads in [0usize, 2, 3, 8] {
-            let mut par = scene.clone();
-            par.set_render_threads(threads);
-            let rendered = par.render_at(listener, dur);
-            assert_eq!(rendered.samples(), baseline.samples(), "threads={threads}");
-        }
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! The control loop's latency budget is dominated by `ToneDetector::detect`
 //! over the most recent capture, so this bench sweeps the axes that matter
-//! in deployment: candidate count (1–16), capture length (1 s–60 s),
-//! Goertzel vs FFT path, and 1 vs N worker threads. Criterion covers the
+//! in deployment: candidate count (1–16), capture length (1 s–60 s), and
+//! Goertzel vs FFT path. A decode runs on one thread; captures are decoded
+//! in parallel only across cells (the `scale` bench). Criterion covers the
 //! short captures with tight statistics; a manual best-of-R sweep covers
 //! the long ones and writes a machine-readable summary to
 //! `BENCH_detect.json` at the workspace root, including the speedup of the
-//! banked parallel path over the old per-candidate sequential scan on the
-//! 16-candidate 10 s capture, and the overhead ratio of the
+//! banked path over the old per-candidate scan on the 16-candidate 10 s
+//! capture, and the overhead ratio of the
 //! `mdn-obs`-instrumented detector over the bare one on the same capture
 //! (both ratios are medians over interleaved pairs so host drift cancels).
 //!
@@ -21,7 +22,7 @@ use mdn_audio::noise::white_noise;
 use mdn_audio::signal::duration_to_samples;
 use mdn_audio::synth::Tone;
 use mdn_audio::Signal;
-use mdn_core::detector::{DetectorConfig, ToneDetector};
+use mdn_core::detector::ToneDetector;
 use mdn_obs::Registry;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -48,21 +49,11 @@ fn capture(duration: Duration, candidates: &[f64]) -> Signal {
     sig
 }
 
-fn detector(candidates: &[f64], threads: usize) -> ToneDetector {
-    ToneDetector::with_config(
-        candidates.to_vec(),
-        DetectorConfig {
-            threads,
-            ..DetectorConfig::default()
-        },
-    )
-}
-
-/// The same detector with live `mdn-obs` handles attached — the
-/// configuration the overhead claim is about (counters bumped per frame
-/// from the workers, two stage spans per call).
-fn detector_obs(candidates: &[f64], threads: usize) -> ToneDetector {
-    let mut det = detector(candidates, threads);
+/// A default detector with live `mdn-obs` handles attached — the
+/// configuration the overhead claim is about (frame and observation
+/// counters, two stage spans per call).
+fn detector_obs(candidates: &[f64]) -> ToneDetector {
+    let mut det = ToneDetector::new(candidates.to_vec());
     det.attach_obs(&Registry::new());
     det
 }
@@ -88,8 +79,7 @@ fn old_per_candidate_scan(sig: &Signal, candidates: &[f64]) -> Vec<f64> {
 }
 
 /// Sanity for the speedup claim: the bank reproduces the per-candidate scan
-/// bit for bit on complete frames, and the parallel detector reproduces the
-/// sequential one exactly.
+/// bit for bit on complete frames.
 fn assert_paths_agree(sig: &Signal, candidates: &[f64]) {
     let old = old_per_candidate_scan(sig, candidates);
     let bank = GoertzelBank::new(candidates, SR);
@@ -108,42 +98,26 @@ fn assert_paths_agree(sig: &Signal, candidates: &[f64]) {
         start += hop;
         fi += 1;
     }
-    let seq = detector(candidates, 1).detect(sig);
-    let par = detector(candidates, 0).detect(sig);
-    assert_eq!(seq, par, "parallel detect diverged from sequential");
-    let seq = detector(candidates, 1).detect_fft(sig, 10.0);
-    let par = detector(candidates, 0).detect_fft(sig, 10.0);
-    assert_eq!(seq, par, "parallel detect_fft diverged from sequential");
 }
 
 fn criterion_benches(c: &mut Criterion) {
-    // Short-capture statistics: 1 s, across candidate counts × paths ×
-    // thread counts.
+    // Short-capture statistics: 1 s, across candidate counts × paths.
     let mut group = c.benchmark_group("detect/1s");
     group.sample_size(10);
     for &n in &[1usize, 4, 16] {
         let candidates = candidate_freqs(n);
         let sig = capture(Duration::from_secs(1), &candidates);
-        for &threads in &[1usize, 0] {
-            let label = if threads == 1 { "t1" } else { "tN" };
-            let det = detector(&candidates, threads);
-            group.bench_with_input(
-                BenchmarkId::new(format!("goertzel/{label}"), n),
-                &sig,
-                |b, sig| b.iter(|| black_box(det.detect(black_box(sig)))),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("fft/{label}"), n),
-                &sig,
-                |b, sig| b.iter(|| black_box(det.detect_fft(black_box(sig), 10.0))),
-            );
-            let det = detector_obs(&candidates, threads);
-            group.bench_with_input(
-                BenchmarkId::new(format!("goertzel_obs/{label}"), n),
-                &sig,
-                |b, sig| b.iter(|| black_box(det.detect(black_box(sig)))),
-            );
-        }
+        let det = ToneDetector::new(candidates.clone());
+        group.bench_with_input(BenchmarkId::new("goertzel", n), &sig, |b, sig| {
+            b.iter(|| black_box(det.detect(black_box(sig))))
+        });
+        group.bench_with_input(BenchmarkId::new("fft", n), &sig, |b, sig| {
+            b.iter(|| black_box(det.detect_fft(black_box(sig), 10.0)))
+        });
+        let det = detector_obs(&candidates);
+        group.bench_with_input(BenchmarkId::new("goertzel_obs", n), &sig, |b, sig| {
+            b.iter(|| black_box(det.detect(black_box(sig))))
+        });
         group.bench_with_input(
             BenchmarkId::new("goertzel/old_per_candidate", n),
             &sig,
@@ -158,7 +132,6 @@ struct SweepRow {
     path: &'static str,
     candidates: usize,
     capture_s: u64,
-    threads: usize,
     millis: f64,
 }
 
@@ -212,78 +185,71 @@ fn sweep_and_report(smoke: bool) {
                 path: "goertzel_old_per_candidate",
                 candidates: n,
                 capture_s: secs,
-                threads: 1,
                 millis: old_ms,
             });
-            for &threads in &[1usize, 0] {
-                let det = detector(&candidates, threads);
-                let new_ms = best_of(reps, || {
-                    black_box(det.detect(black_box(&sig)));
-                });
-                rows.push(SweepRow {
-                    path: "goertzel_bank",
-                    candidates: n,
-                    capture_s: secs,
-                    threads,
-                    millis: new_ms,
-                });
-                let det_obs = detector_obs(&candidates, threads);
-                let obs_ms = best_of(reps, || {
-                    black_box(det_obs.detect(black_box(&sig)));
-                });
-                rows.push(SweepRow {
-                    path: "goertzel_bank_obs",
-                    candidates: n,
-                    capture_s: secs,
-                    threads,
-                    millis: obs_ms,
-                });
-                if n == 16 && secs == 10 && threads == 0 {
-                    let pairs = if smoke { 1 } else { 9 };
-                    speedup_16c_10s = Some(paired_ratio(
-                        pairs,
-                        || {
-                            black_box(old_per_candidate_scan(black_box(&sig), &candidates));
-                        },
-                        || {
-                            black_box(det.detect(black_box(&sig)));
-                        },
-                    ));
-                    obs_overhead_16c_10s = Some(paired_ratio(
-                        pairs,
-                        || {
-                            black_box(det_obs.detect(black_box(&sig)));
-                        },
-                        || {
-                            black_box(det.detect(black_box(&sig)));
-                        },
-                    ));
-                }
-                let fft_ms = best_of(reps, || {
-                    black_box(det.detect_fft(black_box(&sig), 10.0));
-                });
-                rows.push(SweepRow {
-                    path: "fft",
-                    candidates: n,
-                    capture_s: secs,
-                    threads,
-                    millis: fft_ms,
-                });
+            let det = ToneDetector::new(candidates.clone());
+            let new_ms = best_of(reps, || {
+                black_box(det.detect(black_box(&sig)));
+            });
+            rows.push(SweepRow {
+                path: "goertzel_bank",
+                candidates: n,
+                capture_s: secs,
+                millis: new_ms,
+            });
+            let det_obs = detector_obs(&candidates);
+            let obs_ms = best_of(reps, || {
+                black_box(det_obs.detect(black_box(&sig)));
+            });
+            rows.push(SweepRow {
+                path: "goertzel_bank_obs",
+                candidates: n,
+                capture_s: secs,
+                millis: obs_ms,
+            });
+            if n == 16 && secs == 10 {
+                let pairs = if smoke { 1 } else { 9 };
+                speedup_16c_10s = Some(paired_ratio(
+                    pairs,
+                    || {
+                        black_box(old_per_candidate_scan(black_box(&sig), &candidates));
+                    },
+                    || {
+                        black_box(det.detect(black_box(&sig)));
+                    },
+                ));
+                obs_overhead_16c_10s = Some(paired_ratio(
+                    pairs,
+                    || {
+                        black_box(det_obs.detect(black_box(&sig)));
+                    },
+                    || {
+                        black_box(det.detect(black_box(&sig)));
+                    },
+                ));
             }
+            let fft_ms = best_of(reps, || {
+                black_box(det.detect_fft(black_box(&sig), 10.0));
+            });
+            rows.push(SweepRow {
+                path: "fft",
+                candidates: n,
+                capture_s: secs,
+                millis: fft_ms,
+            });
         }
     }
     if smoke {
-        eprintln!("detect sweep smoke: {} rows timed, paths agree", rows.len());
+        eprintln!("detect sweep smoke: {} rows timed, bank agrees", rows.len());
         return;
     }
     let summary = serde_json::json!({
         "bench": "detect",
         "unit": "milliseconds (best of 3)",
-        "host_parallelism": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "sample_rate": SR,
         "frame_ms": 50,
         "hop_ms": 25,
-        "speedup_old_vs_bank_parallel_16c_10s": speedup_16c_10s,
+        "speedup_old_vs_bank_16c_10s": speedup_16c_10s,
         "obs_overhead_ratio_16c_10s": obs_overhead_16c_10s,
         "rows": rows,
     });

@@ -255,7 +255,6 @@ pub fn capacity_sweep(counts: &[usize]) -> SweepResult {
                 frame_rel_floor: 0.0, // all tones are deliberately equal
                 local_max_radius_hz: 0.0,
                 min_snr: 1.0,
-                ..DetectorConfig::default()
             },
         );
         let active = det.active_candidates(&sig);

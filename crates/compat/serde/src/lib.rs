@@ -512,15 +512,20 @@ impl Deserialize for std::time::Duration {
             Value::Object(fields) => fields,
             other => return Err(DeError::expected("a duration object", other)),
         };
-        let mut out = std::time::Duration::ZERO;
+        use std::time::Duration;
+        let mut out = Duration::ZERO;
         for (k, val) in fields {
-            match k.as_str() {
-                "secs" => out += std::time::Duration::from_secs(u64::from_value(val).map_err(|e| e.at("secs"))?),
-                "nanos" => out += std::time::Duration::from_nanos(u64::from_value(val).map_err(|e| e.at("nanos"))?),
-                "ms" => out += std::time::Duration::from_millis(u64::from_value(val).map_err(|e| e.at("ms"))?),
-                "us" => out += std::time::Duration::from_micros(u64::from_value(val).map_err(|e| e.at("us"))?),
+            let part: fn(u64) -> Duration = match k.as_str() {
+                "secs" => Duration::from_secs,
+                "nanos" => Duration::from_nanos,
+                "ms" => Duration::from_millis,
+                "us" => Duration::from_micros,
                 other => return Err(DeError::unknown_field(other, "Duration")),
-            }
+            };
+            let n = u64::from_value(val).map_err(|e| e.at(k))?;
+            out = out
+                .checked_add(part(n))
+                .ok_or_else(|| DeError::new(format!("duration overflows at `{k}`")))?;
         }
         Ok(out)
     }
@@ -619,5 +624,24 @@ mod tests {
         assert_eq!(val["x"], 7);
         assert_eq!(val["name"], "ok");
         assert_eq!(val["v"][0], 1.5);
+    }
+
+    #[test]
+    fn overflowing_duration_is_an_error() {
+        let d = |fields: Vec<(&str, u64)>| {
+            let v = Value::Object(
+                fields
+                    .into_iter()
+                    .map(|(k, n)| (k.to_string(), Value::UInt(n)))
+                    .collect(),
+            );
+            std::time::Duration::from_value(&v)
+        };
+        assert_eq!(
+            d(vec![("secs", 2), ("ms", 500)]).unwrap(),
+            std::time::Duration::from_millis(2500)
+        );
+        assert!(d(vec![("secs", u64::MAX), ("nanos", 1_000_000_000)]).is_err());
+        assert!(d(vec![("secs", u64::MAX), ("ms", u64::MAX)]).is_err());
     }
 }

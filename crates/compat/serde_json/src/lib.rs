@@ -129,11 +129,16 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest nesting of arrays and objects [`from_str`] accepts; deeper
+/// input is an [`Error`], not a stack overflow. The real crate's default
+/// recursion limit is the same.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse JSON text into a [`Value`].
 pub fn from_str(text: &str) -> Result<Value, Error> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(text, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err("trailing data", pos));
@@ -147,14 +152,20 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parse the value at `pos`, `depth` arrays and objects deep. `pos` only
+/// ever advances past whole characters, so it stays a char boundary.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Value, Error> {
+    let b = text.as_bytes();
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(err(format!("nested deeper than {MAX_DEPTH}"), *pos));
+    }
     match b.get(*pos) {
         None => Err(err("unexpected end", *pos)),
         Some(b'n') => parse_lit(b, pos, "null", Value::Null),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-        Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
+        Some(b'"') => Ok(Value::Str(parse_string(text, pos)?)),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -164,7 +175,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -186,13 +197,13 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(b, pos);
                 if b.get(*pos) != Some(&b':') {
                     return Err(err("expected ':'", *pos));
                 }
                 *pos += 1;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -218,7 +229,8 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, Error> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, Error> {
+    let b = text.as_bytes();
     if b.get(*pos) != Some(&b'"') {
         return Err(err("expected string", *pos));
     }
@@ -259,11 +271,13 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, Error> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| err("bad utf8", *pos))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash. Both are
+                // ASCII, so the run ends on a char boundary.
+                let start = *pos;
+                while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(&text[start..*pos]);
             }
         }
     }
@@ -404,6 +418,23 @@ mod tests {
         assert_eq!(v["s"], "a\nb");
         assert_eq!(v["n"], -4);
         assert_eq!(v["f"], 0.25);
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(from_str(&nest(MAX_DEPTH)).is_ok());
+        let e = from_str(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
+        assert!(from_str(&"{\"a\":".repeat(200_000)).is_err());
+        assert!(from_str(&"[".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn strings_keep_multibyte_text() {
+        let v = from_str(r#"["grüße → 音", "a\u00e9b"]"#).unwrap();
+        assert_eq!(v[0], "grüße → 音");
+        assert_eq!(v[1], "aéb");
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //!
 //! The [`ShardedController`] owns one [`MdnController`] + microphone per
 //! cell, renders/detects cells in parallel with `std::thread::scope`
-//! (mirroring `Scene::render_window`: pre-sized per-cell output slots, so
-//! the merged stream is bit-identical for any thread count), and merges
-//! per-cell observations into one [`ShardEvent`] stream. Captures go
-//! through the windowed render path, so each listening tick costs
-//! O(window) regardless of elapsed scene time.
+//! (pre-sized per-cell output slots, so the merged stream is bit-identical
+//! for any thread count), and merges per-cell observations into one
+//! [`ShardEvent`] stream. This per-cell listen is the workspace's only
+//! thread fan-out: the render and the decode inside it are sequential.
+//! Captures go through the windowed render path, so each listening tick
+//! costs O(window) regardless of elapsed scene time.
 
 use crate::controller::{merge_event_streams, MdnController, MdnEvent};
 pub use crate::controller::{CellId, ShardEvent};

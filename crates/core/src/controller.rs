@@ -127,14 +127,6 @@ impl MdnController {
         self.rebuild();
     }
 
-    /// Set the detector's worker-thread count (`0` = size from the
-    /// machine, `1` = sequential). Decoded events are identical for any
-    /// setting; only latency changes.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.config.threads = threads;
-        self.rebuild();
-    }
-
     /// Register a device's frequency set.
     pub fn bind_device(&mut self, device: impl Into<String>, set: FrequencySet) {
         self.bindings.push(DeviceBinding {
@@ -518,7 +510,7 @@ mod tests {
         ctl.attach_obs(&registry);
         // Rebuild after attachment: the fresh detector must stay
         // instrumented.
-        ctl.set_threads(1);
+        ctl.set_config(DetectorConfig::default());
         d1.emit(&mut scene, 2, Duration::from_millis(100)).unwrap();
         let events = ctl.listen(&scene, Window::from_start(Duration::from_millis(300)));
         assert!(!events.is_empty());

@@ -14,12 +14,12 @@
 //!
 //! * all candidates are evaluated in **one pass** over each frame by a
 //!   [`GoertzelBank`] (one traversal instead of one per candidate);
-//! * frames are analyzed **in parallel** across worker threads
-//!   ([`DetectorConfig::threads`]); every frame's magnitudes land in a
-//!   pre-sized slot of a shared matrix, so the result is byte-identical
-//!   for any thread count;
 //! * the steady-state loop performs **no allocation** — recurrence state,
 //!   FFT buffers, and the tail-frame scratch are all reused.
+//!
+//! A decode runs on the calling thread. Captures are decoded in parallel
+//! one level up, one cell per worker, by
+//! [`crate::cells::ShardedController::listen`].
 
 use mdn_audio::goertzel::{GoertzelBank, GoertzelState};
 use mdn_audio::signal::duration_to_samples;
@@ -28,10 +28,6 @@ use mdn_audio::Signal;
 use mdn_obs::{Counter, Histogram, Registry};
 use std::collections::BTreeSet;
 use std::time::Duration;
-
-/// Frames-per-thread floor: below this much work per worker, thread spawn
-/// overhead outweighs the parallel win and detection stays single-threaded.
-const MIN_FRAMES_PER_THREAD: usize = 16;
 
 /// Detection parameters.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -57,12 +53,6 @@ pub struct DetectorConfig {
     /// exactly one of two equal-magnitude neighbours fires. Set to 0.0 to
     /// disable.
     pub local_max_radius_hz: f64,
-    /// Worker threads for frame analysis: `0` sizes from the machine's
-    /// available parallelism, `1` forces the sequential path, `n` caps at
-    /// `n`. Results are byte-identical for every setting — each frame's
-    /// magnitudes are written to a pre-assigned slot, and the
-    /// suppression/thresholding pass is always sequential.
-    pub threads: usize,
 }
 
 impl Default for DetectorConfig {
@@ -74,7 +64,6 @@ impl Default for DetectorConfig {
             min_snr: 3.0,
             frame_rel_floor: 0.25,
             local_max_radius_hz: 50.0,
-            threads: 0,
         }
     }
 }
@@ -175,8 +164,8 @@ impl FrameGrid {
 }
 
 /// Registry handles for the detector's counters and stage spans; disabled
-/// (free) by default. Counters are bumped from inside `std::thread::scope`
-/// workers, which the atomic handles make safe; histograms are resolved
+/// (free) by default. Cells decoding on parallel listen workers share one
+/// registry, which the atomic handles make safe; histograms are resolved
 /// once at attach time so the hot loop never touches the registry lock.
 #[derive(Debug, Clone, Default)]
 struct DetectorObs {
@@ -275,8 +264,8 @@ impl ToneDetector {
     }
 
     /// Register this detector's metrics with an observability registry:
-    /// `mdn_detect_frames_total` (analysis frames processed, bumped from
-    /// the worker threads), `mdn_detect_observations_total`, and the
+    /// `mdn_detect_frames_total` (analysis frames processed),
+    /// `mdn_detect_observations_total`, and the
     /// `mdn_stage_ns` spans for `detect.goertzel_bank`,
     /// `detect.local_max`, and `detect.fft`.
     pub fn attach_obs(&mut self, registry: &Registry) {
@@ -369,21 +358,8 @@ impl ToneDetector {
         }
     }
 
-    /// Worker threads to use for `n_frames` of work.
-    fn worker_threads(&self, n_frames: usize) -> usize {
-        let requested = if self.config.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.config.threads
-        };
-        requested
-            .min(n_frames.div_ceil(MIN_FRAMES_PER_THREAD))
-            .max(1)
-    }
-
     /// The magnitude matrix (`n_frames × candidates`, row-major) for every
-    /// frame of `signal`, computed by the Goertzel bank — in parallel when
-    /// the capture is long enough. Deterministic for any thread count.
+    /// frame of `signal`, computed by the Goertzel bank.
     fn frame_magnitudes(&self, signal: &Signal) -> (FrameGrid, Vec<f64>) {
         let _span = self.obs.goertzel_span.start_span();
         let sr = signal.sample_rate();
@@ -392,28 +368,13 @@ impl ToneDetector {
         let k = self.candidates.len();
         let bank = GoertzelBank::new(&self.candidates, sr);
         let mut mags = vec![0.0f64; grid.n_frames * k];
-        let threads = self.worker_threads(grid.n_frames);
-        let frames_ctr = &self.obs.frames;
-        let run = |first_frame: usize, rows: &mut [f64]| {
-            let mut state = GoertzelState::default();
-            let mut tail = Vec::new();
-            for (i, row) in rows.chunks_mut(k).enumerate() {
-                let frame = grid.frame(samples, first_frame + i, &mut tail);
-                bank.magnitudes_into(frame, &mut state, row);
-                frames_ctr.inc();
-            }
-        };
-        if threads <= 1 {
-            run(0, &mut mags);
-        } else {
-            let per = grid.n_frames.div_ceil(threads);
-            let run = &run;
-            std::thread::scope(|s| {
-                for (t, rows) in mags.chunks_mut(per * k).enumerate() {
-                    s.spawn(move || run(t * per, rows));
-                }
-            });
+        let mut state = GoertzelState::default();
+        let mut tail = Vec::new();
+        for (fi, row) in mags.chunks_mut(k).enumerate() {
+            let frame = grid.frame(samples, fi, &mut tail);
+            bank.magnitudes_into(frame, &mut state, row);
         }
+        self.obs.frames.add(grid.n_frames as u64);
         (grid, mags)
     }
 
@@ -504,69 +465,51 @@ impl ToneDetector {
     /// when the candidate list is short, but finds everything at once —
     /// this is the paper's Figure 2a pipeline.
     ///
-    /// Frames are transformed in parallel ([`DetectorConfig::threads`]);
-    /// each worker reuses one planner, one scratch, and one spectrum, so
-    /// the steady-state loop clones no frames and allocates nothing. The
-    /// observation order is frame-major, identical to the sequential path.
+    /// One planner, one scratch and one spectrum serve every frame, so
+    /// the steady-state loop clones no frames and allocates nothing.
+    /// Observations come out frame-major.
     pub fn detect_fft(&self, signal: &Signal, tolerance_hz: f64) -> Vec<ToneObservation> {
         let _span = self.obs.fft_span.start_span();
         let sr = signal.sample_rate();
         let samples = signal.samples();
         let grid = self.grid(samples.len(), sr);
-        let mut per_frame: Vec<Vec<ToneObservation>> = vec![Vec::new(); grid.n_frames];
-        let threads = self.worker_threads(grid.n_frames);
-        let frames_ctr = &self.obs.frames;
-        let run = |first_frame: usize, slots: &mut [Vec<ToneObservation>]| {
-            let mut planner = mdn_audio::fft::FftPlanner::new();
-            let mut scratch = SpectrumScratch::default();
-            let mut spec = Spectrum::empty(sr);
-            let mut tail = Vec::new();
-            for (i, slot) in slots.iter_mut().enumerate() {
-                let fi = first_frame + i;
-                frames_ctr.inc();
-                let frame = grid.frame(samples, fi, &mut tail);
-                Spectrum::compute_into(
-                    frame,
-                    sr,
-                    mdn_audio::window::WindowKind::Hann,
-                    Some(4096),
-                    &mut planner,
-                    &mut scratch,
-                    &mut spec,
-                );
-                let peaks = spec.peaks(self.config.min_magnitude, tolerance_hz.max(1.0));
-                for peak in peaks {
-                    let nearest = self
-                        .candidates
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &f)| (i, (f - peak.freq_hz).abs()))
-                        .min_by(|a, b| a.1.total_cmp(&b.1));
-                    if let Some((c, dist)) = nearest {
-                        if dist <= tolerance_hz && self.passes(c, peak.magnitude) {
-                            slot.push(ToneObservation {
-                                time: grid.time(fi),
-                                freq_hz: self.candidates[c],
-                                candidate: c,
-                                magnitude: peak.magnitude,
-                            });
-                        }
+        let mut planner = mdn_audio::fft::FftPlanner::new();
+        let mut scratch = SpectrumScratch::default();
+        let mut spec = Spectrum::empty(sr);
+        let mut tail = Vec::new();
+        let mut out = Vec::new();
+        for fi in 0..grid.n_frames {
+            let frame = grid.frame(samples, fi, &mut tail);
+            Spectrum::compute_into(
+                frame,
+                sr,
+                mdn_audio::window::WindowKind::Hann,
+                Some(4096),
+                &mut planner,
+                &mut scratch,
+                &mut spec,
+            );
+            let peaks = spec.peaks(self.config.min_magnitude, tolerance_hz.max(1.0));
+            for peak in peaks {
+                let nearest = self
+                    .candidates
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &f)| (i, (f - peak.freq_hz).abs()))
+                    .min_by(|a, b| a.1.total_cmp(&b.1));
+                if let Some((c, dist)) = nearest {
+                    if dist <= tolerance_hz && self.passes(c, peak.magnitude) {
+                        out.push(ToneObservation {
+                            time: grid.time(fi),
+                            freq_hz: self.candidates[c],
+                            candidate: c,
+                            magnitude: peak.magnitude,
+                        });
                     }
                 }
             }
-        };
-        if threads <= 1 {
-            run(0, &mut per_frame);
-        } else {
-            let per = grid.n_frames.div_ceil(threads);
-            let run = &run;
-            std::thread::scope(|s| {
-                for (t, slots) in per_frame.chunks_mut(per).enumerate() {
-                    s.spawn(move || run(t * per, slots));
-                }
-            });
         }
-        let out: Vec<ToneObservation> = per_frame.into_iter().flatten().collect();
+        self.obs.frames.add(grid.n_frames as u64);
         self.obs.observations.add(out.len() as u64);
         out
     }
@@ -792,62 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_detect_is_byte_identical_to_sequential() {
-        let sig = busy_capture();
-        let candidates = vec![600.0, 700.0, 900.0, 1300.0, 1700.0];
-        let seq_det = ToneDetector::with_config(
-            candidates.clone(),
-            DetectorConfig {
-                threads: 1,
-                ..DetectorConfig::default()
-            },
-        );
-        let baseline = seq_det.detect(&sig);
-        assert!(!baseline.is_empty());
-        for threads in [0, 2, 3, 8] {
-            let par_det = ToneDetector::with_config(
-                candidates.clone(),
-                DetectorConfig {
-                    threads,
-                    ..DetectorConfig::default()
-                },
-            );
-            // PartialEq on ToneObservation compares f64 magnitudes exactly:
-            // this asserts byte-identical output, not approximate equality.
-            assert_eq!(par_det.detect(&sig), baseline, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_detect_fft_is_byte_identical_to_sequential() {
-        let sig = busy_capture();
-        let candidates = vec![600.0, 700.0, 900.0, 1300.0];
-        let seq_det = ToneDetector::with_config(
-            candidates.clone(),
-            DetectorConfig {
-                threads: 1,
-                ..DetectorConfig::default()
-            },
-        );
-        let baseline = seq_det.detect_fft(&sig, 10.0);
-        assert!(!baseline.is_empty());
-        for threads in [0, 2, 5] {
-            let par_det = ToneDetector::with_config(
-                candidates.clone(),
-                DetectorConfig {
-                    threads,
-                    ..DetectorConfig::default()
-                },
-            );
-            assert_eq!(
-                par_det.detect_fft(&sig, 10.0),
-                baseline,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn bank_matches_per_candidate_goertzel_bit_for_bit() {
         // The banked one-pass evaluation must reproduce the per-candidate
         // Goertzel pass exactly, frame by frame.
@@ -871,49 +758,24 @@ mod tests {
     }
 
     #[test]
-    fn obs_counter_totals_agree_across_thread_counts() {
-        // The frames counter is bumped from inside the scoped worker
-        // threads; totals must be exact — not approximate — for every
-        // thread count, and match the sequential ground truth.
+    fn obs_counter_totals_match_the_decode() {
         let sig = busy_capture();
-        let candidates = vec![600.0, 700.0, 900.0, 1300.0, 1700.0];
-        let mut totals = Vec::new();
-        for threads in [0usize, 1, 4] {
-            let registry = mdn_obs::Registry::new();
-            let mut det = ToneDetector::with_config(
-                candidates.clone(),
-                DetectorConfig {
-                    threads,
-                    ..DetectorConfig::default()
-                },
-            );
-            det.attach_obs(&registry);
-            let obs = det.detect(&sig);
-            let snap = registry.snapshot();
-            let expected_frames = det.grid(sig.samples().len(), SR).n_frames as u64;
-            assert_eq!(
-                snap.counters["mdn_detect_frames_total"], expected_frames,
-                "threads={threads}"
-            );
-            assert_eq!(
-                snap.counters["mdn_detect_observations_total"],
-                obs.len() as u64,
-                "threads={threads}"
-            );
-            // Both detect stages timed something.
-            let goertzel = &snap.histograms["mdn_stage_ns{stage=\"detect.goertzel_bank\"}"];
-            let local_max = &snap.histograms["mdn_stage_ns{stage=\"detect.local_max\"}"];
-            assert_eq!(goertzel.count, 1, "threads={threads}");
-            assert_eq!(local_max.count, 1, "threads={threads}");
-            totals.push((
-                snap.counters["mdn_detect_frames_total"],
-                snap.counters["mdn_detect_observations_total"],
-            ));
-        }
-        assert!(
-            totals.windows(2).all(|w| w[0] == w[1]),
-            "counter totals differ across thread counts: {totals:?}"
+        let registry = mdn_obs::Registry::new();
+        let mut det = ToneDetector::new(vec![600.0, 700.0, 900.0, 1300.0, 1700.0]);
+        det.attach_obs(&registry);
+        let obs = det.detect(&sig);
+        let snap = registry.snapshot();
+        let expected_frames = det.grid(sig.samples().len(), SR).n_frames as u64;
+        assert_eq!(snap.counters["mdn_detect_frames_total"], expected_frames);
+        assert_eq!(
+            snap.counters["mdn_detect_observations_total"],
+            obs.len() as u64
         );
+        // Both detect stages timed something.
+        let goertzel = &snap.histograms["mdn_stage_ns{stage=\"detect.goertzel_bank\"}"];
+        let local_max = &snap.histograms["mdn_stage_ns{stage=\"detect.local_max\"}"];
+        assert_eq!(goertzel.count, 1);
+        assert_eq!(local_max.count, 1);
     }
 
     #[test]
@@ -992,23 +854,5 @@ mod tests {
         assert_eq!(fm.magnitudes, raw, "analyze must be the raw matrix");
         assert_eq!(fm.times[0], Duration::ZERO);
         assert!(fm.frame(1).iter().all(|&m| m >= 0.0));
-    }
-
-    #[test]
-    fn calibration_floor_unaffected_by_thread_count() {
-        let noise = white_noise(Duration::from_secs(2), spl_to_amplitude(65.0), SR, 9);
-        let mut floors = Vec::new();
-        for threads in [1usize, 4] {
-            let mut det = ToneDetector::with_config(
-                vec![600.0, 800.0, 1000.0],
-                DetectorConfig {
-                    threads,
-                    ..DetectorConfig::default()
-                },
-            );
-            det.calibrate(&noise);
-            floors.push(det.noise_floor().to_vec());
-        }
-        assert_eq!(floors[0], floors[1]);
     }
 }

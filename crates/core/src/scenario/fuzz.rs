@@ -2,8 +2,10 @@
 //! pipeline's standing invariants on every one.
 //!
 //! Each case draws a hall, a window length, a hand-placed emission
-//! schedule and a fault script from a [`SplitMix64`] stream, then
-//! checks:
+//! schedule and a fault script from a [`SplitMix64`] stream, and the
+//! packet fabric (a `pair` or a small `leaf_spine`) plus a mix of
+//! `speaker_degraded`, `music` and `link_flap` faults from a second
+//! stream seeded by the case, then checks:
 //!
 //! 1. **Windowed ≡ batch** — the event-driven run's per-window reports
 //!    equal the fixed-tick batch reference byte-for-byte (the
@@ -60,9 +62,13 @@ pub struct FuzzReport {
     pub emissions_checked: u64,
 }
 
+/// Mixed into a case's seed to start its second stream.
+const EXTRA_STREAM: u64 = 0xA5A5_5A5A_C3C3_3C3C;
+
 /// One random small-hall spec. Small on purpose: 2–3 cells of 2×3
 /// switches keeps a case under a second while still exercising replans,
-/// dropouts, bursts and packet interleaving.
+/// dropouts, degraded speakers, bursts, music, link flaps and packet
+/// interleaving.
 fn random_spec(rng: &mut SplitMix64, case: u32) -> ScenarioSpec {
     let cells = rng.range(2, 4) as usize;
     let windows = rng.range(2, 4);
@@ -122,6 +128,35 @@ fn random_spec(rng: &mut SplitMix64, case: u32) -> ScenarioSpec {
             ..FaultSpec::default()
         }],
     };
+
+    // A second stream, so these draws never shift the cases `rng`
+    // generates after this one.
+    let mut x = SplitMix64::new(spec.seed ^ EXTRA_STREAM);
+    if x.range(0, 2) == 1 {
+        spec.traffic.topology = "leaf_spine".into();
+        spec.traffic.spines = x.range(1, 3) as usize;
+        spec.traffic.leaves = x.range(2, 5) as usize;
+    }
+    for kind in ["link_flap", "speaker_degraded", "music"] {
+        if x.range(0, 2) == 0 || (kind == "link_flap" && spec.traffic.topology == "pair") {
+            continue;
+        }
+        let at_ms = x.range(0, total_ms);
+        let cell = x.range(0, cells as u64) as usize;
+        // An attenuation for a degraded speaker, an SPL for music.
+        let level_db = if kind == "music" { x.range(50, 80) } else { x.range(3, 30) };
+        spec.faults.push(FaultSpec {
+            kind: kind.into(),
+            at_ms,
+            until_ms: Some(x.range(at_ms + 1, total_ms + 1)),
+            cell: Some(cell),
+            device: Some(format!("c{cell}-s{}", x.range(0, 2))),
+            level_db: Some(level_db as f64),
+            leaf: Some(x.range(0, spec.traffic.leaves as u64) as usize),
+            tempo_bpm: x.range(120, 360) as f64,
+            ..FaultSpec::default()
+        });
+    }
     spec
 }
 
@@ -183,4 +218,32 @@ pub fn fuzz(cases: u32, seed: u64) -> Result<FuzzReport, ScenarioError> {
         report.emissions_checked += spec.emissions.explicit.len() as u64;
     }
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn generator_draws_every_fault_kind_and_both_fabrics() {
+        let mut rng = SplitMix64::new(7);
+        let mut kinds = std::collections::BTreeSet::new();
+        let mut topologies = std::collections::BTreeSet::new();
+        for case in 0..64 {
+            let spec = random_spec(&mut rng, case);
+            spec.validate().expect("generated specs validate");
+            kinds.extend(spec.faults.iter().map(|f| f.kind.clone()));
+            topologies.insert(spec.traffic.topology.clone());
+        }
+        let all = [
+            "link_flap",
+            "mic_dead",
+            "music",
+            "noise_burst",
+            "speaker_degraded",
+            "speaker_dropout",
+        ];
+        assert_eq!(kinds.into_iter().collect::<Vec<_>>(), all);
+        assert_eq!(topologies.into_iter().collect::<Vec<_>>(), ["leaf_spine", "pair"]);
+    }
 }

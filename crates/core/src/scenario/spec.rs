@@ -21,6 +21,17 @@ use mdn_proto::controller::ControllerConfig;
 use std::fmt;
 use std::time::Duration;
 
+// Size limits `ScenarioSpec::validate` enforces, so that a typo'd size
+// fails validation rather than the allocator. Each sits far above the
+// largest checked-in spec: 100 cells, 4 spines + 596 leaves, 300 ms windows.
+
+/// Most cells in a hall.
+pub const MAX_CELLS: usize = 10_000;
+/// Most switches (`spines + leaves`) in a leaf-spine fabric.
+pub const MAX_FABRIC_SWITCHES: usize = 10_000;
+/// Most samples in one capture window (over six minutes at 44.1 kHz).
+pub const MAX_WINDOW_SAMPLES: u64 = 1 << 24;
+
 /// Anything that can go wrong turning a spec into a running experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
@@ -500,9 +511,10 @@ impl ScenarioSpec {
         Duration::from_millis(self.window_ms)
     }
 
-    /// The simulated horizon: `windows × window`.
+    /// The simulated horizon: `windows × window`. Saturates for the
+    /// overflowing lengths [`Self::validate`] rejects.
     pub fn total(&self) -> Duration {
-        self.window() * self.windows as u32
+        Duration::from_millis(self.window_ms.saturating_mul(self.windows))
     }
 
     /// Parse a spec from JSON (overlay-on-default; unknown keys are
@@ -545,11 +557,24 @@ impl ScenarioSpec {
         if self.sample_rate == 0 {
             return Err(ScenarioError::invalid("sample_rate", "must be non-zero"));
         }
+        let total_ms = self.window_ms.checked_mul(self.windows).ok_or_else(|| {
+            ScenarioError::invalid("windows", "the run's length overflows u64 milliseconds")
+        })?;
+        let window_samples = u128::from(self.window_ms) * u128::from(self.sample_rate) / 1000;
+        if window_samples > u128::from(MAX_WINDOW_SAMPLES) {
+            return Err(ScenarioError::invalid(
+                "window_ms",
+                format!("{window_samples} samples per window exceed {MAX_WINDOW_SAMPLES}"),
+            ));
+        }
 
         // Hall.
         let h = &self.hall;
-        if h.cells == 0 {
-            return Err(ScenarioError::invalid("hall.cells", "a hall needs at least one cell"));
+        if h.cells == 0 || h.cells > MAX_CELLS {
+            return Err(ScenarioError::invalid(
+                "hall.cells",
+                format!("a hall needs 1 to {MAX_CELLS} cells, not {}", h.cells),
+            ));
         }
         known("hall.ambient", &h.ambient, AMBIENTS)?;
         known("hall.speaker", &h.speaker, SPEAKERS)?;
@@ -589,7 +614,7 @@ impl ScenarioSpec {
         let e = &self.emissions;
         known("emissions.pattern", &e.pattern, PATTERNS)?;
         let slots = c.slots_per_switch;
-        let devices = h.cells * c.switches_per_cell;
+        let devices = h.cells.saturating_mul(c.switches_per_cell);
         if matches!(e.pattern.as_str(), "rotate" | "all") {
             if e.duration_ms == 0 {
                 return Err(ScenarioError::invalid(
@@ -642,10 +667,17 @@ impl ScenarioSpec {
         if t.topology != "none" && (t.pps.is_nan() || t.pps <= 0.0) {
             return Err(ScenarioError::invalid("traffic.pps", "CBR rate must be positive"));
         }
-        if t.topology == "leaf_spine" && (t.spines == 0 || t.leaves == 0) {
+        let fabric = t.spines.saturating_add(t.leaves);
+        if t.topology == "leaf_spine"
+            && (t.spines == 0 || t.leaves == 0 || fabric > MAX_FABRIC_SWITCHES)
+        {
             return Err(ScenarioError::invalid(
                 "traffic",
-                "a leaf-spine fabric needs at least one spine and one leaf",
+                format!(
+                    "a leaf-spine fabric needs a spine, a leaf and at most \
+                     {MAX_FABRIC_SWITCHES} switches, not {} + {}",
+                    t.spines, t.leaves
+                ),
             ));
         }
 
@@ -661,7 +693,6 @@ impl ScenarioSpec {
         }
 
         // Faults.
-        let total_ms = self.window_ms * self.windows;
         for (i, fault) in self.faults.iter().enumerate() {
             let field = format!("faults[{i}]");
             known(&field, &fault.kind, FAULT_KINDS)?;

@@ -3,10 +3,12 @@
 //! error naming the offending field, and every checked-in spec under
 //! `scenarios/` (the CI matrix) parses, validates, and plans.
 
+use mdn_core::scenario::spec::{MAX_CELLS, MAX_FABRIC_SWITCHES};
 use mdn_core::scenario::{
     AppSpec, EmissionSpec, EmitSpec, ExpectSpec, FaultSpec, ScenarioBuilder, ScenarioError,
     ScenarioSpec, TrafficSpec,
 };
+use std::time::Duration;
 
 /// A spec that strays from the defaults in every block, so the
 /// round-trip exercises the whole tree, not just the overlay's no-op
@@ -136,7 +138,20 @@ fn validation_rejects_malformed_specs_by_field() {
     let mutations: Vec<(&str, Mutation)> = vec![
         ("windows", Box::new(|s| s.windows = 0)),
         ("window_ms", Box::new(|s| s.window_ms = 0)),
+        // The run's length overflows u64 milliseconds.
+        (
+            "windows",
+            Box::new(|s| {
+                s.window_ms = u64::MAX;
+                s.windows = 4;
+            }),
+        ),
+        // Ten-minute windows: 26.5 M samples per listen buffer.
+        ("window_ms", Box::new(|s| s.window_ms = 600_000)),
+        ("window_ms", Box::new(|s| s.sample_rate = u32::MAX)),
         ("hall.cells", Box::new(|s| s.hall.cells = 0)),
+        ("hall.cells", Box::new(|s| s.hall.cells = 1 << 32)),
+        ("hall.cells", Box::new(|s| s.hall.cells = MAX_CELLS + 1)),
         ("hall.ambient", Box::new(|s| s.hall.ambient = "cave".into())),
         ("hall.speaker", Box::new(|s| s.hall.speaker = "horn".into())),
         // Overlapping cells: racks spaced wider than the cell pitch.
@@ -179,6 +194,22 @@ fn validation_rejects_malformed_specs_by_field() {
             Box::new(|s| {
                 s.traffic.topology = "pair".into();
                 s.traffic.pps = 0.0;
+            }),
+        ),
+        (
+            "traffic",
+            Box::new(|s| {
+                s.traffic.topology = "leaf_spine".into();
+                s.traffic.spines = 4;
+                s.traffic.leaves = MAX_FABRIC_SWITCHES;
+            }),
+        ),
+        (
+            "traffic",
+            Box::new(|s| {
+                s.traffic.topology = "leaf_spine".into();
+                s.traffic.spines = usize::MAX;
+                s.traffic.leaves = usize::MAX;
             }),
         ),
         (
@@ -291,4 +322,33 @@ fn all_checked_in_scenarios_parse_validate_and_plan() {
         seen += 1;
     }
     assert!(seen >= 8, "scenario matrix shrank to {seen} specs");
+}
+
+/// The limits sit well above every real experiment: the benchmark's
+/// specs (the 100-cell hall over a 600-switch fabric among them) still
+/// parse, validate and plan.
+#[test]
+fn benchmark_specs_validate_and_plan() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/mdnbench/specs");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(dir).expect("mdnbench/specs/ exists") {
+        let path = entry.expect("read mdnbench/specs/").path();
+        let spec = ScenarioSpec::load(path.to_str().unwrap())
+            .unwrap_or_else(|e| panic!("{path:?} failed to parse: {e}"));
+        ScenarioBuilder::new(&spec)
+            .unwrap_or_else(|e| panic!("{path:?} failed to validate/plan: {e}"));
+        seen += 1;
+    }
+    assert_eq!(seen, 3, "hall_600, fabric and chaos");
+}
+
+/// A run of more than `u32::MAX` windows keeps its full length: the
+/// horizon does not truncate the window count to 32 bits.
+#[test]
+fn horizon_counts_every_window() {
+    let mut spec = ScenarioSpec::small_hall(2, 2, 3, "office");
+    spec.window_ms = 1;
+    spec.windows = (1 << 32) + 3;
+    spec.validate().expect("a long run of short windows is valid");
+    assert_eq!(spec.total(), Duration::from_millis((1 << 32) + 3));
 }

@@ -41,11 +41,7 @@ fn run_walk(
     deltas: &[f64],
     schedule: &[Option<usize>],
 ) -> (u64, u64, Vec<bool>) {
-    let det_cfg = DetectorConfig {
-        threads: 1,
-        ..DetectorConfig::default()
-    };
-    let mut det = ToneDetector::with_config(FREQS.to_vec(), det_cfg);
+    let mut det = ToneDetector::new(FREQS.to_vec());
     let mut est = AmbientEstimator::new(FREQS.len(), AmbientEstimatorConfig::default());
 
     let mut level = base_db;
@@ -114,7 +110,6 @@ proptest! {
     #[test]
     fn frozen_floors_leak_under_the_same_drift(seed in any::<u64>()) {
         let cfg = DetectorConfig {
-            threads: 1,
             frame_rel_floor: 0.0,
             local_max_radius_hz: 0.0,
             ..DetectorConfig::default()

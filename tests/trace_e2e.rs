@@ -15,7 +15,7 @@
 //!
 //! Span sim-time bounds are part of the pipeline's determinism contract:
 //! the full span sequence (wall costs zeroed via `deterministic_view`)
-//! must be identical for 0, 1 and 4 detector threads. The Chrome
+//! must be identical for 0, 1 and 4 shard threads. The Chrome
 //! trace-event export must parse as JSON with matched begin/end pairs.
 
 use mdn_acoustics::ambient::AmbientProfile;
@@ -37,7 +37,7 @@ const SEED: u64 = 2018;
 const DEAD_CELL: usize = 1;
 const FAULT_AT: Duration = Duration::from_millis(1200);
 
-/// Run the scenario with `threads` detector threads; return every span
+/// Run the scenario with `threads` shard threads; return every span
 /// (record order) plus the Chrome JSON export and the replans seen.
 fn run_traced(threads: usize) -> (Vec<TraceSpan>, String, Vec<(Duration, usize)>) {
     let registry = Registry::with_trace(1 << 16);
@@ -206,7 +206,7 @@ fn traces_are_identical_for_any_thread_count() {
             .collect();
         assert_eq!(
             base, other,
-            "span sequence diverged at {threads} detector threads"
+            "span sequence diverged at {threads} shard threads"
         );
     }
 }

@@ -1,7 +1,6 @@
 //! Property-based contract of the windowed render path: any window of a
 //! scene renders byte-identically to the same span of a from-zero render,
-//! for any emissions, ambient profile/seed, fault plan, and thread count —
-//! and a [`SceneCursor`](mdn_acoustics::scene::SceneCursor) walking the
+//! for any emissions, ambient profile/seed, and fault plan — and a [`SceneCursor`](mdn_acoustics::scene::SceneCursor) walking the
 //! timeline in arbitrary chunks reproduces the batch render exactly.
 //! The scene's shared ambient memo never shows: any interleaving of
 //! windows, listeners, re-seeds and clones renders what a fresh scene
@@ -78,7 +77,6 @@ fn build_scene(
     ambient_idx: usize,
     ambient_seed: u64,
     faults: &Faults,
-    threads: usize,
 ) -> Scene {
     let profile = match ambient_idx % 3 {
         0 => AmbientProfile::quiet(),
@@ -87,7 +85,6 @@ fn build_scene(
     };
     let mut scene = Scene::new(SR, profile);
     scene.set_ambient_seed(ambient_seed);
-    scene.set_render_threads(threads);
     let mut plan = SceneFaultPlan::new(faults.seed);
     if let Some((from, len, spl)) = faults.burst {
         plan = plan.noise_burst(Window::new(MS(from), MS(len)), spl);
@@ -154,18 +151,16 @@ proptest! {
 
     /// Every render of an interleaved sequence on one scene is
     /// byte-identical to a fresh scene's render of the same window,
-    /// whatever the scene rendered before, for every ambient profile
-    /// and render thread count.
+    /// whatever the scene rendered before, for every ambient profile.
     #[test]
     fn memo_never_shows(
         emissions in proptest::collection::vec(emission_strategy(), 0..3),
         ambient_idx in 0usize..3,
         ambient_seed in 0u64..1000,
         faults in faults_strategy(),
-        threads in 1usize..=4,
         ops in proptest::collection::vec(render_op_strategy(), 1..16),
     ) {
-        let mut scene = build_scene(&emissions, ambient_idx, ambient_seed, &faults, threads);
+        let mut scene = build_scene(&emissions, ambient_idx, ambient_seed, &faults);
         let mut seed = ambient_seed;
         let mut last = Window::new(MS(0), MS(300));
         for op in &ops {
@@ -189,7 +184,7 @@ proptest! {
             };
             last = w;
             let listener = LISTENERS[who];
-            let fresh = build_scene(&emissions, ambient_idx, seed, &faults, 1)
+            let fresh = build_scene(&emissions, ambient_idx, seed, &faults)
                 .render_window(listener, w);
             prop_assert_eq!(scene.render_window(listener, w).samples(), fresh.samples(),
                 "{:?} diverged from a fresh scene", op);
@@ -197,19 +192,17 @@ proptest! {
     }
 
     /// `render_window(w)` is bit-for-bit the `w` span of a from-zero
-    /// render, whatever the emissions, ambient bed, faults, or thread
-    /// count.
+    /// render, whatever the emissions, ambient bed or faults.
     #[test]
     fn window_render_equals_full_render_slice(
         emissions in proptest::collection::vec(emission_strategy(), 0..4),
         ambient_idx in 0usize..3,
         ambient_seed in 0u64..1000,
         faults in faults_strategy(),
-        threads in 0usize..4,
         from_ms in 0u64..900,
         len_ms in 0u64..600,
     ) {
-        let scene = build_scene(&emissions, ambient_idx, ambient_seed, &faults, threads);
+        let scene = build_scene(&emissions, ambient_idx, ambient_seed, &faults);
         let w = Window::new(MS(from_ms), MS(len_ms));
         let listener = Pos::new(0.5, 0.3, 0.0);
         // Windowed first, so the window's ambient bed is synthesised on
@@ -220,29 +213,6 @@ proptest! {
         prop_assert_eq!(windowed.samples(), &full.samples()[a..b]);
     }
 
-    /// Thread count never changes a windowed render: every worker split
-    /// produces the single-thread byte stream.
-    #[test]
-    fn thread_count_is_invisible(
-        emissions in proptest::collection::vec(emission_strategy(), 1..4),
-        ambient_seed in 0u64..1000,
-        faults in faults_strategy(),
-        from_ms in 0u64..500,
-        len_ms in 100u64..800,
-    ) {
-        let listener = Pos::new(0.5, 0.3, 0.0);
-        let w = Window::new(MS(from_ms), MS(len_ms));
-        let render = |threads: usize| {
-            build_scene(&emissions, 2, ambient_seed, &faults, threads)
-                .render_window(listener, w)
-        };
-        let reference = render(1);
-        for threads in [2, 3, 8] {
-            prop_assert_eq!(render(threads).samples(), reference.samples(),
-                "thread count {} changed the render", threads);
-        }
-    }
-
     /// A cursor advancing in arbitrary chunk sizes concatenates to exactly
     /// the batch render of the same span.
     #[test]
@@ -250,10 +220,9 @@ proptest! {
         emissions in proptest::collection::vec(emission_strategy(), 0..4),
         ambient_seed in 0u64..1000,
         faults in faults_strategy(),
-        threads in 0usize..4,
         chunks_ms in proptest::collection::vec(1u64..400, 1..6),
     ) {
-        let scene = build_scene(&emissions, 1, ambient_seed, &faults, threads);
+        let scene = build_scene(&emissions, 1, ambient_seed, &faults);
         let listener = Pos::new(0.5, 0.3, 0.0);
         let mut cursor = scene.cursor(listener);
         let mut streamed: Vec<f32> = Vec::new();
@@ -278,7 +247,7 @@ proptest! {
     ) {
         let scene = build_scene(&emissions, 2, ambient_seed, &Faults {
             burst: None, mic_dead: None, dropout: None, seed: 0,
-        }, 0);
+        });
         let w = Window::new(MS(from_ms), MS(len_ms));
         let pos = Pos::new(0.4, 0.0, 0.0);
         let ctl = MdnController::new(Microphone::measurement(), pos);
