@@ -560,7 +560,10 @@ impl ScenarioSpec {
         let total_ms = self.window_ms.checked_mul(self.windows).ok_or_else(|| {
             ScenarioError::invalid("windows", "the run's length overflows u64 milliseconds")
         })?;
-        let window_samples = u128::from(self.window_ms) * u128::from(self.sample_rate) / 1000;
+        // A window's listen buffer and a tone's signal are each one
+        // allocation of this many samples.
+        let samples = |ms: u64| u128::from(ms) * u128::from(self.sample_rate) / 1000;
+        let window_samples = samples(self.window_ms);
         if window_samples > u128::from(MAX_WINDOW_SAMPLES) {
             return Err(ScenarioError::invalid(
                 "window_ms",
@@ -622,6 +625,12 @@ impl ScenarioSpec {
                     "zero-length tones are inaudible by construction",
                 ));
             }
+            if samples(e.duration_ms) > u128::from(MAX_WINDOW_SAMPLES) {
+                return Err(ScenarioError::invalid(
+                    "emissions.duration_ms",
+                    format!("tones over {MAX_WINDOW_SAMPLES} samples"),
+                ));
+            }
             if let Some(s) = e.slot {
                 if s >= slots {
                     return Err(ScenarioError::invalid(
@@ -657,6 +666,12 @@ impl ScenarioSpec {
                 }
                 if em.dur_ms == 0 {
                     return Err(ScenarioError::invalid(field, "zero-length tone"));
+                }
+                if samples(em.dur_ms) > u128::from(MAX_WINDOW_SAMPLES) {
+                    return Err(ScenarioError::invalid(
+                        field,
+                        format!("tone over {MAX_WINDOW_SAMPLES} samples"),
+                    ));
                 }
             }
         }
@@ -758,8 +773,14 @@ impl ScenarioSpec {
                 if fault.notes.is_empty() {
                     return Err(ScenarioError::invalid(field, "music needs at least one note"));
                 }
-                if fault.tempo_bpm.is_nan() || fault.tempo_bpm <= 0.0 {
-                    return Err(ScenarioError::invalid(field, "tempo_bpm must be positive"));
+                // The builder cycles notes of `60 / tempo_bpm` seconds.
+                let note = Duration::try_from_secs_f64(60.0 / fault.tempo_bpm);
+                if !note.is_ok_and(|n| n >= Duration::from_millis(1)) {
+                    return Err(ScenarioError::invalid(
+                        field,
+                        "tempo_bpm must be positive, give a note of at least 1 ms \
+                         and not overflow a Duration",
+                    ));
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! A std-only HTTP scrape plane for a running experiment.
 //!
 //! The registry's exporters are in-process snapshots; a *live* soak needs
-//! its metrics reachable over a socket, the way the planned OpenFlow
+//! its metrics reachable over a socket, the way the OpenFlow controller
 //! front-end serves control traffic — `TcpListener`, one thread per
 //! connection, no dependencies. [`ObsServer`] serves three read-only
 //! endpoints:
@@ -16,24 +16,29 @@
 //!
 //! Connections are short-lived (`Connection: close`); a scrape never
 //! pauses writers because the exporters are already lock-light
-//! point-in-time reads. Drop the [`ObsServerHandle`] (or call
-//! [`ObsServerHandle::shutdown`]) to stop accepting.
+//! point-in-time reads. Sockets are the shared [`crate::serve`] core's;
+//! a request head must arrive within the client timeout and fit in 8 KiB
+//! (else `431`). Drop the [`ObsServerHandle`] (or call
+//! [`ServeHandle::shutdown`]) to stop accepting.
 
 use crate::registry::Registry;
+use crate::serve::{serve, ServeHandle};
 use crate::trace::{chrome_trace_json, TraceSink};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::time::{Duration, Instant};
 
-/// How long an accepted connection may sit silent before it is reaped.
+/// How long a client may take over its request head before it is reaped.
 ///
 /// Scrapes are one short request–response exchange; anything that holds
-/// a socket open without speaking (a slow-loris client, a dead peer) is
-/// cut after this deadline so it cannot pin a handler thread forever.
+/// a socket open without finishing its request (a slow-loris client, a
+/// dead peer) is cut after this deadline so it cannot pin a handler
+/// thread forever.
 const DEFAULT_CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The longest request head (request line plus headers) a scrape may
+/// send; a GET needs a few hundred bytes.
+const MAX_REQUEST_HEAD: u64 = 8 * 1024;
 
 /// The scrape server: a registry + trace sink pair served over HTTP.
 #[derive(Debug, Clone)]
@@ -43,12 +48,21 @@ pub struct ObsServer {
     client_timeout: Duration,
 }
 
-/// A running [`ObsServer`]: owns the accept thread. Shuts down on drop.
-#[derive(Debug)]
-pub struct ObsServerHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+/// A running [`ObsServer`]: the serve core's handle. Shuts down on drop.
+pub type ObsServerHandle = ServeHandle;
+
+/// Reads from a stream against one deadline for the whole read, not a
+/// fresh timeout per call.
+struct Deadline<'a>(&'a TcpStream, Instant);
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        // Past the deadline the timeout is zero, which
+        // `set_read_timeout` itself refuses.
+        let left = self.1.saturating_duration_since(Instant::now());
+        self.0.set_read_timeout(Some(left))?;
+        self.0.read(buf)
+    }
 }
 
 impl ObsServer {
@@ -61,47 +75,27 @@ impl ObsServer {
         }
     }
 
-    /// Replace the default read/write deadline on accepted connections.
+    /// Replace the default deadline on a request head and each write.
     pub fn with_client_timeout(mut self, timeout: Duration) -> Self {
         self.client_timeout = timeout;
         self
     }
 
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
-    /// accepting. Each connection is handled on its own thread — the
-    /// same shape as the planned thread-per-switch OpenFlow front-end.
+    /// accepting, one thread per connection. A zero timeout is an
+    /// `InvalidInput` error.
     pub fn serve(self, addr: impl ToSocketAddrs) -> std::io::Result<ObsServerHandle> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_accept = stop.clone();
-        let accept_thread = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if stop_accept.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                let server = self.clone();
-                std::thread::spawn(move || {
-                    let _ = server.handle(stream);
-                });
-            }
-        });
-        Ok(ObsServerHandle {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
+        let timeout = self.client_timeout;
+        serve(addr, timeout, timeout, move |stream, _, _| {
+            let _ = self.handle(stream);
         })
     }
 
-    /// Serve one connection: parse the request line, route, respond,
+    /// Serve one connection: read the request head, route, respond,
     /// close.
     fn handle(&self, stream: TcpStream) -> std::io::Result<()> {
-        // A client that connects and then goes silent must not pin this
-        // thread: every read and write carries a deadline.
-        stream.set_read_timeout(Some(self.client_timeout))?;
-        stream.set_write_timeout(Some(self.client_timeout))?;
-        let mut reader = BufReader::new(stream);
+        let deadline = Deadline(&stream, Instant::now() + self.client_timeout);
+        let mut reader = BufReader::new(deadline.take(MAX_REQUEST_HEAD));
         let mut request_line = String::new();
         reader.read_line(&mut request_line)?;
         // Drain headers so well-behaved clients see a clean close.
@@ -112,13 +106,17 @@ impl ObsServer {
                 break;
             }
         }
-        let mut stream = reader.into_inner();
+        // The head ended without its blank line because the size cap
+        // cut it off, not because the client closed.
+        if line.is_empty() && reader.get_ref().limit() == 0 {
+            return respond(&stream, 431, "text/plain", "request head too large\n", &[]);
+        }
 
         let mut parts = request_line.split_whitespace();
         let method = parts.next().unwrap_or("");
         let target = parts.next().unwrap_or("");
         if method != "GET" {
-            return respond(&mut stream, 405, "text/plain", "method not allowed\n", &[]);
+            return respond(&stream, 405, "text/plain", "method not allowed\n", &[]);
         }
         let (path, query) = match target.split_once('?') {
             Some((p, q)) => (p, q),
@@ -128,7 +126,7 @@ impl ObsServer {
             "/metrics" => {
                 let body = self.registry.prometheus();
                 respond(
-                    &mut stream,
+                    &stream,
                     200,
                     "text/plain; version=0.0.4; charset=utf-8",
                     &body,
@@ -137,7 +135,7 @@ impl ObsServer {
             }
             "/snapshot" => {
                 let body = self.registry.snapshot().to_json();
-                respond(&mut stream, 200, "application/json", &body, &[])
+                respond(&stream, 200, "application/json", &body, &[])
             }
             "/trace" => {
                 // An absent cursor means "the whole retained tail"; a
@@ -149,7 +147,7 @@ impl ObsServer {
                         Ok(n) => n,
                         Err(_) => {
                             return respond(
-                                &mut stream,
+                                &stream,
                                 400,
                                 "text/plain",
                                 "bad since cursor: expected a non-negative integer\n",
@@ -161,15 +159,15 @@ impl ObsServer {
                 let (next, spans) = self.trace.spans_since(since);
                 let body = chrome_trace_json(&spans);
                 let next_header = format!("X-Mdn-Trace-Next: {next}");
-                respond(&mut stream, 200, "application/json", &body, &[&next_header])
+                respond(&stream, 200, "application/json", &body, &[&next_header])
             }
-            _ => respond(&mut stream, 404, "text/plain", "not found\n", &[]),
+            _ => respond(&stream, 404, "text/plain", "not found\n", &[]),
         }
     }
 }
 
 fn respond(
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
     status: u16,
     content_type: &str,
     body: &str,
@@ -180,6 +178,7 @@ fn respond(
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     let mut head = format!(
@@ -197,41 +196,12 @@ fn respond(
     stream.flush()
 }
 
-impl ObsServerHandle {
-    /// The bound address (useful with an ephemeral port).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stop accepting connections and join the accept thread. In-flight
-    /// responses finish on their own threads.
-    pub fn shutdown(mut self) {
-        self.stop_accepting();
-    }
-
-    fn stop_accepting(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with one last local connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ObsServerHandle {
-    fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.stop_accepting();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::{SpanKind, TraceId, TraceSpan};
-    use std::io::Read;
+    use std::io::{ErrorKind, Read};
+    use std::net::SocketAddr;
     use std::time::Duration;
 
     /// Minimal test client: one GET, full response as a string.
@@ -363,5 +333,72 @@ mod tests {
         let mut out = String::new();
         stream.read_to_string(&mut out).unwrap();
         assert!(out.starts_with("HTTP/1.1 405"));
+    }
+
+    #[test]
+    fn trickled_request_head_is_cut_at_the_client_timeout() {
+        let handle = ObsServer::new(&Registry::new(), &TraceSink::disabled())
+            .with_client_timeout(Duration::from_millis(150))
+            .serve("127.0.0.1:0")
+            .unwrap();
+        // A slow-loris that never goes silent: one byte every 50 ms, each
+        // well inside the timeout, and never the end of the head.
+        let mut loris = TcpStream::connect(handle.addr()).unwrap();
+        loris
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let start = Instant::now();
+        let mut buf = [0u8; 16];
+        let hung_up = loop {
+            if start.elapsed() > Duration::from_secs(3) {
+                break false;
+            }
+            if loris.write_all(b"G").is_err() {
+                break true;
+            }
+            match loris.read(&mut buf) {
+                Ok(0) => break true,
+                Ok(_) => panic!("a timed-out head gets no response"),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(_) => break true,
+            }
+        };
+        let held = start.elapsed();
+        assert!(
+            hung_up && held < Duration::from_millis(1500),
+            "a 150 ms head deadline held a trickling client for {held:?}"
+        );
+    }
+
+    #[test]
+    fn oversized_request_head_is_refused() {
+        let handle = ObsServer::new(&Registry::new(), &TraceSink::disabled())
+            .serve("127.0.0.1:0")
+            .unwrap();
+        let mut flood = TcpStream::connect(handle.addr()).unwrap();
+        flood
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // A 64 KiB request line with no newline. The server stops reading
+        // at its cap, so the tail of this write (or the read below) may
+        // meet a reset after the response is already queued.
+        let _ = flood.write_all(&[b'a'; 64 * 1024]);
+        let mut out = Vec::new();
+        let mut buf = [0u8; 1024];
+        while let Ok(n @ 1..) = flood.read(&mut buf) {
+            out.extend_from_slice(&buf[..n]);
+        }
+        let out = String::from_utf8_lossy(&out);
+        assert!(out.starts_with("HTTP/1.1 431"), "{out}");
+        assert!(out.contains("Connection: close"), "{out}");
+    }
+
+    #[test]
+    fn zero_client_timeout_is_refused_at_serve() {
+        let err = ObsServer::new(&Registry::new(), &TraceSink::disabled())
+            .with_client_timeout(Duration::ZERO)
+            .serve("127.0.0.1:0")
+            .expect_err("a zero deadline must not bind");
+        assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
     }
 }

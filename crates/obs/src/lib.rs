@@ -24,8 +24,12 @@
 //!   takes (including the negative `missed` → health-penalty → replan
 //!   chain), collected in a bounded [`TraceSink`] and exportable as
 //!   Chrome trace-event / Perfetto JSON.
+//! * [`serve`] — the one pure-std TCP serve core (bind, one accept
+//!   thread, per-connection deadlines and handler threads, one shutdown
+//!   path) under both the scrape server and `mdn-proto`'s OpenFlow
+//!   controller front-end.
 //! * [`http`] — a std-only scrape server ([`ObsServer`]) putting
-//!   `/metrics`, `/snapshot` and `/trace?since=` on a `TcpListener`, so
+//!   `/metrics`, `/snapshot` and `/trace?since=` on the serve core, so
 //!   a live soak can be watched from `curl`.
 //!
 //! ```
@@ -55,6 +59,7 @@ pub mod export;
 pub mod http;
 pub mod journal;
 pub mod registry;
+pub mod serve;
 pub mod span;
 pub mod trace;
 

@@ -8,10 +8,9 @@
 //!   OF framing over any byte stream (read the 8-byte header, then
 //!   exactly `total − 8` body bytes; [`OfMessage::decode`] wants a
 //!   pre-framed buffer and cannot be fed a stream directly).
-//! * **[`ControllerServer`]** — a pure-std `TcpListener` accept loop
-//!   (same `AtomicBool` + self-connect shutdown as `ObsServer`), one
-//!   reader thread per connection, Hello handshake, EchoRequest idle
-//!   probing, and per-connection xid bookkeeping.
+//! * **[`ControllerServer`]** — the per-connection handler on the
+//!   [`mdn_obs::serve`] core `ObsServer` also runs on: Hello handshake,
+//!   EchoRequest idle probing, and per-connection xid bookkeeping.
 //! * **[`ControllerApp`]** — the pluggable policy trait; the server
 //!   drives one app instance per connection. [`LearningSwitch`] is the
 //!   classic demo app: it turns `PacketIn` table-miss summaries into
@@ -24,37 +23,36 @@
 //!
 //! Both sides send `Hello` immediately after connect (so neither blocks
 //! on the other). The server treats a connection as *handshaken* once
-//! the peer's `Hello` arrives; any other message first is a protocol
-//! error and disconnects. After the handshake, the server answers
-//! `EchoRequest`s, dispatches `PacketIn`/`PortStatus` to the app, and
-//! probes idle peers: a read that times out with no partial frame sends
-//! one `EchoRequest`; a second consecutive timeout with no traffic at
-//! all reaps the connection (the slow-loris defence the scrape plane
+//! the peer's `Hello` arrives; any other message first, Echo included,
+//! is a protocol error and disconnects. After the handshake, the server
+//! answers `EchoRequest`s, dispatches `PacketIn`/`PortStatus` to the app,
+//! and probes idle peers: a read that times out with no partial frame
+//! sends one `EchoRequest`; a second consecutive timeout with no traffic
+//! at all reaps the connection (the slow-loris defence the scrape plane
 //! shares).
 //!
 //! # Threading model
 //!
 //! Thread-per-connection, like the Zodiac-class deployments the paper
-//! targets (hundreds to low thousands of switches): the accept thread
-//! owns the listener, each connection owns exactly one reader thread,
-//! and all shared state is a handful of atomics. No connection can
-//! block another; a wedged peer costs one parked thread until its idle
-//! probe reaps it. `benches/controller.rs` holds ≥1000 concurrent
-//! simulated-switch connections through this path.
+//! targets (hundreds to low thousands of switches): the serve core's
+//! accept thread owns the listener, each connection owns one reader
+//! thread, and all shared state is a handful of atomics. A wedged peer
+//! costs one parked thread until its idle probe reaps it;
+//! `benches/controller.rs` holds ≥1000 concurrent connections.
 
 use crate::openflow::{OfMessage, PacketInReason, PortReason, OF_HEADER_LEN};
 use crate::wire::WireError;
 use bytes::Bytes;
 use mdn_net::ftable::{Action, FlowTable, Match, PortId, Rule};
 use mdn_net::packet::{FlowKey, Ip};
+use mdn_obs::serve::{self, check_deadline, ServeHandle};
 use mdn_obs::{Counter, Gauge, Registry};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Why a framed read or write failed.
@@ -181,23 +179,11 @@ impl Default for ControllerConfig {
 }
 
 impl ControllerConfig {
-    /// Check the socket-deadline invariants: `set_read_timeout` /
-    /// `set_write_timeout` reject a zero `Duration`, so a zero knob
-    /// would only surface as an I/O error deep inside the accept loop.
+    /// Check the serve core's socket-deadline rule
+    /// ([`check_deadline`]) on both deadlines.
     pub fn validate(&self) -> Result<(), mdn_obs::ConfigError> {
-        if self.idle_timeout == Duration::ZERO {
-            return Err(mdn_obs::ConfigError::new(
-                "idle_timeout",
-                "socket read deadlines must be positive",
-            ));
-        }
-        if self.write_timeout == Duration::ZERO {
-            return Err(mdn_obs::ConfigError::new(
-                "write_timeout",
-                "socket write deadlines must be positive",
-            ));
-        }
-        Ok(())
+        check_deadline("idle_timeout", self.idle_timeout)?;
+        check_deadline("write_timeout", self.write_timeout)
     }
 }
 
@@ -407,7 +393,7 @@ pub struct ControllerStats {
 }
 
 /// Obs handles, inert until [`ControllerServer::attach_obs`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ObsHooks {
     connections: Counter,
     disconnects: Counter,
@@ -463,7 +449,7 @@ pub type AppFactory = dyn Fn(u64) -> Box<dyn ControllerApp> + Send + Sync;
 /// The TCP OpenFlow controller front-end. Construct with an app
 /// factory, then [`ControllerServer::serve`] to bind and accept.
 pub struct ControllerServer {
-    factory: Arc<AppFactory>,
+    factory: Box<AppFactory>,
     config: ControllerConfig,
     obs: ObsHooks,
 }
@@ -476,21 +462,19 @@ impl fmt::Debug for ControllerServer {
     }
 }
 
-/// A running [`ControllerServer`]: owns the accept thread and the shared
-/// counters. Stops accepting on drop.
+/// A running [`ControllerServer`]: the serve core's handle plus the
+/// shared counters. Stops accepting on drop.
 #[derive(Debug)]
 pub struct ControllerHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    serve: ServeHandle,
     shared: Arc<Shared>,
-    accept_thread: Option<JoinHandle<()>>,
 }
 
 impl ControllerServer {
     /// A server that runs `factory(conn_id)`'s app on each connection.
     pub fn new(factory: impl Fn(u64) -> Box<dyn ControllerApp> + Send + Sync + 'static) -> Self {
         Self {
-            factory: Arc::new(factory),
+            factory: Box::new(factory),
             config: ControllerConfig::default(),
             obs: ObsHooks::disabled(),
         }
@@ -511,39 +495,17 @@ impl ControllerServer {
     }
 
     /// Bind `addr` (e.g. `"127.0.0.1:0"`) and start accepting. Each
-    /// connection gets its own reader thread and app instance.
+    /// connection gets its own reader thread and app instance. A zero
+    /// deadline in the config is an [`ErrorKind::InvalidInput`] error.
     pub fn serve(self, addr: impl ToSocketAddrs) -> std::io::Result<ControllerHandle> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(Shared::default());
-        let stop_accept = stop.clone();
-        let shared_accept = shared.clone();
-        let accept_thread = std::thread::spawn(move || {
-            let mut next_conn = 0u64;
-            for conn in listener.incoming() {
-                if stop_accept.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                let conn_id = next_conn;
-                next_conn += 1;
-                let factory = self.factory.clone();
-                let shared = shared_accept.clone();
-                let stop = stop_accept.clone();
-                let obs = self.obs.clone();
-                let config = self.config;
-                std::thread::spawn(move || {
-                    serve_connection(stream, conn_id, factory, shared, obs, config, stop);
-                });
-            }
-        });
-        Ok(ControllerHandle {
-            addr,
-            stop,
-            shared,
-            accept_thread: Some(accept_thread),
-        })
+        let conn_shared = shared.clone();
+        let config = self.config;
+        let handler = move |stream, conn_id, stop: &AtomicBool| {
+            serve_connection(stream, conn_id, &self, &conn_shared, stop);
+        };
+        let serve = serve::serve(addr, config.idle_timeout, config.write_timeout, handler)?;
+        Ok(ControllerHandle { serve, shared })
     }
 }
 
@@ -552,22 +514,19 @@ impl ControllerServer {
 fn serve_connection(
     mut stream: TcpStream,
     conn_id: u64,
-    factory: Arc<AppFactory>,
-    shared: Arc<Shared>,
-    obs: ObsHooks,
-    config: ControllerConfig,
-    stop: Arc<AtomicBool>,
+    server: &ControllerServer,
+    shared: &Shared,
+    stop: &AtomicBool,
 ) {
+    let obs = &server.obs;
     shared.connections.fetch_add(1, Ordering::Relaxed);
     obs.connections.inc();
     let active = shared.active.fetch_add(1, Ordering::SeqCst) + 1;
     obs.active.set(active as f64);
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(config.idle_timeout));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
 
     let mut ctx = AppCtx::new(conn_id);
-    let mut app = factory(conn_id);
+    let mut app = (server.factory)(conn_id);
     let send = |stream: &mut TcpStream, msg: &OfMessage| -> Result<(), OfStreamError> {
         write_message(stream, msg)?;
         shared.tx_messages.fetch_add(1, Ordering::Relaxed);
@@ -601,19 +560,20 @@ fn serve_connection(
                         shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
                         obs.protocol_errors.inc();
                     }
+                    _ if !handshaken => {
+                        // Traffic before Hello, Echo included: the peer
+                        // does not speak the protocol (and echoing alone
+                        // must not hold a reader thread); cut it loose.
+                        shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                        obs.protocol_errors.inc();
+                        break;
+                    }
                     OfMessage::EchoRequest { xid, payload } => {
                         ok = send(&mut stream, &OfMessage::EchoReply { xid, payload }).is_ok();
                     }
                     OfMessage::EchoReply { .. } => {
                         // Probe answered; `probe_outstanding` is already
                         // cleared (any traffic proves liveness).
-                    }
-                    _ if !handshaken => {
-                        // Traffic before Hello: the peer does not speak
-                        // the protocol; cut it loose.
-                        shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        obs.protocol_errors.inc();
-                        break;
                     }
                     OfMessage::PacketIn {
                         xid,
@@ -689,7 +649,7 @@ fn serve_connection(
 impl ControllerHandle {
     /// The bound address (useful with an ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.serve.addr()
     }
 
     /// A point-in-time snapshot of the connection-plane counters.
@@ -712,25 +672,8 @@ impl ControllerHandle {
 
     /// Stop accepting connections and join the accept thread. Open
     /// connections drain on their own threads (EOF or idle reap).
-    pub fn shutdown(mut self) {
-        self.stop_accepting();
-    }
-
-    fn stop_accepting(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with one last local connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ControllerHandle {
-    fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.stop_accepting();
-        }
+    pub fn shutdown(self) {
+        self.serve.shutdown();
     }
 }
 
@@ -1009,21 +952,51 @@ mod tests {
     #[test]
     fn traffic_before_hello_is_a_protocol_error() {
         let handle = learning_server(ControllerConfig::default());
-        let mut raw = TcpStream::connect(handle.addr()).unwrap();
-        // Skip our Hello; go straight to a PacketIn.
-        let msg = OfMessage::PacketIn {
-            xid: 1,
-            in_port: 0,
-            flow: FlowKey::tcp(Ip::v4(1, 1, 1, 1), 1, Ip::v4(2, 2, 2, 2), 2),
-            total_len: 64,
-            reason: PacketInReason::NoMatch,
-        };
-        raw.write_all(&msg.encode().unwrap()).unwrap();
-        wait_until("protocol error counted", || {
-            handle.stats().protocol_errors >= 1
-        });
-        wait_until("connection dropped", || handle.stats().active == 0);
+        // Skip our Hello; go straight to a PacketIn, or to Echo traffic
+        // (which alone must not hold a reader thread).
+        let msgs = [
+            OfMessage::PacketIn {
+                xid: 1,
+                in_port: 0,
+                flow: FlowKey::tcp(Ip::v4(1, 1, 1, 1), 1, Ip::v4(2, 2, 2, 2), 2),
+                total_len: 64,
+                reason: PacketInReason::NoMatch,
+            },
+            OfMessage::EchoRequest {
+                xid: 1,
+                payload: Bytes::from_static(b"ping"),
+            },
+        ];
+        for (i, msg) in msgs.iter().enumerate() {
+            let mut raw = TcpStream::connect(handle.addr()).unwrap();
+            raw.write_all(&msg.encode().unwrap()).unwrap();
+            wait_until("protocol error counted", || {
+                handle.stats().protocol_errors > i as u64
+            });
+            wait_until("connection dropped", || handle.stats().active == 0);
+        }
         handle.shutdown();
+    }
+
+    #[test]
+    fn zero_deadlines_are_refused_at_serve() {
+        for config in [
+            ControllerConfig {
+                idle_timeout: Duration::ZERO,
+                ..ControllerConfig::default()
+            },
+            ControllerConfig {
+                write_timeout: Duration::ZERO,
+                ..ControllerConfig::default()
+            },
+        ] {
+            assert!(config.validate().is_err());
+            let err = ControllerServer::new(|_| Box::new(LearningSwitch::new()))
+                .with_config(config)
+                .serve("127.0.0.1:0")
+                .expect_err("a zero deadline must not bind");
+            assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * [`wire`] — shared checked big-endian readers/writers;
 //! * [`channel`] — in-memory control channels that preserve the full
 //!   encode→decode path between controller and switches;
-//! * [`controller`] — a TCP OpenFlow controller front-end: a pure-std
-//!   `TcpListener` accept loop, per-connection length-prefixed framing,
+//! * [`controller`] — a TCP OpenFlow controller front-end on `mdn-obs`'s
+//!   pure-std serve core: per-connection length-prefixed framing,
 //!   Hello/Echo handshake, and a pluggable [`controller::ControllerApp`]
 //!   trait (with a learning-switch demo app);
 //! * [`faults`] — seeded, deterministic frame-level fault injection

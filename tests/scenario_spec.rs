@@ -170,6 +170,11 @@ fn validation_rejects_malformed_specs_by_field() {
             "emissions.duration_ms",
             Box::new(|s| s.emissions.duration_ms = 0),
         ),
+        // A tone longer than a window's sample cap: one huge allocation.
+        (
+            "emissions.duration_ms",
+            Box::new(|s| s.emissions.duration_ms = u64::MAX),
+        ),
         // Slot outside the per-switch set.
         ("emissions.slot", Box::new(|s| s.emissions.slot = Some(99))),
         (
@@ -182,6 +187,19 @@ fn validation_rejects_malformed_specs_by_field() {
                     dev: 0,
                     slot: 0,
                     dur_ms: 50,
+                }];
+            }),
+        ),
+        (
+            "emissions.explicit[0]",
+            Box::new(|s| {
+                s.emissions.pattern = "explicit".into();
+                s.emissions.explicit = vec![EmitSpec {
+                    window: 0,
+                    permil: 0,
+                    dev: 0,
+                    slot: 0,
+                    dur_ms: 10_000_000,
                 }];
             }),
         ),
@@ -250,6 +268,29 @@ fn validation_rejects_malformed_specs_by_field() {
                 s.faults = vec![FaultSpec {
                     kind: "speaker_dropout".into(),
                     at_ms: 100,
+                    ..FaultSpec::default()
+                }]
+            }),
+        ),
+        // A tempo so slow its note overflows a Duration (a panic in the
+        // builder), and one so fast its note is zero-length (a note loop
+        // that never ends).
+        (
+            "faults[0]",
+            Box::new(|s| {
+                s.faults = vec![FaultSpec {
+                    kind: "music".into(),
+                    tempo_bpm: 1e-300,
+                    ..FaultSpec::default()
+                }]
+            }),
+        ),
+        (
+            "faults[0]",
+            Box::new(|s| {
+                s.faults = vec![FaultSpec {
+                    kind: "music".into(),
+                    tempo_bpm: f64::INFINITY,
                     ..FaultSpec::default()
                 }]
             }),
