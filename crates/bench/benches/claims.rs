@@ -102,7 +102,9 @@ fn bench_melody_codec(c: &mut Criterion) {
 
 fn bench_live_listener(c: &mut Criterion) {
     use mdn_core::live::LiveListener;
+    use mdn_core::controller::MdnController;
     use mdn_core::encoder::SoundingDevice;
+    use mdn_acoustics::mic::Microphone;
     use mdn_acoustics::scene::Scene;
     // One second of audio containing four tones, streamed in 100 ms chunks.
     let mut plan = FrequencyPlan::new(700.0, 1500.0, 60.0);
@@ -118,14 +120,17 @@ fn bench_live_listener(c: &mut Criterion) {
     group.throughput(criterion::Throughput::Elements(audio.len() as u64));
     group.bench_function("stream_1s_in_100ms_chunks", |b| {
         b.iter(|| {
-            let mut listener = LiveListener::start("dev", set.clone(), SR, 8);
+            let mut ctl = MdnController::new(Microphone::measurement(), Pos::ORIGIN);
+            ctl.bind_device("dev", set.clone());
+            let mut listener = LiveListener::new(ctl, SR);
+            let mut decoded = 0;
             let mut fed = 0;
             while fed < audio.len() {
                 let to = (fed + chunk).min(audio.len());
-                listener.push(audio.slice(fed, to));
+                decoded += listener.push(&audio.slice(fed, to)).len();
                 fed = to;
             }
-            black_box(listener.finish().expect("worker healthy").len())
+            black_box(decoded + listener.finish().len())
         })
     });
     group.finish();

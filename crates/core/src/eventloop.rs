@@ -372,7 +372,7 @@ impl UnifiedLoop {
                 ControlEvent::WindowBoundary => {
                     let w = Window::between(self.window_start, at);
                     let observe_started = self.trace.is_enabled().then(Instant::now);
-                    let events = self.heal.observe_window(&self.scene, w);
+                    let events = self.heal.sharded().listen(&self.scene, w);
                     let observe_wall_ns = observe_started
                         .map_or(0, |t| t.elapsed().as_nanos() as u64);
                     self.observed = Some((w, events, observe_wall_ns));

@@ -29,8 +29,8 @@
 //!   re-calibration, dead speaker/mic detection, and live cell
 //!   re-planning with plan hot-swap;
 //! * [`relay`] — the §8 multi-hop tone relay extension;
-//! * [`live`] — a threaded streaming listener for endless microphone
-//!   input (chunked audio in, events out);
+//! * [`live`] — a streaming decoder for endless microphone input: chunked
+//!   audio in, each chunk's events out, decoded by the controller;
 //! * [`mod@array`] — the §8 microphone-array extension (fused listeners over
 //!   switch groups);
 //! * [`ofbridge`] — glue from simulated switches to the real TCP
@@ -84,6 +84,5 @@ pub use detector::{DetectorConfig, ToneDetector};
 pub use encoder::SoundingDevice;
 pub use freqplan::{FrequencyPlan, FrequencySet};
 pub use health::{ControlPath, HealthConfig, HealthState, HealthTracker};
-pub use live::ListenerPanic;
 pub use ofbridge::{OfAgent, PumpReport};
 pub use selfheal::{AmbientEstimator, SelfHealConfig, SelfHealingController};

@@ -3,71 +3,58 @@
 //! Everything else in this crate analyzes captured buffers after the fact —
 //! fine for experiments, but a deployed MDN controller listens to an
 //! endless microphone stream and must produce events as tones happen. A
-//! [`LiveListener`] runs the detector on its own thread: audio arrives in
-//! arbitrary-sized chunks over a `crossbeam` channel, a carry-over buffer
-//! preserves detector frames across chunk boundaries, and decoded events
-//! accumulate behind a `parking_lot` mutex for the control thread to drain.
+//! [`LiveListener`] is a synchronous streaming decoder around an
+//! [`MdnController`]: audio arrives in arbitrary-sized chunks, a carry-over
+//! buffer preserves detector frames across chunk boundaries, and each
+//! chunk returns the events it decided, decoded by
+//! [`MdnController::decode`] exactly as a batch capture would be.
 //!
 //! In simulation the stream comes from a
 //! [`SceneCursor`](mdn_acoustics::scene::SceneCursor): [`LiveListener::pump`]
 //! renders the next window of the scene into the cursor's reusable scratch
-//! buffer and feeds it to the worker, so an endless closed loop costs
+//! buffer and decodes it in place, so an endless closed loop costs
 //! O(chunk) per tick instead of re-rendering the scene from zero.
 
-use crate::controller::MdnEvent;
-use crate::detector::ToneDetector;
-use crate::freqplan::FrequencySet;
-use crossbeam::channel::{bounded, Sender};
+use crate::controller::{MdnController, MdnEvent};
 use mdn_acoustics::scene::SceneCursor;
 use mdn_audio::signal::duration_to_samples;
 use mdn_audio::Signal;
-use parking_lot::Mutex;
-use std::fmt;
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// The listener's worker thread panicked; the payload is preserved.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ListenerPanic(pub String);
-
-impl fmt::Display for ListenerPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "live listener worker panicked: {}", self.0)
-    }
-}
-
-impl std::error::Error for ListenerPanic {}
-
-/// Handle to a running live listener.
-///
-/// Dropping the handle (or calling [`LiveListener::finish`]) closes the
-/// audio channel; the worker drains what is queued and exits.
+/// A streaming decoder: chunks in, the events each chunk decided out.
 #[derive(Debug)]
 pub struct LiveListener {
-    tx: Option<Sender<Signal>>,
-    worker: Option<JoinHandle<()>>,
-    events: Arc<Mutex<Vec<MdnEvent>>>,
+    controller: MdnController,
     sample_rate: u32,
-    samples_sent: u64,
+    /// Detector frame and hop, in samples.
+    frame: usize,
+    hop: usize,
+    /// How many samples the carry-over keeps behind the newest chunk.
+    carry_len: usize,
+    carry: Signal,
+    /// Absolute sample index of `carry[0]` in the stream.
+    carry_start: u64,
+    /// Absolute sample index up to which frame decisions are final.
+    /// Each frame is *decided exactly once*, at the first analysis where
+    /// both its neighbouring frames are present in the buffer (the
+    /// detector's splatter gate looks one frame to each side). The newest
+    /// complete frame is therefore deferred by one hop and decided on the
+    /// next chunk; [`LiveListener::finish`] decides the tail.
+    decided_until: Option<u64>,
+    samples_pushed: u64,
 }
 
 impl LiveListener {
-    /// Start a listener for `device`'s frequency `set` at `sample_rate`.
-    /// `queue_depth` bounds how many chunks may be in flight (backpressure
-    /// for the capture thread).
-    pub fn start(
-        device: impl Into<String>,
-        set: FrequencySet,
-        sample_rate: u32,
-        queue_depth: usize,
-    ) -> Self {
-        let device = device.into();
-        let detector = ToneDetector::new(set.freqs.clone());
-        let (tx, rx) = bounded::<Signal>(queue_depth.max(1));
-        let events: Arc<Mutex<Vec<MdnEvent>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&events);
-
+    /// A listener decoding a `sample_rate` stream with `controller`, whose
+    /// bindings name the devices and slots of the returned events.
+    ///
+    /// # Panics
+    /// Panics if the controller has no device bound.
+    pub fn new(controller: MdnController, sample_rate: u32) -> Self {
+        let config = *controller
+            .detector()
+            .expect("bind devices before streaming")
+            .config();
         // Frames are `frame` long with `hop` spacing. The carry-over keeps
         // a little more than one full frame so that (a) a tone spanning a
         // chunk boundary lands in a complete frame, and (b) the detector's
@@ -75,89 +62,18 @@ impl LiveListener {
         // boundary frame (otherwise tone-tail splatter ghosts appear at
         // chunk edges). Re-analyzed overlap frames produce duplicate
         // events at identical times, which `collapse_events` merges.
-        let frame = duration_to_samples(detector.config().frame, sample_rate).max(1);
-        let hop = duration_to_samples(detector.config().hop, sample_rate).max(1);
-        let carry_len = (frame + 2 * hop).div_ceil(hop) * hop;
-
-        let worker = std::thread::spawn(move || {
-            let mut carry = Signal::empty(sample_rate);
-            // Absolute sample index of carry[0] in the stream.
-            let mut carry_start: u64 = 0;
-            // Absolute sample index up to which frame decisions are final.
-            // Each frame is *decided exactly once*, at the first analysis
-            // where both its neighbouring frames are present in the buffer
-            // (the detector's splatter gate looks one frame to each side).
-            // The newest complete frame is therefore deferred by one hop
-            // and decided on the next chunk; a flush pass decides the tail
-            // when the stream closes.
-            let mut decided_until: Option<u64> = None;
-            let emit = |sink: &Mutex<Vec<MdnEvent>>,
-                        device: &str,
-                        carry_start: u64,
-                        obs: &crate::detector::ToneObservation| {
-                let offset = Duration::from_secs_f64(carry_start as f64 / sample_rate as f64);
-                sink.lock().push(MdnEvent {
-                    device: device.to_string(),
-                    slot: obs.candidate,
-                    time: offset + obs.time,
-                    freq_hz: obs.freq_hz,
-                    magnitude: obs.magnitude,
-                });
-            };
-            for chunk in rx {
-                assert_eq!(
-                    chunk.sample_rate(),
-                    sample_rate,
-                    "live chunks must match the listener's sample rate"
-                );
-                let mut buf = carry.clone();
-                buf.append(&chunk);
-                // Frames fully decidable now: all complete frames except
-                // the newest (which lacks its right-context frame).
-                let complete = if buf.len() >= frame { (buf.len() - frame) / hop + 1 } else { 0 };
-                let decide_local = if complete >= 2 { Some(((complete - 2) * hop) as u64) } else { None };
-                if let Some(d) = decide_local {
-                    // Detect over the joined buffer; event times are
-                    // relative to buf[0] = stream position carry_start.
-                    for obs in detector.detect(&buf) {
-                        let frame_abs = carry_start
-                            + (obs.time.as_secs_f64() * sample_rate as f64).round() as u64;
-                        let already = decided_until.is_some_and(|w| frame_abs <= w);
-                        if !already && frame_abs <= carry_start + d {
-                            emit(&sink, &device, carry_start, &obs);
-                        }
-                    }
-                    decided_until =
-                        Some(decided_until.map_or(carry_start + d, |w| w.max(carry_start + d)));
-                }
-                // Consume whole hops, keeping at least `carry_len` behind,
-                // so the overlap re-analysis reproduces the same frame
-                // grid and undecided frames keep their left context.
-                let keep_from = if buf.len() > carry_len {
-                    (buf.len() - carry_len) / hop * hop
-                } else {
-                    0
-                };
-                carry = buf.slice(keep_from, buf.len());
-                carry_start += keep_from as u64;
-            }
-            // Stream closed: decide the deferred tail (no right context —
-            // exactly like the end of a batch capture).
-            for obs in detector.detect(&carry) {
-                let frame_abs =
-                    carry_start + (obs.time.as_secs_f64() * sample_rate as f64).round() as u64;
-                if decided_until.is_none_or(|w| frame_abs > w) {
-                    emit(&sink, &device, carry_start, &obs);
-                }
-            }
-        });
-
+        let frame = duration_to_samples(config.frame, sample_rate).max(1);
+        let hop = duration_to_samples(config.hop, sample_rate).max(1);
         Self {
-            tx: Some(tx),
-            worker: Some(worker),
-            events,
+            controller,
             sample_rate,
-            samples_sent: 0,
+            frame,
+            hop,
+            carry_len: (frame + 2 * hop).div_ceil(hop) * hop,
+            carry: Signal::empty(sample_rate),
+            carry_start: 0,
+            decided_until: None,
+            samples_pushed: 0,
         }
     }
 
@@ -168,87 +84,92 @@ impl LiveListener {
 
     /// Total stream time pushed so far.
     pub fn pushed(&self) -> Duration {
-        Duration::from_secs_f64(self.samples_sent as f64 / self.sample_rate as f64)
+        Duration::from_secs_f64(self.samples_pushed as f64 / self.sample_rate as f64)
     }
 
-    /// Push one captured chunk (blocks when the queue is full —
-    /// backpressure toward the capture side).
-    ///
-    /// A dead worker (it panicked) makes this a no-op; the panic surfaces
-    /// from [`Self::finish`].
+    /// Decode one captured chunk and return the events it decided, with
+    /// stream-absolute times. Deduplication across overlapping frames is
+    /// the consumer's job, exactly as for batch listening — use
+    /// [`crate::controller::collapse_events`].
     ///
     /// # Panics
-    /// Panics if called after [`Self::finish`], or if the chunk's sample
-    /// rate differs from the listener's.
-    pub fn push(&mut self, chunk: Signal) {
+    /// Panics if the chunk's sample rate differs from the listener's.
+    pub fn push(&mut self, chunk: &Signal) -> Vec<MdnEvent> {
         assert_eq!(
             chunk.sample_rate(),
             self.sample_rate,
             "chunk sample rate mismatch"
         );
-        let len = chunk.len() as u64;
-        // A send error means the worker hung up (panicked); swallow it
-        // here — finish() reports the panic properly. Only chunks the
-        // worker actually accepted count toward `pushed()`: a rejected
-        // chunk was never part of the analyzed stream, and inflating the
-        // counter would misreport how much audio was listened to.
-        if self
-            .tx
-            .as_ref()
-            .expect("push after finish")
-            .send(chunk)
-            .is_ok()
-        {
-            self.samples_sent += len;
-        }
+        self.samples_pushed += chunk.len() as u64;
+        let mut buf = std::mem::replace(&mut self.carry, Signal::empty(self.sample_rate));
+        buf.append(chunk);
+        // Frames fully decidable now: all complete frames except the
+        // newest (which lacks its right-context frame).
+        let complete = if buf.len() >= self.frame {
+            (buf.len() - self.frame) / self.hop + 1
+        } else {
+            0
+        };
+        let events = if complete >= 2 {
+            let until = self.carry_start + ((complete - 2) * self.hop) as u64;
+            self.decide(&buf, until)
+        } else {
+            Vec::new()
+        };
+        // Consume whole hops, keeping at least `carry_len` behind, so the
+        // overlap re-analysis reproduces the same frame grid and undecided
+        // frames keep their left context.
+        let keep_from = if buf.len() > self.carry_len {
+            (buf.len() - self.carry_len) / self.hop * self.hop
+        } else {
+            0
+        };
+        self.carry = buf.slice(keep_from, buf.len());
+        self.carry_start += keep_from as u64;
+        events
     }
 
-    /// Render the next `len` of the cursor's scene and feed it to the
-    /// worker — the glue between the windowed scene renderer and the
-    /// streaming detector. The cursor reuses its scratch buffer, so each
-    /// tick renders only `len` of audio no matter how much stream time has
-    /// already elapsed (only the channel send copies the chunk out).
+    /// Render the next `len` of the cursor's scene and decode it — the
+    /// glue between the windowed scene renderer and the streaming
+    /// detector. The cursor reuses its scratch buffer, so each tick renders
+    /// only `len` of audio no matter how much stream time has already
+    /// elapsed.
     ///
     /// # Panics
     /// Panics if the cursor's scene sample rate differs from the
-    /// listener's, or after [`Self::finish`].
-    pub fn pump(&mut self, cursor: &mut SceneCursor<'_>, len: Duration) {
-        let chunk = cursor.advance(len).clone();
-        self.push(chunk);
+    /// listener's.
+    pub fn pump(&mut self, cursor: &mut SceneCursor<'_>, len: Duration) -> Vec<MdnEvent> {
+        self.push(cursor.advance(len))
     }
 
-    /// Take the events decoded so far (deduplication across overlapping
-    /// frames is the consumer's job, exactly as for batch listening — use
-    /// [`crate::controller::collapse_events`]).
-    pub fn drain_events(&self) -> Vec<MdnEvent> {
-        std::mem::take(&mut *self.events.lock())
+    /// Close the stream and decide the deferred tail (no right context —
+    /// exactly like the end of a batch capture). Returns the tail's events.
+    pub fn finish(mut self) -> Vec<MdnEvent> {
+        let carry = std::mem::replace(&mut self.carry, Signal::empty(self.sample_rate));
+        self.decide(&carry, u64::MAX)
     }
 
-    /// Close the stream and wait for the worker to finish analyzing
-    /// everything queued. Returns all remaining events, or the worker's
-    /// panic payload if it died mid-stream.
-    pub fn finish(mut self) -> Result<Vec<MdnEvent>, ListenerPanic> {
-        drop(self.tx.take());
-        if let Some(worker) = self.worker.take() {
-            if let Err(payload) = worker.join() {
-                let msg = payload
-                    .downcast_ref::<&'static str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "worker panicked with non-string payload".to_string());
-                return Err(ListenerPanic(msg));
-            }
-        }
-        Ok(self.drain_events())
-    }
-}
-
-impl Drop for LiveListener {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
+    /// Decode `buf` (which starts at stream sample `carry_start`) and keep
+    /// the events of frames not yet decided and starting at or before
+    /// `until`; those frames are then final.
+    fn decide(&mut self, buf: &Signal, until: u64) -> Vec<MdnEvent> {
+        let sr = self.sample_rate as f64;
+        let offset = Duration::from_secs_f64(self.carry_start as f64 / sr);
+        let events = self
+            .controller
+            .decode(buf)
+            .into_iter()
+            .filter(|e| {
+                let frame_abs = self.carry_start + (e.time.as_secs_f64() * sr).round() as u64;
+                self.decided_until.is_none_or(|w| frame_abs > w) && frame_abs <= until
+            })
+            .map(|mut e| {
+                e.time += offset;
+                e
+            })
+            .collect();
+        self.decided_until = Some(self.decided_until.map_or(until, |w| w.max(until)));
+        events
     }
 }
 
@@ -257,8 +178,9 @@ mod tests {
     use super::*;
     use crate::controller::collapse_events;
     use crate::encoder::SoundingDevice;
-    use crate::freqplan::FrequencyPlan;
+    use crate::freqplan::{FrequencyPlan, FrequencySet};
     use mdn_acoustics::medium::Pos;
+    use mdn_acoustics::mic::Microphone;
     use mdn_acoustics::scene::Scene;
 
     const SR: u32 = 44_100;
@@ -274,23 +196,31 @@ mod tests {
             (0, Duration::from_millis(1050)),
         ];
         for &(slot, at) in &tones {
-            dev.emit_slot(&mut scene, slot, at, Duration::from_millis(100)).unwrap();
+            dev.emit_slot(&mut scene, slot, at, Duration::from_millis(100))
+                .unwrap();
         }
         (scene, set, tones)
+    }
+
+    fn controller(set: FrequencySet) -> MdnController {
+        let mut ctl = MdnController::new(Microphone::measurement(), Pos::ORIGIN);
+        ctl.bind_device("dev", set);
+        ctl
     }
 
     fn stream_and_collect(chunk_ms: u64) -> Vec<MdnEvent> {
         let (scene, set, _) = scene_with_tones();
         let full = scene.render_at(Pos::new(0.4, 0.0, 0.0), Duration::from_millis(1400));
-        let mut listener = LiveListener::start("dev", set, SR, 4);
+        let mut listener = LiveListener::new(controller(set), SR);
         let chunk_len = duration_to_samples(Duration::from_millis(chunk_ms), SR);
+        let mut events = Vec::new();
         let mut start = 0;
         while start < full.len() {
             let end = (start + chunk_len).min(full.len());
-            listener.push(full.slice(start, end));
+            events.extend(listener.push(&full.slice(start, end)));
             start = end;
         }
-        let events = listener.finish().expect("worker healthy");
+        events.extend(listener.finish());
         collapse_events(&events, Duration::from_millis(80))
     }
 
@@ -317,7 +247,10 @@ mod tests {
         let expect = [0.15f64, 0.6, 1.05];
         for (e, &want) in events.iter().zip(&expect) {
             let got = e.time.as_secs_f64();
-            assert!((got - want).abs() < 0.08, "event at {got}, expected ≈{want}");
+            assert!(
+                (got - want).abs() < 0.08,
+                "event at {got}, expected ≈{want}"
+            );
         }
     }
 
@@ -325,48 +258,47 @@ mod tests {
     fn matches_batch_detection() {
         let (scene, set, _) = scene_with_tones();
         let full = scene.render_at(Pos::new(0.4, 0.0, 0.0), Duration::from_millis(1400));
-        // Batch.
-        let det = ToneDetector::new(set.freqs.clone());
-        let batch: Vec<usize> = collapse_events(
-            &det.detect(&full)
-                .into_iter()
-                .map(|o| MdnEvent {
-                    device: "dev".into(),
-                    slot: o.candidate,
-                    time: o.time,
-                    freq_hz: o.freq_hz,
-                    magnitude: o.magnitude,
-                })
-                .collect::<Vec<_>>(),
-            Duration::from_millis(80),
-        )
-        .iter()
-        .map(|e| e.slot)
-        .collect();
-        // Live.
+        let batch: Vec<usize> =
+            collapse_events(&controller(set).decode(&full), Duration::from_millis(80))
+                .iter()
+                .map(|e| e.slot)
+                .collect();
         let live: Vec<usize> = stream_and_collect(250).iter().map(|e| e.slot).collect();
         assert_eq!(batch, live);
     }
 
     #[test]
-    fn drain_mid_stream_then_finish() {
+    fn mid_stream_events_plus_finish_equal_one_shot() {
+        // Events come back chunk by chunk: the first half's push already
+        // returns its tones, and the pushes plus the tail from `finish`
+        // are the one-shot decode of the whole capture, event for event.
         let (scene, set, _) = scene_with_tones();
         let full = scene.render_at(Pos::new(0.4, 0.0, 0.0), Duration::from_millis(1400));
-        let mut listener = LiveListener::start("dev", set, SR, 4);
+        let one_shot = controller(set.clone()).decode(&full);
+
+        let mut listener = LiveListener::new(controller(set), SR);
         let half = full.len() / 2;
-        listener.push(full.slice(0, half));
-        // Give the worker a moment, then drain what exists so far.
-        std::thread::sleep(Duration::from_millis(50));
-        let early = listener.drain_events();
-        listener.push(full.slice(half, full.len()));
-        let late = listener.finish().expect("worker healthy");
-        let mut all = early;
-        all.extend(late);
-        let decoded: Vec<usize> = collapse_events(&all, Duration::from_millis(80))
+        let mut all = listener.push(&full.slice(0, half));
+        let early: Vec<usize> = collapse_events(&all, Duration::from_millis(80))
             .iter()
             .map(|e| e.slot)
             .collect();
-        assert_eq!(decoded, vec![1, 3, 0]);
+        assert_eq!(early, vec![1, 3], "first half decides its own tones");
+        all.extend(listener.push(&full.slice(half, full.len())));
+        all.extend(listener.finish());
+        assert_eq!(all.len(), one_shot.len(), "{all:?} vs {one_shot:?}");
+        for (s, b) in all.iter().zip(&one_shot) {
+            // Stream-absolute times add the chunk offset, so they may
+            // differ from the batch time by a nanosecond of rounding.
+            assert!(
+                s.time.abs_diff(b.time) <= Duration::from_nanos(1),
+                "{s:?} vs {b:?}"
+            );
+            assert_eq!(
+                (&s.device, s.slot, s.magnitude),
+                (&b.device, b.slot, b.magnitude)
+            );
+        }
     }
 
     #[test]
@@ -374,14 +306,15 @@ mod tests {
         // The closed-loop path (SceneCursor::advance → pump) must decode
         // exactly what pushing pre-rendered slices of the full render does.
         let (scene, set, _) = scene_with_tones();
-        let mut listener = LiveListener::start("dev", set, SR, 4);
+        let mut listener = LiveListener::new(controller(set), SR);
         let mut cursor = scene.cursor(Pos::new(0.4, 0.0, 0.0));
         let total = Duration::from_millis(1400);
+        let mut events = Vec::new();
         while cursor.position() < total {
-            listener.pump(&mut cursor, Duration::from_millis(200));
+            events.extend(listener.pump(&mut cursor, Duration::from_millis(200)));
         }
         assert_eq!(listener.pushed(), total);
-        let events = listener.finish().expect("worker healthy");
+        events.extend(listener.finish());
         let decoded: Vec<usize> = collapse_events(&events, Duration::from_millis(80))
             .iter()
             .map(|e| e.slot)
@@ -393,11 +326,13 @@ mod tests {
     fn silence_stream_is_quiet() {
         let mut plan = FrequencyPlan::new(700.0, 1500.0, 60.0);
         let set = plan.allocate("dev", 4).unwrap();
-        let mut listener = LiveListener::start("dev", set, SR, 2);
+        let mut listener = LiveListener::new(controller(set), SR);
         for _ in 0..5 {
-            listener.push(Signal::silence(Duration::from_millis(100), SR));
+            assert!(listener
+                .push(&Signal::silence(Duration::from_millis(100), SR))
+                .is_empty());
         }
-        assert!(listener.finish().expect("worker healthy").is_empty());
+        assert!(listener.finish().is_empty());
     }
 
     #[test]
@@ -405,62 +340,7 @@ mod tests {
     fn wrong_rate_chunk_panics() {
         let mut plan = FrequencyPlan::new(700.0, 1500.0, 60.0);
         let set = plan.allocate("dev", 2).unwrap();
-        let mut listener = LiveListener::start("dev", set, SR, 2);
-        listener.push(Signal::silence(Duration::from_millis(10), 48_000));
-    }
-
-    #[test]
-    fn worker_panic_surfaces_as_error_from_finish() {
-        // Regression: a panicking worker used to be swallowed (push's
-        // `send(..).expect(..)` crashed the capture thread with an
-        // unrelated message, and Drop ignored the join result). Trip the
-        // worker's own sample-rate assertion by forging the handle's
-        // recorded rate, so push's front-door check passes but the
-        // worker's invariant is violated.
-        let mut plan = FrequencyPlan::new(700.0, 1500.0, 60.0);
-        let set = plan.allocate("dev", 2).unwrap();
-        let mut listener = LiveListener::start("dev", set, SR, 2);
-        // Forge the handle's rate so push's front-door check passes but
-        // the worker's invariant (chunks match ITS rate) is violated.
-        listener.sample_rate = 48_000;
-        listener.push(Signal::silence(Duration::from_millis(10), 48_000));
-        let err = listener.finish().expect_err("worker must have panicked");
-        assert!(
-            err.0.contains("sample rate"),
-            "unexpected payload: {}",
-            err.0
-        );
-        assert!(err.to_string().contains("worker panicked"));
-    }
-
-    #[test]
-    fn dead_worker_does_not_inflate_pushed() {
-        // Regression: `push` used to count a chunk's samples before the
-        // send, so chunks dropped on the floor after the worker died still
-        // inflated `pushed()`. Kill the worker with a poison chunk, then
-        // verify further pushes are not counted.
-        let mut plan = FrequencyPlan::new(700.0, 1500.0, 60.0);
-        let set = plan.allocate("dev", 2).unwrap();
-        let mut listener = LiveListener::start("dev", set, SR, 2);
-        listener.push(Signal::silence(Duration::from_millis(100), SR));
-        listener.sample_rate = 48_000;
-        // Poison: passes the handle's (forged) front-door check, trips the
-        // worker's own invariant. Whether this chunk is counted depends on
-        // when the worker dies, so measure after the hangup is definite.
-        listener.push(Signal::silence(Duration::from_millis(10), 48_000));
-        let _ = listener.worker.as_ref().map(|w| {
-            // Wait for the worker to actually die so the channel is closed.
-            while !w.is_finished() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        });
-        let before = listener.pushed();
-        listener.push(Signal::silence(Duration::from_millis(500), 48_000));
-        assert_eq!(
-            listener.pushed(),
-            before,
-            "rejected chunk must not count as pushed"
-        );
-        listener.finish().expect_err("worker must have panicked");
+        let mut listener = LiveListener::new(controller(set), SR);
+        listener.push(&Signal::silence(Duration::from_millis(10), 48_000));
     }
 }

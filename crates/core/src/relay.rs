@@ -6,7 +6,8 @@
 //! sound transmission would allow greater flexibility in device placement.
 //! We leave this as an open question."
 //!
-//! A [`ToneRelay`] listens for tones in an upstream frequency set and
+//! A [`ToneRelay`] listens for tones in an upstream frequency set — through
+//! an [`MdnController`] bound to that set at the relay's position — and
 //! re-emits the same local slot in its own downstream set after a
 //! processing delay — extending acoustic reach one room at a time, with
 //! per-hop latency and loss accounted. The integration tests chain relays
@@ -18,12 +19,13 @@
 //! at exactly 20 Hz sit at the resolvability limit of ~50 ms analysis
 //! frames.
 
-use crate::detector::ToneDetector;
-use crate::encoder::SoundingDevice;
+use crate::controller::MdnController;
+use crate::encoder::{SoundingDevice, DEFAULT_TONE};
 use crate::freqplan::FrequencySet;
 use mdn_acoustics::medium::Pos;
 use mdn_acoustics::mic::Microphone;
 use mdn_acoustics::scene::Scene;
+use mdn_acoustics::speaker::ToneRequest;
 use mdn_audio::signal::Window;
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -35,14 +37,12 @@ pub struct ToneRelay {
     pub name: String,
     /// The upstream set it listens for.
     pub upstream: FrequencySet,
-    /// Microphone it listens through.
-    pub mic: Microphone,
-    /// Where the relay sits (mic and speaker co-located).
-    pub pos: Pos,
     /// Processing delay between hearing a tone and re-emitting it.
     pub process_delay: Duration,
+    /// Listens for `upstream` through a measurement mic at the relay's
+    /// position (mic and speaker co-located).
+    controller: MdnController,
     device: SoundingDevice,
-    detector: ToneDetector,
     /// Symbols relayed so far.
     pub relayed: u64,
 }
@@ -51,7 +51,8 @@ impl ToneRelay {
     /// Build a relay at `pos` translating `upstream` → `downstream`.
     ///
     /// # Panics
-    /// Panics if the two sets have different sizes (slots map one-to-one).
+    /// Panics if the two sets have different sizes (slots map one-to-one),
+    /// or if the relay's speaker cannot play a downstream frequency.
     pub fn new(
         name: impl Into<String>,
         upstream: FrequencySet,
@@ -64,15 +65,25 @@ impl ToneRelay {
             "upstream and downstream sets must be the same size"
         );
         let name = name.into();
-        let detector = ToneDetector::new(upstream.freqs.clone());
+        let device = SoundingDevice::new(name.clone(), downstream, pos);
+        for &freq_hz in &device.set.freqs {
+            let req = ToneRequest {
+                freq_hz,
+                duration: DEFAULT_TONE,
+                level_spl: device.level_db,
+            };
+            if let Err(e) = device.speaker.shape(req) {
+                panic!("downstream set must be playable by the relay's speaker: {e}");
+            }
+        }
+        let mut controller = MdnController::new(Microphone::measurement(), pos);
+        controller.bind_device("upstream", upstream.clone());
         Self {
-            name: name.clone(),
+            name,
             upstream,
-            mic: Microphone::measurement(),
-            pos,
             process_delay: Duration::from_millis(20),
-            device: SoundingDevice::new(name, downstream, pos),
-            detector,
+            controller,
+            device,
             relayed: 0,
         }
     }
@@ -86,29 +97,22 @@ impl ToneRelay {
     /// at its own position (required in noisy rooms, exactly as for the
     /// controller).
     pub fn calibrate(&mut self, scene: &Scene, w: Window) {
-        let capture = scene.capture(&self.mic, self.pos, w);
-        self.detector.calibrate(&capture);
+        let capture = self.controller.capture(scene, w);
+        self.controller.calibrate(&capture);
     }
 
     /// Listen to window `w` of the scene and re-emit every distinct
     /// upstream slot heard, `process_delay` after the end of the window.
     /// Returns the slots relayed.
     ///
-    /// Like [`crate::controller::MdnController::listen`], the capture
-    /// includes a 150 ms pre-roll (decoded for context, filtered from the
-    /// result) so a tone ending right at `w.from` doesn't ghost. The
-    /// capture renders only the window (plus pre-roll), so relaying stays
-    /// O(window) no matter how much scene time has already elapsed.
+    /// Hearing is [`MdnController::listen`], pre-roll included, so it
+    /// stays O(window) no matter how much scene time has already elapsed.
     pub fn relay_window(&mut self, scene: &mut Scene, w: Window) -> BTreeSet<usize> {
-        let pre_roll = crate::controller::LISTEN_PRE_ROLL.min(w.from);
-        let start = w.from - pre_roll;
-        let capture = scene.capture(&self.mic, self.pos, Window::new(start, w.len + pre_roll));
         let heard: BTreeSet<usize> = self
-            .detector
-            .detect(&capture)
+            .controller
+            .listen(scene, w)
             .into_iter()
-            .filter(|o| o.time >= pre_roll)
-            .map(|o| o.candidate)
+            .map(|e| e.slot)
             .collect();
         let emit_at = w.end() + self.process_delay;
         for (k, &slot) in heard.iter().enumerate() {
@@ -198,6 +202,20 @@ mod tests {
         let mut plan = FrequencyPlan::new(500.0, 3000.0, 20.0);
         let up = plan.allocate("up", 4).unwrap();
         let down = plan.allocate("down", 3).unwrap();
+        ToneRelay::new("r", up, down, Pos::ORIGIN);
+    }
+
+    #[test]
+    #[should_panic(expected = "playable by the relay's speaker")]
+    fn unplayable_downstream_set_panics_at_construction() {
+        // The cheap speaker stops at 15 kHz: a 15.5–17 kHz downstream set
+        // must be refused here, not on the first tone the relay hears.
+        let up = FrequencyPlan::new(500.0, 3000.0, 60.0)
+            .allocate("up", 4)
+            .unwrap();
+        let down = FrequencyPlan::new(15_500.0, 17_000.0, 60.0)
+            .allocate("down", 4)
+            .unwrap();
         ToneRelay::new("r", up, down, Pos::ORIGIN);
     }
 }

@@ -773,6 +773,18 @@ impl ScenarioSpec {
                 if fault.notes.is_empty() {
                     return Err(ScenarioError::invalid(field, "music needs at least one note"));
                 }
+                // The builder renders the whole span, from `at_ms` to
+                // `until_ms` or the horizon, as one allocation.
+                let span = fault
+                    .until_ms
+                    .unwrap_or(total_ms)
+                    .saturating_sub(fault.at_ms);
+                if samples(span) > u128::from(MAX_WINDOW_SAMPLES) {
+                    return Err(ScenarioError::invalid(
+                        field,
+                        format!("music spans over {MAX_WINDOW_SAMPLES} samples"),
+                    ));
+                }
                 // The builder cycles notes of `60 / tempo_bpm` seconds.
                 let note = Duration::try_from_secs_f64(60.0 / fault.tempo_bpm);
                 if !note.is_ok_and(|n| n >= Duration::from_millis(1)) {

@@ -339,23 +339,16 @@ impl SelfHealingController {
     /// declared dead and the cell is evacuated (at most one evacuation
     /// per tick).
     pub fn tick(&mut self, scene: &Scene, w: Window, expected: &[String]) -> TickReport {
-        let events = self.observe_window(scene, w);
+        let events = self.sharded.listen(scene, w);
         self.heal_pass(scene, w, expected, events)
-    }
-
-    /// The listening half of a tick: sharded capture + decode over window
-    /// `w`. Split from [`SelfHealingController::heal_pass`] so an
-    /// event-driven loop can run the observation at the window-boundary
-    /// event and the healing reaction as its own self-heal event, while
-    /// the batch [`SelfHealingController::tick`] composes the same two
-    /// halves — one implementation, bit-identical either way.
-    pub fn observe_window(&self, scene: &Scene, w: Window) -> Vec<ShardEvent> {
-        self.sharded.listen(scene, w)
     }
 
     /// The reacting half of a tick: fold `events` (the decode of window
     /// `w`) into the ambient estimate, the health ledger, and — when a
-    /// cell's mic is declared dead — the evacuation re-plan.
+    /// cell's mic is declared dead — the evacuation re-plan. An
+    /// event-driven loop runs the sharded listen at its window-boundary
+    /// event and this pass as its own self-heal event; [`Self::tick`]
+    /// composes the same two halves, bit-identical either way.
     pub fn heal_pass(
         &mut self,
         scene: &Scene,

@@ -10,7 +10,7 @@
 //! ```
 
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
-use mdn_core::controller::collapse_events;
+use mdn_core::controller::{collapse_events, MdnController};
 use mdn_core::encoder::SoundingDevice;
 use mdn_core::freqplan::FrequencyPlan;
 use mdn_core::live::LiveListener;
@@ -56,15 +56,18 @@ fn main() {
     let mic = Microphone::measurement();
     let room = scene.render_at(Pos::new(0.5, 0.0, 0.0), end + Duration::from_millis(300));
     let captured = mic.capture(&room);
-    let mut listener = LiveListener::start("switch-7", set, SAMPLE_RATE, 8);
+    let mut controller = MdnController::new(mic, Pos::new(0.5, 0.0, 0.0));
+    controller.bind_device("switch-7", set);
+    let mut listener = LiveListener::new(controller, SAMPLE_RATE);
     let chunk = SAMPLE_RATE as usize / 10;
+    let mut events = Vec::new();
     let mut fed = 0;
     while fed < captured.len() {
         let to = (fed + chunk).min(captured.len());
-        listener.push(captured.slice(fed, to));
+        events.extend(listener.push(&captured.slice(fed, to)));
         fed = to;
     }
-    let events = listener.finish().expect("listener worker healthy");
+    events.extend(listener.finish());
 
     // Collapse frame-level events into symbols, then bytes.
     let tones = collapse_events(&events, Duration::from_millis(56));

@@ -295,6 +295,18 @@ fn validation_rejects_malformed_specs_by_field() {
                 }]
             }),
         ),
+        // Music with no `until_ms` renders to the horizon in one buffer:
+        // here 3 000 000 s of samples.
+        (
+            "faults[0]",
+            Box::new(|s| {
+                s.windows = 10_000_000;
+                s.faults = vec![FaultSpec {
+                    kind: "music".into(),
+                    ..FaultSpec::default()
+                }]
+            }),
+        ),
         // link_flap without a fabric to flap.
         (
             "faults[0]",
