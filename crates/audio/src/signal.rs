@@ -221,11 +221,6 @@ impl Signal {
         &mut self.samples
     }
 
-    /// Consume the signal, returning the sample buffer.
-    pub fn into_samples(self) -> Vec<f32> {
-        self.samples
-    }
-
     /// Root-mean-square amplitude of the buffer (0.0 for an empty buffer).
     pub fn rms(&self) -> f64 {
         if self.samples.is_empty() {

@@ -1,8 +1,8 @@
 //! Benchmarks behind the paper's quantitative claims, plus design-choice
 //! ablations called out in DESIGN.md:
 //!
-//! * detection cost vs candidate-set size (Goertzel scales linearly, the
-//!   FFT path is flat — the crossover justifies having both);
+//! * detection cost vs candidate-set size (the Goertzel bank scales
+//!   linearly in candidates);
 //! * 911 simultaneous tones (the "~1000 frequencies" capacity point);
 //! * tone-encode cost including the MP marshal/unmarshal round trip.
 
@@ -29,9 +29,6 @@ fn bench_detection_vs_candidates(c: &mut Criterion) {
         let det = ToneDetector::new(freqs.clone());
         group.bench_with_input(BenchmarkId::new("goertzel", n), &n, |b, _| {
             b.iter(|| black_box(det.detect(&signal)))
-        });
-        group.bench_with_input(BenchmarkId::new("fft_peaks", n), &n, |b, _| {
-            b.iter(|| black_box(det.detect_fft(&signal, 10.0)))
         });
     }
     group.finish();

@@ -2,8 +2,8 @@
 //!
 //! The control loop's latency budget is dominated by `ToneDetector::detect`
 //! over the most recent capture, so this bench sweeps the axes that matter
-//! in deployment: candidate count (1–16), capture length (1 s–60 s), and
-//! Goertzel vs FFT path. A decode runs on one thread; captures are decoded
+//! in deployment: candidate count (1–16) and capture length (1 s–60 s).
+//! A decode runs on one thread; captures are decoded
 //! in parallel only across cells (the `scale` bench). Criterion covers the
 //! short captures with tight statistics; a manual best-of-R sweep covers
 //! the long ones and writes a machine-readable summary to
@@ -110,9 +110,6 @@ fn criterion_benches(c: &mut Criterion) {
         let det = ToneDetector::new(candidates.clone());
         group.bench_with_input(BenchmarkId::new("goertzel", n), &sig, |b, sig| {
             b.iter(|| black_box(det.detect(black_box(sig))))
-        });
-        group.bench_with_input(BenchmarkId::new("fft", n), &sig, |b, sig| {
-            b.iter(|| black_box(det.detect_fft(black_box(sig), 10.0)))
         });
         let det = detector_obs(&candidates);
         group.bench_with_input(BenchmarkId::new("goertzel_obs", n), &sig, |b, sig| {
@@ -228,15 +225,6 @@ fn sweep_and_report(smoke: bool) {
                     },
                 ));
             }
-            let fft_ms = best_of(reps, || {
-                black_box(det.detect_fft(black_box(&sig), 10.0));
-            });
-            rows.push(SweepRow {
-                path: "fft",
-                candidates: n,
-                capture_s: secs,
-                millis: fft_ms,
-            });
         }
     }
     if smoke {

@@ -8,7 +8,7 @@
 //! hardware limits); the controller side counts collapsed tone events per
 //! slot per interval and flags slots over threshold.
 
-use crate::controller::{collapse_events, MdnEvent};
+use crate::controller::{device_tones, MdnEvent};
 use mdn_net::flow::flow_bucket;
 use mdn_net::packet::FlowKey;
 use std::collections::HashMap;
@@ -104,12 +104,7 @@ impl HeavyHitterDetector {
     /// Count collapsed tones per `(interval, slot)` over an event stream
     /// and return every interval/slot pair at or over threshold.
     pub fn analyze(&self, events: &[MdnEvent]) -> Vec<HeavyHitterAlert> {
-        let mine: Vec<MdnEvent> = events
-            .iter()
-            .filter(|e| e.device == self.device)
-            .cloned()
-            .collect();
-        let tones = collapse_events(&mine, self.refractory);
+        let tones = device_tones(events, &self.device, self.refractory);
         let mut counts: HashMap<(u64, usize), usize> = HashMap::new();
         for t in &tones {
             let bucket = t.time.as_nanos() as u64 / self.interval.as_nanos() as u64;
@@ -153,12 +148,7 @@ impl HeavyHitterDetector {
     /// Per-slot total collapsed-tone counts over the whole stream (the
     /// Figure 4a bar data).
     pub fn slot_totals(&self, events: &[MdnEvent]) -> HashMap<usize, usize> {
-        let mine: Vec<MdnEvent> = events
-            .iter()
-            .filter(|e| e.device == self.device)
-            .cloned()
-            .collect();
-        let tones = collapse_events(&mine, self.refractory);
+        let tones = device_tones(events, &self.device, self.refractory);
         let mut totals = HashMap::new();
         for t in &tones {
             *totals.entry(t.slot).or_insert(0) += 1;

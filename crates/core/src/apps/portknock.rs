@@ -7,7 +7,7 @@
 //! table entry at the switch." The FSM lives in the MDN controller (not in
 //! the switch, unlike OpenState) and emits the FlowMod that opens the port.
 
-use crate::controller::{collapse_events, MdnEvent};
+use crate::controller::{device_tones, MdnEvent};
 use mdn_net::ftable::{Action, Match, Rule};
 use mdn_proto::openflow::{FlowModCommand, OfMessage};
 use std::time::Duration;
@@ -136,12 +136,7 @@ impl PortKnockApp {
     /// across windows is deduplicated by its absolute time. Returns the
     /// FlowMod to send when the unlock happens within this batch.
     pub fn on_events(&mut self, events: &[MdnEvent]) -> Option<OfMessage> {
-        let mine: Vec<MdnEvent> = events
-            .iter()
-            .filter(|e| e.device == self.device)
-            .cloned()
-            .collect();
-        for e in collapse_events(&mine, self.refractory) {
+        for e in device_tones(events, &self.device, self.refractory) {
             // Cross-window dedup: skip if this slot was already processed
             // at (or within refractory of) this time.
             match self.last_knock.get(&e.slot) {

@@ -8,7 +8,7 @@
 //! window — the signature a sweeping scanner produces and normal traffic
 //! does not.
 
-use crate::controller::{collapse_events, MdnEvent};
+use crate::controller::{device_tones, MdnEvent};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -80,13 +80,7 @@ impl PortScanDetector {
     /// Analyze an event stream: tile it into windows and flag each window
     /// with enough distinct slots.
     pub fn analyze(&self, events: &[MdnEvent]) -> Vec<ScanAlert> {
-        let mine: Vec<MdnEvent> = events
-            .iter()
-            .filter(|e| e.device == self.device)
-            .cloned()
-            .collect();
-        let mut tones = collapse_events(&mine, self.refractory);
-        tones.sort_by_key(|e| e.time);
+        let tones = device_tones(events, &self.device, self.refractory);
         let mut alerts = Vec::new();
         if tones.is_empty() {
             return alerts;

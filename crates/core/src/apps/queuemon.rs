@@ -7,7 +7,7 @@
 //! "without waiting for source reactions and without having to modify the
 //! transport protocol".
 
-use crate::controller::{collapse_events, MdnEvent};
+use crate::controller::{device_tones, MdnEvent};
 use std::time::Duration;
 
 /// The paper's sampling cadence.
@@ -107,13 +107,7 @@ impl QueueMonitor {
 
     /// Decode the band reports in an event stream, in time order.
     pub fn reports(&self, events: &[MdnEvent]) -> Vec<QueueReport> {
-        let mine: Vec<MdnEvent> = events
-            .iter()
-            .filter(|e| e.device == self.device)
-            .cloned()
-            .collect();
-        let mut tones = collapse_events(&mine, self.refractory);
-        tones.sort_by_key(|e| e.time);
+        let tones = device_tones(events, &self.device, self.refractory);
         tones
             .iter()
             .filter_map(|e| {

@@ -19,7 +19,7 @@
 //! distinct endpoints, so crossing k in slot space implies crossing k in
 //! address space — the alert has no false positives from collisions.
 
-use crate::controller::{collapse_events, MdnEvent};
+use crate::controller::{device_tones, MdnEvent};
 use mdn_net::packet::Ip;
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -103,13 +103,7 @@ impl SuperspreaderDetector {
 
     /// Flag every window with more than k distinct endpoint slots.
     pub fn analyze(&self, events: &[MdnEvent]) -> Vec<SpreaderAlert> {
-        let mine: Vec<MdnEvent> = events
-            .iter()
-            .filter(|e| e.device == self.device)
-            .cloned()
-            .collect();
-        let mut tones = collapse_events(&mine, self.refractory);
-        tones.sort_by_key(|e| e.time);
+        let tones = device_tones(events, &self.device, self.refractory);
         let Some(end) = tones.last().map(|e| e.time) else {
             return Vec::new();
         };

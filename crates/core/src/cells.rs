@@ -663,11 +663,6 @@ impl CellPlan {
         Some(dev)
     }
 
-    /// Cells whose mic is still serviceable.
-    pub fn alive_cells(&self) -> impl Iterator<Item = &Cell> {
-        self.cells.iter().filter(|c| c.alive)
-    }
-
     /// The detector configuration cell `c`'s controller runs: defaults
     /// with the magnitude floor raised to the cell's threshold.
     ///

@@ -9,7 +9,6 @@
 
 use crate::detector::{DetectorConfig, ToneDetector, ToneObservation};
 use crate::freqplan::FrequencySet;
-use crate::health::{ControlPath, HealthState, HealthTracker};
 use mdn_acoustics::medium::Pos;
 use mdn_acoustics::mic::Microphone;
 use mdn_acoustics::scene::Scene;
@@ -61,9 +60,6 @@ pub struct MdnController {
     config: DetectorConfig,
     /// Map from detector-candidate index to (binding index, local slot).
     candidate_map: Vec<(usize, usize)>,
-    /// Per-device health ladder (fed by delivery evidence, drives the
-    /// wire-vs-acoustic control-path decision).
-    health: HealthTracker,
     /// The attached observability registry (disabled by default), kept so
     /// `rebuild` can re-instrument freshly constructed detectors.
     obs_registry: Registry,
@@ -81,44 +77,21 @@ impl MdnController {
             detector: None,
             config: DetectorConfig::default(),
             candidate_map: Vec::new(),
-            health: HealthTracker::default(),
             obs_registry: Registry::disabled(),
             obs_events: Counter::disabled(),
         }
     }
 
     /// Register the controller's metrics with an observability registry:
-    /// `mdn_events_decoded_total`, the detector's counters and stage spans
-    /// (kept attached across [`MdnController::set_config`] /
-    /// [`MdnController::bind_device`] rebuilds), and the health tracker's
-    /// transition accounting.
+    /// `mdn_events_decoded_total` and the detector's counters and stage
+    /// spans (kept attached across [`MdnController::set_config`] /
+    /// [`MdnController::bind_device`] rebuilds).
     pub fn attach_obs(&mut self, registry: &Registry) {
         self.obs_registry = registry.clone();
         self.obs_events = registry.counter("mdn_events_decoded_total", &[]);
-        self.health.attach_obs(registry);
         if let Some(det) = &mut self.detector {
             det.attach_obs(registry);
         }
-    }
-
-    /// The per-device health tracker (read side).
-    pub fn health(&self) -> &HealthTracker {
-        &self.health
-    }
-
-    /// The per-device health tracker (to feed delivery evidence).
-    pub fn health_mut(&mut self) -> &mut HealthTracker {
-        &mut self.health
-    }
-
-    /// `device`'s current position on the degradation ladder.
-    pub fn device_state(&self, device: &str) -> HealthState {
-        self.health.state(device)
-    }
-
-    /// Which control path the controller should use for `device`.
-    pub fn control_path(&self, device: &str) -> ControlPath {
-        self.health.control_path(device)
     }
 
     /// Replace the detector configuration (before or between listens).
@@ -265,17 +238,28 @@ impl MdnController {
 /// `refractory` of the previous one are merged into the first. Detector
 /// frames overlap (25 ms hop over 50 ms frames), so one physical tone
 /// produces several observations; applications that count *tones* — port
-/// knocks, heavy-hitter occurrences — consume the collapsed stream.
+/// knocks, heavy-hitter occurrences — consume the collapsed stream. The
+/// output is in time order.
 pub fn collapse_events(events: &[MdnEvent], refractory: Duration) -> Vec<MdnEvent> {
-    let mut sorted: Vec<&MdnEvent> = events.iter().collect();
+    collapse(events.iter(), refractory)
+}
+
+/// The tones `device` sounded: its events alone, collapsed as
+/// [`collapse_events`] does, in time order. This is how the §4–§7
+/// applications read a decoded stream.
+pub fn device_tones(events: &[MdnEvent], device: &str, refractory: Duration) -> Vec<MdnEvent> {
+    collapse(events.iter().filter(|e| e.device == device), refractory)
+}
+
+fn collapse<'a>(events: impl Iterator<Item = &'a MdnEvent>, refractory: Duration) -> Vec<MdnEvent> {
+    let mut sorted: Vec<&MdnEvent> = events.collect();
     sorted.sort_by_key(|e| e.time);
     let mut out: Vec<MdnEvent> = Vec::new();
-    let mut last_seen: Vec<(String, usize, Duration)> = Vec::new();
+    let mut last_seen: Vec<(&str, usize, Duration)> = Vec::new();
     for e in sorted {
-        let key = (e.device.clone(), e.slot);
         match last_seen
             .iter_mut()
-            .find(|(d, s, _)| *d == key.0 && *s == key.1)
+            .find(|(d, s, _)| *d == e.device && *s == e.slot)
         {
             Some((_, _, t)) if e.time.saturating_sub(*t) <= refractory => {
                 // Same tone still ringing: extend the refractory window.
@@ -286,7 +270,7 @@ pub fn collapse_events(events: &[MdnEvent], refractory: Duration) -> Vec<MdnEven
                 out.push(e.clone());
             }
             None => {
-                last_seen.push((key.0, key.1, e.time));
+                last_seen.push((&e.device, e.slot, e.time));
                 out.push(e.clone());
             }
         }
@@ -491,19 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn controller_tracks_device_health() {
-        use crate::health::{ControlPath, HealthState};
-        let (_, mut ctl, _, _) = setup();
-        assert_eq!(ctl.device_state("sw1"), HealthState::Healthy);
-        assert_eq!(ctl.control_path("sw1"), ControlPath::Wire);
-        ctl.health_mut()
-            .record_expiry("sw1", 2, Duration::from_millis(900));
-        assert_eq!(ctl.device_state("sw1"), HealthState::Quarantined);
-        assert_eq!(ctl.control_path("sw1"), ControlPath::Acoustic);
-        assert_eq!(ctl.device_state("sw2"), HealthState::Healthy);
-    }
-
-    #[test]
     fn obs_survives_rebuilds_and_counts_decoded_events() {
         let registry = Registry::new();
         let (mut scene, mut ctl, mut d1, _) = setup();
@@ -526,9 +497,11 @@ mod tests {
         assert!(snap
             .histograms
             .contains_key("mdn_stage_ns{stage=\"detect.goertzel_bank\"}"));
-        // Health evidence flows into the same registry.
-        ctl.health_mut()
-            .record_expiry("sw1", 2, Duration::from_millis(900));
+        // A health ledger attached beside it reports into the same
+        // registry.
+        let mut health = crate::health::HealthTracker::default();
+        health.attach_obs(&registry);
+        health.record_expiry("sw1", 2, Duration::from_millis(900));
         let snap = registry.snapshot();
         assert_eq!(snap.counters["mdn_health_transitions_total"], 1);
         assert_eq!(snap.journal.len(), 1);

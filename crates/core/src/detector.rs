@@ -4,8 +4,7 @@
 //! captured signal into ~50 ms frames (the paper's analysis window), probes
 //! each candidate frequency with a Goertzel filter bank — cheap when the
 //! frequency map is known, which in MDN it always is — and reports tone
-//! observations above a noise-calibrated threshold. An FFT-peak path is
-//! provided too; the `claims` bench compares the two.
+//! observations above a noise-calibrated threshold.
 //!
 //! # Hot path
 //!
@@ -14,8 +13,8 @@
 //!
 //! * all candidates are evaluated in **one pass** over each frame by a
 //!   [`GoertzelBank`] (one traversal instead of one per candidate);
-//! * the steady-state loop performs **no allocation** — recurrence state,
-//!   FFT buffers, and the tail-frame scratch are all reused.
+//! * the steady-state loop performs **no allocation** — recurrence state
+//!   and the tail-frame scratch are reused.
 //!
 //! A decode runs on the calling thread. Captures are decoded in parallel
 //! one level up, one cell per worker, by
@@ -23,7 +22,6 @@
 
 use mdn_audio::goertzel::{GoertzelBank, GoertzelState};
 use mdn_audio::signal::duration_to_samples;
-use mdn_audio::spectral::{Spectrum, SpectrumScratch};
 use mdn_audio::Signal;
 use mdn_obs::{Counter, Histogram, Registry};
 use std::collections::BTreeSet;
@@ -173,7 +171,6 @@ struct DetectorObs {
     observations: Counter,
     goertzel_span: Histogram,
     local_max_span: Histogram,
-    fft_span: Histogram,
 }
 
 /// The times and magnitude matrix of one analyzed capture — every
@@ -266,15 +263,14 @@ impl ToneDetector {
     /// Register this detector's metrics with an observability registry:
     /// `mdn_detect_frames_total` (analysis frames processed),
     /// `mdn_detect_observations_total`, and the
-    /// `mdn_stage_ns` spans for `detect.goertzel_bank`,
-    /// `detect.local_max`, and `detect.fft`.
+    /// `mdn_stage_ns` spans for `detect.goertzel_bank` and
+    /// `detect.local_max`.
     pub fn attach_obs(&mut self, registry: &Registry) {
         self.obs = DetectorObs {
             frames: registry.counter("mdn_detect_frames_total", &[]),
             observations: registry.counter("mdn_detect_observations_total", &[]),
             goertzel_span: registry.stage_histogram("detect.goertzel_bank"),
             local_max_span: registry.stage_histogram("detect.local_max"),
-            fft_span: registry.stage_histogram("detect.fft"),
         };
     }
 
@@ -460,60 +456,6 @@ impl ToneDetector {
         out
     }
 
-    /// FFT-peak detection: compute each frame's spectrum, pick peaks, and
-    /// match them to candidates within `tolerance_hz`. Slower per frame
-    /// when the candidate list is short, but finds everything at once —
-    /// this is the paper's Figure 2a pipeline.
-    ///
-    /// One planner, one scratch and one spectrum serve every frame, so
-    /// the steady-state loop clones no frames and allocates nothing.
-    /// Observations come out frame-major.
-    pub fn detect_fft(&self, signal: &Signal, tolerance_hz: f64) -> Vec<ToneObservation> {
-        let _span = self.obs.fft_span.start_span();
-        let sr = signal.sample_rate();
-        let samples = signal.samples();
-        let grid = self.grid(samples.len(), sr);
-        let mut planner = mdn_audio::fft::FftPlanner::new();
-        let mut scratch = SpectrumScratch::default();
-        let mut spec = Spectrum::empty(sr);
-        let mut tail = Vec::new();
-        let mut out = Vec::new();
-        for fi in 0..grid.n_frames {
-            let frame = grid.frame(samples, fi, &mut tail);
-            Spectrum::compute_into(
-                frame,
-                sr,
-                mdn_audio::window::WindowKind::Hann,
-                Some(4096),
-                &mut planner,
-                &mut scratch,
-                &mut spec,
-            );
-            let peaks = spec.peaks(self.config.min_magnitude, tolerance_hz.max(1.0));
-            for peak in peaks {
-                let nearest = self
-                    .candidates
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &f)| (i, (f - peak.freq_hz).abs()))
-                    .min_by(|a, b| a.1.total_cmp(&b.1));
-                if let Some((c, dist)) = nearest {
-                    if dist <= tolerance_hz && self.passes(c, peak.magnitude) {
-                        out.push(ToneObservation {
-                            time: grid.time(fi),
-                            freq_hz: self.candidates[c],
-                            candidate: c,
-                            magnitude: peak.magnitude,
-                        });
-                    }
-                }
-            }
-        }
-        self.obs.frames.add(grid.n_frames as u64);
-        self.obs.observations.add(out.len() as u64);
-        out
-    }
-
     fn passes(&self, candidate: usize, magnitude: f64) -> bool {
         magnitude >= self.config.min_magnitude
             && magnitude >= self.noise_floor[candidate] * self.config.min_snr
@@ -632,21 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn fft_path_agrees_with_goertzel_on_clean_tones() {
-        let seq = [tone_at(900.0, 0, 300, 0.1), tone_at(1500.0, 0, 300, 0.1)];
-        let sig = render_sequence(&seq, SR);
-        let det = ToneDetector::new(vec![900.0, 1500.0, 2100.0]);
-        let g: BTreeSet<usize> = det.detect(&sig).into_iter().map(|o| o.candidate).collect();
-        let f: BTreeSet<usize> = det
-            .detect_fft(&sig, 10.0)
-            .into_iter()
-            .map(|o| o.candidate)
-            .collect();
-        assert_eq!(g, f);
-        assert_eq!(g, BTreeSet::from([0, 1]));
-    }
-
-    #[test]
     fn sub_frame_signal_still_analyzed() {
         // Shorter than one 50 ms frame: the zero-padded tail frame must
         // still be probed (the paper's minimum tone is 30 ms). Silence
@@ -679,9 +606,6 @@ mod tests {
             last >= Duration::from_millis(450),
             "no tail-frame observation; last was {last:?}"
         );
-        // The FFT path sees the tail too.
-        let fft = det.detect_fft(&sig, 10.0);
-        assert!(fft.iter().any(|o| o.candidate == 1));
     }
 
     #[test]

@@ -567,19 +567,9 @@ impl UnifiedLoop {
         &self.scene
     }
 
-    /// Mutable scene access (ambient beds, out-of-band emissions).
-    pub fn scene_mut(&mut self) -> &mut Scene {
-        &mut self.scene
-    }
-
     /// The self-healing controller.
     pub fn heal(&self) -> &SelfHealingController {
         &self.heal
-    }
-
-    /// Mutable controller access (thread tuning via `sharded_mut`).
-    pub fn heal_mut(&mut self) -> &mut SelfHealingController {
-        &mut self.heal
     }
 
     /// Capture window length.
@@ -606,11 +596,6 @@ impl UnifiedLoop {
     /// Emissions retired by scene garbage collection so far.
     pub fn emissions_retired(&self) -> u64 {
         self.emissions_retired
-    }
-
-    /// Tear the loop apart (network, scene, controller) for inspection.
-    pub fn into_parts(self) -> (Network, Scene, SelfHealingController) {
-        (self.net, self.scene, self.heal)
     }
 }
 

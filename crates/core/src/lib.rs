@@ -13,10 +13,11 @@
 //! * [`eventloop`] — the unified event-driven control loop: packets,
 //!   tone emissions, capture windows, self-heal passes, and faults on
 //!   one deterministic `(time, seq)` heap;
-//! * [`detector`] — microphone capture → Goertzel/FFT tone observations
+//! * [`detector`] — microphone capture → Goertzel tone observations
 //!   with noise-floor calibration;
 //! * [`controller`] — bindings from frequency sets to devices, capture →
-//!   `(device, slot, time)` events;
+//!   `(device, slot, time)` events, and the one tone extractor the
+//!   applications read (`collapse_events` / `device_tones`);
 //! * [`cells`] — acoustic cells: spatial frequency reuse across cell
 //!   sub-bands and a sharded multi-mic controller, scaling past the
 //!   single-microphone ~1000-frequency ceiling;
@@ -31,8 +32,6 @@
 //! * [`relay`] — the §8 multi-hop tone relay extension;
 //! * [`live`] — a streaming decoder for endless microphone input: chunked
 //!   audio in, each chunk's events out, decoded by the controller;
-//! * [`mod@array`] — the §8 microphone-array extension (fused listeners over
-//!   switch groups);
 //! * [`ofbridge`] — glue from simulated switches to the real TCP
 //!   OpenFlow controller in `mdn-proto::controller`: ships table
 //!   misses up as `PacketIn`s and applies returned `FlowMod`s;
@@ -62,7 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod apps;
-pub mod array;
 pub mod cells;
 pub mod controller;
 pub mod detector;

@@ -13,10 +13,10 @@
 //! `examples/of_controller.rs`): schedule a token per control interval,
 //! call [`OfAgent::pump`] when it fires, and re-arm.
 
-use mdn_net::ftable::FlowTable;
 use mdn_net::{Network, NodeId};
+use mdn_proto::channel::apply_at_switch;
 use mdn_proto::controller::{OfClient, OfStreamError};
-use mdn_proto::openflow::{FlowModCommand, OfMessage};
+use mdn_proto::openflow::OfMessage;
 use std::net::ToSocketAddrs;
 use std::time::Duration;
 
@@ -87,49 +87,17 @@ impl OfAgent {
         let mut wait = linger;
         while let Some(msg) = self.client.poll(wait)? {
             wait = Duration::from_millis(20);
-            if self.apply(net, &msg) {
+            if let OfMessage::FlowMod { .. } = msg {
+                // Counted whether or not the table changed (a Delete of an
+                // absent rule is still an applied FlowMod).
+                apply_at_switch(&mut net.switch_mut(self.switch).table, &msg);
+                self.flow_mods_applied += 1;
                 report.flow_mods += 1;
             } else {
                 report.other_rx += 1;
             }
         }
         Ok(report)
-    }
-
-    fn apply(&mut self, net: &mut Network, msg: &OfMessage) -> bool {
-        match msg {
-            OfMessage::FlowMod {
-                command: FlowModCommand::Add,
-                ..
-            } => {
-                let rule = msg.as_rule().expect("Add FlowMod always yields a rule");
-                net.install_rule(self.switch, rule);
-                self.flow_mods_applied += 1;
-                true
-            }
-            OfMessage::FlowMod {
-                command: FlowModCommand::Delete,
-                mat,
-                ..
-            } => {
-                net.switch_mut(self.switch).table.remove(mat);
-                self.flow_mods_applied += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// The switch's current rule count (attached-table convenience).
-    pub fn rule_count(&self, net: &Network) -> usize {
-        net.switch(self.switch).table.len()
-    }
-
-    /// Apply one already-received message to an arbitrary table —
-    /// re-exported [`OfClient::apply_flow_mod`] for callers that manage
-    /// their own sockets.
-    pub fn apply_to_table(table: &mut FlowTable, msg: &OfMessage) -> bool {
-        OfClient::apply_flow_mod(table, msg)
     }
 }
 

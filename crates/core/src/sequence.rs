@@ -10,7 +10,7 @@
 //! per six seconds for acoustic data links; this codec lands in the same
 //! regime).
 
-use crate::controller::{collapse_events, MdnEvent};
+use crate::controller::{device_tones, MdnEvent};
 use crate::encoder::{EmitError, SoundingDevice};
 use mdn_acoustics::scene::Scene;
 use std::time::Duration;
@@ -113,17 +113,14 @@ impl MelodyCodec {
     /// by `device` (events may span several listen windows; they are
     /// collapsed and time-ordered).
     pub fn decode(&self, events: &[MdnEvent], device: &str) -> Vec<usize> {
-        let mine: Vec<MdnEvent> = events
-            .iter()
-            .filter(|e| e.device == device && e.slot < self.alphabet)
-            .cloned()
-            .collect();
         // Refractory shorter than the gap so repeated symbols separate,
         // longer than the detector hop so one tone stays one event.
         let refractory = self.gap.mul_f64(0.7).max(Duration::from_millis(30));
-        let mut tones = collapse_events(&mine, refractory);
-        tones.sort_by_key(|e| e.time);
-        tones.into_iter().map(|e| e.slot).collect()
+        device_tones(events, device, refractory)
+            .into_iter()
+            .map(|e| e.slot)
+            .filter(|&slot| slot < self.alphabet)
+            .collect()
     }
 
     /// Pack bytes into symbols (big-endian bit order). Requires a

@@ -318,11 +318,6 @@ impl Network {
         &self.nodes[id.0]
     }
 
-    /// Mutable access to a node (for tests and controller surgery).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.0]
-    }
-
     /// The host at `id`.
     ///
     /// # Panics

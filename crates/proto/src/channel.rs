@@ -10,6 +10,7 @@ use crate::faults::{DirectionFaults, FaultStats, FaultyQueue};
 use crate::openflow::{FlowModCommand, OfMessage};
 use crate::wire::WireError;
 use bytes::Bytes;
+use mdn_net::ftable::FlowTable;
 use mdn_net::network::Network;
 use mdn_net::sim::NodeId;
 use mdn_obs::{Counter, Registry};
@@ -90,13 +91,6 @@ impl ControlChannel {
         let ct_seed = root.next_u64();
         self.to_switch.set_faults(sw_seed, to_switch);
         self.to_controller.set_faults(ct_seed, to_controller);
-    }
-
-    /// Advance both directions' delay clocks by one tick (a no-op unless
-    /// a delay fault is attached).
-    pub fn tick_faults(&mut self) {
-        self.to_switch.tick();
-        self.to_controller.tick();
     }
 
     /// Per-direction fault accounting `(to_switch, to_controller)`.
@@ -181,24 +175,23 @@ impl ControlChannel {
     }
 }
 
-/// Apply a decoded control message to a switch in the network, as the
-/// switch's OpenFlow agent would. Returns `true` if the message changed
-/// switch state.
-pub fn apply_at_switch(net: &mut Network, switch: NodeId, msg: &OfMessage) -> bool {
+/// Apply a decoded control message to a switch's flow table, as the
+/// switch's OpenFlow agent would. Returns `true` if the table changed
+/// (an Add installed, or a Delete removed at least one rule).
+pub fn apply_at_switch(table: &mut FlowTable, msg: &OfMessage) -> bool {
     match msg {
         OfMessage::FlowMod {
             command: FlowModCommand::Add,
             ..
         } => {
-            let rule = msg.as_rule().expect("Add FlowMod converts to a rule");
-            net.install_rule(switch, rule);
+            table.install(msg.as_rule().expect("Add FlowMod converts to a rule"));
             true
         }
         OfMessage::FlowMod {
             command: FlowModCommand::Delete,
             mat,
             ..
-        } => net.switch_mut(switch).table.remove(mat) > 0,
+        } => table.remove(mat) > 0,
         // Hello/Echo/PacketIn/PortStatus don't mutate forwarding state.
         _ => false,
     }
@@ -214,7 +207,7 @@ pub fn pump_to_switch(chan: &mut ControlChannel, net: &mut Network, switch: Node
     let mut changed = 0;
     while let Some(frame) = chan.recv_at_switch() {
         let Ok(msg) = frame else { continue };
-        if apply_at_switch(net, switch, &msg) {
+        if apply_at_switch(&mut net.switch_mut(switch).table, &msg) {
             changed += 1;
         }
     }
@@ -261,7 +254,7 @@ pub fn service_switch(
                 replies += 1;
             }
             _ => {
-                if apply_at_switch(net, switch, &msg) {
+                if apply_at_switch(&mut net.switch_mut(switch).table, &msg) {
                     changed += 1;
                 }
             }
@@ -372,12 +365,10 @@ mod tests {
 
     #[test]
     fn non_mutating_messages_report_false() {
-        let mut net = Network::new();
-        let s = net.add_switch("s1", 2);
-        assert!(!apply_at_switch(&mut net, s, &OfMessage::Hello { xid: 0 }));
+        let mut table = FlowTable::new();
+        assert!(!apply_at_switch(&mut table, &OfMessage::Hello { xid: 0 }));
         assert!(!apply_at_switch(
-            &mut net,
-            s,
+            &mut table,
             &OfMessage::EchoRequest {
                 xid: 0,
                 payload: Bytes::new()
@@ -559,8 +550,6 @@ mod tests {
 
     #[test]
     fn delete_of_absent_rule_reports_false() {
-        let mut net = Network::new();
-        let s = net.add_switch("s1", 2);
         let msg = OfMessage::FlowMod {
             xid: 1,
             command: FlowModCommand::Delete,
@@ -568,6 +557,6 @@ mod tests {
             mat: Match::ANY,
             action: Action::Drop,
         };
-        assert!(!apply_at_switch(&mut net, s, &msg));
+        assert!(!apply_at_switch(&mut FlowTable::new(), &msg));
     }
 }

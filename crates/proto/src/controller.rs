@@ -43,7 +43,7 @@
 use crate::openflow::{OfMessage, PacketInReason, PortReason, OF_HEADER_LEN};
 use crate::wire::WireError;
 use bytes::Bytes;
-use mdn_net::ftable::{Action, FlowTable, Match, PortId, Rule};
+use mdn_net::ftable::{Action, Match, PortId};
 use mdn_net::packet::{FlowKey, Ip};
 use mdn_obs::serve::{self, check_deadline, ServeHandle};
 use mdn_obs::{Counter, Gauge, Registry};
@@ -810,33 +810,12 @@ impl OfClient {
             }
         }
     }
-
-    /// Apply a received `FlowMod` to a local flow table. Returns `true`
-    /// if the table changed (Add installed or Delete removed anything).
-    pub fn apply_flow_mod(table: &mut FlowTable, msg: &OfMessage) -> bool {
-        match msg {
-            OfMessage::FlowMod {
-                command: crate::openflow::FlowModCommand::Add,
-                ..
-            } => {
-                let rule: Rule = msg.as_rule().expect("Add FlowMod always yields a rule");
-                table.install(rule);
-                true
-            }
-            OfMessage::FlowMod {
-                command: crate::openflow::FlowModCommand::Delete,
-                mat,
-                ..
-            } => table.remove(mat) > 0,
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdn_net::ftable::Decision;
+    use mdn_net::ftable::{Decision, FlowTable};
 
     fn learning_server(config: ControllerConfig) -> ControllerHandle {
         ControllerServer::new(|_| Box::new(LearningSwitch::new()))
@@ -902,7 +881,7 @@ mod tests {
         let mut table = FlowTable::new();
         for _ in 0..2 {
             let msg = client.recv_responding().unwrap();
-            assert!(OfClient::apply_flow_mod(&mut table, &msg));
+            assert!(crate::channel::apply_at_switch(&mut table, &msg));
         }
         assert_eq!(table.lookup(0, &fwd), Decision::Forward(1));
         assert_eq!(table.lookup(1, &fwd.reversed()), Decision::Forward(0));

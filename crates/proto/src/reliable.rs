@@ -283,11 +283,6 @@ impl MpEndpoint {
         self.outstanding.len()
     }
 
-    /// The outstanding sequence numbers, oldest first.
-    pub fn outstanding_seqs(&self) -> Vec<u16> {
-        self.outstanding.iter().map(|o| o.seq).collect()
-    }
-
     /// Delivery counters so far.
     pub fn stats(&self) -> MpDeliveryStats {
         self.stats

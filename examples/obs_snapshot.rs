@@ -19,6 +19,7 @@ use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_core::controller::MdnController;
 use mdn_core::encoder::SoundingDevice;
 use mdn_core::freqplan::FrequencyPlan;
+use mdn_core::health::HealthTracker;
 use mdn_net::ftable::{Action, Match, Rule};
 use mdn_net::network::Network;
 use mdn_net::packet::{FlowKey, Ip};
@@ -147,7 +148,9 @@ fn listen_and_decode(registry: &Registry, alarm: MpTone) {
 
     // The same evidence the chaos scenario feeds: retransmissions degrade
     // the device, a dead wire channel quarantines it.
-    ctl.health_mut().record_retransmit("s1", 2, MS(600));
-    ctl.health_mut().set_wire_alive("s1", false, MS(900));
-    ctl.health_mut().decay_tick(MS(1000));
+    let mut health = HealthTracker::default();
+    health.attach_obs(registry);
+    health.record_retransmit("s1", 2, MS(600));
+    health.set_wire_alive("s1", false, MS(900));
+    health.decay_tick(MS(1000));
 }

@@ -18,7 +18,7 @@ use mdn_acoustics::speaker::{Speaker, ToneRequest};
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_core::controller::MdnController;
 use mdn_core::freqplan::FrequencyPlan;
-use mdn_core::health::{ControlPath, HealthState};
+use mdn_core::health::{ControlPath, HealthState, HealthTracker};
 use mdn_net::faults::{FaultScript, NetFault};
 use mdn_net::ftable::{Action, Match, Rule};
 use mdn_net::network::{Network, RunOutcome};
@@ -121,6 +121,9 @@ fn run_scenario(seed: u64, backoff: BackoffConfig) -> ScenarioOutcome {
     let mut ctl = MdnController::new(Microphone::measurement(), Pos::new(0.5, 0.3, 0.0));
     ctl.attach_obs(&registry);
     ctl.bind_device("s_in", set);
+    // The controller's per-device health ladder, fed by delivery evidence.
+    let mut health = HealthTracker::default();
+    health.attach_obs(&registry);
 
     // The lossy switch → Pi alarm path and its ARQ endpoints.
     let mut mp_link = MpLink::with_faults(
@@ -169,14 +172,14 @@ fn run_scenario(seed: u64, backoff: BackoffConfig) -> ScenarioOutcome {
         // ARQ bookkeeping feeds the health ladder for s_in.
         let confirmed = endpoint.poll_acks(&mut mp_link);
         if confirmed > 0 {
-            ctl.health_mut().record_ack("s_in", confirmed as u64, at);
+            health.record_ack("s_in", confirmed as u64, at);
         }
         let (retx, expired) = endpoint.tick(&mut mp_link, at);
         if retx > 0 {
-            ctl.health_mut().record_retransmit("s_in", retx as u64, at);
+            health.record_retransmit("s_in", retx as u64, at);
         }
         if expired > 0 {
-            ctl.health_mut().record_expiry("s_in", expired as u64, at);
+            health.record_expiry("s_in", expired as u64, at);
         }
 
         // The Pi plays every MP frame that survives the link.
@@ -221,11 +224,11 @@ fn run_scenario(seed: u64, backoff: BackoffConfig) -> ScenarioOutcome {
         }
         let new_timeouts = monitor.total_timeouts - timeouts_before;
         if new_timeouts > 0 {
-            ctl.health_mut().record_echo_timeout("s_top", new_timeouts, at);
+            health.record_echo_timeout("s_top", new_timeouts, at);
         }
-        ctl.health_mut().set_wire_alive("s_top", monitor.is_alive(), at);
+        health.set_wire_alive("s_top", monitor.is_alive(), at);
 
-        ctl.health_mut().decay_tick(at);
+        health.decay_tick(at);
         mp_link.tick();
     }
     net.drain();
@@ -240,9 +243,9 @@ fn run_scenario(seed: u64, backoff: BackoffConfig) -> ScenarioOutcome {
         delivery: endpoint.stats(),
         forward_faults,
         reverse_faults,
-        s_top_state: ctl.device_state("s_top"),
-        s_top_path: ctl.control_path("s_top"),
-        s_in_timeline: ctl.health().timeline("s_in").to_vec(),
+        s_top_state: health.state("s_top"),
+        s_top_path: health.control_path("s_top"),
+        s_in_timeline: health.timeline("s_in").to_vec(),
         echo_timeouts: monitor.total_timeouts,
         bytes_before: net.host(topo.h_dst).rx_bytes_between(MS(2000), MS(3000)),
         // After the final link-down (3.9 s) nothing moves until the

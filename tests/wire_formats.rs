@@ -195,7 +195,7 @@ proptest! {
             action,
         });
         let frame = chan.recv_at_switch().unwrap().unwrap();
-        apply_at_switch(&mut wired, sw, &frame);
+        apply_at_switch(&mut wired.switch_mut(sw).table, &frame);
         // Same decisions.
         for (flow, in_port) in probes {
             let d1 = direct.switch_mut(sd).table.lookup(in_port as PortId, &flow);
