@@ -126,7 +126,7 @@ fn pink_sample(salts: &[u64; PINK_ROWS], index: u64) -> f64 {
 }
 
 /// Pink (1/f) noise via a hashed Voss–McCartney scheme with
-/// [`PINK_ROWS`] octave rows, calibrated analytically to RMS ≈ `rms`.
+/// `PINK_ROWS` octave rows, calibrated analytically to RMS ≈ `rms`.
 /// Samples `[0, duration)` of the stream; see [`pink_noise_at`].
 pub fn pink_noise(duration: Duration, rms: f64, sample_rate: u32, seed: u64) -> Signal {
     pink_noise_at(
@@ -317,8 +317,8 @@ pub fn band_noise(
 }
 
 /// Samples `[from, from + n)` of the seeded band-noise stream. The filter
-/// state is reconstructed on an absolute block grid ([`BAND_BLOCK`] with
-/// [`BAND_WARMUP`] run-in), so the values are byte-identical no matter
+/// state is reconstructed on an absolute block grid (`BAND_BLOCK` with
+/// `BAND_WARMUP` run-in), so the values are byte-identical no matter
 /// which window of the stream is requested.
 pub fn band_noise_at(
     from: u64,

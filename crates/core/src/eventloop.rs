@@ -15,7 +15,7 @@
 //! The network heap natively carries `Deliver`, `PortFree`, and
 //! `Generate` events. Control-plane events are encoded as
 //! [`mdn_net::sim::Event::Tick`] entries whose tag indexes a registry of
-//! [`ControlEvent`]s owned by the loop:
+//! `ControlEvent`s owned by the loop:
 //!
 //! * **ToneEmission** — a named switch sounds one of its slots. The
 //!   device is resolved from the *current* plan at fire time, so an

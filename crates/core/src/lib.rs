@@ -32,9 +32,10 @@
 //! * [`relay`] — the §8 multi-hop tone relay extension;
 //! * [`live`] — a streaming decoder for endless microphone input: chunked
 //!   audio in, each chunk's events out, decoded by the controller;
-//! * [`ofbridge`] — glue from simulated switches to the real TCP
-//!   OpenFlow controller in `mdn-proto::controller`: ships table
-//!   misses up as `PacketIn`s and applies returned `FlowMod`s;
+//! * [`ofbridge`] — simulated switches programmed by the OpenFlow
+//!   controller session from `mdn-proto::controller`, in-process over a
+//!   `ControlChannel`: ships table misses up as `PacketIn`s and applies
+//!   returned `FlowMod`s;
 //! * [`sequence`] — melodies: symbol strings and raw bytes as timed tone
 //!   sequences via MP `PlaySequence` frames.
 //!

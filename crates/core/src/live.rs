@@ -10,7 +10,7 @@
 //! [`MdnController::decode`] exactly as a batch capture would be.
 //!
 //! In simulation the stream comes from a
-//! [`SceneCursor`](mdn_acoustics::scene::SceneCursor): [`LiveListener::pump`]
+//! [`SceneCursor`]: [`LiveListener::pump`]
 //! renders the next window of the scene into the cursor's reusable scratch
 //! buffer and decodes it in place, so an endless closed loop costs
 //! O(chunk) per tick instead of re-rendering the scene from zero.

@@ -5,7 +5,7 @@
 //! the speaker band — surface as typed errors here); [`ScenarioBuilder::build`]
 //! assembles the full experiment: scene with faults and music sources,
 //! self-heal controller, network fabric with traffic and scripted link
-//! faults, an optional live TCP OpenFlow controller, and the
+//! faults, an optional in-process OpenFlow controller, and the
 //! [`UnifiedLoop`] that drives all of it — the setup the soak bench, the
 //! chaos/equivalence tests and the obs examples used to each hand-roll.
 
@@ -27,12 +27,12 @@ use mdn_net::topology::leaf_spine;
 use mdn_net::traffic::TrafficPattern;
 use mdn_net::{NetFault, Network, NodeId};
 use mdn_obs::Registry;
-use mdn_proto::controller::{ControllerHandle, ControllerServer, LearningSwitch};
+use mdn_proto::controller::LearningSwitch;
 use std::time::Duration;
 
 /// The lowered network side of a scenario: the fabric itself, the
 /// scripted `link_flap` transitions as `(at, fault)` pairs, and the
-/// controller-attached switch (if the spec asks for a live controller).
+/// controller-attached switch (if the spec asks for a controller).
 type NetworkParts = (Network, Vec<(Duration, NetFault)>, Option<NodeId>);
 
 const MS: fn(u64) -> Duration = Duration::from_millis;
@@ -42,7 +42,7 @@ const MUSIC_SPL_DB: f64 = 75.0;
 /// Default SPL of a scripted wide-band noise burst, dB.
 const BURST_SPL_DB: f64 = 60.0;
 
-/// Everything [`super::run`] needs to drive one scenario.
+/// Everything [`super::run()`] needs to drive one scenario.
 pub struct BuiltScenario {
     /// The unified event loop over both worlds, ready to step.
     pub lp: UnifiedLoop,
@@ -53,10 +53,8 @@ pub struct BuiltScenario {
     pub switches_per_cell: usize,
     /// `hall.cell.slots_per_switch`, captured for schedule arithmetic.
     pub slots_per_switch: usize,
-    /// The live OpenFlow agent, when `controller.enabled`.
+    /// The OpenFlow agent, when `controller.enabled`.
     pub agent: Option<OfAgent>,
-    /// The controller server handle, when `controller.enabled`.
-    pub controller: Option<ControllerHandle>,
     /// The `pair` topology's switch, for post-run table inspection.
     pub pair_switch: Option<NodeId>,
 }
@@ -389,7 +387,7 @@ impl ScenarioBuilder {
     }
 
     /// Assemble the whole experiment: scene, heal loop, fabric, scripted
-    /// faults, app wakeups, optional live controller, and the
+    /// faults, app wakeups, optional controller, and the
     /// [`UnifiedLoop`] wired for tracing and scene GC.
     pub fn build(&self, registry: &Registry) -> Result<BuiltScenario, ScenarioError> {
         let spec = &self.spec;
@@ -415,18 +413,10 @@ impl ScenarioBuilder {
             lp.schedule_app(MS(app.at_ms), app.token);
         }
 
-        let (agent, controller) = if spec.controller.enabled {
-            let handle = ControllerServer::new(|_| Box::new(LearningSwitch::new()))
-                .attach_obs(registry)
-                .serve(spec.controller.addr.as_str())
-                .map_err(|e| ScenarioError::Run(format!("bind controller: {e}")))?;
+        let agent = spec.controller.enabled.then(|| {
             let sw = pair_switch.expect("controller requires the pair topology");
-            let agent = OfAgent::attach(lp.net_mut(), sw, handle.addr(), Duration::from_secs(5))
-                .map_err(|e| ScenarioError::Run(format!("controller handshake: {e:?}")))?;
-            (Some(agent), Some(handle))
-        } else {
-            (None, None)
-        };
+            OfAgent::attach(lp.net_mut(), sw, Box::new(LearningSwitch::new()))
+        });
 
         Ok(BuiltScenario {
             lp,
@@ -434,7 +424,6 @@ impl ScenarioBuilder {
             switches_per_cell: spec.hall.cell.switches_per_cell,
             slots_per_switch: spec.hall.cell.slots_per_switch,
             agent,
-            controller,
             pair_switch,
         })
     }

@@ -11,13 +11,13 @@
 //!   validation ([`ScenarioError`]) and overlay-on-default parsing.
 //! * [`builder`] — [`ScenarioBuilder`], which lowers a validated spec
 //!   into a ready [`crate::eventloop::UnifiedLoop`] with scene faults,
-//!   fabric, traffic, scripted link flaps, and an optional live TCP
+//!   fabric, traffic, scripted link flaps, and an optional in-process
 //!   OpenFlow controller.
-//! * [`run`] — the stepping loop, the fixed-tick batch reference, the
+//! * [`mod@run`] — the stepping loop, the fixed-tick batch reference, the
 //!   BENCH-compatible summary JSON, `expect` gates, and [`run::execute`]
 //!   which strings the whole experiment together (obs server, tracing,
 //!   artifacts, self-scrape).
-//! * [`fuzz`] — seeded random specs asserting the standing invariants:
+//! * [`mod@fuzz`] — seeded random specs asserting the standing invariants:
 //!   windowed ≡ batch, any-thread-count determinism, no foreign-cell
 //!   leaks.
 //!

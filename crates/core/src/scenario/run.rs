@@ -78,7 +78,7 @@ pub struct ScenarioOutcome {
     pub app_events: u64,
     /// FlowMods the OpenFlow agent applied to the live table.
     pub flow_mods: u64,
-    /// PacketIns the agent sent up the socket.
+    /// PacketIns the agent sent up to the controller.
     pub packet_ins: u64,
     /// Rules in the pair switch's table after the run (controller runs).
     pub rules_installed: u64,
@@ -153,7 +153,6 @@ pub fn run(spec: &ScenarioSpec, registry: &Registry) -> Result<ScenarioOutcome, 
     let names = built.names;
     let win = spec.window();
     let horizon = spec.total() + win;
-    let linger = MS(spec.controller.linger_ms);
 
     let sched = |lp: &mut crate::eventloop::UnifiedLoop, t: u64| -> u64 {
         schedule_window(
@@ -200,8 +199,8 @@ pub fn run(spec: &ScenarioSpec, registry: &Registry) -> Result<ScenarioOutcome, 
                 app_events += 1;
                 if let Some(agent) = agent.as_mut() {
                     let report = agent
-                        .pump(lp.net_mut(), linger)
-                        .map_err(|e| ScenarioError::Run(format!("controller pump: {e:?}")))?;
+                        .pump(lp.net_mut())
+                        .map_err(|e| ScenarioError::Run(format!("controller pump: {e}")))?;
                     flow_mods += report.flow_mods;
                     packet_ins += report.packet_ins;
                 }
@@ -222,9 +221,6 @@ pub fn run(spec: &ScenarioSpec, registry: &Registry) -> Result<ScenarioOutcome, 
         .pair_switch
         .map(|sw| lp.net_mut().switch_mut(sw).table.len() as u64)
         .unwrap_or(0);
-    if let Some(handle) = built.controller {
-        handle.shutdown();
-    }
 
     let counters = lp.net().counters;
     Ok(ScenarioOutcome {

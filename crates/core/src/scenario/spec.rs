@@ -17,7 +17,6 @@
 
 use crate::cells::{CellConfig, CellPlanError};
 use crate::selfheal::SelfHealConfig;
-use mdn_proto::controller::ControllerConfig;
 use std::fmt;
 use std::time::Duration;
 
@@ -136,7 +135,7 @@ pub struct ScenarioSpec {
     pub emissions: EmissionSpec,
     /// The packet side: topology and load.
     pub traffic: TrafficSpec,
-    /// Optional TCP OpenFlow controller attached to the fabric.
+    /// Optional OpenFlow controller attached to the fabric.
     pub controller: ControllerSpec,
     /// The fault script, acoustic and network.
     pub faults: Vec<FaultSpec>,
@@ -308,29 +307,13 @@ impl Default for TrafficSpec {
     }
 }
 
-/// The optional TCP OpenFlow controller (requires the `pair` topology:
-/// the switch starts with an empty table and learns over loopback).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// The optional OpenFlow controller (requires the `pair` topology: the
+/// switch starts with an empty table and a learning switch programs it
+/// in-process through [`crate::ofbridge::OfAgent`]).
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ControllerSpec {
-    /// Attach a live [`mdn_proto::controller::ControllerServer`].
+    /// Attach the controller to the pair switch.
     pub enabled: bool,
-    /// Bind address (`:0` for ephemeral).
-    pub addr: String,
-    /// How long each pump lingers for controller responses, ms.
-    pub linger_ms: u64,
-    /// Socket tuning.
-    pub config: ControllerConfig,
-}
-
-impl Default for ControllerSpec {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            addr: "127.0.0.1:0".into(),
-            linger_ms: 200,
-            config: ControllerConfig::default(),
-        }
-    }
 }
 
 /// One scripted fault. `kind` selects which optional fields apply:
@@ -459,7 +442,7 @@ pub struct ExpectSpec {
     pub drops: Option<bool>,
     /// Controller floor: FlowMods applied to the live table.
     pub min_flow_mods: Option<u64>,
-    /// Controller floor: PacketIns sent up the socket.
+    /// Controller floor: PacketIns sent up to the controller.
     pub min_packet_ins: Option<u64>,
     /// Every scheduled emission must actually play (no emit failures).
     pub all_emissions_play: bool,
@@ -697,14 +680,11 @@ impl ScenarioSpec {
         }
 
         // Controller.
-        if self.controller.enabled {
-            if t.topology != "pair" {
-                return Err(ScenarioError::invalid(
-                    "controller.enabled",
-                    "the OpenFlow controller attaches to the `pair` topology's switch",
-                ));
-            }
-            self.controller.config.validate()?;
+        if self.controller.enabled && t.topology != "pair" {
+            return Err(ScenarioError::invalid(
+                "controller.enabled",
+                "the OpenFlow controller attaches to the `pair` topology's switch",
+            ));
         }
 
         // Faults.

@@ -506,7 +506,7 @@ impl Network {
     /// yielding at caller ticks. Advances `now` to the tick time, the
     /// deadline, or the last event.
     ///
-    /// The span matches the acoustic [`mdn_audio::signal::Window`]
+    /// The span matches the acoustic `mdn_audio::signal::Window`
     /// convention: an event at exactly `deadline` is *out* of scope and
     /// stays pending, so chaining `run_until(w.end())` over consecutive
     /// windows processes every event exactly once, in the same epoch as

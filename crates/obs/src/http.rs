@@ -8,7 +8,7 @@
 //!
 //! * `GET /metrics` — the Prometheus text exposition
 //!   ([`Registry::prometheus`]).
-//! * `GET /snapshot` — the JSON snapshot ([`Snapshot::to_json`]).
+//! * `GET /snapshot` — the JSON snapshot ([`crate::export::Snapshot::to_json`]).
 //! * `GET /trace?since=N` — retained trace spans with all-time index
 //!   `>= N` as Chrome trace-event JSON, plus an `X-Mdn-Trace-Next`
 //!   header carrying the cursor to pass as the next `since` (omit

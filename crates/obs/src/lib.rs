@@ -10,12 +10,12 @@
 //!   `Arc` clones, safe to update from `std::thread::scope` workers, and
 //!   carry a no-op *disabled* mode so an uninstrumented hot path pays
 //!   nothing (not even a clock read).
-//! * [`span`] — lightweight span guards ([`span!`]) that record per-stage
+//! * [`mod@span`] — lightweight span guards ([`span!`]) that record per-stage
 //!   wall time into a histogram when dropped: the capture → window →
 //!   Goertzel/FFT → local-max → event pipeline, MP encode → ARQ → ack
 //!   round trips, per-queue testbed hops.
 //! * [`export`] — a Prometheus text-format dump and a JSON
-//!   [`Snapshot`](export::Snapshot) (same spirit as `BENCH_detect.json`).
+//!   [`Snapshot`] (same spirit as `BENCH_detect.json`).
 //! * [`journal`] — a bounded ring-buffer event journal holding the last N
 //!   health/fault transitions, with an overflow counter instead of
 //!   unbounded growth.

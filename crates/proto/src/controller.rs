@@ -1,34 +1,44 @@
-//! A TCP OpenFlow controller front-end: the server that serves.
+//! The OpenFlow controller: one sans-IO session core behind two
+//! transports.
 //!
 //! Everything else in this crate marshals the OpenFlow subset in memory;
-//! this module speaks it over real sockets, in the `rust_ofp` mold the
-//! paper's modified-firmware switches would connect to. The pieces:
+//! this module holds the controller side of a connection and serves it
+//! over real sockets, in the `rust_ofp` mold the paper's
+//! modified-firmware switches would connect to. The pieces:
 //!
+//! * **[`Session`]** — one connection's protocol state with no I/O: Hello
+//!   handshake, xid bookkeeping, EchoRequest idle probing and reaping,
+//!   and app dispatch. Frames and read deadlines go in; messages to send
+//!   or a typed [`SessionError`] come out. The TCP server below drives
+//!   it, and so does `mdn-core::ofbridge::OfAgent` in-process over a
+//!   [`crate::channel::ControlChannel`] for the simulation.
+//! * **[`Ledger`]** — the connection-plane counters every session of a
+//!   controller updates: the `mdn_ctrl_*` metric families, read back as
+//!   [`ControllerStats`].
 //! * **Framing** — [`read_message`] / [`write_message`]: length-prefixed
 //!   OF framing over any byte stream (read the 8-byte header, then
 //!   exactly `total − 8` body bytes; [`OfMessage::decode`] wants a
 //!   pre-framed buffer and cannot be fed a stream directly).
-//! * **[`ControllerServer`]** — the per-connection handler on the
-//!   [`mdn_obs::serve`] core `ObsServer` also runs on: Hello handshake,
-//!   EchoRequest idle probing, and per-connection xid bookkeeping.
-//! * **[`ControllerApp`]** — the pluggable policy trait; the server
-//!   drives one app instance per connection. [`LearningSwitch`] is the
-//!   classic demo app: it turns `PacketIn` table-miss summaries into
-//!   `FlowMod` installs.
-//! * **[`OfClient`]** — the switch side: connect, handshake, send
-//!   `PacketIn`s, apply received `FlowMod`s (the simulation bridge in
-//!   `mdn-core::ofbridge` builds on this).
+//! * **[`ControllerServer`]** — the TCP transport: a read → step → write
+//!   shell around one [`Session`] per connection, on the
+//!   [`mdn_obs::serve`] core `ObsServer` also runs on.
+//! * **[`ControllerApp`]** — the pluggable policy trait; each session
+//!   drives one app instance. [`LearningSwitch`] is the classic demo
+//!   app: it turns `PacketIn` table-miss summaries into `FlowMod`
+//!   installs.
+//! * **[`OfClient`]** — the switch side over TCP: connect, handshake,
+//!   send `PacketIn`s, receive `FlowMod`s.
 //!
 //! # Handshake state machine
 //!
 //! Both sides send `Hello` immediately after connect (so neither blocks
-//! on the other). The server treats a connection as *handshaken* once
-//! the peer's `Hello` arrives; any other message first, Echo included,
-//! is a protocol error and disconnects. After the handshake, the server
-//! answers `EchoRequest`s, dispatches `PacketIn`/`PortStatus` to the app,
-//! and probes idle peers: a read that times out with no partial frame
-//! sends one `EchoRequest`; a second consecutive timeout with no traffic
-//! at all reaps the connection (the slow-loris defence the scrape plane
+//! on the other). A session is *handshaken* once the peer's `Hello`
+//! arrives; any other message first, Echo included, is a protocol error
+//! that ends it. After the handshake, the session answers
+//! `EchoRequest`s, dispatches `PacketIn`/`PortStatus` to the app, and
+//! probes idle peers: a read that times out with no partial frame sends
+//! one `EchoRequest`; a second consecutive timeout with no traffic at
+//! all reaps the connection (the slow-loris defence the scrape plane
 //! shares).
 //!
 //! # Threading model
@@ -36,9 +46,9 @@
 //! Thread-per-connection, like the Zodiac-class deployments the paper
 //! targets (hundreds to low thousands of switches): the serve core's
 //! accept thread owns the listener, each connection owns one reader
-//! thread, and all shared state is a handful of atomics. A wedged peer
-//! costs one parked thread until its idle probe reaps it;
-//! `benches/controller.rs` holds ≥1000 concurrent connections.
+//! thread and its session, and all shared state is the ledger's
+//! atomics. A wedged peer costs one parked thread until its idle probe
+//! reaps it; `benches/controller.rs` holds ≥1000 concurrent connections.
 
 use crate::openflow::{OfMessage, PacketInReason, PortReason, OF_HEADER_LEN};
 use crate::wire::WireError;
@@ -51,8 +61,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Why a framed read or write failed.
@@ -158,7 +167,7 @@ pub fn write_message(w: &mut impl Write, msg: &OfMessage) -> Result<(), OfStream
 }
 
 /// Tuning knobs for [`ControllerServer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControllerConfig {
     /// Per-read deadline on accepted connections. One silent period
     /// triggers an EchoRequest probe; a second reaps the connection —
@@ -204,7 +213,7 @@ pub struct PacketInEvent {
 
 /// Per-connection context handed to [`ControllerApp`] callbacks: the
 /// connection id, the controller-side xid counter, and an outbox the
-/// server flushes to the socket after each callback returns.
+/// [`Session`] hands to its transport after each callback returns.
 #[derive(Debug)]
 pub struct AppCtx {
     conn_id: u64,
@@ -251,9 +260,10 @@ impl AppCtx {
     }
 }
 
-/// Controller policy, driven by the server with one instance per
+/// Controller policy, driven by a [`Session`] with one instance per
 /// connection (a learning table is per switch, like group state in a
-/// real switch). All callbacks run on the connection's reader thread.
+/// real switch). Callbacks run wherever the session is stepped: the
+/// connection's reader thread under TCP, the caller's thread in-process.
 pub trait ControllerApp: Send {
     /// The peer's Hello arrived; the channel is established.
     fn switch_connected(&mut self, _ctx: &mut AppCtx) {}
@@ -266,7 +276,7 @@ pub trait ControllerApp: Send {
 
     /// Any other post-handshake message (PortStatsReply, FlowMod echoes
     /// from misbehaving peers, ...). Echo liveness is handled by the
-    /// server before this is called.
+    /// session before this is called.
     fn other(&mut self, _ctx: &mut AppCtx, _msg: &OfMessage) {}
 }
 
@@ -323,7 +333,8 @@ impl ControllerApp for LearningSwitch {
     }
 }
 
-/// Message-kind index shared by the stats counters and obs labels.
+/// Message-kind index shared by the ledger's per-kind counters and their
+/// obs labels.
 fn kind_idx(msg: &OfMessage) -> usize {
     match msg {
         OfMessage::Hello { .. } => 0,
@@ -348,23 +359,7 @@ const KIND_NAMES: [&str; 8] = [
     "port_stats_reply",
 ];
 
-/// Atomic connection-plane accounting shared by all handler threads.
-#[derive(Debug, Default)]
-struct Shared {
-    connections: AtomicU64,
-    active: AtomicU64,
-    handshaken: AtomicU64,
-    rx_messages: AtomicU64,
-    tx_messages: AtomicU64,
-    flow_mods_tx: AtomicU64,
-    packet_ins_rx: AtomicU64,
-    echo_probes: AtomicU64,
-    decode_errors: AtomicU64,
-    idle_disconnects: AtomicU64,
-    protocol_errors: AtomicU64,
-}
-
-/// A point-in-time snapshot of the server's connection-plane counters.
+/// A point-in-time snapshot of a [`Ledger`]'s connection-plane counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControllerStats {
     /// Connections accepted, lifetime.
@@ -392,9 +387,12 @@ pub struct ControllerStats {
     pub protocol_errors: u64,
 }
 
-/// Obs handles, inert until [`ControllerServer::attach_obs`].
-#[derive(Debug)]
-struct ObsHooks {
+/// The connection-plane ledger: the one set of live counters every
+/// [`Session`] of a controller updates. They are the `mdn_ctrl_*`
+/// families of the registry given to [`Ledger::new`], and
+/// [`Ledger::stats`] reads the same counters back. Clones share them.
+#[derive(Debug, Clone)]
+pub struct Ledger {
     connections: Counter,
     disconnects: Counter,
     active: Gauge,
@@ -407,39 +405,258 @@ struct ObsHooks {
     echo_probes: Counter,
 }
 
-impl ObsHooks {
-    fn disabled() -> Self {
-        Self {
-            connections: Counter::disabled(),
-            disconnects: Counter::disabled(),
-            active: Gauge::disabled(),
-            handshakes: Counter::disabled(),
-            rx_by_kind: std::array::from_fn(|_| Counter::disabled()),
-            tx_by_kind: std::array::from_fn(|_| Counter::disabled()),
-            decode_errors: Counter::disabled(),
-            idle_disconnects: Counter::disabled(),
-            protocol_errors: Counter::disabled(),
-            echo_probes: Counter::disabled(),
-        }
-    }
-
-    fn from_registry(registry: &Registry) -> Self {
+impl Ledger {
+    /// Counters registered in `registry` (`mdn_ctrl_connections_total`,
+    /// `mdn_ctrl_connections_active`,
+    /// `mdn_ctrl_messages_{rx,tx}_total{kind=...}`, ...). A disabled
+    /// registry gets a private one instead, so the stats always count.
+    pub fn new(registry: &Registry) -> Self {
+        let private;
+        let registry = if registry.is_enabled() {
+            registry
+        } else {
+            private = Registry::new();
+            &private
+        };
+        let by_kind = |name: &str| -> [Counter; 8] {
+            std::array::from_fn(|k| registry.counter(name, &[("kind", KIND_NAMES[k])]))
+        };
         Self {
             connections: registry.counter("mdn_ctrl_connections_total", &[]),
             disconnects: registry.counter("mdn_ctrl_disconnects_total", &[]),
             active: registry.gauge("mdn_ctrl_connections_active", &[]),
             handshakes: registry.counter("mdn_ctrl_handshakes_total", &[]),
-            rx_by_kind: std::array::from_fn(|k| {
-                registry.counter("mdn_ctrl_messages_rx_total", &[("kind", KIND_NAMES[k])])
-            }),
-            tx_by_kind: std::array::from_fn(|k| {
-                registry.counter("mdn_ctrl_messages_tx_total", &[("kind", KIND_NAMES[k])])
-            }),
+            rx_by_kind: by_kind("mdn_ctrl_messages_rx_total"),
+            tx_by_kind: by_kind("mdn_ctrl_messages_tx_total"),
             decode_errors: registry.counter("mdn_ctrl_decode_errors_total", &[]),
             idle_disconnects: registry.counter("mdn_ctrl_idle_disconnects_total", &[]),
             protocol_errors: registry.counter("mdn_ctrl_protocol_errors_total", &[]),
             echo_probes: registry.counter("mdn_ctrl_echo_probes_total", &[]),
         }
+    }
+
+    /// A point-in-time snapshot. Totals are sums of the per-kind message
+    /// counters; `active` is connections minus disconnects. The counters
+    /// are `Relaxed` statistics that publish no other data, so a snapshot
+    /// taken while connections run may lag them by a message.
+    pub fn stats(&self) -> ControllerStats {
+        let sum = |counters: &[Counter; 8]| counters.iter().map(Counter::get).sum();
+        ControllerStats {
+            connections: self.connections.get(),
+            active: self.open_connections(),
+            handshaken: self.handshakes.get(),
+            rx_messages: sum(&self.rx_by_kind),
+            tx_messages: sum(&self.tx_by_kind),
+            flow_mods_tx: self.tx_by_kind[5].get(), // "flow_mod"
+            packet_ins_rx: self.rx_by_kind[3].get(), // "packet_in"
+            echo_probes: self.echo_probes.get(),
+            decode_errors: self.decode_errors.get(),
+            idle_disconnects: self.idle_disconnects.get(),
+            protocol_errors: self.protocol_errors.get(),
+        }
+    }
+
+    fn open_connections(&self) -> u64 {
+        // Disconnects first: each one is already in `connections`, so the
+        // difference cannot go negative unless the reads race.
+        let closed = self.disconnects.get();
+        self.connections.get().saturating_sub(closed)
+    }
+
+    fn sent(&self, msg: &OfMessage) {
+        self.tx_by_kind[kind_idx(msg)].inc();
+    }
+}
+
+/// Why a [`Session`] refused a frame or an idle tick. Each variant but
+/// [`SessionError::Closed`] ends the session; every later call returns
+/// `Closed`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SessionError {
+    /// The frame did not parse. On a byte stream the framing is lost, so
+    /// nothing after it can be trusted.
+    Decode(WireError),
+    /// A message other than Hello, Echo included, arrived before the
+    /// peer's Hello: the peer does not speak the protocol.
+    BeforeHello,
+    /// Probed after one silent period and still silent after a second.
+    IdleTimeout,
+    /// The session already ended on an earlier error.
+    Closed,
+}
+
+impl fmt::Display for SessionError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SessionError::Decode(e) => write!(f, "frame error: {e}"),
+            SessionError::BeforeHello => write!(f, "traffic before the peer's Hello"),
+            SessionError::IdleTimeout => write!(f, "idle probe went unanswered"),
+            SessionError::Closed => write!(f, "session already closed"),
+        }
+    }
+}
+
+impl std::error::Error for SessionError {}
+
+/// The controller side of one OpenFlow connection, with no I/O: the
+/// Hello handshake, the xid counter and [`AppCtx`], the idle probe and
+/// reap, and [`ControllerApp`] dispatch. A transport feeds it frames
+/// ([`Session::on_frame`], [`Session::on_decoded`]) and read deadlines
+/// ([`Session::on_idle`]) and sends what comes back. Two transports
+/// drive it: the TCP [`ControllerServer`], and `mdn-core`'s in-process
+/// `OfAgent` over a [`crate::channel::ControlChannel`].
+///
+/// The session counts itself in its [`Ledger`]: a connection when
+/// opened, a disconnect when dropped, and every message and error in
+/// between.
+pub struct Session {
+    ctx: AppCtx,
+    app: Box<dyn ControllerApp>,
+    ledger: Ledger,
+    handshaken: bool,
+    probe_outstanding: bool,
+    closed: bool,
+}
+
+impl fmt::Debug for Session {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Session")
+            .field("conn_id", &self.ctx.conn_id)
+            .field("handshaken", &self.handshaken)
+            .field("closed", &self.closed)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Session {
+    /// Open connection `conn_id` running `app`. Returns the session and
+    /// the controller's Hello, which the transport sends first (the
+    /// peer's Hello may already be in flight).
+    pub fn open(conn_id: u64, app: Box<dyn ControllerApp>, ledger: &Ledger) -> (Self, OfMessage) {
+        let mut session = Self {
+            ctx: AppCtx::new(conn_id),
+            app,
+            ledger: ledger.clone(),
+            handshaken: false,
+            probe_outstanding: false,
+            closed: false,
+        };
+        session.ledger.connections.inc();
+        session.publish_active();
+        let hello = OfMessage::Hello {
+            xid: session.ctx.next_xid(),
+        };
+        session.ledger.sent(&hello);
+        (session, hello)
+    }
+
+    /// Step one raw frame: decode it, then as [`Session::on_decoded`].
+    pub fn on_frame(&mut self, frame: &[u8]) -> Result<Vec<OfMessage>, SessionError> {
+        self.on_decoded(OfMessage::decode(Bytes::from(frame)))
+    }
+
+    /// Step one frame a transport has already decoded, or failed to.
+    /// Returns the messages to send back, in order.
+    pub fn on_decoded(
+        &mut self,
+        frame: Result<OfMessage, WireError>,
+    ) -> Result<Vec<OfMessage>, SessionError> {
+        if self.closed {
+            return Err(SessionError::Closed);
+        }
+        let msg = match frame {
+            Ok(msg) => msg,
+            Err(e) => {
+                self.ledger.decode_errors.inc();
+                return Err(self.close(SessionError::Decode(e)));
+            }
+        };
+        // Any traffic proves liveness.
+        self.probe_outstanding = false;
+        self.ledger.rx_by_kind[kind_idx(&msg)].inc();
+        match msg {
+            OfMessage::Hello { .. } if !self.handshaken => {
+                self.handshaken = true;
+                self.ledger.handshakes.inc();
+                self.app.switch_connected(&mut self.ctx);
+            }
+            // A duplicate Hello is harmless chatter.
+            OfMessage::Hello { .. } => self.ledger.protocol_errors.inc(),
+            _ if !self.handshaken => {
+                // Echoing alone must not hold a connection open either.
+                self.ledger.protocol_errors.inc();
+                return Err(self.close(SessionError::BeforeHello));
+            }
+            OfMessage::EchoRequest { xid, payload } => {
+                self.ctx.send(OfMessage::EchoReply { xid, payload });
+            }
+            OfMessage::EchoReply { .. } => {}
+            OfMessage::PacketIn {
+                xid,
+                in_port,
+                flow,
+                total_len,
+                reason,
+            } => {
+                let pkt = PacketInEvent {
+                    xid,
+                    in_port,
+                    flow,
+                    total_len,
+                    reason,
+                };
+                self.app.packet_in(&mut self.ctx, &pkt);
+            }
+            OfMessage::PortStatus {
+                port,
+                reason,
+                link_up,
+                ..
+            } => self.app.port_status(&mut self.ctx, port, reason, link_up),
+            other => self.app.other(&mut self.ctx, &other),
+        }
+        let out = std::mem::take(&mut self.ctx.outbox);
+        out.iter().for_each(|msg| self.ledger.sent(msg));
+        Ok(out)
+    }
+
+    /// A read deadline passed between frames. The first silent period
+    /// returns an EchoRequest probe; a second in a row, with no traffic
+    /// at all, ends the session with [`SessionError::IdleTimeout`].
+    pub fn on_idle(&mut self) -> Result<OfMessage, SessionError> {
+        if self.closed {
+            return Err(SessionError::Closed);
+        }
+        if self.probe_outstanding {
+            self.ledger.idle_disconnects.inc();
+            return Err(self.close(SessionError::IdleTimeout));
+        }
+        self.probe_outstanding = true;
+        self.ledger.echo_probes.inc();
+        let probe = OfMessage::EchoRequest {
+            xid: self.ctx.next_xid(),
+            payload: Bytes::new(),
+        };
+        self.ledger.sent(&probe);
+        Ok(probe)
+    }
+
+    fn close(&mut self, err: SessionError) -> SessionError {
+        self.closed = true;
+        err
+    }
+
+    fn publish_active(&self) {
+        self.ledger
+            .active
+            .set(self.ledger.open_connections() as f64);
+    }
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        self.ledger.disconnects.inc();
+        self.publish_active();
     }
 }
 
@@ -451,7 +668,7 @@ pub type AppFactory = dyn Fn(u64) -> Box<dyn ControllerApp> + Send + Sync;
 pub struct ControllerServer {
     factory: Box<AppFactory>,
     config: ControllerConfig,
-    obs: ObsHooks,
+    ledger: Ledger,
 }
 
 impl fmt::Debug for ControllerServer {
@@ -463,11 +680,11 @@ impl fmt::Debug for ControllerServer {
 }
 
 /// A running [`ControllerServer`]: the serve core's handle plus the
-/// shared counters. Stops accepting on drop.
+/// server's [`Ledger`]. Stops accepting on drop.
 #[derive(Debug)]
 pub struct ControllerHandle {
     serve: ServeHandle,
-    shared: Arc<Shared>,
+    ledger: Ledger,
 }
 
 impl ControllerServer {
@@ -476,7 +693,7 @@ impl ControllerServer {
         Self {
             factory: Box::new(factory),
             config: ControllerConfig::default(),
-            obs: ObsHooks::disabled(),
+            ledger: Ledger::new(&Registry::disabled()),
         }
     }
 
@@ -486,11 +703,10 @@ impl ControllerServer {
         self
     }
 
-    /// Publish connection-plane counters through `registry`
-    /// (`mdn_ctrl_connections_total`, `mdn_ctrl_connections_active`,
-    /// `mdn_ctrl_messages_{rx,tx}_total{kind=...}`, ...).
+    /// Keep the connection-plane counters in `registry` (see
+    /// [`Ledger::new`] for the metric names).
     pub fn attach_obs(mut self, registry: &Registry) -> Self {
-        self.obs = ObsHooks::from_registry(registry);
+        self.ledger = Ledger::new(registry);
         self
     }
 
@@ -498,152 +714,46 @@ impl ControllerServer {
     /// connection gets its own reader thread and app instance. A zero
     /// deadline in the config is an [`ErrorKind::InvalidInput`] error.
     pub fn serve(self, addr: impl ToSocketAddrs) -> std::io::Result<ControllerHandle> {
-        let shared = Arc::new(Shared::default());
-        let conn_shared = shared.clone();
+        let ledger = self.ledger.clone();
         let config = self.config;
         let handler = move |stream, conn_id, stop: &AtomicBool| {
-            serve_connection(stream, conn_id, &self, &conn_shared, stop);
+            serve_connection(stream, conn_id, &self, stop);
         };
         let serve = serve::serve(addr, config.idle_timeout, config.write_timeout, handler)?;
-        Ok(ControllerHandle { serve, shared })
+        Ok(ControllerHandle { serve, ledger })
     }
 }
 
-/// One connection's lifecycle: Hello out, handshake in, then the reader
-/// loop until EOF, decode failure, or the idle reaper fires.
+/// One connection: the read → step → write shell around a [`Session`].
+/// Ends on EOF, a transport or write failure, shutdown, or the first
+/// [`SessionError`].
 fn serve_connection(
     mut stream: TcpStream,
     conn_id: u64,
     server: &ControllerServer,
-    shared: &Shared,
     stop: &AtomicBool,
 ) {
-    let obs = &server.obs;
-    shared.connections.fetch_add(1, Ordering::Relaxed);
-    obs.connections.inc();
-    let active = shared.active.fetch_add(1, Ordering::SeqCst) + 1;
-    obs.active.set(active as f64);
     let _ = stream.set_nodelay(true);
-
-    let mut ctx = AppCtx::new(conn_id);
-    let mut app = (server.factory)(conn_id);
-    let send = |stream: &mut TcpStream, msg: &OfMessage| -> Result<(), OfStreamError> {
-        write_message(stream, msg)?;
-        shared.tx_messages.fetch_add(1, Ordering::Relaxed);
-        obs.tx_by_kind[kind_idx(msg)].inc();
-        if matches!(msg, OfMessage::FlowMod { .. }) {
-            shared.flow_mods_tx.fetch_add(1, Ordering::Relaxed);
+    let app = (server.factory)(conn_id);
+    let (mut session, hello) = Session::open(conn_id, app, &server.ledger);
+    let mut out = vec![hello];
+    loop {
+        if out
+            .iter()
+            .any(|msg| write_message(&mut stream, msg).is_err())
+            || stop.load(Ordering::SeqCst)
+        {
+            return;
         }
-        Ok(())
-    };
-
-    // Controller speaks first; the peer's Hello may already be in flight.
-    let hello_xid = ctx.next_xid();
-    let mut ok = send(&mut stream, &OfMessage::Hello { xid: hello_xid }).is_ok();
-    let mut handshaken = false;
-    let mut probe_outstanding = false;
-    while ok && !stop.load(Ordering::SeqCst) {
-        match read_message(&mut stream) {
-            Ok(msg) => {
-                probe_outstanding = false;
-                shared.rx_messages.fetch_add(1, Ordering::Relaxed);
-                obs.rx_by_kind[kind_idx(&msg)].inc();
-                match msg {
-                    OfMessage::Hello { .. } if !handshaken => {
-                        handshaken = true;
-                        shared.handshaken.fetch_add(1, Ordering::Relaxed);
-                        obs.handshakes.inc();
-                        app.switch_connected(&mut ctx);
-                    }
-                    OfMessage::Hello { .. } => {
-                        // A duplicate Hello is harmless chatter.
-                        shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        obs.protocol_errors.inc();
-                    }
-                    _ if !handshaken => {
-                        // Traffic before Hello, Echo included: the peer
-                        // does not speak the protocol (and echoing alone
-                        // must not hold a reader thread); cut it loose.
-                        shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        obs.protocol_errors.inc();
-                        break;
-                    }
-                    OfMessage::EchoRequest { xid, payload } => {
-                        ok = send(&mut stream, &OfMessage::EchoReply { xid, payload }).is_ok();
-                    }
-                    OfMessage::EchoReply { .. } => {
-                        // Probe answered; `probe_outstanding` is already
-                        // cleared (any traffic proves liveness).
-                    }
-                    OfMessage::PacketIn {
-                        xid,
-                        in_port,
-                        flow,
-                        total_len,
-                        reason,
-                    } => {
-                        shared.packet_ins_rx.fetch_add(1, Ordering::Relaxed);
-                        app.packet_in(
-                            &mut ctx,
-                            &PacketInEvent {
-                                xid,
-                                in_port,
-                                flow,
-                                total_len,
-                                reason,
-                            },
-                        );
-                    }
-                    OfMessage::PortStatus {
-                        port,
-                        reason,
-                        link_up,
-                        ..
-                    } => {
-                        app.port_status(&mut ctx, port, reason, link_up);
-                    }
-                    other => app.other(&mut ctx, &other),
-                }
-                for msg in std::mem::take(&mut ctx.outbox) {
-                    if send(&mut stream, &msg).is_err() {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            Err(OfStreamError::Idle) => {
-                if probe_outstanding {
-                    // Probed and still silent: reap the connection.
-                    shared.idle_disconnects.fetch_add(1, Ordering::Relaxed);
-                    obs.idle_disconnects.inc();
-                    break;
-                }
-                probe_outstanding = true;
-                shared.echo_probes.fetch_add(1, Ordering::Relaxed);
-                obs.echo_probes.inc();
-                let xid = ctx.next_xid();
-                ok = send(
-                    &mut stream,
-                    &OfMessage::EchoRequest {
-                        xid,
-                        payload: Bytes::new(),
-                    },
-                )
-                .is_ok();
-            }
-            Err(OfStreamError::Wire(_)) => {
-                // The byte stream is desynchronized; nothing after this
-                // frame can be trusted.
-                shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                obs.decode_errors.inc();
-                break;
-            }
-            Err(OfStreamError::Io(_)) => break,
-        }
+        let step = match read_frame(&mut stream) {
+            Ok(frame) => session.on_frame(&frame),
+            Err(OfStreamError::Idle) => session.on_idle().map(|probe| vec![probe]),
+            Err(OfStreamError::Wire(e)) => session.on_decoded(Err(e)),
+            Err(OfStreamError::Io(_)) => return,
+        };
+        let Ok(msgs) = step else { return };
+        out = msgs;
     }
-    let active = shared.active.fetch_sub(1, Ordering::SeqCst) - 1;
-    obs.active.set(active as f64);
-    obs.disconnects.inc();
 }
 
 impl ControllerHandle {
@@ -654,20 +764,7 @@ impl ControllerHandle {
 
     /// A point-in-time snapshot of the connection-plane counters.
     pub fn stats(&self) -> ControllerStats {
-        let s = &self.shared;
-        ControllerStats {
-            connections: s.connections.load(Ordering::SeqCst),
-            active: s.active.load(Ordering::SeqCst),
-            handshaken: s.handshaken.load(Ordering::SeqCst),
-            rx_messages: s.rx_messages.load(Ordering::SeqCst),
-            tx_messages: s.tx_messages.load(Ordering::SeqCst),
-            flow_mods_tx: s.flow_mods_tx.load(Ordering::SeqCst),
-            packet_ins_rx: s.packet_ins_rx.load(Ordering::SeqCst),
-            echo_probes: s.echo_probes.load(Ordering::SeqCst),
-            decode_errors: s.decode_errors.load(Ordering::SeqCst),
-            idle_disconnects: s.idle_disconnects.load(Ordering::SeqCst),
-            protocol_errors: s.protocol_errors.load(Ordering::SeqCst),
-        }
+        self.ledger.stats()
     }
 
     /// Stop accepting connections and join the accept thread. Open

@@ -12,10 +12,11 @@
 //! * [`wire`] — shared checked big-endian readers/writers;
 //! * [`channel`] — in-memory control channels that preserve the full
 //!   encode→decode path between controller and switches;
-//! * [`controller`] — a TCP OpenFlow controller front-end on `mdn-obs`'s
-//!   pure-std serve core: per-connection length-prefixed framing,
-//!   Hello/Echo handshake, and a pluggable [`controller::ControllerApp`]
-//!   trait (with a learning-switch demo app);
+//! * [`controller`] — the OpenFlow controller: a sans-IO
+//!   [`controller::Session`] (Hello/Echo handshake, idle probing, a
+//!   pluggable [`controller::ControllerApp`] trait with a learning-switch
+//!   demo app) served over TCP on `mdn-obs`'s pure-std serve core, and
+//!   stepped in-process by the simulation;
 //! * [`faults`] — seeded, deterministic frame-level fault injection
 //!   (drop, corruption, reordering, delay) attachable to any channel;
 //! * [`reliable`] — ARQ machinery over MP (`seq`/`Ack` retransmission
@@ -45,8 +46,8 @@ pub mod wire;
 
 pub use channel::{ChannelStats, ControlChannel};
 pub use controller::{
-    ControllerApp, ControllerConfig, ControllerHandle, ControllerServer, ControllerStats,
-    LearningSwitch, OfClient, OfStreamError, PacketInEvent,
+    ControllerApp, ControllerConfig, ControllerHandle, ControllerServer, ControllerStats, Ledger,
+    LearningSwitch, OfClient, OfStreamError, PacketInEvent, Session, SessionError,
 };
 pub use faults::{DirectionFaults, FaultRng, FaultStats, FaultyQueue};
 pub use mp::{MpMessage, MpTone, MpToneError};

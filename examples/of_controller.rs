@@ -1,16 +1,19 @@
-//! The server that serves: a TCP OpenFlow controller programs a
-//! `UnifiedLoop`-driven virtual network over real loopback sockets.
+//! One OpenFlow controller session, two transports: a real switch
+//! handshakes with the TCP controller, and the same learning-switch
+//! session programs a `UnifiedLoop`-driven virtual network in-process.
 //!
 //! ```text
 //! cargo run --release --example of_controller
 //! ```
 //!
-//! Topology: h1 —(p0)— sw —(p1)— h2, CBR traffic both ways. The switch
-//! starts with an empty flow table and `MissPolicy::PacketIn`; every
-//! miss crosses a real `TcpStream` to the `ControllerServer`'s
-//! learning-switch app, and the returned `FlowMod`s are applied to the
-//! live table mid-simulation. Output lines are machine-parseable
-//! (`KEY=value`) so the CI smoke job can grep them.
+//! First an `OfClient` connects to the served `ControllerServer` over a
+//! real `TcpStream`, completes the Hello handshake and one echo round
+//! trip. Then the simulation: h1 —(p0)— sw —(p1)— h2, CBR traffic both
+//! ways. The switch starts with an empty flow table and
+//! `MissPolicy::PacketIn`; every miss crosses a `ControlChannel` as an
+//! encoded `PacketIn` to the learning-switch session, and the returned
+//! `FlowMod`s are applied to the live table mid-simulation. Output lines
+//! are machine-parseable (`KEY=value`) so the CI smoke job can grep them.
 //!
 //! Environment:
 //!
@@ -25,20 +28,27 @@ use mdn_core::selfheal::SelfHealingController;
 use mdn_net::packet::{FlowKey, Ip};
 use mdn_net::traffic::TrafficPattern;
 use mdn_net::Network;
-use mdn_obs::Registry;
-use mdn_proto::controller::{ControllerServer, LearningSwitch};
+use mdn_proto::controller::{ControllerServer, LearningSwitch, OfClient};
 use std::time::Duration;
 
 const MS: fn(u64) -> Duration = Duration::from_millis;
 
 fn main() {
-    let registry = Registry::new();
     let addr = std::env::var("MDN_CTRL_ADDR").unwrap_or_else(|_| "127.0.0.1:0".into());
     let handle = ControllerServer::new(|_| Box::new(LearningSwitch::new()))
-        .attach_obs(&registry)
         .serve(addr.as_str())
         .expect("bind controller");
     println!("CTRL_ADDR={}", handle.addr());
+
+    // The TCP transport: a real switch-side client handshakes and echoes.
+    let mut client = OfClient::connect(handle.addr(), Duration::from_secs(5))
+        .expect("handshake with the served controller");
+    client
+        .echo(bytes::Bytes::from_static(b"of_controller"))
+        .expect("echo round trip");
+    println!("HANDSHAKE=ok");
+    drop(client);
+    handle.shutdown();
 
     // The virtual network: two hosts talking through one empty switch.
     let mut net = Network::new();
@@ -62,7 +72,7 @@ fn main() {
     }
 
     // Wrap it in the unified loop (quiet acoustic side; this example is
-    // about the wire control plane).
+    // about the control plane).
     let plan = CellPlan::plan(
         1,
         &[AmbientProfile::quiet()],
@@ -77,10 +87,8 @@ fn main() {
     let heal = SelfHealingController::new(plan);
     let mut lp = UnifiedLoop::new(net, scene, heal, MS(300));
 
-    // Attach the switch to the controller over a real socket.
-    let mut agent = OfAgent::attach(lp.net_mut(), sw, handle.addr(), Duration::from_secs(5))
-        .expect("attach switch to controller");
-    println!("HANDSHAKE=ok");
+    // The in-process transport: the same session kind behind a channel.
+    let mut agent = OfAgent::attach(lp.net_mut(), sw, Box::new(LearningSwitch::new()));
 
     // Pump the control channel every 20 ms of virtual time.
     const PUMPS: u64 = 12;
@@ -91,7 +99,7 @@ fn main() {
     loop {
         match lp.step(horizon) {
             Step::App { token, at } => {
-                let report = agent.pump(lp.net_mut(), MS(200)).expect("pump");
+                let report = agent.pump(lp.net_mut()).expect("pump");
                 if report.packet_ins + report.flow_mods > 0 {
                     println!(
                         "pump #{token} at {:?}: {} PacketIn up, {} FlowMod down",
@@ -107,19 +115,21 @@ fn main() {
     let rules = lp.net_mut().switch_mut(sw).table.len();
     let rx_h1 = lp.net_mut().host(h1).rx_packets;
     let rx_h2 = lp.net_mut().host(h2).rx_packets;
-    let stats = handle.stats();
+    let stats = agent.stats();
     println!("RULES_INSTALLED={rules}");
-    println!("FLOW_MODS={}", agent.flow_mods_applied);
-    println!("PACKET_INS={}", agent.packet_ins_sent);
+    println!("FLOW_MODS={}", stats.flow_mods_tx);
+    println!("PACKET_INS={}", stats.packet_ins_rx);
     println!("RX_H1={rx_h1}");
     println!("RX_H2={rx_h2}");
     println!("CTRL_HANDSHAKES={}", stats.handshaken);
-    handle.shutdown();
 
     assert!(rules >= 2, "learning switch installed both directions");
-    assert!(rx_h1 > 0 && rx_h2 > 0, "socket-installed rules carry traffic");
+    assert!(
+        rx_h1 > 0 && rx_h2 > 0,
+        "controller-installed rules carry traffic"
+    );
     println!(
-        "done: the switch was programmed entirely over TCP loopback — {} control messages exchanged",
+        "done: the switch was programmed entirely by the controller session — {} control messages exchanged",
         stats.rx_messages + stats.tx_messages
     );
 }

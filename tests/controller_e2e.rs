@@ -1,16 +1,18 @@
-//! End-to-end: simulated switches programmed by the TCP OpenFlow
-//! controller over real loopback sockets.
+//! End-to-end: the OpenFlow controller session behind both transports.
 //!
-//! The full "server that serves" slice — `ControllerServer` accept loop,
-//! Hello handshake, learning-switch app, `OfAgent` bridge — exercised
-//! from outside the crates: a `UnifiedLoop`-driven network whose
-//! forwarding is installed entirely by `FlowMod`s that crossed a socket.
+//! Over TCP: the `ControllerServer` accept loop, Hello handshake, echo,
+//! probing and reaping, exercised with real loopback sockets from
+//! outside the crates. In-process: the same session programs simulated
+//! switches through the `OfAgent` bridge, so a `UnifiedLoop`-driven
+//! network's forwarding is installed entirely by `FlowMod`s that crossed
+//! the encode→decode path, and the controller scenario replays exactly.
 
 use mdn_acoustics::ambient::AmbientProfile;
 use mdn_acoustics::scene::Scene;
 use mdn_core::cells::{CellConfig, CellPlan};
 use mdn_core::eventloop::{Step, UnifiedLoop};
 use mdn_core::ofbridge::OfAgent;
+use mdn_core::scenario::{self, ScenarioSpec};
 use mdn_core::selfheal::SelfHealingController;
 use mdn_net::ftable::Decision;
 use mdn_net::packet::{FlowKey, Ip};
@@ -76,19 +78,17 @@ fn raw_client_completes_hello_handshake_and_echo() {
 
 #[test]
 fn learning_switch_reprograms_simulated_forwarding() {
-    let handle = learning_server();
     let (mut net, sw, h2, fwd) = two_host_net();
-    let mut agent =
-        OfAgent::attach(&mut net, sw, handle.addr(), Duration::from_secs(2)).expect("attach");
+    let mut agent = OfAgent::attach(&mut net, sw, Box::new(LearningSwitch::new()));
 
     // Without rules every packet is a miss; nothing reaches h2.
     net.run_until(MS(10));
     assert_eq!(net.host(h2).rx_packets, 0, "misses drop under PacketIn");
 
     // Two pumps: learn one endpoint, then the other → both directions.
-    let r1 = agent.pump(&mut net, MS(300)).unwrap();
+    let r1 = agent.pump(&mut net).unwrap();
     net.run_until(MS(20));
-    let r2 = agent.pump(&mut net, MS(300)).unwrap();
+    let r2 = agent.pump(&mut net).unwrap();
     assert!(
         r1.flow_mods + r2.flow_mods >= 2,
         "both directions installed: {r1:?} {r2:?}"
@@ -99,16 +99,18 @@ fn learning_switch_reprograms_simulated_forwarding() {
         Decision::Forward(0)
     );
 
-    // The socket-installed rules now carry data-plane traffic.
+    // The controller-installed rules now carry data-plane traffic.
     let before = net.host(h2).rx_packets;
     net.run_until(MS(120));
     assert!(net.host(h2).rx_packets > before, "FlowMods altered forwarding");
-    handle.shutdown();
+    let stats = agent.stats();
+    assert_eq!(stats.handshaken, 1);
+    assert_eq!(stats.packet_ins_rx, r1.packet_ins + r2.packet_ins);
+    assert_eq!(stats.flow_mods_tx, r1.flow_mods + r2.flow_mods);
 }
 
 #[test]
 fn unified_loop_pumps_the_bridge_from_app_tokens() {
-    let handle = learning_server();
     let (net, sw, h2, fwd) = two_host_net();
 
     let plan = CellPlan::plan(
@@ -125,8 +127,7 @@ fn unified_loop_pumps_the_bridge_from_app_tokens() {
     let heal = SelfHealingController::new(plan);
     let mut lp = UnifiedLoop::new(net, scene, heal, MS(300));
 
-    let mut agent =
-        OfAgent::attach(lp.net_mut(), sw, handle.addr(), Duration::from_secs(2)).expect("attach");
+    let mut agent = OfAgent::attach(lp.net_mut(), sw, Box::new(LearningSwitch::new()));
 
     // A control-plane pump every 15 ms of virtual time.
     const PUMPS: u64 = 8;
@@ -138,7 +139,7 @@ fn unified_loop_pumps_the_bridge_from_app_tokens() {
     loop {
         match lp.step(horizon) {
             Step::App { .. } => {
-                agent.pump(lp.net_mut(), MS(200)).unwrap();
+                agent.pump(lp.net_mut()).unwrap();
                 pumped += 1;
             }
             Step::Window { .. } => {}
@@ -146,17 +147,46 @@ fn unified_loop_pumps_the_bridge_from_app_tokens() {
         }
     }
     assert_eq!(pumped, PUMPS, "every scheduled pump token fired");
-    assert!(agent.packet_ins_sent >= 2, "misses crossed the socket");
-    assert!(agent.flow_mods_applied >= 2, "rules came back and stuck");
+    let stats = agent.stats();
+    assert!(stats.packet_ins_rx >= 2, "misses crossed the channel");
+    assert!(stats.flow_mods_tx >= 2, "rules came back and stuck");
     assert_eq!(
         lp.net_mut().switch_mut(sw).table.lookup(0, &fwd),
         Decision::Forward(1)
     );
     assert!(
         lp.net_mut().host(h2).rx_packets > 0,
-        "loop-driven switch forwards after socket programming"
+        "loop-driven switch forwards after controller programming"
     );
-    handle.shutdown();
+}
+
+/// The checked-in controller scenario runs in-process and replays
+/// exactly: two runs agree on every count, and the counts are the ones
+/// the loopback-socket bridge produced before the session moved
+/// in-process.
+#[test]
+fn controller_scenario_replays_exactly() {
+    let spec = ScenarioSpec::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/controller.json"
+    ))
+    .expect("controller.json parses");
+    let counts = || {
+        let o = scenario::run(&spec, &Registry::new()).expect("controller scenario runs");
+        (
+            o.events_total,
+            o.packets_delivered,
+            o.packets_dropped,
+            o.packet_ins,
+            o.flow_mods,
+            o.app_events,
+            o.rules_installed,
+            o.availability,
+        )
+    };
+    let first = counts();
+    assert_eq!(first, counts(), "two runs of one spec differ");
+    assert_eq!(first, (5934, 1160, 40, 40, 2, 12, 2, 1.0));
 }
 
 #[test]
