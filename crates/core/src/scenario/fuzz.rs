@@ -23,33 +23,8 @@
 
 use super::run::run_batch;
 use super::spec::{EmissionSpec, EmitSpec, FaultSpec, ScenarioError, ScenarioSpec, TrafficSpec};
-use super::ScenarioBuilder;
+use super::{ScenarioBuilder, SplitMix64};
 use mdn_obs::Registry;
-
-/// Sebastiano Vigna's SplitMix64: tiny, seedable, and good enough to
-/// scatter spec parameters (this is a coverage driver, not crypto).
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// A stream seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        Self(seed)
-    }
-
-    /// Next raw u64.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform-ish draw in `[lo, hi)`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next_u64() % (hi - lo)
-    }
-}
 
 /// What a fuzz batch covered.
 #[derive(Debug, Clone, PartialEq)]

@@ -32,7 +32,10 @@ pub mod run;
 pub mod spec;
 
 pub use builder::{BuiltScenario, ScenarioBuilder};
-pub use fuzz::{fuzz, FuzzReport, SplitMix64};
+pub use fuzz::{fuzz, FuzzReport};
+/// The seeded splitmix64 stream the fuzzer and the benchmark workloads
+/// draw from: the same generator the fault-injection layer uses.
+pub use mdn_proto::faults::FaultRng as SplitMix64;
 pub use run::{
     check_expect, execute, run, run_batch, summary, ScenarioOutcome, ScenarioRun, WindowReport,
 };

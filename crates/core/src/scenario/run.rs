@@ -4,8 +4,8 @@
 //! — scheduling each window's sonification just-in-time, pumping the
 //! OpenFlow channel on app wakeups, folding every
 //! [`crate::selfheal::TickReport`] into a comparable
-//! [`WindowReport`] — and returns a [`ScenarioOutcome`] with the same
-//! counters the soak bench always published. [`run_batch`] is the
+//! [`WindowReport`] — and returns a [`ScenarioOutcome`] with the
+//! counters every scenario summary reports. [`run_batch`] is the
 //! fixed-tick reference implementation (pre-emit, then `tick`; no
 //! network) that the fuzz harness holds the event path equal to.
 //! [`execute`] is the whole experiment: registry and trace plumbing,
@@ -174,7 +174,7 @@ pub fn run(spec: &ScenarioSpec, registry: &Registry) -> Result<ScenarioOutcome, 
     let mut app_events = 0u64;
     let (mut flow_mods, mut packet_ins) = (0u64, 0u64);
 
-    let window_close_hist = registry.histogram("mdn_soak_window_close_ns", &[]);
+    let window_wall_hist = registry.histogram("mdn_scenario_window_wall_ns", &[]);
     let wall_start = Instant::now();
     let mut last_t = wall_start;
     while (windows.len() as u64) < spec.windows {
@@ -184,7 +184,7 @@ pub fn run(spec: &ScenarioSpec, registry: &Registry) -> Result<ScenarioOutcome, 
         last_t = now;
         match step {
             Step::Window { window, report } => {
-                window_close_hist.record(slice.as_nanos() as u64);
+                window_wall_hist.record(slice.as_nanos() as u64);
                 heard_total += report.heard.len() as u64;
                 if let Some(cell) = report.replanned {
                     replans.push((window.end(), cell));
@@ -294,9 +294,10 @@ pub fn run_batch(spec: &ScenarioSpec) -> Result<Vec<WindowReport>, ScenarioError
     Ok(out)
 }
 
-/// A scenario's headline numbers in the soak bench's JSON shape, so
-/// every scenario summary is comparable with `BENCH_soak.json` and the
-/// CI matrix can validate one key set.
+/// A scenario's headline numbers as JSON. Every scenario shares one key
+/// set (`BENCH_soak.json` is soak_600's summary), so the CI matrix can
+/// validate them all alike. `window_wall_ms` is the wall time between
+/// consecutive window steps, packet dispatch included.
 pub fn summary(spec: &ScenarioSpec, out: &ScenarioOutcome, registry: &Registry) -> serde::Value {
     let t = &spec.traffic;
     let (network_switches, hosts) = match t.topology.as_str() {
@@ -318,7 +319,7 @@ pub fn summary(spec: &ScenarioSpec, out: &ScenarioOutcome, registry: &Registry) 
             })
     };
     let dispatch = hist("mdn_net_dispatch_ns{kind=\"all\"}");
-    let window_close = hist("mdn_soak_window_close_ns");
+    let window_wall = hist("mdn_scenario_window_wall_ns");
     let us = |h: &HistogramSnapshot, q: f64| h.quantile(q) / 1e3;
     let ms = |h: &HistogramSnapshot, q: f64| h.quantile(q) / 1e6;
     let kind_summary = |kind: &str| {
@@ -362,11 +363,11 @@ pub fn summary(spec: &ScenarioSpec, out: &ScenarioOutcome, registry: &Registry) 
             "generate": kind_summary("generate"),
             "port_free": kind_summary("port_free"),
         },
-        "window_close_ms": {
-            "p50": ms(&window_close, 0.50),
-            "p95": ms(&window_close, 0.95),
-            "p99": ms(&window_close, 0.99),
-            "max": window_close.max as f64 / 1e6,
+        "window_wall_ms": {
+            "p50": ms(&window_wall, 0.50),
+            "p95": ms(&window_wall, 0.95),
+            "p99": ms(&window_wall, 0.99),
+            "max": window_wall.max as f64 / 1e6,
         },
     })
 }

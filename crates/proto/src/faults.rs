@@ -56,6 +56,12 @@ impl FaultRng {
         self.next_u64() % n
     }
 
+    /// Uniform-ish draw in `[lo, hi)`: `lo` plus one raw draw modulo the
+    /// span.
+    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        lo + self.next_u64() % (hi - lo)
+    }
+
     /// Bernoulli draw. Consumes an RNG draw **only when `p > 0`**, so
     /// disabled fault classes never perturb the stream.
     pub fn chance(&mut self, p: f64) -> bool {

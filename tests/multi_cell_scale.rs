@@ -1,7 +1,8 @@
 //! Multi-cell scale-out past the single-microphone ceiling: 120 switches
 //! across 20 acoustic cells decode correctly — with every switch sounding
 //! simultaneously — where a flat `FrequencyPlan::audible_default()`
-//! exhausts before binding them all. The merged event stream is
+//! exhausts before binding them all. Smaller halls of 1, 2, 4 and 8
+//! cells decode just as exactly. The merged event stream is
 //! bit-identical for any shard thread count.
 
 use mdn_acoustics::ambient::AmbientProfile;
@@ -17,12 +18,13 @@ use mdn_acoustics::Window;
 const SR: u32 = 44_100;
 const CELLS: usize = 20;
 
-/// The 20-cell default hall, planned through the shared scenario
-/// preset (the same hall `scenarios/scale_120.json` runs end-to-end).
-fn plan_120() -> CellPlan {
-    let spec = ScenarioSpec::small_hall(CELLS, 6, 8, "office");
+/// A hall of `cells` default cells, planned through the shared scenario
+/// preset (at 20 cells, the hall `scenarios/scale_120.json` runs
+/// end-to-end).
+fn plan_hall(cells: usize) -> CellPlan {
+    let spec = ScenarioSpec::small_hall(cells, 6, 8, "office");
     ScenarioBuilder::new(&spec)
-        .expect("default 20-cell hall validates")
+        .expect("default hall validates")
         .plan()
         .clone()
 }
@@ -33,43 +35,45 @@ type EmittedScene = (
     BTreeSet<(usize, String, usize)>,
 );
 
-/// The scene every test listens to: all 120 switches sound one slot each,
+/// A `cells`-cell hall in which every switch sounds one slot,
 /// simultaneously, at 700 ms; the first 500 ms are tone-free for
 /// calibration. Expected = the exact `(cell, device, slot)` set.
-fn emitted_scene() -> &'static EmittedScene {
-    static SCENE: OnceLock<EmittedScene> = OnceLock::new();
-    SCENE.get_or_init(|| {
-        let plan = plan_120();
-        let mut scene = mdn_acoustics::scene::Scene::new(SR, AmbientProfile::office());
-        scene.set_ambient_seed(42);
-        let mut expected = BTreeSet::new();
-        for (c, mut devs) in plan.sounding_devices().into_iter().enumerate() {
-            for dev in devs.iter_mut() {
-                // One slot index per cell: within a cell the six
-                // simultaneous tones stay 160 Hz apart (concurrent tones
-                // 20 Hz apart would trip the detector's local-max
-                // suppression, the known §3 limit), while across cells
-                // the staggered index makes some same-color foreign cells
-                // sound *different* slots of the reused sub-band — the
-                // false-attribution case — and others the identical slot
-                // — the additive case.
-                let slot = c % plan.config().slots_per_switch;
-                dev.emit_slot(
-                    &mut scene,
-                    slot,
-                    Duration::from_millis(700),
-                    Duration::from_millis(150),
-                )
-                .expect("emit");
-                expected.insert((c, dev.name.clone(), slot));
-            }
+fn build_scene(cells: usize) -> EmittedScene {
+    let plan = plan_hall(cells);
+    let mut scene = mdn_acoustics::scene::Scene::new(SR, AmbientProfile::office());
+    scene.set_ambient_seed(42);
+    let mut expected = BTreeSet::new();
+    for (c, mut devs) in plan.sounding_devices().into_iter().enumerate() {
+        for dev in devs.iter_mut() {
+            // One slot index per cell: within a cell the six
+            // simultaneous tones stay 160 Hz apart (concurrent tones
+            // 20 Hz apart would trip the detector's local-max
+            // suppression, the known §3 limit), while across cells
+            // the staggered index makes some same-color foreign cells
+            // sound *different* slots of the reused sub-band — the
+            // false-attribution case — and others the identical slot
+            // — the additive case.
+            let slot = c % plan.config().slots_per_switch;
+            dev.emit_slot(
+                &mut scene,
+                slot,
+                Duration::from_millis(700),
+                Duration::from_millis(150),
+            )
+            .expect("emit");
+            expected.insert((c, dev.name.clone(), slot));
         }
-        (scene, plan, expected)
-    })
+    }
+    (scene, plan, expected)
 }
 
-fn listen_with_threads(threads: usize) -> Vec<ShardEvent> {
-    let (scene, plan, _) = emitted_scene();
+/// The 120-switch scene most tests listen to, built once.
+fn emitted_scene() -> &'static EmittedScene {
+    static SCENE: OnceLock<EmittedScene> = OnceLock::new();
+    SCENE.get_or_init(|| build_scene(CELLS))
+}
+
+fn listen((scene, plan, _): &EmittedScene, threads: usize) -> Vec<ShardEvent> {
     let mut sharded = ShardedController::new(plan);
     sharded.set_threads(threads);
     sharded.calibrate(scene, Window::from_start(Duration::from_millis(500)));
@@ -97,22 +101,35 @@ fn flat_plan_exhausts_before_the_target_scale() {
 }
 
 /// The tentpole claim: ≥100 switches, ≥4× frequency reuse, every tone
-/// decoded and attributed to the right cell, none mis-attributed.
+/// decoded and attributed to the right cell, none mis-attributed. Halls
+/// of 1, 2, 4 and 8 cells decode just as exactly.
 #[test]
 fn hundred_twenty_switches_decode_with_reuse() {
-    let (_, plan, expected) = emitted_scene();
+    let (_, plan, _) = emitted_scene();
     assert!(plan.total_switches() >= 100);
     assert!(
         plan.reuse_factor() >= 4.0,
         "reuse only {}×",
         plan.reuse_factor()
     );
-    let events = listen_with_threads(0);
+    for cells in [1, 2, 4, 8] {
+        assert_decodes_exactly(&build_scene(cells));
+    }
+    assert_decodes_exactly(emitted_scene());
+}
+
+/// Listen to `run` and require the decoded `(cell, device, slot)` set to
+/// equal the sounded one: accuracy 1.0, zero false attributions.
+fn assert_decodes_exactly(run: &EmittedScene) {
+    let (_, plan, expected) = run;
+    let cells = plan.cells().len();
+    assert_eq!(expected.len(), cells * 6, "{cells} cells: every switch sounds");
+    let events = listen(run, 0);
     let heard: BTreeSet<(usize, String, usize)> = events
         .iter()
         .map(|e| (e.shard, e.event.device.clone(), e.event.slot))
         .collect();
-    assert_eq!(&heard, expected, "decode/attribution mismatch");
+    assert_eq!(&heard, expected, "{cells} cells: decode/attribution mismatch");
     // Attribution is structural: a cell's controller only knows its own
     // devices, and device names encode the cell.
     for e in &events {
@@ -128,10 +145,10 @@ fn hundred_twenty_switches_decode_with_reuse() {
 /// are decoded by 1, 2, 3, 8, or 20 worker threads.
 #[test]
 fn merged_stream_is_bit_identical_for_any_thread_count() {
-    let reference = listen_with_threads(1);
+    let reference = listen(emitted_scene(), 1);
     assert!(!reference.is_empty());
     for threads in [2, 3, 8, 20] {
-        let got = listen_with_threads(threads);
+        let got = listen(emitted_scene(), threads);
         assert_eq!(got, reference, "thread count {threads} changed the stream");
     }
 }
@@ -141,7 +158,7 @@ fn merged_stream_is_bit_identical_for_any_thread_count() {
 /// produces zero local attributions in every cell.
 #[test]
 fn planner_worst_case_verified_against_detector() {
-    plan_120().verify_reuse(SR).unwrap();
+    plan_hall(CELLS).verify_reuse(SR).unwrap();
 }
 
 /// Per-cell counters and the reuse-factor gauge flow through mdn-obs.

@@ -29,6 +29,10 @@
 //! the ambient bed drifting ~0.8 dB louder every time, forcing the
 //! streaming estimator to keep the floors tracking.
 //!
+//! The same loop heals a mic death in any of the four cells: a rotation
+//! test moves the dead mic (and the dropped speaker, one cell over) to
+//! cells 0, 2 and 3.
+//!
 //! Everything is driven by one scenario seed, so the whole outcome —
 //! per-tick hear/miss sets, the replan instant, MTTR samples, metrics,
 //! journal — is bit-for-bit reproducible.
@@ -48,6 +52,8 @@ const SEED: u64 = 2018;
 
 /// Ticks in the run (4.5 s total).
 const TICKS: u64 = 15;
+/// Cells in the hall.
+const CELLS: usize = 4;
 /// The cell whose mic dies.
 const DEAD_CELL: usize = 1;
 /// The switch whose speaker drops out.
@@ -63,6 +69,7 @@ fn chaos_spec() -> ScenarioSpec {
     assert_eq!(spec.window(), TICK, "spec window drifted from the timeline");
     assert_eq!(spec.windows, TICKS);
     assert_eq!(spec.seed, SEED);
+    assert_eq!(spec.hall.cells, CELLS);
     assert_eq!(spec.faults[0].cell, Some(DEAD_CELL));
     assert_eq!(spec.faults[1].device.as_deref(), Some(DEAD_SPEAKER));
     spec
@@ -100,12 +107,21 @@ struct ScenarioOutcome {
     recovery_hist: Option<(u64, u64)>,
 }
 
+/// The speaker dropped alongside `dead_cell`'s mic: the next cell's
+/// first switch.
+fn dropped_speaker(dead_cell: usize) -> String {
+    format!("c{}-s0", (dead_cell + 1) % CELLS)
+}
+
 /// Run the chaos scenario: the spec's schedule over a drifting ambient
-/// bed, with the spec's fault script injected when `inject` is set.
-fn run_scenario(seed: u64, inject: bool) -> ScenarioOutcome {
+/// bed, with the spec's fault script injected when `inject` is set —
+/// moved so that `dead_cell`'s mic dies and [`dropped_speaker`] drops.
+fn run_scenario(seed: u64, dead_cell: usize, inject: bool) -> ScenarioOutcome {
     let registry = mdn_obs::Registry::new();
     let mut spec = chaos_spec();
     spec.seed = seed;
+    spec.faults[0].cell = Some(dead_cell);
+    spec.faults[1].device = Some(dropped_speaker(dead_cell));
     if !inject {
         spec.faults.clear();
     }
@@ -180,7 +196,7 @@ fn run_scenario(seed: u64, inject: bool) -> ScenarioOutcome {
     for cell in loop_.plan().cells() {
         for (j, name) in cell.device_names.iter().enumerate() {
             out.final_homes.insert(name.clone(), cell.id);
-            if name.starts_with(&format!("c{DEAD_CELL}-")) && cell.id != DEAD_CELL {
+            if name.starts_with(&format!("c{dead_cell}-")) && cell.id != dead_cell {
                 out.migrated_freqs
                     .insert(name.clone(), cell.sets[j].freqs.clone());
             }
@@ -203,7 +219,7 @@ fn run_scenario(seed: u64, inject: bool) -> ScenarioOutcome {
 /// spare slots, and bounding both recovery times.
 #[test]
 fn mic_kill_and_speaker_dropout_self_heal() {
-    let out = run_scenario(SEED, true);
+    let out = run_scenario(SEED, DEAD_CELL, true);
 
     // Exactly one replan: cell 1's mic death is recognised after three
     // starved ticks (the acoustic ledger's death threshold) and the cell
@@ -305,7 +321,7 @@ fn mic_kill_and_speaker_dropout_self_heal() {
 /// story the tick reports told.
 #[test]
 fn selfheal_metrics_and_journal_replay_the_run() {
-    let out = run_scenario(SEED, true);
+    let out = run_scenario(SEED, DEAD_CELL, true);
     let c = &out.obs_counters;
 
     assert_eq!(c["mdn_selfheal_ticks_total"], TICKS);
@@ -354,6 +370,43 @@ fn selfheal_metrics_and_journal_replay_the_run() {
     }
 }
 
+/// The rotation: the mic dies in cell 0, 2 or 3 instead (the dropped
+/// speaker follows, one cell over). Each heals the same way: exactly one evacuation, of the dead cell;
+/// all eight switches heard in the last tick; an MTTR sample of at most
+/// two ticks for both migrants and the dropped speaker; availability
+/// above 0.85.
+#[test]
+fn every_dead_cell_rotation_self_heals() {
+    for dead_cell in (0..CELLS).filter(|&c| c != DEAD_CELL) {
+        let out = run_scenario(SEED, dead_cell, true);
+        let evacuated: Vec<usize> = out.replans.iter().map(|&(_, cell)| cell).collect();
+        assert_eq!(evacuated, vec![dead_cell], "dead cell {dead_cell}: evacuations");
+        assert_eq!(
+            out.final_heard.len(),
+            CELLS * 2,
+            "dead cell {dead_cell}: not every switch decodes after healing: {:?}",
+            out.final_heard
+        );
+        let affected = [
+            format!("c{dead_cell}-s0"),
+            format!("c{dead_cell}-s1"),
+            dropped_speaker(dead_cell),
+        ];
+        for d in &affected {
+            let (_, took) = out
+                .recoveries
+                .get(d)
+                .unwrap_or_else(|| panic!("dead cell {dead_cell}: {d} has no MTTR sample"));
+            assert!(*took <= TICK * 2, "dead cell {dead_cell}: {d} took {took:?}");
+        }
+        assert!(
+            out.availability > 0.85,
+            "dead cell {dead_cell}: availability {:.3}",
+            out.availability
+        );
+    }
+}
+
 /// The patched plan the loop swapped in is provably legal: the scenario
 /// runs with `verify_on_replan` on (the default), so the evacuation
 /// itself re-proved reuse; this re-checks the final plan from scratch.
@@ -368,7 +421,7 @@ fn patched_plan_passes_verify_reuse() {
 /// records a death, and hears every switch on every tick.
 #[test]
 fn without_faults_nothing_heals_because_nothing_breaks() {
-    let out = run_scenario(SEED, false);
+    let out = run_scenario(SEED, DEAD_CELL, false);
     assert!(out.replans.is_empty(), "replanned a healthy deployment");
     assert!(
         out.missed.is_empty(),
@@ -391,8 +444,8 @@ fn without_faults_nothing_heals_because_nothing_breaks() {
 /// miss sets, MTTR samples, metrics, journal — is identical across runs.
 #[test]
 fn selfheal_chaos_is_deterministic() {
-    let a = run_scenario(SEED, true);
-    let b = run_scenario(SEED, true);
+    let a = run_scenario(SEED, DEAD_CELL, true);
+    let b = run_scenario(SEED, DEAD_CELL, true);
     assert_eq!(a, b);
 }
 
