@@ -96,15 +96,25 @@ pub struct GoertzelState {
     s2: Vec<f64>,
 }
 
-/// A bank of Goertzel filters evaluated in a single pass over the samples.
+/// Candidates per block of the bank's kernel: each block's recurrence
+/// state lives in local `[f64; LANES]` arrays for a whole frame.
+const LANES: usize = 16;
+
+/// A bank of Goertzel filters evaluated together over each frame.
 ///
 /// Probing C candidate frequencies with independent [`Goertzel`] filters
-/// walks the frame C times; the bank keeps all C recurrences live and walks
-/// the frame once, which is both cache-friendly (each sample is loaded once)
-/// and auto-vectorizable (the inner loop is a pure fused multiply-add over
-/// contiguous state arrays). Per candidate, the recurrence and the
-/// normalization are *identical* to [`Goertzel`], so the bank's magnitudes
-/// are bit-for-bit the same as the per-candidate path.
+/// runs C separate recurrences, one after another. The bank instead groups
+/// the candidates into blocks of 16 lanes (the coefficients are zero-padded
+/// to a whole number of blocks once, at construction) and walks the frame
+/// once per block. That block's 16 recurrences live in local arrays rather
+/// than being loaded from and stored to the state at every sample, so the
+/// compiler keeps them in registers and vectorizes across lanes. The frame
+/// is small enough to stay in L1 cache between blocks; pad lanes are
+/// computed and discarded. Per candidate, the recurrence
+/// `x + coeff * s1 - s2` and the normalization are written exactly as in
+/// [`Goertzel`] — never as a fused multiply-add (`mul_add`) or in another
+/// association order, either of which rounds differently — so the bank's
+/// magnitudes are bit-for-bit the same as the per-candidate path.
 ///
 /// ```
 /// use mdn_audio::goertzel::{Goertzel, GoertzelBank};
@@ -118,6 +128,7 @@ pub struct GoertzelState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GoertzelBank {
+    /// Recurrence coefficients, zero-padded to a multiple of `LANES`.
     coeff: Vec<f64>,
     sin_w: Vec<f64>,
     cos_w: Vec<f64>,
@@ -138,6 +149,7 @@ impl GoertzelBank {
             sin_w.push(g.sin_w);
             cos_w.push(g.cos_w);
         }
+        coeff.resize(freqs_hz.len().next_multiple_of(LANES), 0.0);
         Self {
             coeff,
             sin_w,
@@ -147,12 +159,12 @@ impl GoertzelBank {
 
     /// Number of candidate frequencies in the bank.
     pub fn len(&self) -> usize {
-        self.coeff.len()
+        self.sin_w.len()
     }
 
     /// True if the bank holds no candidates.
     pub fn is_empty(&self) -> bool {
-        self.coeff.is_empty()
+        self.sin_w.is_empty()
     }
 
     /// Normalized magnitudes of all candidates over `samples`, written into
@@ -168,21 +180,32 @@ impl GoertzelBank {
             out.fill(0.0);
             return;
         }
-        state.s1.clear();
-        state.s1.resize(k, 0.0);
-        state.s2.clear();
-        state.s2.resize(k, 0.0);
-        let (s1, s2) = (&mut state.s1[..], &mut state.s2[..]);
-        let coeff = &self.coeff[..];
-        // One traversal of the frame; all recurrences advance in lockstep.
-        for &x in samples {
-            let x = x as f64;
-            for c in 0..k {
-                let s = x + coeff[c] * s1[c] - s2[c];
-                s2[c] = s1[c];
-                s1[c] = s;
+        // Every lane of the resized state is overwritten by its block below.
+        let padded = self.coeff.len();
+        state.s1.resize(padded, 0.0);
+        state.s2.resize(padded, 0.0);
+        let blocks = self
+            .coeff
+            .chunks_exact(LANES)
+            .zip(state.s1.chunks_exact_mut(LANES));
+        for ((coeff, s1_out), s2_out) in blocks.zip(state.s2.chunks_exact_mut(LANES)) {
+            let coeff: &[f64; LANES] = coeff.try_into().expect("chunks_exact yields LANES");
+            let mut s1 = [0.0f64; LANES];
+            let mut s2 = [0.0f64; LANES];
+            // One traversal of the frame per block; the block's recurrences
+            // advance in lockstep without touching memory.
+            for &x in samples {
+                let x = x as f64;
+                for l in 0..LANES {
+                    let s = x + coeff[l] * s1[l] - s2[l];
+                    s2[l] = s1[l];
+                    s1[l] = s;
+                }
             }
+            s1_out.copy_from_slice(&s1);
+            s2_out.copy_from_slice(&s2);
         }
+        let (s1, s2) = (&state.s1[..k], &state.s2[..k]);
         // Same expression shape as `Goertzel::magnitude` so the result is
         // bit-identical to the per-candidate path.
         let len = samples.len() as f64;
@@ -271,20 +294,61 @@ mod tests {
         Goertzel::new(0.0, SR);
     }
 
+    /// Candidate frequencies 20 Hz apart from 440 Hz, as many as asked.
+    fn spaced(n: usize) -> Vec<f64> {
+        (0..n).map(|i| 440.0 + 20.0 * i as f64).collect()
+    }
+
+    /// A busy 50 ms buffer (two tones plus a noise bed) so the recurrences
+    /// carry non-trivial state in every lane.
+    fn busy_frame() -> Signal {
+        let mut s = tone(500.0, 50, 0.5);
+        s.mix_at(&tone(740.0, 50, 0.3), 0);
+        s.mix_at(&crate::noise::white_noise(s.duration(), 0.01, SR, 3), 0);
+        s
+    }
+
     #[test]
     fn bank_matches_individual_filters_exactly() {
-        // A busy buffer (two tones + DC-ish bias) so the recurrences carry
-        // non-trivial state; the bank must equal the per-candidate path to
-        // the last bit on every frequency.
-        let mut s = tone(500.0, 80, 0.5);
-        s.mix_at(&tone(740.0, 80, 0.3), 0);
-        let freqs = [440.0, 500.0, 720.0, 740.0, 1000.0];
-        let bank = GoertzelBank::new(&freqs, SR);
-        assert_eq!(bank.len(), freqs.len());
-        assert!(!bank.is_empty());
-        let got = bank.magnitudes(s.samples());
-        for (c, &f) in freqs.iter().enumerate() {
-            assert_eq!(got[c], Goertzel::new(f, SR).magnitude(s.samples()), "{f} Hz");
+        // Candidate counts below, at and across the 16-lane block edges,
+        // over frames from one sample to a whole 50 ms frame: the bank must
+        // equal the per-candidate path to the last bit on every frequency.
+        let s = busy_frame();
+        assert_eq!(s.samples().len(), 2205);
+        for n in [1, 5, 15, 16, 17, 33, 48, 56, 64] {
+            let freqs = spaced(n);
+            let bank = GoertzelBank::new(&freqs, SR);
+            assert_eq!(bank.len(), n);
+            assert!(!bank.is_empty());
+            for len in [1, 7, 1103, 2205] {
+                let frame = &s.samples()[..len];
+                let got = bank.magnitudes(frame);
+                assert_eq!(got.len(), n);
+                for (c, &f) in freqs.iter().enumerate() {
+                    let want = Goertzel::new(f, SR).magnitude(frame);
+                    assert_eq!(
+                        got[c].to_bits(),
+                        want.to_bits(),
+                        "{n} candidates, {len} samples, {f} Hz"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bank_state_reuse_across_widths_matches_fresh_state() {
+        // One state shared by banks of different widths (three blocks, a
+        // partial block, then two blocks) must never carry lanes over.
+        let s = busy_frame();
+        let mut state = GoertzelState::default();
+        for n in [48, 3, 17] {
+            let bank = GoertzelBank::new(&spaced(n), SR);
+            let mut out = vec![0.0; n];
+            bank.magnitudes_into(s.samples(), &mut state, &mut out);
+            let fresh = bank.magnitudes(s.samples());
+            let bits = |v: &[f64]| v.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&fresh), "{n} candidates after reuse");
         }
     }
 

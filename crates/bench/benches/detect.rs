@@ -2,9 +2,9 @@
 //!
 //! The control loop's latency budget is dominated by `ToneDetector::detect`
 //! over the most recent capture, so this bench sweeps the axes that matter
-//! in deployment: candidate count (1–16) and capture length (1 s–60 s).
-//! A decode runs on one thread; captures are decoded
-//! in parallel only across cells (the `scale` bench). Criterion covers the
+//! in deployment: candidate count (1–48; 48 is a hall cell's 6 switches ×
+//! 8 slots) and capture length (1 s–60 s). A decode runs on one thread;
+//! captures are decoded in parallel only across cells. Criterion covers the
 //! short captures with tight statistics; a manual best-of-R sweep covers
 //! the long ones and writes a machine-readable summary to
 //! `BENCH_detect.json` at the workspace root, including the speedup of the
@@ -104,7 +104,7 @@ fn criterion_benches(c: &mut Criterion) {
     // Short-capture statistics: 1 s, across candidate counts × paths.
     let mut group = c.benchmark_group("detect/1s");
     group.sample_size(10);
-    for &n in &[1usize, 4, 16] {
+    for &n in &[1usize, 4, 16, 48] {
         let candidates = candidate_freqs(n);
         let sig = capture(Duration::from_secs(1), &candidates);
         let det = ToneDetector::new(candidates.clone());
@@ -169,7 +169,7 @@ fn sweep_and_report(smoke: bool) {
     let mut speedup_16c_10s = None;
     let mut obs_overhead_16c_10s = None;
     for &secs in durations {
-        for &n in &[1usize, 4, 16] {
+        for &n in &[1usize, 4, 16, 48] {
             let candidates = candidate_freqs(n);
             let sig = capture(Duration::from_secs(secs), &candidates);
             if secs == durations[0] {

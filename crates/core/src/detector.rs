@@ -660,23 +660,35 @@ mod tests {
 
     #[test]
     fn bank_matches_per_candidate_goertzel_bit_for_bit() {
-        // The banked one-pass evaluation must reproduce the per-candidate
-        // Goertzel pass exactly, frame by frame.
+        // The banked evaluation must reproduce the per-candidate Goertzel
+        // pass exactly, frame by frame, zero-padded tail frames included —
+        // for a handful of candidates and for a hall cell's 48 (6 switches
+        // × 8 slots, three 16-lane blocks).
         let sig = busy_capture();
-        let candidates = [600.0f64, 700.0, 900.0, 1300.0, 1700.0];
-        let det = ToneDetector::new(candidates.to_vec());
-        let (grid, mags) = det.frame_magnitudes(&sig);
-        assert!(grid.n_frames > 0);
-        let mut tail = Vec::new();
-        for fi in 0..grid.n_frames {
-            let frame = grid.frame(sig.samples(), fi, &mut tail);
-            for (c, &f) in candidates.iter().enumerate() {
-                let expect = Goertzel::new(f, SR).magnitude(frame);
-                assert_eq!(
-                    mags[fi * candidates.len() + c],
-                    expect,
-                    "frame {fi} candidate {c}"
-                );
+        let five = vec![600.0f64, 700.0, 900.0, 1300.0, 1700.0];
+        let cell: Vec<f64> = (0..48).map(|i| 600.0 + 20.0 * i as f64).collect();
+        for candidates in [five, cell] {
+            let det = ToneDetector::new(candidates.clone());
+            let fm = det.analyze(&sig);
+            let grid = det.grid(sig.samples().len(), SR);
+            assert_eq!(fm.n_frames(), grid.n_frames);
+            let last = grid.n_frames - 1;
+            assert!(
+                grid.start(last) + grid.frame_len > sig.samples().len(),
+                "the capture must end in a zero-padded tail frame"
+            );
+            let mut tail = Vec::new();
+            for fi in 0..grid.n_frames {
+                let frame = grid.frame(sig.samples(), fi, &mut tail);
+                for (c, &f) in candidates.iter().enumerate() {
+                    let expect = Goertzel::new(f, SR).magnitude(frame);
+                    assert_eq!(
+                        fm.frame(fi)[c].to_bits(),
+                        expect.to_bits(),
+                        "{} candidates, frame {fi} candidate {c}",
+                        candidates.len()
+                    );
+                }
             }
         }
     }
