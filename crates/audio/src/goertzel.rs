@@ -86,35 +86,45 @@ pub fn magnitudes_at(signal: &Signal, freqs_hz: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Reusable recurrence state for [`GoertzelBank`]; one per worker thread.
+/// Reusable scratch for [`GoertzelBank`]; one per worker thread.
 ///
-/// Holding the state outside the bank keeps the bank shareable (`&self`)
-/// across threads while the per-call scratch is reused allocation-free.
+/// Holding the scratch outside the bank keeps the bank shareable (`&self`)
+/// across threads while each call reuses it allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct GoertzelState {
-    s1: Vec<f64>,
-    s2: Vec<f64>,
+    /// Complex response per lane, padding lanes included.
+    response: Vec<(f64, f64)>,
 }
 
 /// Candidates per block of the bank's kernel: each block's recurrence
-/// state lives in local `[f64; LANES]` arrays for a whole frame.
+/// state lives in local `[f64; LANES]` arrays for a whole slice.
 const LANES: usize = 16;
 
-/// A bank of Goertzel filters evaluated together over each frame.
+/// A bank of Goertzel filters evaluated together over a slice of samples.
 ///
 /// Probing C candidate frequencies with independent [`Goertzel`] filters
 /// runs C separate recurrences, one after another. The bank instead groups
-/// the candidates into blocks of 16 lanes (the coefficients are zero-padded
-/// to a whole number of blocks once, at construction) and walks the frame
-/// once per block. That block's 16 recurrences live in local arrays rather
-/// than being loaded from and stored to the state at every sample, so the
-/// compiler keeps them in registers and vectorizes across lanes. The frame
-/// is small enough to stay in L1 cache between blocks; pad lanes are
-/// computed and discarded. Per candidate, the recurrence
-/// `x + coeff * s1 - s2` and the normalization are written exactly as in
-/// [`Goertzel`] — never as a fused multiply-add (`mul_add`) or in another
-/// association order, either of which rounds differently — so the bank's
-/// magnitudes are bit-for-bit the same as the per-candidate path.
+/// the candidates into blocks of 16 lanes (the per-candidate constants are
+/// zero-padded to a whole number of blocks once, at construction) and walks
+/// the slice once per block. That block's 16 recurrences live in local
+/// arrays rather than being loaded from and stored to memory at every
+/// sample, so the compiler keeps them in registers and vectorizes across
+/// lanes. The slice is small enough to stay in L1 cache between blocks;
+/// pad lanes are computed and discarded.
+///
+/// [`Self::response`] is the one kernel: the unnormalized complex response
+/// of every candidate, exactly [`Goertzel::run`]'s. [`Self::magnitudes_into`]
+/// is that response plus [`Goertzel::magnitude`]'s normalization. Per
+/// candidate, the recurrence `x + coeff * s1 - s2`, the response and the
+/// normalization are written exactly as in [`Goertzel`] — never as a fused
+/// multiply-add (`mul_add`) or in another association order, either of
+/// which rounds differently — so the bank is bit-for-bit the same as the
+/// per-candidate path.
+///
+/// The response over `x` followed by `d` zeros is the response over `x`
+/// turned by `e^{jωd}` ([`Self::phasors`]), so responses of consecutive
+/// slices combine into the response of their concatenation: each is turned
+/// by the number of samples that follow it, then they are summed.
 ///
 /// ```
 /// use mdn_audio::goertzel::{Goertzel, GoertzelBank};
@@ -128,7 +138,11 @@ const LANES: usize = 16;
 /// ```
 #[derive(Debug, Clone)]
 pub struct GoertzelBank {
-    /// Recurrence coefficients, zero-padded to a multiple of `LANES`.
+    /// Number of real candidates; the vectors below are padded past it.
+    len: usize,
+    /// Angular frequency per candidate, radians per sample.
+    w: Vec<f64>,
+    /// Per-candidate constants, zero-padded to a multiple of `LANES`.
     coeff: Vec<f64>,
     sin_w: Vec<f64>,
     cos_w: Vec<f64>,
@@ -140,17 +154,22 @@ impl GoertzelBank {
     /// # Panics
     /// Panics if any frequency is not in `(0, sample_rate/2)`.
     pub fn new(freqs_hz: &[f64], sample_rate: u32) -> Self {
-        let mut coeff = Vec::with_capacity(freqs_hz.len());
-        let mut sin_w = Vec::with_capacity(freqs_hz.len());
-        let mut cos_w = Vec::with_capacity(freqs_hz.len());
-        for &f in freqs_hz {
+        let padded = freqs_hz.len().next_multiple_of(LANES);
+        let mut coeff = vec![0.0; padded];
+        let mut sin_w = vec![0.0; padded];
+        let mut cos_w = vec![0.0; padded];
+        for (c, &f) in freqs_hz.iter().enumerate() {
             let g = Goertzel::new(f, sample_rate);
-            coeff.push(g.coeff);
-            sin_w.push(g.sin_w);
-            cos_w.push(g.cos_w);
+            coeff[c] = g.coeff;
+            sin_w[c] = g.sin_w;
+            cos_w[c] = g.cos_w;
         }
-        coeff.resize(freqs_hz.len().next_multiple_of(LANES), 0.0);
         Self {
+            len: freqs_hz.len(),
+            w: freqs_hz
+                .iter()
+                .map(|&f| 2.0 * PI * f / sample_rate as f64)
+                .collect(),
             coeff,
             sin_w,
             cos_w,
@@ -159,40 +178,31 @@ impl GoertzelBank {
 
     /// Number of candidate frequencies in the bank.
     pub fn len(&self) -> usize {
-        self.sin_w.len()
+        self.len
     }
 
     /// True if the bank holds no candidates.
     pub fn is_empty(&self) -> bool {
-        self.sin_w.is_empty()
+        self.len == 0
     }
 
-    /// Normalized magnitudes of all candidates over `samples`, written into
-    /// `out` (one per candidate, bank order), reusing `state` so the hot
-    /// path allocates nothing.
-    ///
-    /// # Panics
-    /// Panics if `out.len()` differs from the bank size.
-    pub fn magnitudes_into(&self, samples: &[f32], state: &mut GoertzelState, out: &mut [f64]) {
-        let k = self.len();
-        assert_eq!(out.len(), k, "output slice must match bank size");
-        if samples.is_empty() {
-            out.fill(0.0);
-            return;
-        }
-        // Every lane of the resized state is overwritten by its block below.
-        let padded = self.coeff.len();
-        state.s1.resize(padded, 0.0);
-        state.s2.resize(padded, 0.0);
+    /// The unnormalized complex response `(re, im)` of every candidate over
+    /// `samples`, in bank order — per candidate exactly [`Goertzel::run`].
+    /// The result lives in `state`, which is reused so the hot path
+    /// allocates nothing. An empty slice responds with zeros.
+    pub fn response<'s>(&self, samples: &[f32], state: &'s mut GoertzelState) -> &'s [(f64, f64)] {
+        // Every lane of the resized scratch is overwritten by its block.
+        state.response.resize(self.coeff.len(), (0.0, 0.0));
         let blocks = self
             .coeff
             .chunks_exact(LANES)
-            .zip(state.s1.chunks_exact_mut(LANES));
-        for ((coeff, s1_out), s2_out) in blocks.zip(state.s2.chunks_exact_mut(LANES)) {
+            .zip(self.cos_w.chunks_exact(LANES))
+            .zip(self.sin_w.chunks_exact(LANES));
+        for (((coeff, cos_w), sin_w), out) in blocks.zip(state.response.chunks_exact_mut(LANES)) {
             let coeff: &[f64; LANES] = coeff.try_into().expect("chunks_exact yields LANES");
             let mut s1 = [0.0f64; LANES];
             let mut s2 = [0.0f64; LANES];
-            // One traversal of the frame per block; the block's recurrences
+            // One traversal of the slice per block; the block's recurrences
             // advance in lockstep without touching memory.
             for &x in samples {
                 let x = x as f64;
@@ -202,17 +212,39 @@ impl GoertzelBank {
                     s1[l] = s;
                 }
             }
-            s1_out.copy_from_slice(&s1);
-            s2_out.copy_from_slice(&s2);
+            for l in 0..LANES {
+                out[l] = (s1[l] * cos_w[l] - s2[l], s1[l] * sin_w[l]);
+            }
         }
-        let (s1, s2) = (&state.s1[..k], &state.s2[..k]);
+        &state.response[..self.len]
+    }
+
+    /// Per-candidate phasor `e^{jωd}` as `(cos, sin)`: the turn that `d`
+    /// trailing zero samples give a [`Self::response`].
+    pub fn phasors(&self, d: usize) -> impl Iterator<Item = (f64, f64)> + '_ {
+        self.w.iter().map(move |&w| {
+            let (sin, cos) = (w * d as f64).sin_cos();
+            (cos, sin)
+        })
+    }
+
+    /// Normalized magnitudes of all candidates over `samples`, written into
+    /// `out` (one per candidate, bank order), reusing `state` so the hot
+    /// path allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if `out.len()` differs from the bank size.
+    pub fn magnitudes_into(&self, samples: &[f32], state: &mut GoertzelState, out: &mut [f64]) {
+        assert_eq!(out.len(), self.len, "output slice must match bank size");
+        if samples.is_empty() {
+            out.fill(0.0);
+            return;
+        }
         // Same expression shape as `Goertzel::magnitude` so the result is
         // bit-identical to the per-candidate path.
         let len = samples.len() as f64;
-        for c in 0..k {
-            let re = s1[c] * self.cos_w[c] - s2[c];
-            let im = s1[c] * self.sin_w[c];
-            out[c] = re.hypot(im) * 2.0 / len;
+        for (m, &(re, im)) in out.iter_mut().zip(self.response(samples, state)) {
+            *m = re.hypot(im) * 2.0 / len;
         }
     }
 
@@ -350,6 +382,38 @@ mod tests {
             let bits = |v: &[f64]| v.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&out), bits(&fresh), "{n} candidates after reuse");
         }
+    }
+
+    #[test]
+    fn bank_response_is_run_and_phasors_join_slices() {
+        // The response is `Goertzel::run` to the last bit, and a slice's
+        // response turned by the phasor of the samples after it, plus the
+        // response of those samples, is the response of the whole.
+        let s = busy_frame();
+        let freqs = spaced(17);
+        let bank = GoertzelBank::new(&freqs, SR);
+        let mut state = GoertzelState::default();
+        let (head, tail) = s.samples().split_at(1102);
+        let whole = bank.response(s.samples(), &mut state).to_vec();
+        let head_r = bank.response(head, &mut state).to_vec();
+        let tail_r = bank.response(tail, &mut state).to_vec();
+        let turns: Vec<(f64, f64)> = bank.phasors(tail.len()).collect();
+        for (c, &f) in freqs.iter().enumerate() {
+            let (re, im) = Goertzel::new(f, SR).run(s.samples());
+            assert_eq!(whole[c].0.to_bits(), re.to_bits(), "{f} Hz re");
+            assert_eq!(whole[c].1.to_bits(), im.to_bits(), "{f} Hz im");
+            let ((hr, hi), (cos, sin)) = (head_r[c], turns[c]);
+            let joined = (
+                hr * cos - hi * sin + tail_r[c].0,
+                hr * sin + hi * cos + tail_r[c].1,
+            );
+            let err = (joined.0 - re).hypot(joined.1 - im);
+            assert!(
+                err <= 1e-9 * re.hypot(im).max(1.0),
+                "{f} Hz: joined off by {err}"
+            );
+        }
+        assert_eq!(bank.phasors(0).collect::<Vec<_>>(), vec![(1.0, 0.0); 17]);
     }
 
     #[test]

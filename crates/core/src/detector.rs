@@ -11,10 +11,27 @@
 //! Detection latency is the MDN control-loop budget (the paper's Figure 2b
 //! benchmarks exactly this), so the per-frame path is tight:
 //!
-//! * all candidates are evaluated in **one pass** over each frame by a
-//!   [`GoertzelBank`] (one traversal instead of one per candidate);
-//! * the steady-state loop performs **no allocation** — recurrence state
-//!   and the tail-frame scratch are reused.
+//! * all candidates are evaluated together by a [`GoertzelBank`] (one
+//!   traversal per 16 candidates instead of one per candidate);
+//! * every captured sample runs through the bank **once**, although frames
+//!   overlap: each frame is cut at the same frame-relative offsets, the
+//!   shared segments are evaluated once, and a frame's response is the sum
+//!   of its segments' responses, each turned by the phase of the samples
+//!   after it (see `FrameGrid`);
+//! * the steady-state loop performs **no allocation** per frame — the
+//!   bank's scratch is reused, and the zero-padded tail frame needs no
+//!   copy.
+//!
+//! The bank is bit-for-bit the per-candidate [`Goertzel`] filter. A frame
+//! row is a sum of segments rather than one recurrence, so it stays within
+//! 1e-9 × the frame's largest magnitude of [`Goertzel::magnitude`] on that
+//! frame; and since every frame has the same cuts, a complete frame's row
+//! depends only on that frame's samples, bit for bit, wherever the capture
+//! starts. That is what keeps streaming and windowed decodes byte-identical
+//! to batch ones.
+//!
+//! [`Goertzel`]: mdn_audio::goertzel::Goertzel
+//! [`Goertzel::magnitude`]: mdn_audio::goertzel::Goertzel::magnitude
 //!
 //! A decode runs on the calling thread. Captures are decoded in parallel
 //! one level up, one cell per worker, by
@@ -128,15 +145,44 @@ pub struct ToneObservation {
 /// tail — are analyzed zero-padded to the full frame length, so a tone
 /// confined to the last few tens of milliseconds (the paper's minimum tone
 /// is 30 ms) is still observed.
-#[derive(Debug, Clone, Copy)]
+///
+/// Every frame is cut into segments at the same frame-relative offsets,
+/// `{0, j·hop, frame_len − j·hop, frame_len}` for every `j ≥ 0` that stays
+/// inside the frame. Those cuts repeat with the hop, so neighbouring frames
+/// share segments: a shared segment is run through the bank once and every
+/// frame that covers it reuses the response. Samples in no frame (a hop
+/// longer than the frame) belong to no segment.
+#[derive(Debug, Clone)]
 struct FrameGrid {
     frame_len: usize,
     hop: usize,
     n_frames: usize,
     sample_rate: u32,
+    /// The frame-relative cut offsets, ascending, from 0 to `frame_len`.
+    cuts: Vec<usize>,
+    /// How many segment starts lie in `[0, hop)`: the segments each hop
+    /// adds.
+    per_hop: usize,
 }
 
 impl FrameGrid {
+    fn new(frame_len: usize, hop: usize, n_frames: usize, sample_rate: u32) -> Self {
+        let mut cuts: Vec<usize> = (0..=frame_len / hop)
+            .flat_map(|j| [j * hop, frame_len - j * hop])
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let per_hop = cuts[..cuts.len() - 1].iter().filter(|&&c| c < hop).count();
+        Self {
+            frame_len,
+            hop,
+            n_frames,
+            sample_rate,
+            cuts,
+            per_hop,
+        }
+    }
+
     fn start(&self, fi: usize) -> usize {
         fi * self.hop
     }
@@ -145,19 +191,20 @@ impl FrameGrid {
         Duration::from_secs_f64(self.start(fi) as f64 / self.sample_rate as f64)
     }
 
-    /// The samples of frame `fi`: a borrow of the signal for complete
-    /// frames, or `scratch` refilled with the zero-padded tail.
-    fn frame<'a>(&self, samples: &'a [f32], fi: usize, scratch: &'a mut Vec<f32>) -> &'a [f32] {
-        let start = self.start(fi);
-        if start + self.frame_len <= samples.len() {
-            &samples[start..start + self.frame_len]
-        } else {
-            let tail = &samples[start..];
-            scratch.clear();
-            scratch.resize(self.frame_len, 0.0);
-            scratch[..tail.len()].copy_from_slice(tail);
-            scratch
+    /// Distinct segments over all frames. Segment `i` of frame `fi` is
+    /// segment `fi · per_hop + i` of the capture.
+    fn n_segments(&self) -> usize {
+        match self.n_frames {
+            0 => 0,
+            n => (n - 1) * self.per_hop + self.cuts.len() - 1,
         }
+    }
+
+    /// The sample range of capture segment `s`.
+    fn segment(&self, s: usize) -> std::ops::Range<usize> {
+        let i = s % self.per_hop;
+        let start = self.start(s / self.per_hop) + self.cuts[i];
+        start..start + self.cuts[i + 1] - self.cuts[i]
     }
 }
 
@@ -346,16 +393,18 @@ impl ToneDetector {
         } else {
             (samples_len - 1) / hop + 1
         };
-        FrameGrid {
-            frame_len,
-            hop,
-            n_frames,
-            sample_rate,
-        }
+        FrameGrid::new(frame_len, hop, n_frames, sample_rate)
     }
 
     /// The magnitude matrix (`n_frames × candidates`, row-major) for every
-    /// frame of `signal`, computed by the Goertzel bank.
+    /// frame of `signal`. Each segment of the grid runs through the Goertzel
+    /// bank once; a frame's response is the sum, in offset order, of its
+    /// segments' responses, each turned by the samples that follow it in the
+    /// frame. A segment past the end of the capture is zero, and the one
+    /// the end cuts short is turned by its missing samples, which is the
+    /// zero-padded tail. Since every frame has the same cuts, the same
+    /// turns and the same order of addition, a complete frame's row depends
+    /// only on that frame's samples.
     fn frame_magnitudes(&self, signal: &Signal) -> (FrameGrid, Vec<f64>) {
         let _span = self.obs.goertzel_span.start_span();
         let sr = signal.sample_rate();
@@ -363,12 +412,44 @@ impl ToneDetector {
         let grid = self.grid(samples.len(), sr);
         let k = self.candidates.len();
         let bank = GoertzelBank::new(&self.candidates, sr);
-        let mut mags = vec![0.0f64; grid.n_frames * k];
         let mut state = GoertzelState::default();
-        let mut tail = Vec::new();
+        let mut segments = vec![(0.0f64, 0.0f64); grid.n_segments() * k];
+        for (s, row) in segments.chunks_mut(k).enumerate() {
+            let range = grid.segment(s);
+            if range.start >= samples.len() {
+                break;
+            }
+            let end = range.end.min(samples.len());
+            let response = bank.response(&samples[range.start..end], &mut state);
+            if end == range.end {
+                row.copy_from_slice(response);
+            } else {
+                let pad = bank.phasors(range.end - end);
+                for ((out, &y), p) in row.iter_mut().zip(response).zip(pad) {
+                    *out = turn(y, p);
+                }
+            }
+        }
+        // The turn of frame segment `i`: the samples after it in the frame.
+        let phasors: Vec<(f64, f64)> = grid.cuts[1..]
+            .iter()
+            .flat_map(|&end| bank.phasors(grid.frame_len - end))
+            .collect();
+        let len = grid.frame_len as f64;
+        let mut mags = vec![0.0f64; grid.n_frames * k];
+        let mut acc = vec![(0.0f64, 0.0f64); k];
         for (fi, row) in mags.chunks_mut(k).enumerate() {
-            let frame = grid.frame(samples, fi, &mut tail);
-            bank.magnitudes_into(frame, &mut state, row);
+            acc.fill((0.0, 0.0));
+            for (i, turns) in phasors.chunks(k).enumerate() {
+                let s = fi * grid.per_hop + i;
+                for ((a, &y), &p) in acc.iter_mut().zip(&segments[s * k..][..k]).zip(turns) {
+                    let (re, im) = turn(y, p);
+                    *a = (a.0 + re, a.1 + im);
+                }
+            }
+            for (m, &(re, im)) in row.iter_mut().zip(&acc) {
+                *m = re.hypot(im) * 2.0 / len;
+            }
         }
         self.obs.frames.add(grid.n_frames as u64);
         (grid, mags)
@@ -468,6 +549,11 @@ impl ToneDetector {
             .map(|o| o.candidate)
             .collect()
     }
+}
+
+/// The complex product `y · p`: a response turned by a phasor.
+fn turn((re, im): (f64, f64), (cos, sin): (f64, f64)) -> (f64, f64) {
+    (re * cos - im * sin, re * sin + im * cos)
 }
 
 #[cfg(test)]
@@ -658,36 +744,122 @@ mod tests {
         sig
     }
 
-    #[test]
-    fn bank_matches_per_candidate_goertzel_bit_for_bit() {
-        // The banked evaluation must reproduce the per-candidate Goertzel
-        // pass exactly, frame by frame, zero-padded tail frames included —
-        // for a handful of candidates and for a hall cell's 48 (6 switches
-        // × 8 slots, three 16-lane blocks).
-        let sig = busy_capture();
-        let five = vec![600.0f64, 700.0, 900.0, 1300.0, 1700.0];
-        let cell: Vec<f64> = (0..48).map(|i| 600.0 + 20.0 * i as f64).collect();
-        for candidates in [five, cell] {
-            let det = ToneDetector::new(candidates.clone());
-            let fm = det.analyze(&sig);
-            let grid = det.grid(sig.samples().len(), SR);
-            assert_eq!(fm.n_frames(), grid.n_frames);
-            let last = grid.n_frames - 1;
-            assert!(
-                grid.start(last) + grid.frame_len > sig.samples().len(),
-                "the capture must end in a zero-padded tail frame"
+    /// Frame/hop pairs in ms: the default, the 20 Hz-resolution frames,
+    /// a hop that does not divide the frame, and a hop longer than the
+    /// frame (samples between frames belong to none).
+    const GRIDS: [(u64, u64); 4] = [(50, 25), (100, 50), (50, 20), (30, 40)];
+    const RATES: [u32; 3] = [16_000, 44_100, 96_000];
+
+    /// A seeded capture at `sr` that ends mid-frame: a noise bed with tones
+    /// starting and stopping inside frames, 427 ms long.
+    fn seeded_capture(sr: u32, seed: u64) -> Signal {
+        let len = Duration::from_millis(427);
+        let mut sig = white_noise(len, 0.003, sr, seed);
+        for (freq, start_ms, dur_ms, amp) in [
+            (600.0, 0, 130, 0.08),
+            (1337.0, 90, 211, 0.05),
+            (4100.0, 250, 160, 0.1),
+        ] {
+            let tone = Tone::new(freq, Duration::from_millis(dur_ms), amp).render(sr);
+            sig.mix_at(
+                &tone,
+                duration_to_samples(Duration::from_millis(start_ms), sr),
             );
-            let mut tail = Vec::new();
-            for fi in 0..grid.n_frames {
-                let frame = grid.frame(sig.samples(), fi, &mut tail);
-                for (c, &f) in candidates.iter().enumerate() {
-                    let expect = Goertzel::new(f, SR).magnitude(frame);
-                    assert_eq!(
-                        fm.frame(fi)[c].to_bits(),
-                        expect.to_bits(),
-                        "{} candidates, frame {fi} candidate {c}",
-                        candidates.len()
+        }
+        sig
+    }
+
+    /// 1, 5 and 48 candidates spread below the lowest rate's Nyquist.
+    fn candidate_sets() -> [Vec<f64>; 3] {
+        [
+            vec![1337.0],
+            vec![600.0, 700.0, 1337.0, 4100.0, 7300.0],
+            (0..48).map(|i| 600.0 + 137.0 * i as f64).collect(),
+        ]
+    }
+
+    fn config(frame_ms: u64, hop_ms: u64) -> DetectorConfig {
+        DetectorConfig {
+            frame: Duration::from_millis(frame_ms),
+            hop: Duration::from_millis(hop_ms),
+            ..DetectorConfig::default()
+        }
+    }
+
+    #[test]
+    fn segmented_rows_stay_within_bound_of_per_frame_goertzel() {
+        // Each row is its frame's segment responses turned and summed, not
+        // one recurrence over the frame, so it differs from the
+        // per-candidate filter on the zero-padded frame only by rounding.
+        for sr in RATES {
+            let sig = seeded_capture(sr, u64::from(sr));
+            let samples = sig.samples();
+            for (frame_ms, hop_ms) in GRIDS {
+                for candidates in candidate_sets() {
+                    let det =
+                        ToneDetector::with_config(candidates.clone(), config(frame_ms, hop_ms));
+                    let fm = det.analyze(&sig);
+                    let grid = det.grid(samples.len(), sr);
+                    assert_eq!(fm.n_frames(), grid.n_frames);
+                    let last = grid.start(grid.n_frames - 1);
+                    assert!(
+                        last + grid.frame_len > samples.len(),
+                        "{sr} Hz {frame_ms}/{hop_ms} ms: the capture must end mid-frame"
                     );
+                    for fi in 0..grid.n_frames {
+                        let start = grid.start(fi);
+                        let mut frame =
+                            samples[start..(start + grid.frame_len).min(samples.len())].to_vec();
+                        frame.resize(grid.frame_len, 0.0);
+                        let want: Vec<f64> = candidates
+                            .iter()
+                            .map(|&f| Goertzel::new(f, sr).magnitude(&frame))
+                            .collect();
+                        let bound = 1e-9 * want.iter().cloned().fold(0.0, f64::max);
+                        assert!(bound > 0.0);
+                        for (c, (&got, &want)) in fm.frame(fi).iter().zip(&want).enumerate() {
+                            assert!(
+                                (got - want).abs() <= bound,
+                                "{sr} Hz {frame_ms}/{hop_ms} ms, {} candidates, frame {fi} \
+                                 candidate {c}: {got} vs {want}",
+                                candidates.len()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn complete_frame_rows_depend_only_on_the_frame_samples() {
+        // Every frame is cut at the same frame-relative offsets, so a
+        // complete frame's row is bit-identical wherever the capture
+        // starts: row `fi` of the capture equals row 0 of the capture cut
+        // at that frame's start.
+        for sr in RATES {
+            let sig = seeded_capture(sr, 7);
+            let n = sig.samples().len();
+            for (frame_ms, hop_ms) in GRIDS {
+                for candidates in candidate_sets() {
+                    let k = candidates.len();
+                    let det = ToneDetector::with_config(candidates, config(frame_ms, hop_ms));
+                    let fm = det.analyze(&sig);
+                    let grid = det.grid(n, sr);
+                    let complete = (0..grid.n_frames)
+                        .take_while(|&fi| grid.start(fi) + grid.frame_len <= n)
+                        .count();
+                    assert!(complete >= 2, "{sr} Hz {frame_ms}/{hop_ms} ms");
+                    for fi in 0..complete {
+                        let cut = det.analyze(&sig.slice(grid.start(fi), n));
+                        let bits =
+                            |row: &[f64]| row.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(fm.frame(fi)),
+                            bits(cut.frame(0)),
+                            "{sr} Hz {frame_ms}/{hop_ms} ms, {k} candidates, frame {fi}"
+                        );
+                    }
                 }
             }
         }

@@ -148,14 +148,16 @@ impl AmbientEstimator {
         if fm.candidates == 0 {
             return;
         }
+        // One scratch per call; each frame's lower median is a selection,
+        // not a sort, and picks the value a sort would.
         let mut scratch = vec![0.0f64; fm.candidates];
+        let mid = (fm.candidates - 1) / 2;
         for fi in 0..fm.n_frames() {
             let frame = fm.frame(fi);
             scratch.copy_from_slice(frame);
-            scratch.sort_unstable_by(f64::total_cmp);
             // Lower median: with few candidates the upper-middle element
             // can be the tone itself, which would mask it from the guard.
-            let median = scratch[(scratch.len() - 1) / 2];
+            let (_, &mut median, _) = scratch.select_nth_unstable_by(mid, f64::total_cmp);
             for (c, &m) in frame.iter().enumerate() {
                 let floor = self.floors[c];
                 let suspect = floor >= 0.0
@@ -537,6 +539,31 @@ mod tests {
         assert!(
             after < 3.0 * before.max(1e-9),
             "floor chased the tone: {before:.3e} -> {after:.3e}"
+        );
+    }
+
+    #[test]
+    fn estimator_guard_uses_the_lower_median() {
+        // Two of four slots carry tones in every frame: the lower median is
+        // a quiet slot, so both tones are tone-suspect and skipped. The
+        // upper median would be a tone and wave both into the floor.
+        let frames = |rows: &[[f64; 4]]| FrameMagnitudes {
+            times: vec![Duration::ZERO; rows.len()],
+            magnitudes: rows.concat(),
+            candidates: 4,
+        };
+        let mut est = AmbientEstimator::new(4, AmbientEstimatorConfig::default());
+        est.observe(&frames(&[[1e-4; 4]]));
+        est.observe(&frames(&[
+            [1e-4, 0.5, 1.2e-4, 0.4],
+            [0.3, 1e-4, 0.2, 1.1e-4],
+        ]));
+        assert_eq!(est.updates_skipped(), 4);
+        assert_eq!(est.frames_seen(), 3);
+        let floors = est.floors();
+        assert!(
+            floors.iter().all(|&f| f < 2e-4),
+            "a tone reached the floor: {floors:?}"
         );
     }
 
