@@ -8,6 +8,7 @@
 
 use crate::flow::hash_flow;
 use crate::packet::{FlowKey, Ip, Proto};
+use std::cmp::Reverse;
 
 /// A port index on a node.
 pub type PortId = usize;
@@ -118,7 +119,60 @@ pub enum Decision {
     Miss,
 }
 
+/// One installed rule with its install sequence and group state.
+#[derive(Debug, Clone)]
+struct Entry {
+    rule: Rule,
+    /// Install sequence number: breaks ties among equal priorities.
+    seq: u64,
+    /// `SplitRoundRobin` member pointer. It lives on the rule's own entry,
+    /// so installing or removing other rules never moves or resets it.
+    rr_next: usize,
+}
+
+impl Entry {
+    /// Match-order rank, lowest first: priority descending, then install
+    /// order — the order a linear scan of the table visits rules in.
+    fn rank(&self) -> (Reverse<u16>, u64) {
+        (Reverse(self.rule.priority), self.seq)
+    }
+
+    /// Apply this rule's action to `flow`.
+    fn decide(&mut self, flow: &FlowKey) -> Decision {
+        match &self.rule.action {
+            Action::Forward(p) => Decision::Forward(*p),
+            Action::Drop => Decision::Drop,
+            Action::SplitByFlow(ports) => {
+                debug_assert!(!ports.is_empty());
+                let i = (hash_flow(flow) % ports.len() as u64) as usize;
+                Decision::Forward(ports[i])
+            }
+            Action::SplitRoundRobin(ports) => {
+                debug_assert!(!ports.is_empty());
+                let i = self.rr_next % ports.len();
+                self.rr_next = self.rr_next.wrapping_add(1);
+                Decision::Forward(ports[i])
+            }
+        }
+    }
+}
+
+/// Insert `entry` into a rank-ordered list. It carries the newest install
+/// sequence, so it goes after every rule of equal or higher priority.
+fn insert_ranked(list: &mut Vec<Entry>, entry: Entry) {
+    let pos = list.partition_point(|e| e.rule.priority >= entry.rule.priority);
+    list.insert(pos, entry);
+}
+
 /// A priority-ordered flow table.
+///
+/// Rules match in rank order: priority descending, then install order.
+/// A rule that names a destination address can only match packets to that
+/// address, so such rules live in per-destination buckets; the rest sit in
+/// one wildcard list. Each list is kept in rank order, and a lookup takes
+/// the first match of the packet's bucket and of the wildcard list and
+/// returns the better-ranked one — exactly the rule a scan of the whole
+/// table in rank order would stop at.
 ///
 /// ```
 /// use mdn_net::ftable::{FlowTable, Rule, Match, Action, Decision};
@@ -137,8 +191,15 @@ pub enum Decision {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FlowTable {
-    rules: Vec<Rule>,
-    rr_state: std::collections::HashMap<usize, usize>,
+    /// Destination addresses that have rules, ascending.
+    dst_keys: Vec<Ip>,
+    /// `dst_buckets[i]`: the rules matching `dst_ip == Some(dst_keys[i])`,
+    /// in rank order. Never empty.
+    dst_buckets: Vec<Vec<Entry>>,
+    /// The rules with no destination constraint, in rank order.
+    wildcard: Vec<Entry>,
+    len: usize,
+    next_seq: u64,
     /// Lookup counter (all lookups).
     pub lookups: u64,
     /// Table-miss counter.
@@ -151,38 +212,65 @@ impl FlowTable {
         Self::default()
     }
 
-    /// Install a rule. Rules are kept sorted by descending priority;
-    /// among equal priorities, the earliest installed wins.
+    /// Install a rule. Rules match by descending priority; among equal
+    /// priorities, the earliest installed wins.
     pub fn install(&mut self, rule: Rule) {
-        let pos = self
-            .rules
-            .iter()
-            .position(|r| r.priority < rule.priority)
-            .unwrap_or(self.rules.len());
-        self.rules.insert(pos, rule);
+        let entry = Entry {
+            rule,
+            seq: self.next_seq,
+            rr_next: 0,
+        };
+        self.next_seq += 1;
+        self.len += 1;
+        let Some(ip) = entry.rule.mat.dst_ip else {
+            return insert_ranked(&mut self.wildcard, entry);
+        };
+        match self.dst_keys.binary_search(&ip) {
+            Ok(b) => insert_ranked(&mut self.dst_buckets[b], entry),
+            Err(b) => {
+                self.dst_keys.insert(b, ip);
+                self.dst_buckets.insert(b, vec![entry]);
+            }
+        }
     }
 
     /// Remove every rule whose match equals `mat`. Returns how many were
     /// removed.
     pub fn remove(&mut self, mat: &Match) -> usize {
-        let before = self.rules.len();
-        self.rules.retain(|r| &r.mat != mat);
-        before - self.rules.len()
+        let removed = match mat.dst_ip {
+            None => retain_unmatched(&mut self.wildcard, mat),
+            Some(ip) => {
+                let Ok(b) = self.dst_keys.binary_search(&ip) else {
+                    return 0;
+                };
+                let removed = retain_unmatched(&mut self.dst_buckets[b], mat);
+                if self.dst_buckets[b].is_empty() {
+                    self.dst_keys.remove(b);
+                    self.dst_buckets.remove(b);
+                }
+                removed
+            }
+        };
+        self.len -= removed;
+        removed
     }
 
     /// Number of installed rules.
     pub fn len(&self) -> usize {
-        self.rules.len()
+        self.len
     }
 
     /// True when no rules are installed.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.len == 0
     }
 
     /// The installed rules in match order.
-    pub fn rules(&self) -> &[Rule] {
-        &self.rules
+    pub fn rules(&self) -> Vec<&Rule> {
+        let mut all: Vec<&Entry> = self.dst_buckets.iter().flatten().collect();
+        all.extend(&self.wildcard);
+        all.sort_unstable_by_key(|e| e.rank());
+        all.into_iter().map(|e| &e.rule).collect()
     }
 
     /// Look up the forwarding decision for `(in_port, flow)`.
@@ -191,29 +279,40 @@ impl FlowTable {
     /// pointer per packet, mirroring group-bucket state in a real switch.
     pub fn lookup(&mut self, in_port: PortId, flow: &FlowKey) -> Decision {
         self.lookups += 1;
-        for (idx, rule) in self.rules.iter().enumerate() {
-            if rule.mat.matches(in_port, flow) {
-                return match &rule.action {
-                    Action::Forward(p) => Decision::Forward(*p),
-                    Action::Drop => Decision::Drop,
-                    Action::SplitByFlow(ports) => {
-                        debug_assert!(!ports.is_empty());
-                        let i = (hash_flow(flow) % ports.len() as u64) as usize;
-                        Decision::Forward(ports[i])
-                    }
-                    Action::SplitRoundRobin(ports) => {
-                        debug_assert!(!ports.is_empty());
-                        let state = self.rr_state.entry(idx).or_insert(0);
-                        let i = *state % ports.len();
-                        *state = state.wrapping_add(1);
-                        Decision::Forward(ports[i])
-                    }
-                };
+        let by_dst = self
+            .dst_keys
+            .binary_search(&flow.dst_ip)
+            .ok()
+            .and_then(|b| {
+                let i = self.dst_buckets[b]
+                    .iter()
+                    .position(|e| e.rule.mat.matches(in_port, flow))?;
+                Some((b, i))
+            });
+        // Only a wildcard rule ranked above the destination hit can win.
+        let bound = by_dst.map(|(b, i)| self.dst_buckets[b][i].rank());
+        let by_wildcard = self
+            .wildcard
+            .iter()
+            .take_while(|e| bound.is_none_or(|r| e.rank() < r))
+            .position(|e| e.rule.mat.matches(in_port, flow));
+        let entry = match (by_wildcard, by_dst) {
+            (Some(i), _) => &mut self.wildcard[i],
+            (None, Some((b, i))) => &mut self.dst_buckets[b][i],
+            (None, None) => {
+                self.misses += 1;
+                return Decision::Miss;
             }
-        }
-        self.misses += 1;
-        Decision::Miss
+        };
+        entry.decide(flow)
     }
+}
+
+/// Drop every entry of `list` whose match equals `mat`; returns how many.
+fn retain_unmatched(list: &mut Vec<Entry>, mat: &Match) -> usize {
+    let before = list.len();
+    list.retain(|e| &e.rule.mat != mat);
+    before - list.len()
 }
 
 #[cfg(test)]
@@ -345,6 +444,75 @@ mod tests {
                 Decision::Forward(2)
             ]
         );
+    }
+
+    #[test]
+    fn round_robin_pointer_survives_a_higher_priority_install() {
+        let mut t = FlowTable::new();
+        t.install(Rule {
+            mat: Match::ANY,
+            priority: 1,
+            action: Action::SplitRoundRobin(vec![1, 2]),
+        });
+        let f = flow(80);
+        assert_eq!(t.lookup(0, &f), Decision::Forward(1));
+        // An unrelated rule ranked above the split must not restart it.
+        t.install(Rule {
+            mat: Match::dst_transport_port(9),
+            priority: 100,
+            action: Action::Drop,
+        });
+        assert_eq!(t.lookup(0, &f), Decision::Forward(2));
+        assert_eq!(t.lookup(0, &f), Decision::Forward(1));
+    }
+
+    #[test]
+    fn removed_round_robin_pointer_is_not_inherited() {
+        let mut t = FlowTable::new();
+        let web = Match::dst_transport_port(80);
+        t.install(Rule {
+            mat: web,
+            priority: 5,
+            action: Action::SplitRoundRobin(vec![1, 2]),
+        });
+        t.install(Rule {
+            mat: Match::ANY,
+            priority: 1,
+            action: Action::SplitRoundRobin(vec![3, 4]),
+        });
+        let f = flow(80);
+        assert_eq!(t.lookup(0, &f), Decision::Forward(1));
+        assert_eq!(t.remove(&web), 1);
+        // The surviving split starts at its own first member.
+        assert_eq!(t.lookup(0, &f), Decision::Forward(3));
+    }
+
+    #[test]
+    fn wildcard_above_destination_rule_wins() {
+        let mut t = FlowTable::new();
+        let dst = Ip::v4(10, 0, 0, 2);
+        t.install(Rule {
+            mat: Match::dst(dst),
+            priority: 5,
+            action: Action::Forward(1),
+        });
+        t.install(Rule {
+            mat: Match::dst_transport_port(80),
+            priority: 5,
+            action: Action::Forward(2),
+        });
+        t.install(Rule {
+            mat: Match::dst_transport_port(443),
+            priority: 9,
+            action: Action::Forward(3),
+        });
+        // Equal priority: the earlier destination rule wins.
+        assert_eq!(t.lookup(0, &flow(80)), Decision::Forward(1));
+        // Higher priority: the wildcard rule wins.
+        assert_eq!(t.lookup(0, &flow(443)), Decision::Forward(3));
+        let priorities: Vec<u16> = t.rules().iter().map(|r| r.priority).collect();
+        assert_eq!(priorities, vec![9, 5, 5]);
+        assert_eq!(t.rules()[1].action, Action::Forward(1));
     }
 
     #[test]

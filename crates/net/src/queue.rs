@@ -109,11 +109,15 @@ impl PacketQueue {
 
     /// Dequeue the head packet, if any.
     pub fn dequeue(&mut self) -> Option<Packet> {
-        let pkt = self.items.pop_front();
-        if pkt.is_some() {
-            self.dequeued += 1;
+        let pkt = self.items.pop_front()?;
+        self.dequeued += 1;
+        if self.items.is_empty() {
+            // `VecDeque::clear` rewinds the ring to its first slot, so a
+            // port that drains between packets keeps reusing one cache
+            // line instead of walking its whole buffer.
+            self.items.clear();
         }
-        pkt
+        Some(pkt)
     }
 
     /// Peek at the head packet without removing it.
