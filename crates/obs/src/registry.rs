@@ -214,6 +214,27 @@ impl Histogram {
         }
     }
 
+    /// Record `value` `n` times: the same buckets, count and max as `n`
+    /// calls of [`record`](Self::record), with `value·n` added to the sum
+    /// saturating instead of wrapping. `n = 0` records nothing.
+    #[inline]
+    pub fn record_n(&self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        if let Some(cell) = &self.0 {
+            cell.buckets[bucket_index(value)].fetch_add(n, Ordering::Relaxed);
+            cell.count.fetch_add(n, Ordering::Relaxed);
+            let add = value.saturating_mul(n);
+            let _ = cell
+                .sum
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                    Some(s.saturating_add(add))
+                });
+            cell.max.fetch_max(value, Ordering::Relaxed);
+        }
+    }
+
     /// Start a span timer that records its elapsed nanoseconds here when
     /// dropped. Disabled handles return a timer that never reads the
     /// clock.
@@ -501,5 +522,50 @@ mod tests {
         assert_eq!(c.get(), 40_000);
         assert_eq!(h.count(), 40_000);
         assert_eq!(h.sum(), 4 * (0..10_000u64).sum::<u64>());
+    }
+
+    #[test]
+    fn record_n_matches_n_single_records_and_saturates() {
+        let reg = Registry::new();
+        let batched = reg.histogram("batched_ns", &[]);
+        let single = reg.histogram("single_ns", &[]);
+        for (value, n) in [
+            (0u64, 3u64),
+            (1, 1),
+            (177, 64),
+            (5_000, 7),
+            (161, 0),
+            (1 << 40, 2),
+        ] {
+            batched.record_n(value, n);
+            for _ in 0..n {
+                single.record(value);
+            }
+        }
+        let snap = reg.snapshot();
+        let (b, s) = (
+            &snap.histograms["batched_ns"],
+            &snap.histograms["single_ns"],
+        );
+        assert_eq!(b, s, "buckets, count, sum, max and mean");
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(b.quantile(q), s.quantile(q), "quantile {q}");
+        }
+
+        let before = reg.snapshot().histograms["batched_ns"].clone();
+        batched.record_n(u64::MAX, 0);
+        assert_eq!(
+            reg.snapshot().histograms["batched_ns"],
+            before,
+            "n = 0 is a no-op"
+        );
+
+        let huge = reg.histogram("huge_ns", &[]);
+        huge.record_n(u64::MAX / 2, 3);
+        assert_eq!(huge.count(), 3);
+        assert_eq!(huge.sum(), u64::MAX, "value·n saturates");
+        huge.record_n(1, 1);
+        assert_eq!(huge.sum(), u64::MAX, "the sum stays saturated");
+        assert_eq!(reg.snapshot().histograms["huge_ns"].max, u64::MAX / 2);
     }
 }

@@ -1,12 +1,18 @@
 //! The packet plane's indexed structures against their plain reference
 //! models: the destination-indexed flow table against a linear scan in
 //! rank order, and the radix-heap event queue against a `BinaryHeap` on
-//! `(at, seq)`. Both references live only here.
+//! `(at, seq)`. Both references live only here. Also the sampled
+//! dispatch timing's counts against an independent count of dispatched
+//! events, under any split of the run.
 
 use mdn_net::flow::hash_flow;
 use mdn_net::ftable::{Action, Decision, FlowTable, Match, PortId, Rule};
 use mdn_net::packet::{FlowKey, Ip};
 use mdn_net::sim::{Event, EventQueue, NodeId};
+use mdn_net::topology::{star, StarTopo};
+use mdn_net::traffic::TrafficPattern;
+use mdn_net::{Network, RunOutcome};
+use mdn_obs::Registry;
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -124,6 +130,74 @@ fn tag_of(event: &Event) -> u64 {
     }
 }
 
+/// The dispatch-timing kinds, in the order [`dispatch_counts`] reports.
+const KINDS: [&str; 3] = ["generate", "port_free", "deliver"];
+
+/// A four-host star with a route to every host and one Poisson flow per
+/// `(src, dst, pps, seed)`, observed by a fresh registry.
+fn star_network(flows: &[(u8, u8, u16, u64)], ticks: &[u64]) -> (Network, StarTopo, Registry) {
+    let mut net = Network::new();
+    let topo = star(&mut net, 4, 10_000_000, Duration::from_micros(20));
+    for h in 0..4u8 {
+        net.install_rule(
+            topo.switch,
+            Rule {
+                mat: Match::dst(Ip::v4(10, 0, 0, h + 1)),
+                priority: 1,
+                action: Action::Forward(h as usize),
+            },
+        );
+    }
+    for &(src, dst, pps, seed) in flows {
+        let (src, dst) = (src % 4, (src % 4 + 1 + dst % 3) % 4);
+        net.attach_generator(
+            topo.hosts[src as usize],
+            TrafficPattern::Poisson {
+                flow: FlowKey::udp(
+                    Ip::v4(10, 0, 0, src + 1),
+                    4000,
+                    Ip::v4(10, 0, 0, dst + 1),
+                    9,
+                ),
+                mean_pps: f64::from(pps),
+                size: 1200,
+                start: Duration::from_millis(u64::from(src)),
+                stop: Duration::from_millis(300),
+                seed,
+            },
+        );
+    }
+    for (tag, &ms) in ticks.iter().enumerate() {
+        net.schedule_tick(Duration::from_millis(ms), tag as u64);
+    }
+    let registry = Registry::new();
+    net.attach_obs(&registry);
+    (net, topo, registry)
+}
+
+/// `(count, sum)` of each kind's `mdn_net_dispatch_ns` histogram, in
+/// [`KINDS`] order, then the `kind="all"` count.
+fn dispatch_counts(registry: &Registry) -> ([(u64, u64); 3], u64) {
+    let hist = |kind: &str| registry.histogram("mdn_net_dispatch_ns", &[("kind", kind)]);
+    (
+        KINDS.map(|kind| (hist(kind).count(), hist(kind).sum())),
+        hist("all").count(),
+    )
+}
+
+/// Counts every event the network dispatched, kind by kind, without the
+/// timing: each transmission schedules one `PortFree` and one `Deliver`,
+/// and every other non-tick pop is a `Generate`. Valid once the queue is
+/// empty.
+fn independent_counts(net: &Network, topo: &StarTopo, ticks: u64) -> [u64; 3] {
+    let tx: u64 = topo
+        .hosts
+        .iter()
+        .map(|&h| net.link(net.link_at(h, 0).expect("host link")).tx_packets)
+        .sum();
+    [net.events_processed() - ticks - 2 * tx, tx, tx]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -235,5 +309,57 @@ proptest! {
             prop_assert_eq!(got, Some((at, s)));
         }
         prop_assert!(queue.pop().is_none());
+    }
+
+    /// One `drain`, one `run_until`, and random `run_until` slices with
+    /// ticks interleaved all leave the same per-kind dispatch counts,
+    /// equal to an independent count. After every return the counts
+    /// cover exactly the events popped so far, and every kind that ran
+    /// has a timed sample behind it.
+    #[test]
+    fn dispatch_counts_are_exact_under_any_window_split(
+        flows in prop::collection::vec((any::<u8>(), any::<u8>(), 50u16..1500, any::<u64>()), 1..6),
+        ticks in prop::collection::vec(0u64..400, 0..12),
+        slices in prop::collection::vec(1u64..40, 1..30),
+    ) {
+        let (mut drained, topo, reg) = star_network(&flows, &ticks);
+        drained.drain();
+        let (counts, all) = dispatch_counts(&reg);
+        let want = independent_counts(&drained, &topo, ticks.len() as u64);
+        prop_assert_eq!(counts.map(|(n, _)| n), want);
+        prop_assert_eq!(all, want.iter().sum::<u64>());
+        for (n, sum) in counts {
+            prop_assert!(n == 0 || sum > 0, "a kind that ran was timed");
+        }
+
+        let (mut once, topo, reg) = star_network(&flows, &[]);
+        prop_assert_eq!(once.run_until(Duration::from_secs(10)), RunOutcome::Exhausted);
+        prop_assert_eq!(dispatch_counts(&reg).0.map(|(n, _)| n), want);
+        prop_assert_eq!(independent_counts(&once, &topo, 0), want);
+
+        let (mut sliced, topo, reg) = star_network(&flows, &ticks);
+        let mut ticks_seen = 0u64;
+        let mut deadline = Duration::ZERO;
+        for ms in slices.into_iter().chain([10_000]) {
+            deadline += Duration::from_millis(ms);
+            loop {
+                let ticked = matches!(sliced.run_until(deadline), RunOutcome::Tick { .. });
+                ticks_seen += u64::from(ticked);
+                let (counts, all) = dispatch_counts(&reg);
+                let dispatched: u64 = counts.iter().map(|(n, _)| n).sum();
+                prop_assert_eq!(dispatched, sliced.events_processed() - ticks_seen);
+                prop_assert_eq!(all, dispatched);
+                if !ticked {
+                    break;
+                }
+            }
+        }
+        prop_assert_eq!(ticks_seen, ticks.len() as u64);
+        let (counts, _) = dispatch_counts(&reg);
+        prop_assert_eq!(counts.map(|(n, _)| n), want);
+        prop_assert_eq!(independent_counts(&sliced, &topo, ticks_seen), want);
+        for (n, sum) in counts {
+            prop_assert!(n == 0 || sum > 0, "a kind that ran was timed");
+        }
     }
 }
