@@ -635,8 +635,18 @@ mod tests {
         // Ends (at the source) just before the cutoff, but its ~20 ms
         // propagation delay to the listener pushes its tail across it —
         // exactly the emission a naive `end <= cutoff` sweep would lose.
-        scene.add(far, Duration::from_millis(440), tone(1100.0, 55, 60.0), "mid");
-        scene.add(Pos::ORIGIN, Duration::from_millis(600), tone(700.0, 100, 60.0), "live");
+        scene.add(
+            far,
+            Duration::from_millis(440),
+            tone(1100.0, 55, 60.0),
+            "mid",
+        );
+        scene.add(
+            Pos::ORIGIN,
+            Duration::from_millis(600),
+            tone(700.0, 100, 60.0),
+            "live",
+        );
         let listener = Pos::new(1.0, 0.5, 0.0);
         let w = win(500, 300);
         let reference = scene.render_window(listener, w);
@@ -655,7 +665,10 @@ mod tests {
         );
 
         // Retiring nothing touches nothing.
-        assert_eq!(scene.retire_emissions_before(Duration::ZERO, delay_bound), 0);
+        assert_eq!(
+            scene.retire_emissions_before(Duration::ZERO, delay_bound),
+            0
+        );
     }
 
     #[test]

@@ -59,6 +59,7 @@ pub fn write_wav(signal: &Signal, path: impl AsRef<Path>) -> Result<(), WavError
     out.write_all(&byte_rate.to_le_bytes())?;
     out.write_all(&2u16.to_le_bytes())?; // block align
     out.write_all(&16u16.to_le_bytes())?; // bits per sample
+
     // data chunk.
     out.write_all(b"data")?;
     out.write_all(&data_bytes.to_le_bytes())?;
@@ -207,7 +208,10 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[22] = 2; // channels = 2
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(read_wav(&path), Err(WavError::Unsupported("not mono"))));
+        assert!(matches!(
+            read_wav(&path),
+            Err(WavError::Unsupported("not mono"))
+        ));
         std::fs::remove_file(path).unwrap();
     }
 }

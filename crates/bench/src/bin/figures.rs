@@ -301,7 +301,10 @@ fn run_fig5ab() {
     write_csv(
         "fig5b_tone_tracks",
         &["t_s", "m500", "m600", "m700"],
-        &r.tone_tracks.iter().map(|&(t, a, b, c)| vec![t, a, b, c]).collect::<Vec<_>>(),
+        &r.tone_tracks
+            .iter()
+            .map(|&(t, a, b, c)| vec![t, a, b, c])
+            .collect::<Vec<_>>(),
     );
     write_json("fig5a", &r);
 }

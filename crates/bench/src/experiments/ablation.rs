@@ -19,6 +19,7 @@ use super::SAMPLE_RATE;
 use mdn_acoustics::medium::Pos;
 use mdn_acoustics::mic::Microphone;
 use mdn_acoustics::scene::Scene;
+use mdn_acoustics::Window;
 use mdn_core::apps::queuemon::{QueueMonitor, QueueToneMapper, SAMPLE_INTERVAL};
 use mdn_core::controller::MdnController;
 use mdn_core::encoder::SoundingDevice;
@@ -29,7 +30,6 @@ use mdn_net::packet::{FlowKey, Ip};
 use mdn_net::traffic::TrafficPattern;
 use serde::Serialize;
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 /// Result of the monitoring ablation.
 #[derive(Debug, Clone, Serialize)]
@@ -192,7 +192,10 @@ pub fn monitoring_under_congestion() -> MonitoringAblationResult {
         .collect();
     // MDN outcome: decode all tones post-hoc.
     let monitor = QueueMonitor::new("s1", mapper);
-    let events = ctl.listen(&scene, Window::from_start(total + Duration::from_millis(200)));
+    let events = ctl.listen(
+        &scene,
+        Window::from_start(total + Duration::from_millis(200)),
+    );
     let decoded = monitor.reports(&events);
     // A tone sent at `at` is heard if some decoded report lands within
     // ±160 ms with the right band.

@@ -12,6 +12,7 @@ use super::SAMPLE_RATE;
 use mdn_acoustics::medium::Pos;
 use mdn_acoustics::mic::Microphone;
 use mdn_acoustics::scene::Scene;
+use mdn_acoustics::Window;
 use mdn_audio::fft::FftPlanner;
 use mdn_audio::noise::white_noise;
 use mdn_audio::Signal;
@@ -22,7 +23,6 @@ use mdn_net::stats::{cdf, quantile};
 use serde::Serialize;
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
-use mdn_acoustics::Window;
 
 /// Result of the Figure 2a experiment.
 #[derive(Debug, Clone, Serialize)]
@@ -80,7 +80,10 @@ pub fn multiswitch_fft(num_switches: usize, slots_per_switch: usize) -> MultiSwi
     let recall = detected.len() as f64 / expected.len().max(1) as f64;
 
     // The plotted spectrum: one 100 ms frame of the mixture.
-    let capture = ctl.capture(&scene, Window::new(Duration::from_millis(150), Duration::from_millis(100)));
+    let capture = ctl.capture(
+        &scene,
+        Window::new(Duration::from_millis(150), Duration::from_millis(100)),
+    );
     let spec = mdn_audio::spectral::Spectrum::of(&capture);
     let lo = emitted_hz.iter().cloned().fold(f64::INFINITY, f64::min) - 100.0;
     let hi = emitted_hz.iter().cloned().fold(0.0, f64::max) + 100.0;

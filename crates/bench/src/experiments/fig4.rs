@@ -15,6 +15,7 @@ use super::SAMPLE_RATE;
 use mdn_acoustics::medium::Pos;
 use mdn_acoustics::mic::Microphone;
 use mdn_acoustics::scene::Scene;
+use mdn_acoustics::Window;
 use mdn_audio::mel::MelSpectrogram;
 use mdn_audio::noise::MusicNoise;
 use mdn_audio::spectrogram::{Spectrogram, StftConfig};
@@ -30,7 +31,6 @@ use mdn_net::topology;
 use mdn_net::traffic::TrafficPattern;
 use serde::Serialize;
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 /// Telemetry slot count used by both experiments.
 const SLOTS: usize = 64;

@@ -14,6 +14,7 @@ use super::SAMPLE_RATE;
 use mdn_acoustics::medium::Pos;
 use mdn_acoustics::mic::Microphone;
 use mdn_acoustics::scene::Scene;
+use mdn_acoustics::Window;
 use mdn_core::apps::loadbalance::LoadBalancerApp;
 use mdn_core::apps::queuemon::{QueueBand, QueueMonitor, QueueToneMapper, SAMPLE_INTERVAL};
 use mdn_core::controller::MdnController;
@@ -27,8 +28,6 @@ use mdn_net::traffic::TrafficPattern;
 use mdn_proto::channel::{pump_to_switch, ControlChannel};
 use serde::Serialize;
 use std::time::Duration;
-use mdn_acoustics::Window;
-
 
 /// Spectrogram tracks of the three queue tones over a captured scene —
 /// the data behind the paper's 5b/5d spectrogram panels.
@@ -37,7 +36,10 @@ fn queue_tone_tracks(
     scene: &mdn_acoustics::scene::Scene,
     total: Duration,
 ) -> Vec<(f64, f64, f64, f64)> {
-    let capture = ctl.capture(scene, Window::from_start(total + Duration::from_millis(200)));
+    let capture = ctl.capture(
+        scene,
+        Window::from_start(total + Duration::from_millis(200)),
+    );
     let sg = mdn_audio::spectrogram::Spectrogram::compute(
         &capture,
         &mdn_audio::spectrogram::StftConfig::default_for(SAMPLE_RATE),
@@ -178,7 +180,10 @@ pub fn load_balancing() -> LoadBalancingResult {
         // Controller listens one tick behind.
         if at >= SAMPLE_INTERVAL * 2 {
             let from = at - SAMPLE_INTERVAL * 2;
-            let events = ctl.listen(&scene, Window::new(from, SAMPLE_INTERVAL + Duration::from_millis(150)));
+            let events = ctl.listen(
+                &scene,
+                Window::new(from, SAMPLE_INTERVAL + Duration::from_millis(150)),
+            );
             if let Some(reb) = app.on_events(&events) {
                 chan.send_to_switch(&reb.flow_mod);
                 pump_to_switch(&mut chan, &mut net, topo.s_in);
@@ -321,7 +326,10 @@ pub fn queue_monitor() -> QueueMonitorResult {
 
     // Decode the whole soundtrack post-hoc (the monitor is passive).
     let monitor = QueueMonitor::new("s1", mapper);
-    let events = ctl.listen(&scene, Window::from_start(total + Duration::from_millis(200)));
+    let events = ctl.listen(
+        &scene,
+        Window::from_start(total + Duration::from_millis(200)),
+    );
     let reports = monitor.reports(&events);
     let decoded_bands: Vec<(f64, u8)> = reports
         .iter()

@@ -14,6 +14,7 @@ use mdn_acoustics::ambient::AmbientProfile;
 use mdn_acoustics::medium::Pos;
 use mdn_acoustics::mic::Microphone;
 use mdn_acoustics::scene::Scene;
+use mdn_acoustics::Window;
 use mdn_audio::mel::MelSpectrogram;
 use mdn_audio::spectrogram::{Spectrogram, StftConfig};
 use mdn_audio::Signal;
@@ -21,7 +22,6 @@ use mdn_core::apps::fanfail::FanFailureDetector;
 use mdn_core::fan::{FanModel, FanState};
 use serde::Serialize;
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 const WINDOW: Duration = Duration::from_secs(2);
 const MIC_DISTANCE_M: f64 = 0.3;
@@ -40,7 +40,11 @@ fn capture(ambient: &AmbientProfile, state: FanState, seed: u64) -> Signal {
         fan.render(WINDOW, SAMPLE_RATE, seed ^ 0xFA4),
         "server",
     );
-    scene.capture(&Microphone::measurement(), Pos::new(MIC_DISTANCE_M, 0.0, 0.0), Window::from_start(WINDOW))
+    scene.capture(
+        &Microphone::measurement(),
+        Pos::new(MIC_DISTANCE_M, 0.0, 0.0),
+        Window::from_start(WINDOW),
+    )
 }
 
 /// One Figure 6 panel: mean mel-band energies of a capture.

@@ -172,7 +172,10 @@ impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
                 return v;
             }
         }
-        panic!("prop_filter '{}' rejected 1000 samples in a row", self.reason);
+        panic!(
+            "prop_filter '{}' rejected 1000 samples in a row",
+            self.reason
+        );
     }
 }
 
@@ -410,7 +413,10 @@ pub mod runner {
         let mut rng = TestRng::from_name(name);
         for case in 0..config.cases {
             if let Err(e) = body(strategy.sample(&mut rng)) {
-                panic!("property '{name}' failed at case {case}/{}: {e}", config.cases);
+                panic!(
+                    "property '{name}' failed at case {case}/{}: {e}",
+                    config.cases
+                );
             }
         }
     }

@@ -437,8 +437,7 @@ impl_de_int!(i8, i16, i32, isize);
 
 impl Deserialize for f64 {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_f64()
-            .ok_or_else(|| DeError::expected("a number", v))
+        v.as_f64().ok_or_else(|| DeError::expected("a number", v))
     }
 }
 

@@ -16,11 +16,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .unwrap_or_else(|| panic!("serde stub: struct {name} must have named fields"));
     let members: String = fields
         .iter()
-        .map(|f| {
-            format!(
-                "(\"{f}\".to_string(), serde::Serialize::to_value(&self.{f})),"
-            )
-        })
+        .map(|f| format!("(\"{f}\".to_string(), serde::Serialize::to_value(&self.{f})),"))
         .collect();
     format!(
         "impl serde::Serialize for {name} {{\n\

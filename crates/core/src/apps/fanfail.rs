@@ -281,12 +281,12 @@ impl FanFailureDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdn_audio::signal::Window;
     use crate::fan::{FanModel, FanState};
     use mdn_acoustics::ambient::AmbientProfile;
     use mdn_acoustics::medium::Pos;
     use mdn_acoustics::mic::Microphone;
     use mdn_acoustics::scene::Scene;
+    use mdn_audio::signal::Window;
     use std::time::Duration;
 
     const SR: u32 = 44_100;
@@ -307,7 +307,11 @@ mod tests {
             "server",
         );
         // Close-range microphone, as the paper's answer requires.
-        scene.capture(&Microphone::measurement(), Pos::new(0.3, 0.0, 0.0), Window::from_start(WINDOW))
+        scene.capture(
+            &Microphone::measurement(),
+            Pos::new(0.3, 0.0, 0.0),
+            Window::from_start(WINDOW),
+        )
     }
 
     fn calibrated(ambient: &AmbientProfile) -> FanFailureDetector {

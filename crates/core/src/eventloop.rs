@@ -373,8 +373,8 @@ impl UnifiedLoop {
                     let w = Window::between(self.window_start, at);
                     let observe_started = self.trace.is_enabled().then(Instant::now);
                     let events = self.heal.sharded().listen(&self.scene, w);
-                    let observe_wall_ns = observe_started
-                        .map_or(0, |t| t.elapsed().as_nanos() as u64);
+                    let observe_wall_ns =
+                        observe_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
                     self.observed = Some((w, events, observe_wall_ns));
                     // Same instant, later seq: every already-scheduled
                     // event at `at` fires before the heal pass.
@@ -392,8 +392,7 @@ impl UnifiedLoop {
                     let split = self
                         .pending_expected
                         .partition_point(|tone| tone.at < boundary);
-                    let drained: Vec<PendingTone> =
-                        self.pending_expected.drain(..split).collect();
+                    let drained: Vec<PendingTone> = self.pending_expected.drain(..split).collect();
                     let expected: Vec<String> =
                         drained.iter().map(|tone| tone.device.clone()).collect();
                     let heal_started = self.trace.is_enabled().then(Instant::now);
@@ -625,7 +624,12 @@ mod tests {
         let heal = SelfHealingController::new(plan);
         let mut lp = UnifiedLoop::new(Network::new(), scene, heal, Duration::from_millis(300));
 
-        lp.schedule_emission(Duration::from_millis(100), &device, 0, Duration::from_millis(60));
+        lp.schedule_emission(
+            Duration::from_millis(100),
+            &device,
+            0,
+            Duration::from_millis(60),
+        );
         let mut windows = Vec::new();
         loop {
             match lp.step(Duration::from_millis(950)) {
@@ -637,8 +641,14 @@ mod tests {
         // Horizon is half-open, so the boundary at exactly 900 ms fires
         // but the one at 1200 ms does not.
         assert_eq!(windows.len(), 3);
-        assert_eq!(windows[0].0, Window::between(Duration::ZERO, Duration::from_millis(300)));
-        assert!(windows[0].1.heard.contains(&device), "emission in window 0 decodes");
+        assert_eq!(
+            windows[0].0,
+            Window::between(Duration::ZERO, Duration::from_millis(300))
+        );
+        assert!(
+            windows[0].1.heard.contains(&device),
+            "emission in window 0 decodes"
+        );
         assert!(windows[1].1.heard.is_empty() && windows[1].1.missed.is_empty());
     }
 
@@ -652,7 +662,12 @@ mod tests {
 
         // Exactly at the first boundary: samples land in [300, 600) ms,
         // so the expectation must too.
-        lp.schedule_emission(Duration::from_millis(300), &device, 0, Duration::from_millis(60));
+        lp.schedule_emission(
+            Duration::from_millis(300),
+            &device,
+            0,
+            Duration::from_millis(60),
+        );
         let mut reports = Vec::new();
         while let Step::Window { report, .. } = lp.step(Duration::from_millis(700)) {
             reports.push(report);
@@ -662,7 +677,10 @@ mod tests {
             reports[0].heard.is_empty() && reports[0].missed.is_empty(),
             "window 0 expects nothing"
         );
-        assert!(reports[1].heard.contains(&device), "window 1 hears the boundary emission");
+        assert!(
+            reports[1].heard.contains(&device),
+            "window 1 hears the boundary emission"
+        );
     }
 
     #[test]
@@ -677,7 +695,9 @@ mod tests {
         let mut order = Vec::new();
         loop {
             match lp.step(Duration::from_millis(500)) {
-                Step::Window { window, .. } => order.push(format!("w@{}", window.end().as_millis())),
+                Step::Window { window, .. } => {
+                    order.push(format!("w@{}", window.end().as_millis()))
+                }
                 Step::App { token, at } => order.push(format!("a{token}@{}", at.as_millis())),
                 Step::Done => break,
             }

@@ -119,7 +119,10 @@ impl HealthConfig {
         if self.degraded_at.is_nan() || self.degraded_at <= 0.0 {
             return Err(mdn_obs::ConfigError::new(
                 "degraded_at",
-                format!("the Degraded threshold must be positive, got {}", self.degraded_at),
+                format!(
+                    "the Degraded threshold must be positive, got {}",
+                    self.degraded_at
+                ),
             ));
         }
         if self.quarantine_at < self.degraded_at {
@@ -134,7 +137,10 @@ impl HealthConfig {
         if self.acoustic_dead_at.is_nan() || self.acoustic_dead_at <= 0.0 {
             return Err(mdn_obs::ConfigError::new(
                 "acoustic_dead_at",
-                format!("the acoustic-death threshold must be positive, got {}", self.acoustic_dead_at),
+                format!(
+                    "the acoustic-death threshold must be positive, got {}",
+                    self.acoustic_dead_at
+                ),
             ));
         }
         Ok(())

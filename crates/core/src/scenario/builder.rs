@@ -157,7 +157,8 @@ impl ScenarioBuilder {
             match f.kind.as_str() {
                 "mic_dead" => {
                     let cell = f.cell.unwrap_or(0);
-                    faults = faults.mic_dead_at(self.plan.cells()[cell].mic_pos, f.radius_m, window);
+                    faults =
+                        faults.mic_dead_at(self.plan.cells()[cell].mic_pos, f.radius_m, window);
                 }
                 "speaker_dropout" => {
                     let dev = f.device.clone().expect("validated");
@@ -229,18 +230,17 @@ impl ScenarioBuilder {
     /// The self-heal controller over the planned hall, threaded per the
     /// spec.
     pub fn heal(&self) -> SelfHealingController {
-        let mut heal =
-            SelfHealingController::with_config(self.plan.clone(), self.spec.selfheal.config.clone());
+        let mut heal = SelfHealingController::with_config(
+            self.plan.clone(),
+            self.spec.selfheal.config.clone(),
+        );
         heal.sharded_mut().set_threads(self.spec.selfheal.threads);
         heal
     }
 
     /// The network side: topology, flow rules, CBR generators, and the
     /// scripted `link_flap` faults as `(at, fault)` pairs for the loop.
-    fn network(
-        &self,
-        registry: &Registry,
-    ) -> Result<NetworkParts, ScenarioError> {
+    fn network(&self, registry: &Registry) -> Result<NetworkParts, ScenarioError> {
         let spec = &self.spec;
         let t = &spec.traffic;
         let total = spec.total();
@@ -288,7 +288,12 @@ impl ScenarioBuilder {
                     net.attach_generator(
                         h1,
                         TrafficPattern::Cbr {
-                            flow: FlowKey::udp(Ip::v4(10, 0, 0, 1), 7000, Ip::v4(10, 0, 0, 2), 8000),
+                            flow: FlowKey::udp(
+                                Ip::v4(10, 0, 0, 1),
+                                7000,
+                                Ip::v4(10, 0, 0, 2),
+                                8000,
+                            ),
                             pps: t.pps,
                             size: t.size,
                             start: Duration::ZERO,
@@ -365,14 +370,9 @@ impl ScenarioBuilder {
                 for f in spec.faults.iter().filter(|f| f.kind == "link_flap") {
                     let leaf = f.leaf.expect("validated");
                     for &up in &uplinks {
-                        let link = net
-                            .link_at(topo.leaves[leaf], up)
-                            .expect("uplink wired");
+                        let link = net.link_at(topo.leaves[leaf], up).expect("uplink wired");
                         scripted.push((MS(f.at_ms), NetFault::LinkDown(link)));
-                        scripted.push((
-                            MS(f.until_ms.expect("validated")),
-                            NetFault::LinkUp(link),
-                        ));
+                        scripted.push((MS(f.until_ms.expect("validated")), NetFault::LinkUp(link)));
                     }
                 }
             }

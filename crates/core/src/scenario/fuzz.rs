@@ -119,7 +119,11 @@ fn random_spec(rng: &mut SplitMix64, case: u32) -> ScenarioSpec {
         let at_ms = x.range(0, total_ms);
         let cell = x.range(0, cells as u64) as usize;
         // An attenuation for a degraded speaker, an SPL for music.
-        let level_db = if kind == "music" { x.range(50, 80) } else { x.range(3, 30) };
+        let level_db = if kind == "music" {
+            x.range(50, 80)
+        } else {
+            x.range(3, 30)
+        };
         spec.faults.push(FaultSpec {
             kind: kind.into(),
             at_ms,
@@ -181,7 +185,10 @@ pub fn fuzz(cases: u32, seed: u64) -> Result<FuzzReport, ScenarioError> {
 
         // Invariant 4: every scheduled emission is accounted for as
         // heard or missed, exactly once.
-        let accounted: usize = reference.iter().map(|w| w.heard.len() + w.missed.len()).sum();
+        let accounted: usize = reference
+            .iter()
+            .map(|w| w.heard.len() + w.missed.len())
+            .sum();
         if accounted != spec.emissions.explicit.len() {
             return Err(fail(format!(
                 "{} emissions scheduled but {accounted} accounted as heard+missed",
@@ -219,6 +226,9 @@ mod tests {
             "speaker_dropout",
         ];
         assert_eq!(kinds.into_iter().collect::<Vec<_>>(), all);
-        assert_eq!(topologies.into_iter().collect::<Vec<_>>(), ["leaf_spine", "pair"]);
+        assert_eq!(
+            topologies.into_iter().collect::<Vec<_>>(),
+            ["leaf_spine", "pair"]
+        );
     }
 }

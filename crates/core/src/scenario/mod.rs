@@ -40,6 +40,6 @@ pub use run::{
     check_expect, execute, run, run_batch, summary, ScenarioOutcome, ScenarioRun, WindowReport,
 };
 pub use spec::{
-    AppSpec, ControllerSpec, EmissionSpec, EmitSpec, ExpectSpec, FaultSpec, HallSpec,
-    OutputSpec, ScenarioError, ScenarioSpec, SelfHealSpec, TrafficSpec,
+    AppSpec, ControllerSpec, EmissionSpec, EmitSpec, ExpectSpec, FaultSpec, HallSpec, OutputSpec,
+    ScenarioError, ScenarioSpec, SelfHealSpec, TrafficSpec,
 };

@@ -457,7 +457,10 @@ pub fn check_expect(spec: &ScenarioSpec, out: &ScenarioOutcome) -> Result<(), Sc
         if dropped != want_drops {
             return fail(
                 "drops",
-                format!("expected drops={want_drops}, saw {} dropped", out.packets_dropped),
+                format!(
+                    "expected drops={want_drops}, saw {} dropped",
+                    out.packets_dropped
+                ),
             );
         }
     }
@@ -484,7 +487,8 @@ pub fn check_expect(spec: &ScenarioSpec, out: &ScenarioOutcome) -> Result<(), Sc
 /// self-scrape health check).
 fn scrape(addr: std::net::SocketAddr, target: &str) -> Result<String, ScenarioError> {
     use std::io::{Read, Write};
-    let err = |what: &str, e: std::io::Error| ScenarioError::Run(format!("self-scrape {what}: {e}"));
+    let err =
+        |what: &str, e: std::io::Error| ScenarioError::Run(format!("self-scrape {what}: {e}"));
     let mut stream = std::net::TcpStream::connect(addr).map_err(|e| err("connect", e))?;
     write!(
         stream,
@@ -553,7 +557,9 @@ pub fn execute(spec: &ScenarioSpec) -> Result<ScenarioRun, ScenarioError> {
         }
         let trace = scrape(handle.addr(), "/trace?since=0")?;
         if !trace.starts_with("HTTP/1.1 200") || !trace.contains("\"traceEvents\"") {
-            return Err(ScenarioError::Run("trace self-scrape not Chrome JSON".into()));
+            return Err(ScenarioError::Run(
+                "trace self-scrape not Chrome JSON".into(),
+            ));
         }
         eprintln!("self-scrape OK: /metrics and /trace served");
         if let Some(secs) = o.obs_hold_secs {

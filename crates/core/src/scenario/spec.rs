@@ -484,7 +484,10 @@ fn known(field: &str, value: &str, table: &[&str]) -> Result<(), ScenarioError> 
     }
     Err(ScenarioError::invalid(
         field,
-        format!("unknown value `{value}` (expected one of {})", table.join("|")),
+        format!(
+            "unknown value `{value}` (expected one of {})",
+            table.join("|")
+        ),
     ))
 }
 
@@ -529,7 +532,10 @@ impl ScenarioSpec {
     /// [`super::ScenarioBuilder::new`], which runs this first.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.windows == 0 {
-            return Err(ScenarioError::invalid("windows", "a run needs at least one window"));
+            return Err(ScenarioError::invalid(
+                "windows",
+                "a run needs at least one window",
+            ));
         }
         if self.window_ms == 0 {
             return Err(ScenarioError::invalid(
@@ -629,7 +635,10 @@ impl ScenarioSpec {
                 if em.window >= self.windows {
                     return Err(ScenarioError::invalid(
                         field,
-                        format!("window {} past the run's {} windows", em.window, self.windows),
+                        format!(
+                            "window {} past the run's {} windows",
+                            em.window, self.windows
+                        ),
                     ));
                 }
                 if em.permil >= 1000 {
@@ -663,7 +672,10 @@ impl ScenarioSpec {
         let t = &self.traffic;
         known("traffic.topology", &t.topology, TOPOLOGIES)?;
         if t.topology != "none" && (t.pps.is_nan() || t.pps <= 0.0) {
-            return Err(ScenarioError::invalid("traffic.pps", "CBR rate must be positive"));
+            return Err(ScenarioError::invalid(
+                "traffic.pps",
+                "CBR rate must be positive",
+            ));
         }
         let fabric = t.spines.saturating_add(t.leaves);
         if t.topology == "leaf_spine"
@@ -751,7 +763,10 @@ impl ScenarioSpec {
             }
             if fault.kind == "music" {
                 if fault.notes.is_empty() {
-                    return Err(ScenarioError::invalid(field, "music needs at least one note"));
+                    return Err(ScenarioError::invalid(
+                        field,
+                        "music needs at least one note",
+                    ));
                 }
                 // The builder renders the whole span, from `at_ms` to
                 // `until_ms` or the horizon, as one allocation.

@@ -73,13 +73,19 @@ impl AmbientEstimatorConfig {
         if self.tone_floor_ratio.is_nan() || self.tone_floor_ratio <= 0.0 {
             return Err(mdn_obs::ConfigError::new(
                 "tone_floor_ratio",
-                format!("tone guard ratio must be positive, got {}", self.tone_floor_ratio),
+                format!(
+                    "tone guard ratio must be positive, got {}",
+                    self.tone_floor_ratio
+                ),
             ));
         }
         if self.tone_median_ratio.is_nan() || self.tone_median_ratio <= 0.0 {
             return Err(mdn_obs::ConfigError::new(
                 "tone_median_ratio",
-                format!("tone guard ratio must be positive, got {}", self.tone_median_ratio),
+                format!(
+                    "tone guard ratio must be positive, got {}",
+                    self.tone_median_ratio
+                ),
             ));
         }
         Ok(())

@@ -181,11 +181,11 @@ impl MelodyCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdn_audio::signal::Window;
     use crate::controller::MdnController;
     use crate::freqplan::FrequencyPlan;
     use mdn_acoustics::medium::Pos;
     use mdn_acoustics::mic::Microphone;
+    use mdn_audio::signal::Window;
 
     const SR: u32 = 44_100;
 

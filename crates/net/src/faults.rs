@@ -103,7 +103,11 @@ mod tests {
             .at(MS(300), NetFault::LinkUp(LinkId(0)))
             .at(MS(100), NetFault::LinkDown(LinkId(0)))
             .at(MS(200), NetFault::SwitchCrash(NodeId(1)));
-        let times: Vec<u64> = s.events().iter().map(|(t, _)| t.as_millis() as u64).collect();
+        let times: Vec<u64> = s
+            .events()
+            .iter()
+            .map(|(t, _)| t.as_millis() as u64)
+            .collect();
         assert_eq!(times, vec![100, 200, 300]);
     }
 
@@ -188,7 +192,10 @@ mod tests {
         assert!(net.switch(s).table.is_empty());
         script.apply_due(&mut net, MS(250));
         assert!(!net.switch(s).crashed);
-        assert!(net.switch(s).table.is_empty(), "restart does not restore rules");
+        assert!(
+            net.switch(s).table.is_empty(),
+            "restart does not restore rules"
+        );
     }
 
     #[test]

@@ -148,7 +148,12 @@ impl LeafSpineTopo {
 
     /// The IP assigned to host `h` on leaf `l`.
     pub fn host_ip(&self, leaf: usize, h: usize) -> Ip {
-        Ip::v4(10, (leaf / 250) as u8, (leaf % 250 + 1) as u8, (h + 1) as u8)
+        Ip::v4(
+            10,
+            (leaf / 250) as u8,
+            (leaf % 250 + 1) as u8,
+            (h + 1) as u8,
+        )
     }
 
     /// The leaf port facing spine `s`.
@@ -353,9 +358,17 @@ mod tests {
     #[test]
     fn leaf_spine_carries_traffic_across_the_spine() {
         let mut net = Network::new();
-        let t = leaf_spine(&mut net, 2, 4, 1, 10 * MBPS, 40 * MBPS, Duration::from_micros(10));
+        let t = leaf_spine(
+            &mut net,
+            2,
+            4,
+            1,
+            10 * MBPS,
+            40 * MBPS,
+            Duration::from_micros(10),
+        );
         let dst = t.host_ip(1, 0); // h on leaf 2
-        // leaf1 → spine1 → leaf2 → host.
+                                   // leaf1 → spine1 → leaf2 → host.
         net.install_rule(
             t.leaves[0],
             Rule {
@@ -399,7 +412,15 @@ mod tests {
     #[test]
     fn leaf_spine_scales_past_one_hundred_switches() {
         let mut net = Network::new();
-        let t = leaf_spine(&mut net, 8, 96, 1, MBPS, 4 * MBPS, Duration::from_micros(10));
+        let t = leaf_spine(
+            &mut net,
+            8,
+            96,
+            1,
+            MBPS,
+            4 * MBPS,
+            Duration::from_micros(10),
+        );
         assert_eq!(t.spines.len() + t.leaves.len(), 104);
         assert_eq!(t.hosts.len(), 96);
         // Every leaf carries its host port plus one uplink per spine.
@@ -411,7 +432,15 @@ mod tests {
     #[test]
     fn leaf_spine_addresses_past_250_leaves() {
         let mut net = Network::new();
-        let t = leaf_spine(&mut net, 2, 260, 2, MBPS, 4 * MBPS, Duration::from_micros(10));
+        let t = leaf_spine(
+            &mut net,
+            2,
+            260,
+            2,
+            MBPS,
+            4 * MBPS,
+            Duration::from_micros(10),
+        );
         assert_eq!(t.leaves.len(), 260);
         assert_eq!(t.hosts.len(), 520);
         // The first 250 leaves keep their historical third-octet

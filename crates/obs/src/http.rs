@@ -274,7 +274,9 @@ mod tests {
             cell: 0,
             detail: "c0-s0".into(),
         });
-        let handle = ObsServer::new(&registry, &sink).serve("127.0.0.1:0").unwrap();
+        let handle = ObsServer::new(&registry, &sink)
+            .serve("127.0.0.1:0")
+            .unwrap();
         let addr = handle.addr();
 
         for target in ["/trace?since=garbage", "/trace?since=-3", "/trace?since="] {

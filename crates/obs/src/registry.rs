@@ -245,7 +245,9 @@ impl Histogram {
 
     /// Number of recorded values (0 when disabled).
     pub fn count(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.count.load(Ordering::Relaxed))
+        self.0
+            .as_ref()
+            .map_or(0, |c| c.count.load(Ordering::Relaxed))
     }
 
     /// Sum of recorded values (0 when disabled).

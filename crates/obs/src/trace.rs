@@ -40,8 +40,7 @@ impl TraceId {
     /// Mint the id for the `seq`-th scheduled emission of switch
     /// `switch` in cell `cell`. Pure function of its inputs; never zero.
     pub fn derive(cell: u64, switch: u64, seq: u64) -> Self {
-        let mut z = cell
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        let mut z = cell.wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ switch.wrapping_mul(0xBF58_476D_1CE4_E5B9)
             ^ seq.wrapping_mul(0x94D0_49BB_1331_11EB)
             ^ 0xD6E8_FEB8_6659_FD93;
@@ -418,7 +417,10 @@ mod tests {
         let s = span(7, SpanKind::Detect, 0, 300);
         let v = s.deterministic_view();
         assert_eq!(v.wall_ns, 0);
-        assert_eq!((v.trace, v.kind, v.from, v.to, v.cell), (s.trace, s.kind, s.from, s.to, s.cell));
+        assert_eq!(
+            (v.trace, v.kind, v.from, v.to, v.cell),
+            (s.trace, s.kind, s.from, s.to, s.cell)
+        );
         assert_eq!(v.detail, s.detail);
     }
 

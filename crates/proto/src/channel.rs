@@ -85,7 +85,12 @@ impl ControlChannel {
     /// derived from `seed` (to-switch first, then to-controller), so one
     /// scenario seed fixes the whole fault pattern. Frames already queued
     /// are preserved.
-    pub fn attach_faults(&mut self, seed: u64, to_switch: DirectionFaults, to_controller: DirectionFaults) {
+    pub fn attach_faults(
+        &mut self,
+        seed: u64,
+        to_switch: DirectionFaults,
+        to_controller: DirectionFaults,
+    ) {
         let mut root = crate::faults::FaultRng::new(seed);
         let sw_seed = root.next_u64();
         let ct_seed = root.next_u64();
@@ -499,7 +504,11 @@ mod tests {
         use crate::faults::DirectionFaults;
         let run = |seed: u64| {
             let mut chan = ControlChannel::new();
-            chan.attach_faults(seed, DirectionFaults::none().drop(0.5), DirectionFaults::none());
+            chan.attach_faults(
+                seed,
+                DirectionFaults::none().drop(0.5),
+                DirectionFaults::none(),
+            );
             for xid in 0..20 {
                 chan.send_to_switch(&OfMessage::Hello { xid });
             }

@@ -316,7 +316,11 @@ impl LearningSwitch {
     fn push(&mut self, ctx: &mut AppCtx, ip: Ip, out: u16) {
         if self.pushed.get(&ip) != Some(&out) {
             self.pushed.insert(ip, out);
-            ctx.install(self.priority, Match::dst(ip), Action::Forward(out as PortId));
+            ctx.install(
+                self.priority,
+                Match::dst(ip),
+                Action::Forward(out as PortId),
+            );
         }
     }
 }
@@ -941,8 +945,7 @@ mod tests {
     #[test]
     fn handshake_completes_over_a_real_socket() {
         let handle = learning_server(ControllerConfig::default());
-        let client =
-            OfClient::connect(handle.addr(), Duration::from_secs(2)).expect("handshake");
+        let client = OfClient::connect(handle.addr(), Duration::from_secs(2)).expect("handshake");
         wait_until("handshake counted", || handle.stats().handshaken == 1);
         let stats = handle.stats();
         assert_eq!(stats.connections, 1);
@@ -1090,10 +1093,7 @@ mod tests {
                 .get()
                 == 1
         });
-        assert_eq!(
-            registry.counter("mdn_ctrl_connections_total", &[]).get(),
-            1
-        );
+        assert_eq!(registry.counter("mdn_ctrl_connections_total", &[]).get(), 1);
         // The tx counter bumps after the reply is written; on one core
         // the server thread may not have run again yet.
         wait_until("echo reply tx counted", || {

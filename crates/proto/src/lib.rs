@@ -46,8 +46,8 @@ pub mod wire;
 
 pub use channel::{ChannelStats, ControlChannel};
 pub use controller::{
-    ControllerApp, ControllerConfig, ControllerHandle, ControllerServer, ControllerStats, Ledger,
-    LearningSwitch, OfClient, OfStreamError, PacketInEvent, Session, SessionError,
+    ControllerApp, ControllerConfig, ControllerHandle, ControllerServer, ControllerStats,
+    LearningSwitch, Ledger, OfClient, OfStreamError, PacketInEvent, Session, SessionError,
 };
 pub use faults::{DirectionFaults, FaultRng, FaultStats, FaultyQueue};
 pub use mp::{MpMessage, MpTone, MpToneError};

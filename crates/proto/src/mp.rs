@@ -411,7 +411,10 @@ mod tests {
             Err(MpToneError::IntensityOutOfRange(_))
         ));
         let ok = MpTone::try_from_units(440.0, Duration::from_millis(50), 60.0).unwrap();
-        assert_eq!(ok, MpTone::from_units(440.0, Duration::from_millis(50), 60.0));
+        assert_eq!(
+            ok,
+            MpTone::from_units(440.0, Duration::from_millis(50), 60.0)
+        );
     }
 
     #[test]

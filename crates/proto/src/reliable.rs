@@ -526,7 +526,8 @@ mod tests {
         // Forward drops everything until we disable the fault; the
         // endpoint must keep retrying on schedule.
         let mut link = MpLink::perfect();
-        link.forward.set_faults(1, DirectionFaults::none().drop(1.0));
+        link.forward
+            .set_faults(1, DirectionFaults::none().drop(1.0));
         let b = BackoffConfig {
             base: MS(100),
             cap: MS(800),
@@ -553,7 +554,8 @@ mod tests {
     #[test]
     fn frame_expires_after_retry_budget() {
         let mut link = MpLink::perfect();
-        link.forward.set_faults(1, DirectionFaults::none().drop(1.0));
+        link.forward
+            .set_faults(1, DirectionFaults::none().drop(1.0));
         let b = BackoffConfig {
             base: MS(100),
             cap: MS(100),
@@ -571,7 +573,8 @@ mod tests {
     #[test]
     fn no_retries_policy_expires_at_first_deadline() {
         let mut link = MpLink::perfect();
-        link.forward.set_faults(1, DirectionFaults::none().drop(1.0));
+        link.forward
+            .set_faults(1, DirectionFaults::none().drop(1.0));
         let mut tx = MpEndpoint::new(BackoffConfig::default().no_retries());
         tx.send_tone(&mut link, tone(), MS(0));
         assert_eq!(tx.tick(&mut link, MS(200)), (0, 1));
@@ -617,7 +620,8 @@ mod tests {
     #[test]
     fn corrupted_frame_counts_malformed_and_retry_recovers() {
         let mut link = MpLink::perfect();
-        link.forward.set_faults(9, DirectionFaults::none().corrupt(1.0));
+        link.forward
+            .set_faults(9, DirectionFaults::none().corrupt(1.0));
         let mut tx = MpEndpoint::new(BackoffConfig {
             base: MS(100),
             cap: MS(100),
@@ -662,7 +666,8 @@ mod tests {
     fn endpoint_and_monitor_obs_mirror_ground_truth() {
         let reg = Registry::new();
         let mut link = MpLink::perfect();
-        link.forward.set_faults(1, DirectionFaults::none().drop(1.0));
+        link.forward
+            .set_faults(1, DirectionFaults::none().drop(1.0));
         let mut tx = MpEndpoint::new(BackoffConfig {
             base: MS(100),
             cap: MS(100),

@@ -10,12 +10,12 @@
 //! ```
 
 use mdn_acoustics::ambient::AmbientProfile;
+use mdn_acoustics::Window;
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_audio::Signal;
 use mdn_core::apps::fanfail::FanFailureDetector;
 use mdn_core::fan::{FanModel, FanState};
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 const SAMPLE_RATE: u32 = 44_100;
 const WINDOW: Duration = Duration::from_secs(2);
@@ -35,7 +35,11 @@ fn capture(ambient: &AmbientProfile, state: FanState, seed: u64) -> Signal {
     );
     // The paper's answer to "can we hear one server in a datacenter?"
     // requires a closely placed microphone: 30 cm.
-    scene.capture(&Microphone::measurement(), Pos::new(0.3, 0.0, 0.0), Window::from_start(WINDOW))
+    scene.capture(
+        &Microphone::measurement(),
+        Pos::new(0.3, 0.0, 0.0),
+        Window::from_start(WINDOW),
+    )
 }
 
 fn main() {

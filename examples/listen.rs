@@ -15,6 +15,7 @@
 //! ```
 
 use mdn_acoustics::ambient::AmbientProfile;
+use mdn_acoustics::Window;
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_audio::noise::MusicNoise;
 use mdn_audio::wav::write_wav;
@@ -24,7 +25,6 @@ use mdn_core::fan::{FanModel, FanState};
 use mdn_core::freqplan::FrequencyPlan;
 use std::path::PathBuf;
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 const SR: u32 = 44_100;
 
@@ -35,7 +35,11 @@ fn out_dir() -> PathBuf {
 }
 
 fn capture(scene: &Scene, secs: f64) -> mdn_audio::Signal {
-    scene.capture(&Microphone::measurement(), Pos::new(0.5, 0.3, 0.0), Window::from_start(Duration::from_secs_f64(secs)))
+    scene.capture(
+        &Microphone::measurement(),
+        Pos::new(0.5, 0.3, 0.0),
+        Window::from_start(Duration::from_secs_f64(secs)),
+    )
 }
 
 fn main() {
@@ -104,13 +108,19 @@ fn main() {
     {
         for (name, states) in [
             ("fan_healthy.wav", vec![(FanState::Healthy, 3.0)]),
-            ("fan_dying.wav", vec![(FanState::Healthy, 1.5), (FanState::Off, 1.5)]),
+            (
+                "fan_dying.wav",
+                vec![(FanState::Healthy, 1.5), (FanState::Off, 1.5)],
+            ),
         ] {
             let mut scene = Scene::new(SR, AmbientProfile::datacenter());
             scene.set_ambient_seed(9);
             let mut t = 0.0;
             for (state, secs) in &states {
-                let fan = FanModel { state: *state, ..FanModel::default() };
+                let fan = FanModel {
+                    state: *state,
+                    ..FanModel::default()
+                };
                 scene.add(
                     Pos::ORIGIN,
                     Duration::from_secs_f64(t),
@@ -119,7 +129,11 @@ fn main() {
                 );
                 t += secs;
             }
-            let sig = scene.capture(&Microphone::measurement(), Pos::new(0.3, 0.0, 0.0), Window::from_start(Duration::from_secs_f64(t)));
+            let sig = scene.capture(
+                &Microphone::measurement(),
+                Pos::new(0.3, 0.0, 0.0),
+                Window::from_start(Duration::from_secs_f64(t)),
+            );
             write_wav(&sig, dir.join(name)).unwrap();
         }
     }

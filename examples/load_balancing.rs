@@ -10,6 +10,7 @@
 //! cargo run --release --example load_balancing
 //! ```
 
+use mdn_acoustics::Window;
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_core::apps::loadbalance::LoadBalancerApp;
 use mdn_core::apps::queuemon::{QueueToneMapper, SAMPLE_INTERVAL};
@@ -23,7 +24,6 @@ use mdn_net::topology;
 use mdn_net::traffic::TrafficPattern;
 use mdn_proto::channel::{pump_to_switch, ControlChannel};
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 const SAMPLE_RATE: u32 = 44_100;
 
@@ -119,7 +119,13 @@ fn main() {
             )
             .unwrap();
         if at >= SAMPLE_INTERVAL * 2 {
-            let events = controller.listen(&scene, Window::new(at - SAMPLE_INTERVAL * 2, SAMPLE_INTERVAL + Duration::from_millis(150)));
+            let events = controller.listen(
+                &scene,
+                Window::new(
+                    at - SAMPLE_INTERVAL * 2,
+                    SAMPLE_INTERVAL + Duration::from_millis(150),
+                ),
+            );
             if let Some(reb) = app.on_events(&events) {
                 println!(
                     "--> heard 700 Hz at t={:.2}s: installing split FlowMod",

@@ -141,7 +141,9 @@ fn listen_and_decode(registry: &Registry, alarm: MpTone) {
     ctl.bind_device("s1", set.clone());
 
     let mut device = SoundingDevice::new("s1", set, Pos::ORIGIN);
-    device.emit_slot(&mut scene, 0, MS(600), alarm.duration()).unwrap();
+    device
+        .emit_slot(&mut scene, 0, MS(600), alarm.duration())
+        .unwrap();
 
     let events = ctl.listen(&scene, Window::from_start(MS(1000)));
     println!("decoded {} events from the alarm tone", events.len());

@@ -10,6 +10,7 @@
 //! cargo run --example port_knocking
 //! ```
 
+use mdn_acoustics::Window;
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_core::apps::portknock::PortKnockApp;
 use mdn_core::controller::MdnController;
@@ -21,7 +22,6 @@ use mdn_net::topology;
 use mdn_net::traffic::TrafficPattern;
 use mdn_proto::channel::{pump_to_switch, ControlChannel};
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 const SAMPLE_RATE: u32 = 44_100;
 const TICK: Duration = Duration::from_millis(300);
@@ -102,8 +102,10 @@ fn main() {
         }
         cursor = tap.len();
         if at >= TICK * 2 {
-            let events =
-                controller.listen(&scene, Window::new(at - TICK * 2, TICK + Duration::from_millis(150)));
+            let events = controller.listen(
+                &scene,
+                Window::new(at - TICK * 2, TICK + Duration::from_millis(150)),
+            );
             if let Some(flow_mod) = app.on_events(&events) {
                 println!(
                     "t={:>5.2}s  sequence complete -> FlowMod opens port {PROTECTED}",

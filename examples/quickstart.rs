@@ -9,12 +9,12 @@
 //! cargo run --example quickstart
 //! ```
 
+use mdn_acoustics::Window;
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_core::controller::MdnController;
 use mdn_core::encoder::SoundingDevice;
 use mdn_core::freqplan::FrequencyPlan;
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 fn main() {
     const SAMPLE_RATE: u32 = 44_100;

@@ -6,6 +6,7 @@
 //! cargo run --release --example telemetry
 //! ```
 
+use mdn_acoustics::Window;
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_audio::noise::MusicNoise;
 use mdn_core::apps::heavyhitter::{FlowToneMapper, HeavyHitterDetector};
@@ -19,7 +20,6 @@ use mdn_net::packet::{FlowKey, Ip};
 use mdn_net::topology;
 use mdn_net::traffic::TrafficPattern;
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 const SAMPLE_RATE: u32 = 44_100;
 const SLOTS: usize = 64;

@@ -10,13 +10,13 @@
 //! cargo run --release --example tone_relay
 //! ```
 
+use mdn_acoustics::Window;
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_core::controller::MdnController;
 use mdn_core::encoder::SoundingDevice;
 use mdn_core::freqplan::FrequencyPlan;
 use mdn_core::relay::ToneRelay;
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 const SAMPLE_RATE: u32 = 44_100;
 
@@ -50,13 +50,19 @@ fn main() {
     // Relay A processes the first window, relay B the second.
     let heard_a = relay_a.relay_window(&mut scene, Window::from_start(Duration::from_millis(300)));
     println!("relay-a heard {heard_a:?}, re-spoke on hop1");
-    let heard_b = relay_b.relay_window(&mut scene, Window::new(Duration::from_millis(300), Duration::from_millis(300)));
+    let heard_b = relay_b.relay_window(
+        &mut scene,
+        Window::new(Duration::from_millis(300), Duration::from_millis(300)),
+    );
     println!("relay-b heard {heard_b:?}, re-spoke on hop2");
 
     // The far controller, 6.5 m from the source, listens only on hop2.
     let mut controller = MdnController::new(Microphone::measurement(), Pos::new(6.5, 0.0, 0.0));
     controller.bind_device("relay-b", hop2);
-    let events = controller.listen(&scene, Window::new(Duration::from_millis(600), Duration::from_millis(400)));
+    let events = controller.listen(
+        &scene,
+        Window::new(Duration::from_millis(600), Duration::from_millis(400)),
+    );
     assert!(!events.is_empty(), "relayed symbol must arrive");
     assert!(
         events.iter().all(|e| e.slot == 2),

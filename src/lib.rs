@@ -48,13 +48,15 @@ pub use mdn_proto as proto;
 /// ```
 pub mod prelude {
     pub use mdn_acoustics::{
-        ambient::AmbientProfile, medium::Pos, mic::Microphone, scene::Scene,
-        speaker::Speaker, Window,
+        ambient::AmbientProfile, medium::Pos, mic::Microphone, scene::Scene, speaker::Speaker,
+        Window,
     };
     pub use mdn_audio::Signal;
     pub use mdn_core::{
         cells::{CellConfig, CellPlan, ShardedController},
-        controller::{collapse_events, merge_event_streams, CellId, MdnController, MdnEvent, ShardEvent},
+        controller::{
+            collapse_events, merge_event_streams, CellId, MdnController, MdnEvent, ShardEvent,
+        },
         detector::{DetectorConfig, ToneDetector},
         encoder::SoundingDevice,
         freqplan::{FrequencyPlan, FrequencySet},

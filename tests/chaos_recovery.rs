@@ -85,10 +85,38 @@ fn run_scenario(seed: u64, backoff: BackoffConfig) -> ScenarioOutcome {
         topology::rhomboid_rates(&mut net, 100_000_000, 10_000_000, Duration::from_micros(50));
     let dst_ip = Ip::v4(10, 0, 0, 2);
     let dst = Match::dst(dst_ip);
-    net.install_rule(topo.s_in, Rule { mat: dst, priority: 10, action: Action::Forward(1) });
-    net.install_rule(topo.s_top, Rule { mat: dst, priority: 10, action: Action::Forward(1) });
-    net.install_rule(topo.s_bot, Rule { mat: dst, priority: 10, action: Action::Forward(1) });
-    net.install_rule(topo.s_out, Rule { mat: dst, priority: 10, action: Action::Forward(0) });
+    net.install_rule(
+        topo.s_in,
+        Rule {
+            mat: dst,
+            priority: 10,
+            action: Action::Forward(1),
+        },
+    );
+    net.install_rule(
+        topo.s_top,
+        Rule {
+            mat: dst,
+            priority: 10,
+            action: Action::Forward(1),
+        },
+    );
+    net.install_rule(
+        topo.s_bot,
+        Rule {
+            mat: dst,
+            priority: 10,
+            action: Action::Forward(1),
+        },
+    );
+    net.install_rule(
+        topo.s_out,
+        Rule {
+            mat: dst,
+            priority: 10,
+            action: Action::Forward(0),
+        },
+    );
     net.attach_generator(
         topo.h_src,
         TrafficPattern::Cbr {
@@ -279,10 +307,19 @@ fn chaos_faults_alarm_still_recovers_the_network() {
         alarm >= MS(3000) && alarm <= MS(3600),
         "alarm at {alarm:?}, expected within two ticks of the 3 s failure"
     );
-    assert_eq!(out.tone_heard_at, Some(alarm + MS(900)), "second retransmission delivers");
+    assert_eq!(
+        out.tone_heard_at,
+        Some(alarm + MS(900)),
+        "second retransmission delivers"
+    );
     assert_eq!(
         out.delivery,
-        MpDeliveryStats { sent: 1, retransmitted: 3, acked: 1, expired: 0 }
+        MpDeliveryStats {
+            sent: 1,
+            retransmitted: 3,
+            acked: 1,
+            expired: 0
+        }
     );
 
     // The injected loss really was heavy: half the data frames vanished.
@@ -308,7 +345,9 @@ fn chaos_faults_alarm_still_recovers_the_network() {
     // carried the alarm; the silent wire channel quarantined s_top and
     // flipped it to the acoustic control path.
     assert!(
-        out.s_in_timeline.iter().any(|(_, s)| *s == HealthState::Degraded),
+        out.s_in_timeline
+            .iter()
+            .any(|(_, s)| *s == HealthState::Degraded),
         "retransmissions never degraded s_in: {:?}",
         out.s_in_timeline
     );
@@ -326,7 +365,10 @@ fn chaos_faults_alarm_still_recovers_the_network() {
         out.bytes_before,
         out.bytes_tail
     );
-    assert!(out.bot_rx_packets > 0, "recovery never used the bottom path");
+    assert!(
+        out.bot_rx_packets > 0,
+        "recovery never used the bottom path"
+    );
 }
 
 /// Inversion: with retransmission disabled, the very same seed kills the
@@ -337,11 +379,19 @@ fn without_retransmission_the_same_chaos_is_fatal() {
     assert!(out.alarm_sent_at.is_some(), "the alarm was still attempted");
     assert_eq!(
         out.delivery,
-        MpDeliveryStats { sent: 1, retransmitted: 0, acked: 0, expired: 1 }
+        MpDeliveryStats {
+            sent: 1,
+            retransmitted: 0,
+            acked: 0,
+            expired: 1
+        }
     );
     assert_eq!(out.tone_heard_at, None, "the single send was dropped");
     assert_eq!(out.rerouted_at, None, "nothing to hear, nothing to reroute");
-    assert_eq!(out.bytes_tail, 0, "the outage persists to the end of the run");
+    assert_eq!(
+        out.bytes_tail, 0,
+        "the outage persists to the end of the run"
+    );
 }
 
 /// Same seed, same everything: the whole outcome — delivery statistics,
@@ -398,11 +448,17 @@ fn obs_snapshot_matches_ground_truth() {
             "journal {detail:?} vs timeline {state:?}"
         );
     }
-    assert!(c["mdn_health_quarantines_total"] >= 1, "s_top never quarantined");
+    assert!(
+        c["mdn_health_quarantines_total"] >= 1,
+        "s_top never quarantined"
+    );
 
     // The detector ran every tick and decoded the alarm.
     assert!(c["mdn_detect_frames_total"] > 0);
-    assert!(c["mdn_events_decoded_total"] > 0, "alarm events never counted");
+    assert!(
+        c["mdn_events_decoded_total"] > 0,
+        "alarm events never counted"
+    );
 
     // Scene: the Pi's alarm emissions and both injected acoustic faults.
     assert!(c["mdn_scene_emissions_total"] >= 1);
@@ -412,9 +468,14 @@ fn obs_snapshot_matches_ground_truth() {
     // Network totals published at the end of the run: traffic flowed, the
     // dead primary link ate packets, and per-queue stats are exported.
     assert!(out.obs_gauges["mdn_net_delivered"] > 0.0);
-    assert!(out.obs_gauges["mdn_net_link_drops"] > 0.0, "dead link dropped nothing?");
     assert!(
-        out.obs_gauges.keys().any(|k| k.starts_with("mdn_queue_accepted")),
+        out.obs_gauges["mdn_net_link_drops"] > 0.0,
+        "dead link dropped nothing?"
+    );
+    assert!(
+        out.obs_gauges
+            .keys()
+            .any(|k| k.starts_with("mdn_queue_accepted")),
         "no per-queue stats in the snapshot"
     );
 }

@@ -4,6 +4,7 @@
 //! format — changes what the switch forwards.
 
 use bytes::Bytes;
+use mdn_acoustics::Window;
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_core::controller::MdnController;
 use mdn_core::encoder::SoundingDevice;
@@ -16,7 +17,6 @@ use mdn_net::traffic::TrafficPattern;
 use mdn_proto::channel::{pump_to_switch, ControlChannel};
 use mdn_proto::openflow::{FlowModCommand, OfMessage};
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 const SR: u32 = 44_100;
 
@@ -181,7 +181,11 @@ fn malformed_control_frames_are_counted_and_do_not_block_valid_ones() {
     assert_eq!(chan.stats().malformed_to_switch, 2);
     assert_eq!(chan.stats().malformed_to_controller, 0);
     net.drain();
-    assert_eq!(net.host(topo.h2).rx_packets, 100, "valid FlowMod still applied");
+    assert_eq!(
+        net.host(topo.h2).rx_packets,
+        100,
+        "valid FlowMod still applied"
+    );
 
     // The reverse direction counts independently.
     chan.inject_to_controller(Bytes::from_static(&[0xff]));

@@ -2,6 +2,7 @@
 //! band plan (§8), reactive PacketIn control (completing the OpenFlow
 //! loop), and acoustic byte transport via melodies.
 
+use mdn_acoustics::Window;
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene, speaker::Speaker};
 use mdn_core::controller::MdnController;
 use mdn_core::encoder::SoundingDevice;
@@ -16,7 +17,6 @@ use mdn_net::traffic::TrafficPattern;
 use mdn_proto::channel::{pump_to_switch, ship_packet_ins, ControlChannel};
 use mdn_proto::openflow::{FlowModCommand, OfMessage};
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 /// §8: "including frequencies outside the spectrum of human hearing would
 /// allow for an increase in the number of discernible sounds". An

@@ -10,6 +10,7 @@
 //! holing, sounds the alarm slot, and the controller — which has heard
 //! nothing on the wire — reroutes traffic over the bottom path by FlowMod.
 
+use mdn_acoustics::Window;
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_core::controller::MdnController;
 use mdn_core::encoder::SoundingDevice;
@@ -22,7 +23,6 @@ use mdn_net::traffic::TrafficPattern;
 use mdn_proto::channel::{pump_to_switch, ControlChannel};
 use mdn_proto::openflow::{FlowModCommand, OfMessage};
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 const SR: u32 = 44_100;
 const TICK: Duration = Duration::from_millis(300);
@@ -37,10 +37,38 @@ fn link_failure_alarm_tone_triggers_reroute() {
     let dst_ip = Ip::v4(10, 0, 0, 2);
     let dst = Match::dst(dst_ip);
     // Route via the top path.
-    net.install_rule(topo.s_in, Rule { mat: dst, priority: 10, action: Action::Forward(1) });
-    net.install_rule(topo.s_top, Rule { mat: dst, priority: 10, action: Action::Forward(1) });
-    net.install_rule(topo.s_bot, Rule { mat: dst, priority: 10, action: Action::Forward(1) });
-    net.install_rule(topo.s_out, Rule { mat: dst, priority: 10, action: Action::Forward(0) });
+    net.install_rule(
+        topo.s_in,
+        Rule {
+            mat: dst,
+            priority: 10,
+            action: Action::Forward(1),
+        },
+    );
+    net.install_rule(
+        topo.s_top,
+        Rule {
+            mat: dst,
+            priority: 10,
+            action: Action::Forward(1),
+        },
+    );
+    net.install_rule(
+        topo.s_bot,
+        Rule {
+            mat: dst,
+            priority: 10,
+            action: Action::Forward(1),
+        },
+    );
+    net.install_rule(
+        topo.s_out,
+        Rule {
+            mat: dst,
+            priority: 10,
+            action: Action::Forward(0),
+        },
+    );
     // Steady traffic.
     net.attach_generator(
         topo.h_src,
@@ -92,8 +120,10 @@ fn link_failure_alarm_tone_triggers_reroute() {
         // The controller listens one tick behind; on the alarm it reroutes
         // via the bottom path.
         if at >= TICK * 2 && rerouted_at.is_none() {
-            let events =
-                ctl.listen(&scene, Window::new(at - TICK * 2, TICK + Duration::from_millis(150)));
+            let events = ctl.listen(
+                &scene,
+                Window::new(at - TICK * 2, TICK + Duration::from_millis(150)),
+            );
             if events.iter().any(|e| e.device == "s_in" && e.slot == 0) {
                 chan.send_to_switch(&OfMessage::FlowMod {
                     xid: 1,
@@ -120,9 +150,10 @@ fn link_failure_alarm_tone_triggers_reroute() {
     let before = net
         .host(topo.h_dst)
         .rx_bytes_between(fail_at - Duration::from_secs(1), fail_at);
-    let after = net
-        .host(topo.h_dst)
-        .rx_bytes_between(reroute + Duration::from_millis(200), reroute + Duration::from_millis(1200));
+    let after = net.host(topo.h_dst).rx_bytes_between(
+        reroute + Duration::from_millis(200),
+        reroute + Duration::from_millis(1200),
+    );
     assert!(before > 0);
     assert!(
         after as f64 > 0.8 * before as f64,
@@ -149,9 +180,30 @@ fn without_the_alarm_the_outage_persists() {
         topology::rhomboid_rates(&mut net, 100_000_000, 10_000_000, Duration::from_micros(50));
     let dst_ip = Ip::v4(10, 0, 0, 2);
     let dst = Match::dst(dst_ip);
-    net.install_rule(topo.s_in, Rule { mat: dst, priority: 10, action: Action::Forward(1) });
-    net.install_rule(topo.s_top, Rule { mat: dst, priority: 10, action: Action::Forward(1) });
-    net.install_rule(topo.s_out, Rule { mat: dst, priority: 10, action: Action::Forward(0) });
+    net.install_rule(
+        topo.s_in,
+        Rule {
+            mat: dst,
+            priority: 10,
+            action: Action::Forward(1),
+        },
+    );
+    net.install_rule(
+        topo.s_top,
+        Rule {
+            mat: dst,
+            priority: 10,
+            action: Action::Forward(1),
+        },
+    );
+    net.install_rule(
+        topo.s_out,
+        Rule {
+            mat: dst,
+            priority: 10,
+            action: Action::Forward(0),
+        },
+    );
     net.attach_generator(
         topo.h_src,
         TrafficPattern::Cbr {
@@ -168,6 +220,8 @@ fn without_the_alarm_the_outage_persists() {
         net.set_link_up(top_link, false);
     }
     net.drain();
-    let after = net.host(topo.h_dst).rx_bytes_between(fail_at + Duration::from_millis(500), total);
+    let after = net
+        .host(topo.h_dst)
+        .rx_bytes_between(fail_at + Duration::from_millis(500), total);
     assert_eq!(after, 0, "outage should persist without recovery");
 }

@@ -3,12 +3,12 @@
 //! and what microphone distance still works.
 
 use mdn_acoustics::ambient::AmbientProfile;
+use mdn_acoustics::Window;
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_audio::Signal;
 use mdn_core::apps::fanfail::{FanDetectError, FanFailureDetector};
 use mdn_core::fan::{FanModel, FanState};
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 const SR: u32 = 44_100;
 const WINDOW: Duration = Duration::from_secs(2);

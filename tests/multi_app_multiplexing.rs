@@ -7,6 +7,7 @@
 //! time and overlapping in the capture. Each app must see exactly its own
 //! device's events.
 
+use mdn_acoustics::Window;
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_core::apps::portknock::PortKnockApp;
 use mdn_core::apps::queuemon::{QueueBand, QueueMonitor, QueueToneMapper};
@@ -14,7 +15,6 @@ use mdn_core::controller::MdnController;
 use mdn_core::encoder::SoundingDevice;
 use mdn_core::freqplan::FrequencyPlan;
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 const SR: u32 = 44_100;
 

@@ -6,6 +6,7 @@
 //! bit-identical for any shard thread count.
 
 use mdn_acoustics::ambient::AmbientProfile;
+use mdn_acoustics::Window;
 use mdn_core::cells::{CellPlan, ShardEvent, ShardedController};
 use mdn_core::freqplan::{FrequencyPlan, PlanError};
 use mdn_core::scenario::{ScenarioBuilder, ScenarioSpec};
@@ -13,7 +14,6 @@ use mdn_obs::Registry;
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 const SR: u32 = 44_100;
 const CELLS: usize = 20;
@@ -77,7 +77,10 @@ fn listen((scene, plan, _): &EmittedScene, threads: usize) -> Vec<ShardEvent> {
     let mut sharded = ShardedController::new(plan);
     sharded.set_threads(threads);
     sharded.calibrate(scene, Window::from_start(Duration::from_millis(500)));
-    sharded.listen(scene, Window::new(Duration::from_millis(550), Duration::from_millis(500)))
+    sharded.listen(
+        scene,
+        Window::new(Duration::from_millis(550), Duration::from_millis(500)),
+    )
 }
 
 /// A flat single-mic plan cannot even allocate this deployment: it
@@ -123,13 +126,20 @@ fn hundred_twenty_switches_decode_with_reuse() {
 fn assert_decodes_exactly(run: &EmittedScene) {
     let (_, plan, expected) = run;
     let cells = plan.cells().len();
-    assert_eq!(expected.len(), cells * 6, "{cells} cells: every switch sounds");
+    assert_eq!(
+        expected.len(),
+        cells * 6,
+        "{cells} cells: every switch sounds"
+    );
     let events = listen(run, 0);
     let heard: BTreeSet<(usize, String, usize)> = events
         .iter()
         .map(|e| (e.shard, e.event.device.clone(), e.event.slot))
         .collect();
-    assert_eq!(&heard, expected, "{cells} cells: decode/attribution mismatch");
+    assert_eq!(
+        &heard, expected,
+        "{cells} cells: decode/attribution mismatch"
+    );
     // Attribution is structural: a cell's controller only knows its own
     // devices, and device names encode the cell.
     for e in &events {
@@ -169,8 +179,10 @@ fn obs_reports_per_cell_counters_and_reuse_gauge() {
     let mut sharded = ShardedController::new(plan);
     sharded.attach_obs(&registry);
     sharded.calibrate(scene, Window::from_start(Duration::from_millis(500)));
-    let events =
-        sharded.listen(scene, Window::new(Duration::from_millis(550), Duration::from_millis(500)));
+    let events = sharded.listen(
+        scene,
+        Window::new(Duration::from_millis(550), Duration::from_millis(500)),
+    );
     let snap = registry.snapshot();
     assert_eq!(
         snap.gauges["mdn_cells_reuse_factor"],

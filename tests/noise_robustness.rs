@@ -4,13 +4,13 @@
 //! and the calibration that makes loud rooms workable.
 
 use mdn_acoustics::ambient::AmbientProfile;
+use mdn_acoustics::Window;
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_audio::noise::MusicNoise;
 use mdn_core::controller::MdnController;
 use mdn_core::encoder::SoundingDevice;
 use mdn_core::freqplan::FrequencyPlan;
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 const SR: u32 = 44_100;
 
@@ -53,7 +53,10 @@ fn datacenter_noise_needs_calibration_and_then_works() {
     let ambient = ctl.capture(&scene, Window::from_start(Duration::from_millis(500)));
     ctl.calibrate(&ambient);
     // The tone-free room must now be silent to the detector...
-    let quiet = ctl.listen(&scene, Window::new(Duration::from_millis(500), Duration::from_millis(500)));
+    let quiet = ctl.listen(
+        &scene,
+        Window::new(Duration::from_millis(500), Duration::from_millis(500)),
+    );
     assert!(
         quiet.is_empty(),
         "false positives in calibrated datacenter: {quiet:?}"
@@ -66,7 +69,10 @@ fn datacenter_noise_needs_calibration_and_then_works() {
         Duration::from_millis(150),
     )
     .unwrap();
-    let events = ctl.listen(&scene, Window::new(Duration::from_millis(1100), Duration::from_millis(400)));
+    let events = ctl.listen(
+        &scene,
+        Window::new(Duration::from_millis(1100), Duration::from_millis(400)),
+    );
     assert!(
         events.iter().any(|e| e.slot == 1),
         "tone lost in datacenter: {events:?}"
@@ -95,7 +101,10 @@ fn music_interference_does_not_forge_or_mask_the_symbol() {
         Duration::from_millis(150),
     )
     .unwrap();
-    let events = ctl.listen(&scene, Window::new(Duration::from_millis(900), Duration::from_millis(400)));
+    let events = ctl.listen(
+        &scene,
+        Window::new(Duration::from_millis(900), Duration::from_millis(400)),
+    );
     assert!(
         events.iter().any(|e| e.slot == 3),
         "tone masked by music: {events:?}"
@@ -124,7 +133,10 @@ fn detection_degrades_gracefully_with_distance() {
             Duration::from_millis(150),
         )
         .unwrap();
-        let events = ctl.listen(&scene, Window::new(Duration::from_millis(500), Duration::from_millis(400)));
+        let events = ctl.listen(
+            &scene,
+            Window::new(Duration::from_millis(500), Duration::from_millis(400)),
+        );
         detected_at.push((dist, events.iter().any(|e| e.slot == 0)));
     }
     assert!(detected_at[0].1, "1 m must work: {detected_at:?}");
@@ -171,7 +183,10 @@ fn twenty_hz_neighbours_resolve_end_to_end() {
         .unwrap();
 
     let early = ctl.listen(&scene, Window::from_start(Duration::from_millis(400)));
-    let late = ctl.listen(&scene, Window::new(Duration::from_millis(500), Duration::from_millis(400)));
+    let late = ctl.listen(
+        &scene,
+        Window::new(Duration::from_millis(500), Duration::from_millis(400)),
+    );
     assert!(
         !early.is_empty() && early.iter().all(|e| e.device == "a"),
         "{early:?}"

@@ -9,9 +9,7 @@
 use bytes::Bytes;
 use mdn_net::ftable::{Action, Match};
 use mdn_net::packet::{FlowKey, Ip, Proto};
-use mdn_proto::openflow::{
-    FlowModCommand, OfMessage, PacketInReason, PortReason, OF_HEADER_LEN,
-};
+use mdn_proto::openflow::{FlowModCommand, OfMessage, PacketInReason, PortReason, OF_HEADER_LEN};
 
 /// splitmix64: tiny, seedable, good enough to scatter mutations.
 struct Rng(u64);
@@ -37,7 +35,11 @@ fn corpus(i: usize) -> Vec<OfMessage> {
         dst_ip: Ip::v4(10, 0, 0, 2),
         src_port: 40_000 + i as u16,
         dst_port: 80,
-        proto: if i.is_multiple_of(2) { Proto::Tcp } else { Proto::Udp },
+        proto: if i.is_multiple_of(2) {
+            Proto::Tcp
+        } else {
+            Proto::Udp
+        },
     };
     let payload = Bytes::from(vec![0xA5u8; i % 96]);
     vec![
@@ -164,8 +166,7 @@ fn truncation_at_every_length_is_a_typed_error() {
             let frame = msg.encode().unwrap();
             for cut in 0..frame.len() {
                 let short = frame.slice(0..cut);
-                let err = OfMessage::decode(short)
-                    .expect_err("a shortened frame can never parse");
+                let err = OfMessage::decode(short).expect_err("a shortened frame can never parse");
                 // Any WireError variant is fine — the point is that it
                 // IS a WireError, which the type system already proves;
                 // exercise Display for good measure.

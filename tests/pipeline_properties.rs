@@ -4,13 +4,13 @@
 //! recovers exactly the schedule. This is the contract every MDN
 //! application builds on.
 
+use mdn_acoustics::Window;
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_core::controller::{collapse_events, MdnController};
 use mdn_core::encoder::SoundingDevice;
 use mdn_core::freqplan::FrequencyPlan;
 use proptest::prelude::*;
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 const SR: u32 = 44_100;
 

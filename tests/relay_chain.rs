@@ -4,6 +4,7 @@
 //! directly can decode it through the chain.
 
 use mdn_acoustics::ambient::AmbientProfile;
+use mdn_acoustics::Window;
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_core::controller::MdnController;
 use mdn_core::encoder::SoundingDevice;
@@ -11,7 +12,6 @@ use mdn_core::freqplan::{FrequencyPlan, FrequencySet};
 use mdn_core::relay::ToneRelay;
 use std::collections::BTreeSet;
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 const SR: u32 = 44_100;
 const HOP_M: f64 = 5.0;
@@ -77,7 +77,10 @@ fn three_hop_chain_preserves_every_symbol() {
         Pos::new(HOP_M * 3.0 + 1.0, 0.0, 0.0),
     );
     ctl.bind_device("relay-2", sets[3].clone());
-    let events = ctl.listen(&scene, Window::new(WINDOW * 3, WINDOW + Duration::from_millis(100)));
+    let events = ctl.listen(
+        &scene,
+        Window::new(WINDOW * 3, WINDOW + Duration::from_millis(100)),
+    );
     let slots: BTreeSet<usize> = events.iter().map(|e| e.slot).collect();
     assert_eq!(
         slots,
@@ -144,7 +147,13 @@ fn relaying_beats_direct_listening_at_distance() {
     assert_eq!(heard, BTreeSet::from([2]), "relay missed the quiet source");
     let mut relayed_ctl = MdnController::new(Microphone::measurement(), far);
     relayed_ctl.bind_device("relay", sets[1].clone());
-    let events = relayed_ctl.listen(&scene, Window::new(Duration::from_millis(700), WINDOW + Duration::from_millis(100)));
+    let events = relayed_ctl.listen(
+        &scene,
+        Window::new(
+            Duration::from_millis(700),
+            WINDOW + Duration::from_millis(100),
+        ),
+    );
     assert!(
         events.iter().any(|e| e.slot == 2),
         "relayed symbol lost: {events:?}"

@@ -402,6 +402,7 @@ fn horizon_counts_every_window() {
     let mut spec = ScenarioSpec::small_hall(2, 2, 3, "office");
     spec.window_ms = 1;
     spec.windows = (1 << 32) + 3;
-    spec.validate().expect("a long run of short windows is valid");
+    spec.validate()
+        .expect("a long run of short windows is valid");
     assert_eq!(spec.total(), Duration::from_millis((1 << 32) + 3));
 }

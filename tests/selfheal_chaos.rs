@@ -165,7 +165,8 @@ fn run_scenario(seed: u64, dead_cell: usize, inject: bool) -> ScenarioOutcome {
         for cell_devs in &mut loop_.plan().sounding_devices() {
             for dev in cell_devs {
                 expected.push(dev.name.clone());
-                dev.emit_slot(&mut scene, slot, start + offset, dur).unwrap();
+                dev.emit_slot(&mut scene, slot, start + offset, dur)
+                    .unwrap();
             }
         }
         expected_ticks += expected.len() as u64;
@@ -380,7 +381,11 @@ fn every_dead_cell_rotation_self_heals() {
     for dead_cell in (0..CELLS).filter(|&c| c != DEAD_CELL) {
         let out = run_scenario(SEED, dead_cell, true);
         let evacuated: Vec<usize> = out.replans.iter().map(|&(_, cell)| cell).collect();
-        assert_eq!(evacuated, vec![dead_cell], "dead cell {dead_cell}: evacuations");
+        assert_eq!(
+            evacuated,
+            vec![dead_cell],
+            "dead cell {dead_cell}: evacuations"
+        );
         assert_eq!(
             out.final_heard.len(),
             CELLS * 2,
@@ -397,7 +402,10 @@ fn every_dead_cell_rotation_self_heals() {
                 .recoveries
                 .get(d)
                 .unwrap_or_else(|| panic!("dead cell {dead_cell}: {d} has no MTTR sample"));
-            assert!(*took <= TICK * 2, "dead cell {dead_cell}: {d} took {took:?}");
+            assert!(
+                *took <= TICK * 2,
+                "dead cell {dead_cell}: {d} took {took:?}"
+            );
         }
         assert!(
             out.availability > 0.85,

@@ -76,7 +76,10 @@ fn bit_flips_never_panic() {
         }
     }
     // Most flips break the syntax or a field; the sweep is not vacuous.
-    assert!(rejected * 2 > cases, "only {rejected} of {cases} flips rejected");
+    assert!(
+        rejected * 2 > cases,
+        "only {rejected} of {cases} flips rejected"
+    );
 }
 
 /// 100 000 levels of arrays or objects, alone or in a spec field: an
@@ -125,7 +128,11 @@ fn huge_numbers_never_panic() {
                 at += 1;
                 continue;
             }
-            let end = at + bytes[at..].iter().take_while(|b| b.is_ascii_digit()).count();
+            let end = at
+                + bytes[at..]
+                    .iter()
+                    .take_while(|b| b.is_ascii_digit())
+                    .count();
             for huge in HUGE.iter().copied().chain([long_digits.as_str()]) {
                 let mutated = format!("{}{huge}{}", &text[..at], &text[end..]);
                 let got = std::panic::catch_unwind(|| parse_and_validate(&mutated));

@@ -3,6 +3,7 @@
 //! obliviousness (the same detector works wherever the monitored switch
 //! sits).
 
+use mdn_acoustics::Window;
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_core::apps::superspreader::{AddressToneMapper, SuperspreaderDetector, WatchMode};
 use mdn_core::controller::MdnController;
@@ -14,7 +15,6 @@ use mdn_net::packet::{FlowKey, Ip};
 use mdn_net::topology;
 use mdn_net::traffic::TrafficPattern;
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 const SR: u32 = 44_100;
 const SLOTS: usize = 48;

@@ -3,13 +3,13 @@
 //! unique frequency set, identifiable even when sounding simultaneously.
 
 use mdn_acoustics::ambient::AmbientProfile;
+use mdn_acoustics::Window;
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_core::controller::{collapse_events, MdnController};
 use mdn_core::encoder::SoundingDevice;
 use mdn_core::freqplan::FrequencyPlan;
 use std::collections::BTreeSet;
 use std::time::Duration;
-use mdn_acoustics::Window;
 
 const SR: u32 = 44_100;
 const SWITCHES: usize = 7;
@@ -75,14 +75,14 @@ fn seven_switches_sequential_in_office_noise() {
     for (i, dev) in devices.iter_mut().enumerate() {
         let slot = (i + 1) % 3;
         let at = Duration::from_millis(600 + 250 * i as u64);
-        dev.emit_slot(&mut scene, slot, at, Duration::from_millis(120)).unwrap();
+        dev.emit_slot(&mut scene, slot, at, Duration::from_millis(120))
+            .unwrap();
         sent.push((dev.name.clone(), slot));
     }
     let total = Duration::from_millis(600 + 250 * SWITCHES as u64 + 300);
     let events = ctl.listen(&scene, Window::new(Duration::from_millis(500), total));
     let tones = collapse_events(&events, Duration::from_millis(100));
-    let decoded: Vec<(String, usize)> =
-        tones.iter().map(|e| (e.device.clone(), e.slot)).collect();
+    let decoded: Vec<(String, usize)> = tones.iter().map(|e| (e.device.clone(), e.slot)).collect();
     assert_eq!(decoded, sent, "sequence corrupted");
 }
 
@@ -95,5 +95,9 @@ fn plan_capacity_covers_many_testbeds() {
         plan.allocate(format!("fx-{i}"), 16).unwrap();
     }
     // 7 × 16 = 112 slots gone; most of the band remains.
-    assert!(plan.available() > 700, "only {} slots left", plan.available());
+    assert!(
+        plan.available() > 700,
+        "only {} slots left",
+        plan.available()
+    );
 }

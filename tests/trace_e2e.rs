@@ -168,8 +168,9 @@ fn tones_trace_through_five_hops_and_the_evacuation_chain() {
     let chain: Vec<&TraceSpan> = spans.iter().filter(|s| s.trace == evacuated).collect();
     assert!(chain.iter().all(|s| s.cell == DEAD_CELL));
     assert!(
-        chain.iter().any(|s| s.kind == SpanKind::Replan
-            && s.detail == format!("evacuated cell {DEAD_CELL}")),
+        chain.iter().any(
+            |s| s.kind == SpanKind::Replan && s.detail == format!("evacuated cell {DEAD_CELL}")
+        ),
         "replan span names the evacuated cell"
     );
     // No decode anywhere on a starved tone.

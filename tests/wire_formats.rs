@@ -3,11 +3,11 @@
 //! seeded corruption sweep proving both decoders total on mangled frames.
 
 use bytes::Bytes;
-use mdn_proto::faults::FaultRng;
 use mdn_net::ftable::{Action, Decision, Match, PortId};
 use mdn_net::network::Network;
 use mdn_net::packet::{FlowKey, Ip, Proto};
 use mdn_proto::channel::{apply_at_switch, ControlChannel};
+use mdn_proto::faults::FaultRng;
 use mdn_proto::mp::{MpMessage, MpTone};
 use mdn_proto::openflow::{FlowModCommand, OfMessage, PacketInReason};
 use proptest::prelude::*;
@@ -215,17 +215,29 @@ fn frame_corpus() -> Vec<Bytes> {
     let mp = [
         MpMessage::PlayTone {
             seq: 7,
-            tone: MpTone { freq_chz: 70_000, duration_ms: 50, intensity_ddb: 650 },
+            tone: MpTone {
+                freq_chz: 70_000,
+                duration_ms: 50,
+                intensity_ddb: 650,
+            },
         },
         MpMessage::PlaySequence {
             seq: 8,
             tones: vec![
                 (
-                    MpTone { freq_chz: 90_000, duration_ms: 40, intensity_ddb: 600 },
+                    MpTone {
+                        freq_chz: 90_000,
+                        duration_ms: 40,
+                        intensity_ddb: 600,
+                    },
                     Duration::from_millis(10),
                 ),
                 (
-                    MpTone { freq_chz: 95_000, duration_ms: 40, intensity_ddb: 600 },
+                    MpTone {
+                        freq_chz: 95_000,
+                        duration_ms: 40,
+                        intensity_ddb: 600,
+                    },
                     Duration::ZERO,
                 ),
             ],
@@ -234,8 +246,14 @@ fn frame_corpus() -> Vec<Bytes> {
     ];
     let of = [
         OfMessage::Hello { xid: 1 },
-        OfMessage::EchoRequest { xid: 2, payload: Bytes::from_static(b"ping") },
-        OfMessage::EchoReply { xid: 2, payload: Bytes::from_static(b"ping") },
+        OfMessage::EchoRequest {
+            xid: 2,
+            payload: Bytes::from_static(b"ping"),
+        },
+        OfMessage::EchoReply {
+            xid: 2,
+            payload: Bytes::from_static(b"ping"),
+        },
         OfMessage::PacketIn {
             xid: 3,
             in_port: 1,
@@ -250,7 +268,12 @@ fn frame_corpus() -> Vec<Bytes> {
             mat: Match::dst(Ip::v4(10, 0, 0, 2)),
             action: Action::Forward(1),
         },
-        OfMessage::PortStatus { xid: 5, port: 1, reason: PortReason::Delete, link_up: false },
+        OfMessage::PortStatus {
+            xid: 5,
+            port: 1,
+            reason: PortReason::Delete,
+            link_up: false,
+        },
         OfMessage::PortStatsRequest { xid: 6, port: 0 },
         OfMessage::PortStatsReply {
             xid: 7,
