@@ -15,7 +15,7 @@
 //!   Goertzel/FFT → local-max → event pipeline, MP encode → ARQ → ack
 //!   round trips, per-queue testbed hops.
 //! * [`export`] — a Prometheus text-format dump and a JSON
-//!   [`Snapshot`] (same spirit as `BENCH_detect.json`).
+//!   [`Snapshot`] (same spirit as the `BENCH_*.json` summaries).
 //! * [`journal`] — a bounded ring-buffer event journal holding the last N
 //!   health/fault transitions, with an overflow counter instead of
 //!   unbounded growth.

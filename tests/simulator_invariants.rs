@@ -172,8 +172,8 @@ proptest! {
     }
 }
 
-/// Deterministic regression: the exact delivery count of a fixed scenario
-/// (guards against accidental changes to timing arithmetic).
+/// Deterministic regression: the exact delivery counts of two fixed
+/// scenarios (guards against accidental changes to timing arithmetic).
 #[test]
 fn fixed_scenario_delivery_count_is_stable() {
     let (net, topo) = run_line(
@@ -192,4 +192,30 @@ fn fixed_scenario_delivery_count_is_stable() {
     let delivered = net.host(topo.h2).rx_packets;
     assert_eq!(delivered, 175, "delivery arithmetic changed");
     assert_eq!(net.counters.queue_drops, 500 - 175);
+
+    // 100 k packets at 800 Mbps offered over a 1 Gbps line: every one
+    // arrives and none drops.
+    let mut net = Network::new();
+    let topo = topology::line(&mut net, 1_000_000_000, Duration::from_micros(10));
+    net.install_rule(
+        topo.s1,
+        Rule {
+            mat: Match::ANY,
+            priority: 0,
+            action: Action::Forward(1),
+        },
+    );
+    net.attach_generator(
+        topo.h1,
+        TrafficPattern::Cbr {
+            flow: flow(1, 2),
+            pps: 100_000.0,
+            size: 1000,
+            start: Duration::ZERO,
+            stop: Duration::from_secs(1),
+        },
+    );
+    net.drain();
+    assert_eq!(net.host(topo.h2).rx_packets, 100_000);
+    assert_eq!(net.counters.queue_drops, 0);
 }
