@@ -12,7 +12,8 @@
 //!
 //! Each figure also checks the paper's verdict it reproduces (recall 1.0,
 //! the heavy slot flagged, both fan rooms separated, ...). The outputs are
-//! written first; then, if any verdict fails, the run exits non-zero.
+//! written first; then, if any verdict fails, the run exits 1. An
+//! argument that selects no figure lists the valid keys and exits 2.
 
 use mdn_bench::experiments::{ablation, claims, fig2, fig3, fig4, fig5, fig6_7};
 use mdn_bench::report::{print_table, write_csv, write_json};
@@ -20,15 +21,42 @@ use mdn_bench::report::{print_table, write_csv, write_json};
 /// One paper verdict: what must hold, and whether it did.
 type Verdict = (String, bool);
 
+/// Every key `figures` runs, in run order. `5a` also writes Figure 5b's
+/// series and `5c` Figure 5d's, so `5b` and `5d` are not keys.
+const KEYS: [&str; 13] = [
+    "2a", "2b", "3", "4a", "4b", "4c", "4d", "5a", "5c", "6", "7", "claims", "ablation",
+];
+
+/// The keys `args` select: every key when `args` is empty, else each key
+/// that some argument is a case-insensitive prefix of (`4` selects
+/// 4a–4d). Returns the first argument that selects no key as the error.
+fn select(args: &[String]) -> Result<Vec<&'static str>, String> {
+    if args.is_empty() {
+        return Ok(KEYS.to_vec());
+    }
+    let mut selected = Vec::new();
+    for arg in args {
+        let prefix = arg.to_lowercase();
+        let before = selected.len();
+        selected.extend(KEYS.into_iter().filter(|k| k.starts_with(&prefix)));
+        if selected.len() == before {
+            return Err(arg.clone());
+        }
+    }
+    Ok(selected)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |key: &str| {
-        args.is_empty()
-            || args.iter().any(|a| {
-                let a = a.to_lowercase();
-                a == key || key.starts_with(&a)
-            })
-    };
+    let selected = select(&args).unwrap_or_else(|bad| {
+        eprintln!(
+            "figures: `{bad}` selects no figure; valid keys: {} \
+             (5a also writes 5b, 5c also writes 5d)",
+            KEYS.join(" ")
+        );
+        std::process::exit(2);
+    });
+    let want = |key: &str| selected.contains(&key);
 
     let mut verdicts: Vec<Verdict> = Vec::new();
     if want("2a") {
@@ -557,4 +585,22 @@ fn run_claims() -> Vec<Verdict> {
             at_911.is_some_and(|accuracy| accuracy >= 0.95),
         ),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn keys(args: &[&str]) -> Result<Vec<&'static str>, String> {
+        select(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn arguments_select_keys_by_prefix_and_reject_the_rest() {
+        assert_eq!(keys(&[]).unwrap(), KEYS);
+        assert_eq!(keys(&["4"]).unwrap(), ["4a", "4b", "4c", "4d"]);
+        assert_eq!(keys(&["5a", "claims"]).unwrap(), ["5a", "claims"]);
+        assert_eq!(keys(&["5b"]), Err("5b".to_string()));
+        assert_eq!(keys(&["fig3"]), Err("fig3".to_string()));
+    }
 }
