@@ -5,11 +5,18 @@
 //! the pressure signal at the listener position to its own capture rate,
 //! adds its self-noise floor, applies a response band, and clips at full
 //! scale.
+//!
+//! A capture's self-noise is samples `[0, len)` of the mic's seeded white
+//! stream, so every capture of a given length adds the same floor. The
+//! stream is kept as one process-wide memoized prefix per noise
+//! configuration, and a capture adds its first `len` samples instead of
+//! synthesising them again.
 
-use mdn_audio::noise::white_noise;
+use mdn_audio::noise::white_noise_at;
 use mdn_audio::resample::resample;
 use mdn_audio::signal::spl_to_amplitude;
 use mdn_audio::Signal;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A microphone/ADC model.
 #[derive(Debug, Clone)]
@@ -65,27 +72,90 @@ impl Microphone {
 
     /// Capture a pressure signal: band-limit, resample to the ADC rate, add
     /// the self-noise floor, clip at full scale.
+    ///
+    /// At the ADC rate the band limit, the floor and the clip run as one
+    /// pass into one buffer; a resampling mic adds the floor and clips in
+    /// place after resampling. Either way each sample is
+    /// `(band_limited as f32 + floor).clamp(-1, 1)`, the arithmetic of
+    /// mixing a from-zero `white_noise` floor and clipping.
     pub fn capture(&self, pressure: &Signal) -> Signal {
-        let mut sig = band_limit(pressure, self.band.0, self.band.1);
-        if sig.sample_rate() != self.sample_rate {
-            sig = resample(&sig, self.sample_rate);
+        let (lo, hi) = self.band;
+        if pressure.sample_rate() == self.sample_rate {
+            let floor = self.noise_floor(pressure.len());
+            let samples = band_limit(pressure, lo, hi)
+                .zip(floor.iter())
+                .map(|(y, &n)| add_floor(y, n))
+                .collect();
+            return Signal::from_samples(samples, self.sample_rate);
         }
-        if !sig.is_empty() {
-            let floor = white_noise(
-                sig.duration(),
-                spl_to_amplitude(self.noise_floor_spl),
-                self.sample_rate,
-                self.noise_seed,
-            );
-            sig.mix_at(&floor, 0);
+        let limited = Signal::from_samples(
+            band_limit(pressure, lo, hi).collect(),
+            pressure.sample_rate(),
+        );
+        let mut sig = resample(&limited, self.sample_rate);
+        let floor = self.noise_floor(sig.len());
+        for (s, &n) in sig.samples_mut().iter_mut().zip(floor.iter()) {
+            *s = add_floor(*s, n);
         }
-        sig.clip();
         sig
+    }
+
+    /// At least the first `len` samples of this mic's self-noise stream,
+    /// from the process-wide memo.
+    fn noise_floor(&self, len: usize) -> Arc<[f32]> {
+        let rms = spl_to_amplitude(self.noise_floor_spl);
+        let key = (self.noise_seed, rms.to_bits(), self.sample_rate);
+        // Every update below swaps in a whole entry or prefix, so the memo
+        // stays valid even if a holder panicked: recover a poisoned lock.
+        let mut memo = NOISE_FLOORS.lock().unwrap_or_else(PoisonError::into_inner);
+        let at = match memo.iter().position(|(k, _)| *k == key) {
+            Some(at) => at,
+            None => {
+                if memo.len() == NOISE_FLOOR_KEYS {
+                    memo.remove(0);
+                }
+                memo.push((key, Arc::from([])));
+                memo.len() - 1
+            }
+        };
+        let prefix = &mut memo[at].1;
+        if prefix.len() < len {
+            let grown = len.max(2 * prefix.len());
+            let noise = white_noise_at(0, grown, rms, self.sample_rate, self.noise_seed);
+            *prefix = noise.samples().into();
+        }
+        Arc::clone(prefix)
     }
 }
 
-/// Band-limit a signal with cascaded one-pole high/low-pass filters.
-fn band_limit(signal: &Signal, lo_hz: f64, hi_hz: f64) -> Signal {
+/// Noise configurations the floor memo keeps before it drops the oldest.
+const NOISE_FLOOR_KEYS: usize = 8;
+
+/// A self-noise stream's identity: `(noise_seed, rms bits, sample_rate)`,
+/// every input of a sample of the stream besides its index. The mic's
+/// fields are public, so the key is read at each capture.
+type NoiseKey = (u64, u64, u32);
+
+/// Memoized prefixes of microphone self-noise streams, one per
+/// [`NoiseKey`]. A prefix grows by doubling, so a run's
+/// captures synthesise each noise sample at most twice. Sample `i` of
+/// `white_noise_at(0, n, …)` does not depend on `n`, so the first `len`
+/// samples of any prefix are byte-identical to a `len`-sample
+/// `white_noise`. It is shared process-wide because a hall's cells all
+/// use the same mic model and capture from the sharded listen's scoped
+/// workers; a miss holds the lock while it synthesises.
+static NOISE_FLOORS: Mutex<Vec<(NoiseKey, Arc<[f32]>)>> = Mutex::new(Vec::new());
+
+/// One captured sample: the band-limited pressure plus the mic floor,
+/// clipped at full scale.
+#[inline]
+fn add_floor(y: f32, noise: f32) -> f32 {
+    (y + noise).clamp(-1.0, 1.0)
+}
+
+/// Band-limit a signal with cascaded one-pole high/low-pass filters,
+/// lazily, one output sample per input sample.
+fn band_limit(signal: &Signal, lo_hz: f64, hi_hz: f64) -> impl Iterator<Item = f32> + '_ {
     let sr = signal.sample_rate() as f64;
     let dt = 1.0 / sr;
     let alpha = |fc: f64| {
@@ -96,14 +166,12 @@ fn band_limit(signal: &Signal, lo_hz: f64, hi_hz: f64) -> Signal {
     let a_hi = alpha(hi_hz.min(sr / 2.0 - 1.0));
     let mut lp_state = 0.0f64; // tracks low-frequency content (to subtract)
     let mut out_state = 0.0f64; // lowpass at the upper cutoff
-    let mut out = Vec::with_capacity(signal.len());
-    for &x in signal.samples() {
+    signal.samples().iter().map(move |&x| {
         lp_state += a_lo * (x as f64 - lp_state);
         let highpassed = x as f64 - lp_state;
         out_state += a_hi * (highpassed - out_state);
-        out.push(out_state as f32);
-    }
-    Signal::from_samples(out, signal.sample_rate())
+        out_state as f32
+    })
 }
 
 #[cfg(test)]
@@ -177,5 +245,153 @@ mod tests {
     fn empty_input_empty_output() {
         let mic = Microphone::cheap();
         assert!(mic.capture(&Signal::empty(SR)).is_empty());
+    }
+
+    /// The staged capture chain the memoized, fused one replaces: a
+    /// band-limited signal, a resample, a from-zero `white_noise` floor of
+    /// the signal's duration mixed in, then a clip.
+    fn staged_capture(mic: &Microphone, pressure: &Signal) -> Signal {
+        let (lo, hi) = mic.band;
+        let mut sig = Signal::from_samples(
+            band_limit(pressure, lo, hi).collect(),
+            pressure.sample_rate(),
+        );
+        if sig.sample_rate() != mic.sample_rate {
+            sig = resample(&sig, mic.sample_rate);
+        }
+        if !sig.is_empty() {
+            let floor = mdn_audio::noise::white_noise(
+                sig.duration(),
+                spl_to_amplitude(mic.noise_floor_spl),
+                mic.sample_rate,
+                mic.noise_seed,
+            );
+            sig.mix_at(&floor, 0);
+        }
+        sig.clip();
+        sig
+    }
+
+    fn assert_same_bits(got: &Signal, want: &Signal, what: &str) {
+        assert_eq!(got.sample_rate(), want.sample_rate(), "{what}: rate");
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.samples().iter().zip(want.samples()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: sample {i}");
+        }
+    }
+
+    /// `n` samples of loud broadband pressure at `sr`, loud enough that
+    /// the clip engages on some of them.
+    fn pressure(n: usize, sr: u32, seed: u64) -> Signal {
+        mdn_audio::noise::white_noise_at(0, n, 0.7, sr, seed)
+    }
+
+    /// Capture lengths that grow the memo, hit it, and grow it again.
+    fn lengths() -> Vec<usize> {
+        let mut ns: Vec<usize> = (0..=40).collect();
+        ns.extend([
+            100, 441, 1102, 2205, 4410, 4409, 3, 0, 4411, 7000, 6999, 8820, 1,
+        ]);
+        ns
+    }
+
+    #[test]
+    fn memoized_capture_matches_the_staged_chain_bit_for_bit() {
+        for (k, base) in [
+            Microphone::cheap(),
+            Microphone::measurement(),
+            Microphone::ultrasound(),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            // A seed no other test uses, so the memo entry starts empty
+            // and the length sweep grows it from zero.
+            let mic = Microphone {
+                noise_seed: 0x5EED_0000 + k as u64,
+                ..base.clone()
+            };
+            for rate in [SR, mic.sample_rate] {
+                for n in lengths() {
+                    let p = pressure(n, rate, n as u64);
+                    let what = format!("{} at {rate} Hz, {n} samples", mic.name);
+                    assert_same_bits(&mic.capture(&p), &staged_capture(&mic, &p), &what);
+                    assert_same_bits(&base.capture(&p), &staged_capture(&base, &p), &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_follows_noise_fields_changed_between_captures() {
+        let mut mic = Microphone::measurement();
+        let p = pressure(3000, SR, 9);
+        let first = mic.capture(&p);
+        mic.noise_seed ^= 0xFFFF;
+        let reseeded = mic.capture(&p);
+        assert_same_bits(&reseeded, &staged_capture(&mic, &p), "new seed");
+        assert_ne!(
+            first.samples(),
+            reseeded.samples(),
+            "seed must move the floor"
+        );
+        mic.noise_floor_spl += 6.0;
+        let louder = mic.capture(&p);
+        assert_same_bits(&louder, &staged_capture(&mic, &p), "new floor level");
+        assert_ne!(reseeded.samples(), louder.samples());
+        mic.sample_rate = 22_050;
+        assert_same_bits(&mic.capture(&p), &staged_capture(&mic, &p), "new rate");
+    }
+
+    #[test]
+    fn memoized_capture_is_exact_from_scoped_workers() {
+        let mics = [
+            Microphone::cheap(),
+            Microphone::measurement(),
+            Microphone::ultrasound(),
+        ];
+        // All four workers start together, so their first captures race
+        // for the memo, growing entries the others read.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for w in 0..4usize {
+                let (mics, start) = (&mics, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for (i, n) in lengths().into_iter().enumerate().skip(w) {
+                        let mic = &mics[(i + w) % mics.len()];
+                        let p = pressure(n * 3, SR, (w * 1000 + i) as u64);
+                        let what = format!("worker {w}: {} {} samples", mic.name, n * 3);
+                        assert_same_bits(&mic.capture(&p), &staged_capture(mic, &p), &what);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn duration_round_trip_is_exact_up_to_ten_seconds() {
+        // The staged chain sized its floor from the capture's duration;
+        // the memo adds exactly `len` samples. The two agree because the
+        // sample count survives the round trip through a `Duration`.
+        use mdn_audio::signal::{duration_to_samples, samples_to_duration};
+        for mic in [
+            Microphone::cheap(),
+            Microphone::measurement(),
+            Microphone::ultrasound(),
+        ] {
+            let sr = mic.sample_rate;
+            for n in 0..=10 * sr as usize {
+                assert_eq!(
+                    duration_to_samples(samples_to_duration(n, sr), sr),
+                    n,
+                    "{n} samples at {sr} Hz"
+                );
+            }
+            for n in [0, 1, 4410, sr as usize] {
+                let sig = Signal::from_samples(vec![0.0; n], sr);
+                assert_eq!(sig.duration(), samples_to_duration(n, sr));
+            }
+        }
     }
 }

@@ -18,8 +18,8 @@
 //!
 //! The ambient bed is one field every listener hears, so a scene keeps
 //! the most recently synthesised span of it and serves any window inside
-//! that span by copying: a hall's listens and heal re-captures of one
-//! window synthesise the bed once between them.
+//! that span by copying: a hall's per-cell listens of one window
+//! synthesise the bed once between them.
 //!
 //! A render is sequential. The one parallel layer sits above it, in the
 //! per-cell listens of `mdn_core::cells::ShardedController`, which share
@@ -540,8 +540,10 @@ impl Scene {
 
     /// Render window `w` at the microphone's position and pass it through
     /// the microphone's capture chain (band limit, ADC resample, noise
-    /// floor, clipping) — the one capture implementation everything
-    /// (controller ticks included) goes through.
+    /// floor, clipping): [`Microphone::capture`] of
+    /// [`Scene::render_window`]. A controller's listen makes the same two
+    /// calls itself so it can also cut the window's own span out of the
+    /// render; every capture is one `Microphone::capture` of one render.
     pub fn capture(&self, mic: &Microphone, at: Pos, w: Window) -> Signal {
         mic.capture(&self.render_window(at, w))
     }

@@ -28,12 +28,14 @@
 //! for any thread count), and merges per-cell observations into one
 //! [`ShardEvent`] stream. This per-cell listen is the workspace's only
 //! thread fan-out: the render and the decode inside it are sequential.
+//! For the self-healing loop the same worker also analyses the window's
+//! own span of that render for the cell's ambient retune.
 //! Captures go through the windowed render path, so each listening tick
 //! costs O(window) regardless of elapsed scene time.
 
 use crate::controller::{merge_event_streams, MdnController, MdnEvent};
 pub use crate::controller::{CellId, ShardEvent};
-use crate::detector::DetectorConfig;
+use crate::detector::{DetectorConfig, FrameMagnitudes};
 use crate::encoder::{EmitError, SoundingDevice};
 use crate::freqplan::{FrequencyPlan, FrequencySet};
 use mdn_acoustics::ambient::AmbientProfile;
@@ -1066,9 +1068,36 @@ impl ShardedController {
     /// sequentially by [`merge_event_streams`], so the result is
     /// bit-identical for any thread count.
     pub fn listen(&self, scene: &Scene, w: Window) -> Vec<ShardEvent> {
+        let per_cell = self.per_cell(|ctl| ctl.listen(scene, w));
+        self.merge(per_cell)
+    }
+
+    /// [`Self::listen`] plus each cell's ambient-retune analysis of `w`,
+    /// cut from the cell's one listen render inside the same shard
+    /// worker (see [`MdnController::listen_and_analyze`]). `None` for a
+    /// cell with no bindings.
+    pub(crate) fn listen_and_analyze(
+        &self,
+        scene: &Scene,
+        w: Window,
+    ) -> (Vec<ShardEvent>, Vec<Option<FrameMagnitudes>>) {
+        let (per_cell, analyses) = self
+            .per_cell(|ctl| ctl.listen_and_analyze(scene, w))
+            .into_iter()
+            .unzip();
+        (self.merge(per_cell), analyses)
+    }
+
+    /// `listen_one` over every cell that has bindings, in cell order,
+    /// fanned over the shard workers; an evacuated cell's controller has
+    /// no bindings (and no detector), so it yields the default.
+    fn per_cell<T: Default + Send>(
+        &self,
+        listen_one: impl Fn(&MdnController) -> T + Sync,
+    ) -> Vec<T> {
         let n = self.controllers.len();
-        let mut per_cell: Vec<Vec<MdnEvent>> = Vec::with_capacity(n);
-        per_cell.resize_with(n, Vec::new);
+        let mut per_cell: Vec<T> = Vec::with_capacity(n);
+        per_cell.resize_with(n, T::default);
 
         let workers = if self.threads == 0 {
             std::thread::available_parallelism().map_or(1, |p| p.get())
@@ -1077,13 +1106,11 @@ impl ShardedController {
         }
         .clamp(1, n.max(1));
 
-        // An evacuated cell's controller has no bindings (and no
-        // detector): nothing to capture or decode.
-        let listen_one = |ctl: &MdnController| -> Vec<MdnEvent> {
+        let listen_one = |ctl: &MdnController| -> T {
             if ctl.bindings().is_empty() {
-                Vec::new()
+                T::default()
             } else {
-                ctl.listen(scene, w)
+                listen_one(ctl)
             }
         };
 
@@ -1108,13 +1135,16 @@ impl ShardedController {
                 }
             });
         }
+        per_cell
+    }
 
+    /// Count each cell's events and merge the shards.
+    fn merge(&self, per_cell: Vec<Vec<MdnEvent>>) -> Vec<ShardEvent> {
         for (c, events) in per_cell.iter().enumerate() {
             if !events.is_empty() {
                 self.obs_cell_events[c].add(events.len() as u64);
             }
         }
-
         merge_event_streams(per_cell)
     }
 }

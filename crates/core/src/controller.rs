@@ -7,12 +7,12 @@
 //! controller turns raw captures into `(device, slot, time)` events that
 //! the §4–§7 applications consume.
 
-use crate::detector::{DetectorConfig, ToneDetector, ToneObservation};
+use crate::detector::{DetectorConfig, FrameMagnitudes, ToneDetector, ToneObservation};
 use crate::freqplan::FrequencySet;
 use mdn_acoustics::medium::Pos;
 use mdn_acoustics::mic::Microphone;
 use mdn_acoustics::scene::Scene;
-use mdn_audio::signal::Window;
+use mdn_audio::signal::{duration_to_samples, Window};
 use mdn_audio::Signal;
 use mdn_obs::{Counter, Registry};
 use std::time::Duration;
@@ -177,7 +177,7 @@ impl MdnController {
     /// The full per-frame magnitude matrix of a capture — decoding
     /// without the thresholds, for ambient tracking. `None` until a
     /// device is bound.
-    pub fn analyze(&self, capture: &Signal) -> Option<crate::detector::FrameMagnitudes> {
+    pub fn analyze(&self, capture: &Signal) -> Option<FrameMagnitudes> {
         self.detector.as_ref().map(|det| det.analyze(capture))
     }
 
@@ -207,18 +207,49 @@ impl MdnController {
     /// reporting a ghost event. Without the pre-roll, windowed listeners
     /// (the 300 ms tick loops of §6) see phantom tones at window
     /// boundaries.
+    ///
+    /// The self-healing loop listens through a variant that also returns
+    /// the ambient retune's analysis of `w`, cut from this same render
+    /// (see [`crate::selfheal::SelfHealingController::tick`]); this call
+    /// renders, captures and decodes only.
     pub fn listen(&self, scene: &Scene, w: Window) -> Vec<MdnEvent> {
+        self.listen_rendered(scene, w).0
+    }
+
+    /// [`Self::listen`] plus the ambient retune's analysis of `w` alone,
+    /// from the one render. A render of `[w.from, w.end())` is
+    /// byte-identical to that span of the pre-rolled render, so the
+    /// span is sliced out, captured from zero state and analysed: the
+    /// same bytes a separate capture of `w` would give. `None` until a
+    /// device is bound.
+    pub(crate) fn listen_and_analyze(
+        &self,
+        scene: &Scene,
+        w: Window,
+    ) -> (Vec<MdnEvent>, Option<FrameMagnitudes>) {
+        let (events, pressure, offset) = self.listen_rendered(scene, w);
+        let own = pressure.slice(offset, pressure.len());
+        (events, self.analyze(&self.mic.capture(&own)))
+    }
+
+    /// The listen of `w`: its decoded events, the pre-rolled pressure
+    /// render they came from, and the sample offset of `w.from` in it.
+    fn listen_rendered(&self, scene: &Scene, w: Window) -> (Vec<MdnEvent>, Signal, usize) {
         let pre_roll = LISTEN_PRE_ROLL.min(w.from);
         let start = w.from - pre_roll;
-        let capture = self.capture(scene, Window::new(start, w.len + pre_roll));
-        self.decode(&capture)
+        let pressure = scene.render_window(self.pos, Window::new(start, w.len + pre_roll));
+        let events = self
+            .decode(&self.mic.capture(&pressure))
             .into_iter()
             .filter(|e| e.time >= pre_roll)
             .map(|mut e| {
                 e.time += start;
                 e
             })
-            .collect()
+            .collect();
+        let sr = scene.sample_rate();
+        let offset = duration_to_samples(w.from, sr) - duration_to_samples(start, sr);
+        (events, pressure, offset)
     }
 
     fn to_event(&self, o: ToneObservation) -> MdnEvent {

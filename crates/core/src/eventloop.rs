@@ -23,13 +23,19 @@
 //!   switch's patched allocation (boosted level, spare slots), exactly
 //!   as the physical switch would.
 //! * **WindowBoundary** — close the capture window that ends here: run
-//!   the sharded listen over `[window_start, now)` and schedule the
-//!   matching *SelfHealTick* at the same instant (it lands later in the
-//!   tie order, so every same-time event fires first). The next
+//!   the sharded listen over `[window_start, now)` — each cell renders
+//!   its pre-rolled window once, decodes it, and analyses the window's
+//!   own span of the same render for the ambient retune — and schedule
+//!   the matching *SelfHealTick* at the same instant (it lands later in
+//!   the tie order, so every same-time event fires first). The next
 //!   boundary is scheduled one window ahead; the chain is self-sustaining.
-//! * **SelfHealTick** — the reacting half: fold the observed events into
-//!   ambient floors, the health ledger, and (at most) one evacuation,
-//!   then retire emissions the next capture can no longer see.
+//! * **SelfHealTick** — the reacting half: fold the observed events and
+//!   the boundary's retune analyses into ambient floors, the health
+//!   ledger, and (at most) one evacuation, then retire emissions the
+//!   next capture can no longer see. It renders nothing: the events that
+//!   fire between the two share the boundary's instant, and an emission
+//!   starting there reaches no sample of the window, so the analyses are
+//!   the bytes a re-render at the heal pass would give.
 //! * **Fault** — a [`NetFault`] transition (link down/up, switch
 //!   crash/restart) applied to the network at its scheduled instant
 //!   rather than at the next batch-tick boundary.
@@ -67,6 +73,7 @@
 //! samples land).
 
 use crate::controller::{ShardEvent, LISTEN_PRE_ROLL};
+use crate::detector::FrameMagnitudes;
 use crate::selfheal::{SelfHealingController, TickReport};
 use mdn_acoustics::scene::Scene;
 use mdn_acoustics::speaker::Speaker;
@@ -150,9 +157,8 @@ pub struct UnifiedLoop {
     /// Emissions fired but not yet folded into a heal pass, in fire
     /// (time, seq) order.
     pending_expected: Vec<PendingTone>,
-    /// A window observed at its boundary, awaiting its SelfHealTick:
-    /// the window, its decoded events, and the observation's wall cost.
-    observed: Option<(Window, Vec<ShardEvent>, u64)>,
+    /// A window observed at its boundary, awaiting its SelfHealTick.
+    observed: Option<Observed>,
     /// When set, each heal pass retires emissions that ended (plus this
     /// propagation bound) before the next capture's pre-roll, keeping
     /// the scene O(active) over long soaks.
@@ -168,6 +174,23 @@ pub struct UnifiedLoop {
     /// Per-device schedule sequence numbers for [`TraceId::derive`].
     /// Only advanced while tracing is on.
     trace_seq: BTreeMap<String, u64>,
+}
+
+/// What a WindowBoundary observed, for the SelfHealTick that follows it
+/// at the same instant. Holding the analyses across the gap is exact:
+/// every event between the two fires at the boundary, and an emission
+/// starting there cannot reach a sample of `w`.
+#[derive(Debug)]
+struct Observed {
+    /// The window just closed.
+    w: Window,
+    /// Its decoded, cell-attributed events.
+    events: Vec<ShardEvent>,
+    /// Each cell's ambient-retune analysis of `w`, cut from its listen
+    /// render.
+    analyses: Vec<Option<FrameMagnitudes>>,
+    /// The observation's wall cost (zero unless tracing).
+    wall_ns: u64,
 }
 
 /// One fired-but-not-yet-healed emission in the expected-device ledger.
@@ -372,17 +395,27 @@ impl UnifiedLoop {
                 ControlEvent::WindowBoundary => {
                     let w = Window::between(self.window_start, at);
                     let observe_started = self.trace.is_enabled().then(Instant::now);
-                    let events = self.heal.sharded().listen(&self.scene, w);
+                    let (events, analyses) = self.heal.sharded().listen_and_analyze(&self.scene, w);
                     let observe_wall_ns =
                         observe_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    self.observed = Some((w, events, observe_wall_ns));
+                    self.observed = Some(Observed {
+                        w,
+                        events,
+                        analyses,
+                        wall_ns: observe_wall_ns,
+                    });
                     // Same instant, later seq: every already-scheduled
                     // event at `at` fires before the heal pass.
                     self.schedule_control(at, ControlEvent::SelfHealTick);
                     self.schedule_control(at + self.window_len, ControlEvent::WindowBoundary);
                 }
                 ControlEvent::SelfHealTick => {
-                    let (w, events, observe_wall_ns) = self
+                    let Observed {
+                        w,
+                        events,
+                        analyses,
+                        wall_ns: observe_wall_ns,
+                    } = self
                         .observed
                         .take()
                         .expect("a SelfHealTick always follows its WindowBoundary");
@@ -396,7 +429,7 @@ impl UnifiedLoop {
                     let expected: Vec<String> =
                         drained.iter().map(|tone| tone.device.clone()).collect();
                     let heal_started = self.trace.is_enabled().then(Instant::now);
-                    let report = self.heal.heal_pass(&self.scene, w, &expected, events);
+                    let report = self.heal.heal_analyzed(w, &expected, events, analyses);
                     if self.trace.is_enabled() {
                         let heal_wall_ns =
                             heal_started.map_or(0, |t| t.elapsed().as_nanos() as u64);

@@ -236,7 +236,7 @@ impl SelfHealConfig {
 }
 
 /// What one [`SelfHealingController::tick`] observed and did.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TickReport {
     /// Decoded, cell-attributed events for the window.
     pub events: Vec<ShardEvent>,
@@ -346,23 +346,58 @@ impl SelfHealingController {
     /// has gone acoustically dead simultaneously, the cell's mic is
     /// declared dead and the cell is evacuated (at most one evacuation
     /// per tick).
+    ///
+    /// Each cell renders its pre-rolled listen window once: the listen
+    /// decodes it, and the ambient retune analyses the `w` span cut from
+    /// the same render, inside the same shard worker. The report and
+    /// every detector floor are byte-identical to
+    /// [`ShardedController::listen`] followed by [`Self::heal_pass`],
+    /// which renders `w` a second time.
     pub fn tick(&mut self, scene: &Scene, w: Window, expected: &[String]) -> TickReport {
-        let events = self.sharded.listen(scene, w);
-        self.heal_pass(scene, w, expected, events)
+        let (events, analyses) = self.sharded.listen_and_analyze(scene, w);
+        self.heal_analyzed(w, expected, events, analyses)
     }
 
     /// The reacting half of a tick: fold `events` (the decode of window
     /// `w`) into the ambient estimate, the health ledger, and — when a
-    /// cell's mic is declared dead — the evacuation re-plan. An
-    /// event-driven loop runs the sharded listen at its window-boundary
-    /// event and this pass as its own self-heal event; [`Self::tick`]
-    /// composes the same two halves, bit-identical either way.
+    /// cell's mic is declared dead — the evacuation re-plan.
+    ///
+    /// This pass renders and captures `w` again for every live cell to
+    /// analyse it for the ambient retune. [`Self::tick`] and the
+    /// event-driven loop do not: they take the analysis from the
+    /// listen's own render, at the window-boundary event, and feed the
+    /// same fold, so the three give byte-identical reports and floors.
     pub fn heal_pass(
         &mut self,
         scene: &Scene,
         w: Window,
         expected: &[String],
         events: Vec<ShardEvent>,
+    ) -> TickReport {
+        let analyses = self
+            .plan
+            .cells()
+            .iter()
+            .zip(self.sharded.controllers())
+            .map(|(cell, ctl)| {
+                if !cell.alive || ctl.bindings().is_empty() {
+                    return None;
+                }
+                ctl.analyze(&ctl.capture(scene, w))
+            })
+            .collect();
+        self.heal_analyzed(w, expected, events, analyses)
+    }
+
+    /// The fold both heal paths share: `analyses[c]` is cell `c`'s
+    /// analysis of `w` (`None` skips its retune), `events` the decode of
+    /// `w`.
+    pub(crate) fn heal_analyzed(
+        &mut self,
+        w: Window,
+        expected: &[String],
+        events: Vec<ShardEvent>,
+        analyses: Vec<Option<FrameMagnitudes>>,
     ) -> TickReport {
         let now = w.end();
         let mut report = TickReport {
@@ -371,7 +406,7 @@ impl SelfHealingController {
         };
         self.obs.ticks.inc();
 
-        self.retune_floors(scene, w);
+        self.retune_floors(analyses);
 
         // Hear/miss evidence. Any decode is positive evidence for its
         // device, expected or not; misses only count for devices the
@@ -408,15 +443,14 @@ impl SelfHealingController {
         report
     }
 
-    /// Update every live cell's ambient estimate from its own capture of
-    /// `w` and push the floors into its detector.
-    fn retune_floors(&mut self, scene: &Scene, w: Window) {
-        for (c, cell) in self.plan.cells().iter().enumerate() {
+    /// Fold every live cell's analysis of the window into its ambient
+    /// estimate and push the floors into its detector.
+    fn retune_floors(&mut self, analyses: Vec<Option<FrameMagnitudes>>) {
+        for ((c, cell), fm) in self.plan.cells().iter().enumerate().zip(analyses) {
             if !cell.alive || self.sharded.controllers()[c].bindings().is_empty() {
                 continue;
             }
-            let capture = self.sharded.controllers()[c].capture(scene, w);
-            let Some(fm) = self.sharded.controllers()[c].analyze(&capture) else {
+            let Some(fm) = fm else {
                 continue;
             };
             let est = match &mut self.estimators[c] {

@@ -34,9 +34,14 @@
 //! [`WindowReport`]: mdn_core::scenario::WindowReport
 //! [`ScenarioSpec`]: mdn_core::scenario::ScenarioSpec
 
-use mdn_core::scenario::{self, EmissionSpec, EmitSpec, FaultSpec, ScenarioSpec, TrafficSpec};
+use mdn_audio::signal::Window;
+use mdn_core::scenario::{
+    self, EmissionSpec, EmitSpec, FaultSpec, ScenarioBuilder, ScenarioSpec, TrafficSpec,
+};
+use mdn_core::selfheal::TickReport;
 use mdn_obs::Registry;
 use proptest::prelude::*;
+use std::time::Duration;
 
 const WINDOWS: u64 = 3;
 
@@ -152,5 +157,159 @@ proptest! {
         // At least the schedule's devices appear as heard-or-missed.
         let accounted: usize = reference.iter().map(|w| w.heard.len() + w.missed.len()).sum();
         prop_assert_eq!(accounted, n_emits, "every scheduled emission is accounted");
+    }
+}
+
+/// Consecutive heal windows in the shared-render property.
+const HEAL_WINDOWS: u64 = 5;
+
+/// A tick's report and every cell's detector floors (as bits) after it.
+type HealStep = (TickReport, Vec<Vec<u64>>);
+
+/// Drive `spec`'s hall over `HEAL_WINDOWS` consecutive windows — the
+/// first `first_ms` long, the rest `spec.window_ms` — emitting `emits`
+/// (`(window, permil, device, slot, dur_ms)`) plus one tone of device
+/// `edge_dev` at exactly each window's end. With `shared`, each window
+/// is one `tick`, which analyses the listen's own render; otherwise it
+/// is `sharded().listen` + `heal_pass`, which renders the window again,
+/// with the end-of-window tone added between the two halves.
+fn heal_run(
+    spec: &ScenarioSpec,
+    first_ms: u64,
+    emits: &[EmitSpec],
+    edge_dev: usize,
+    shared: bool,
+) -> Vec<HealStep> {
+    let builder = ScenarioBuilder::new(spec).expect("spec validates");
+    let mut scene = builder.scene(None).expect("scene builds");
+    let mut heal = builder.heal();
+    let names: Vec<String> = builder.device_names().concat();
+    let mut carried: Vec<String> = Vec::new();
+    let mut from = Duration::ZERO;
+    let mut out = Vec::new();
+    for t in 0..HEAL_WINDOWS {
+        let len = Duration::from_millis(if t == 0 { first_ms } else { spec.window_ms });
+        let w = Window::new(from, len);
+        let mut expected = std::mem::take(&mut carried);
+        let mut tones: Vec<(Duration, usize, usize, Duration)> = emits
+            .iter()
+            .filter(|e| e.window == t)
+            .map(|e| {
+                let at = from + len * e.permil as u32 / 1000;
+                (
+                    at,
+                    e.dev % names.len(),
+                    e.slot,
+                    Duration::from_millis(e.dur_ms),
+                )
+            })
+            .collect();
+        tones.sort_by_key(|tone| tone.0);
+        for (at, dev, slot, dur) in tones {
+            let mut d = heal.plan().sounding_device(&names[dev]).expect("device");
+            let _ = d.emit_slot(&mut scene, slot, at, dur);
+            expected.push(names[dev].clone());
+        }
+        // A tone at exactly `w.end()` starts no sample of `w`; it is the
+        // next window's evidence.
+        let edge = names[edge_dev % names.len()].clone();
+        let report = if shared {
+            let report = heal.tick(&scene, w, &expected);
+            let mut d = heal.plan().sounding_device(&edge).expect("device");
+            let _ = d.emit_slot(&mut scene, 0, w.end(), Duration::from_millis(60));
+            report
+        } else {
+            let events = heal.sharded().listen(&scene, w);
+            let mut d = heal.plan().sounding_device(&edge).expect("device");
+            let _ = d.emit_slot(&mut scene, 0, w.end(), Duration::from_millis(60));
+            heal.heal_pass(&scene, w, &expected, events)
+        };
+        carried.push(edge);
+        let floors = heal
+            .sharded()
+            .controllers()
+            .iter()
+            .map(|ctl| {
+                ctl.detector()
+                    .map(|d| d.noise_floor().iter().map(|f| f.to_bits()).collect())
+                    .unwrap_or_default()
+            })
+            .collect();
+        out.push((report, floors));
+        from = w.end();
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// `tick` cuts the ambient retune's analysis out of each cell's one
+    /// listen render; `sharded().listen` + `heal_pass` renders the window
+    /// a second time for it. Over consecutive windows — the first at
+    /// `w.from` = 0, the second with its pre-roll clamped short of
+    /// 150 ms — the two give the same reports and bit-identical detector
+    /// floors, under each acoustic fault and for shard threads 0, 1, 4.
+    #[test]
+    fn shared_render_tick_matches_rerender_heal_pass(
+        seed in any::<u64>(),
+        first_ms in 20u64..150,
+        win_ms in 150u64..350,
+        raw_emits in prop::collection::vec(
+            (0u64..HEAL_WINDOWS, 0u64..1000, 0usize..4, 0usize..3, 40u64..120),
+            3..12,
+        ),
+        edge_dev in 0usize..4,
+        kind_sel in 0u8..4,
+    ) {
+        let emits: Vec<EmitSpec> = raw_emits
+            .into_iter()
+            .map(|(window, permil, dev, slot, dur_ms)| EmitSpec { window, permil, dev, slot, dur_ms })
+            .collect();
+        let mut spec = ScenarioSpec::small_hall(2, 2, 3, "office");
+        spec.seed = seed;
+        spec.window_ms = win_ms;
+        spec.windows = HEAL_WINDOWS;
+        let total_ms = first_ms + win_ms * (HEAL_WINDOWS - 1);
+        spec.faults = match kind_sel {
+            0 => vec![],
+            1 => vec![FaultSpec {
+                kind: "mic_dead".into(),
+                cell: Some(1),
+                at_ms: first_ms,
+                until_ms: Some(total_ms),
+                ..FaultSpec::default()
+            }],
+            2 => vec![FaultSpec {
+                kind: "noise_burst".into(),
+                level_db: Some(60.0),
+                at_ms: first_ms / 2,
+                until_ms: Some(first_ms + win_ms),
+                ..FaultSpec::default()
+            }],
+            _ => vec![FaultSpec {
+                kind: "speaker_degraded".into(),
+                device: Some("c0-s0".into()),
+                level_db: Some(12.0),
+                at_ms: 0,
+                until_ms: Some(total_ms),
+                ..FaultSpec::default()
+            }],
+        };
+
+        spec.selfheal.threads = 1;
+        let reference = heal_run(&spec, first_ms, &emits, edge_dev, false);
+        for threads in [0usize, 1, 4] {
+            spec.selfheal.threads = threads;
+            let shared = heal_run(&spec, first_ms, &emits, edge_dev, true);
+            prop_assert_eq!(
+                &shared, &reference,
+                "shared render diverged from the re-render (threads={})", threads
+            );
+        }
+        prop_assert!(
+            reference.iter().any(|(r, _)| !r.events.is_empty()),
+            "the schedule decoded something"
+        );
     }
 }
