@@ -22,19 +22,8 @@
 
 use crate::signal::{duration_to_samples, Signal};
 use crate::synth::{Oscillator, Tone};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mdn_obs::{splitmix64, SplitMix64};
 use std::time::Duration;
-
-/// splitmix64 finalizer: the stateless hash behind every counter-based
-/// generator here.
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A uniform in `[-0.5, 0.5)` from 32 hash bits.
 #[inline]
@@ -403,7 +392,7 @@ impl MusicNoise {
             return out;
         }
         let beat = Duration::from_secs_f64(60.0 / self.bpm);
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = SplitMix64::new(self.seed);
 
         // vi–IV–I–V in C major: Am, F, C, G — as MIDI triads.
         let chords: [[i32; 3]; 4] = [[57, 60, 64], [53, 57, 60], [48, 52, 55], [55, 59, 62]];
@@ -436,7 +425,7 @@ impl MusicNoise {
         let mut t = 0.0;
         let mut osc = Oscillator::new(sample_rate);
         while t + eighth <= total {
-            let step: i64 = rng.gen_range(-2..=2);
+            let step = rng.below(5) as i64 - 2;
             idx = (idx as i64 + step).clamp(0, pentatonic.len() as i64 - 1) as usize;
             let note = pentatonic[idx];
             let seg = osc.render(

@@ -124,7 +124,7 @@ impl SoundingDevice {
         let frame = msg.encode();
         self.mp_frames_sent += 1;
         self.mp_bytes_sent += frame.len() as u64;
-        let decoded = MpMessage::decode(frame).expect("self-encoded MP frame decodes");
+        let decoded = MpMessage::decode(&frame).expect("self-encoded MP frame decodes");
         let MpMessage::PlayTone { tone, .. } = decoded else {
             unreachable!("encoded a PlayTone");
         };
@@ -184,7 +184,7 @@ impl SoundingDevice {
         let frame = msg.encode();
         self.mp_frames_sent += 1;
         self.mp_bytes_sent += frame.len() as u64;
-        let decoded = MpMessage::decode(frame).expect("self-encoded MP frame decodes");
+        let decoded = MpMessage::decode(&frame).expect("self-encoded MP frame decodes");
         let MpMessage::PlaySequence { tones, .. } = decoded else {
             unreachable!("encoded a PlaySequence");
         };

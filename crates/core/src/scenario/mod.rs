@@ -34,8 +34,8 @@ pub mod spec;
 pub use builder::{BuiltScenario, ScenarioBuilder};
 pub use fuzz::{fuzz, FuzzReport};
 /// The seeded splitmix64 stream the fuzzer and the benchmark workloads
-/// draw from: the same generator the fault-injection layer uses.
-pub use mdn_proto::faults::FaultRng as SplitMix64;
+/// draw from: the workspace's one generator, also behind fault injection.
+pub use mdn_obs::SplitMix64;
 pub use run::{
     check_expect, execute, run, run_batch, summary, ScenarioOutcome, ScenarioRun, WindowReport,
 };

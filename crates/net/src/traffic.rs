@@ -7,8 +7,7 @@
 //! scan (Figure 4c).
 
 use crate::packet::{FlowKey, Packet};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mdn_obs::SplitMix64;
 use std::time::Duration;
 
 /// What a host should transmit.
@@ -81,14 +80,14 @@ pub struct Generator {
     pattern: TrafficPattern,
     seq: u64,
     scan_offset: u32,
-    rng: Option<StdRng>,
+    rng: Option<SplitMix64>,
 }
 
 impl Generator {
     /// Wrap a pattern.
     pub fn new(pattern: TrafficPattern) -> Self {
         let rng = match &pattern {
-            TrafficPattern::Poisson { seed, .. } => Some(StdRng::seed_from_u64(*seed)),
+            TrafficPattern::Poisson { seed, .. } => Some(SplitMix64::new(*seed)),
             _ => None,
         };
         Self {
@@ -180,11 +179,8 @@ impl Generator {
                     return (None, None);
                 }
                 let pkt = self.make(flow, size, now);
-                let u: f64 = self
-                    .rng
-                    .as_mut()
-                    .expect("poisson has rng")
-                    .gen_range(1e-12..1.0);
+                let rng = self.rng.as_mut().expect("poisson has rng");
+                let u = 1e-12 + (1.0 - 1e-12) * rng.f64();
                 let gap = -u.ln() / mean_pps.max(1e-9);
                 let next = now + Duration::from_secs_f64(gap);
                 (Some(pkt), (next < stop).then_some(next))

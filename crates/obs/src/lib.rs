@@ -31,6 +31,8 @@
 //! * [`http`] — a std-only scrape server ([`ObsServer`]) putting
 //!   `/metrics`, `/snapshot` and `/trace?since=` on the serve core, so
 //!   a live soak can be watched from `curl`.
+//! * [`rng`] — the workspace's one seeded random stream, [`SplitMix64`],
+//!   and its stateless [`splitmix64`] mixer.
 //!
 //! ```
 //! use mdn_obs::Registry;
@@ -59,6 +61,7 @@ pub mod export;
 pub mod http;
 pub mod journal;
 pub mod registry;
+pub mod rng;
 pub mod serve;
 pub mod span;
 pub mod trace;
@@ -68,5 +71,6 @@ pub use export::{HistogramSnapshot, Snapshot};
 pub use http::{ObsServer, ObsServerHandle};
 pub use journal::{Journal, JournalEvent};
 pub use registry::{Counter, Gauge, Histogram, Registry};
+pub use rng::{splitmix64, SplitMix64};
 pub use span::SpanTimer;
 pub use trace::{chrome_trace_json, SpanKind, TraceId, TraceSink, TraceSpan};

@@ -9,7 +9,6 @@
 use crate::faults::{DirectionFaults, FaultStats, FaultyQueue};
 use crate::openflow::{FlowModCommand, OfMessage};
 use crate::wire::WireError;
-use bytes::Bytes;
 use mdn_net::ftable::FlowTable;
 use mdn_net::network::Network;
 use mdn_net::sim::NodeId;
@@ -91,7 +90,7 @@ impl ControlChannel {
         to_switch: DirectionFaults,
         to_controller: DirectionFaults,
     ) {
-        let mut root = crate::faults::FaultRng::new(seed);
+        let mut root = mdn_obs::SplitMix64::new(seed);
         let sw_seed = root.next_u64();
         let ct_seed = root.next_u64();
         self.to_switch.set_faults(sw_seed, to_switch);
@@ -131,14 +130,14 @@ impl ControlChannel {
 
     /// Inject a raw (possibly garbage) frame toward the switch — a test
     /// hook for exercising the malformed-frame path.
-    pub fn inject_to_switch(&mut self, frame: Bytes) {
+    pub fn inject_to_switch(&mut self, frame: Vec<u8>) {
         self.to_switch.push(frame);
         self.stats.frames_to_switch += 1;
         self.obs_frames_to_switch.inc();
     }
 
     /// Inject a raw (possibly garbage) frame toward the controller.
-    pub fn inject_to_controller(&mut self, frame: Bytes) {
+    pub fn inject_to_controller(&mut self, frame: Vec<u8>) {
         self.to_controller.push(frame);
         self.stats.frames_to_controller += 1;
         self.obs_frames_to_controller.inc();
@@ -148,7 +147,7 @@ impl ControlChannel {
     /// bumps [`ChannelStats::malformed_to_switch`] and still surfaces the
     /// error to the caller.
     pub fn recv_at_switch(&mut self) -> Option<Result<OfMessage, WireError>> {
-        let decoded = self.to_switch.pop().map(OfMessage::decode);
+        let decoded = self.to_switch.pop().map(|f| OfMessage::decode(&f));
         if matches!(decoded, Some(Err(_))) {
             self.stats.malformed_to_switch += 1;
             self.obs_malformed_to_switch.inc();
@@ -160,7 +159,7 @@ impl ControlChannel {
     /// failure bumps [`ChannelStats::malformed_to_controller`] and still
     /// surfaces the error to the caller.
     pub fn recv_at_controller(&mut self) -> Option<Result<OfMessage, WireError>> {
-        let decoded = self.to_controller.pop().map(OfMessage::decode);
+        let decoded = self.to_controller.pop().map(|f| OfMessage::decode(&f));
         if matches!(decoded, Some(Err(_))) {
             self.stats.malformed_to_controller += 1;
             self.obs_malformed_to_controller.inc();
@@ -376,7 +375,7 @@ mod tests {
             &mut table,
             &OfMessage::EchoRequest {
                 xid: 0,
-                payload: Bytes::new()
+                payload: Vec::new()
             }
         ));
     }
@@ -461,7 +460,7 @@ mod tests {
         let mut net = Network::new();
         let s = net.add_switch("s1", 2);
         let mut chan = ControlChannel::new();
-        chan.inject_to_switch(Bytes::from_static(&[0xFF, 0xEE, 0xDD]));
+        chan.inject_to_switch(vec![0xFF, 0xEE, 0xDD]);
         chan.send_to_switch(&OfMessage::FlowMod {
             xid: 1,
             command: FlowModCommand::Add,
@@ -474,7 +473,7 @@ mod tests {
         assert_eq!(chan.stats().malformed_to_switch, 1);
         assert_eq!(chan.stats().malformed_to_controller, 0);
 
-        chan.inject_to_controller(Bytes::from_static(&[0x00]));
+        chan.inject_to_controller(vec![0x00]);
         assert!(chan.recv_at_controller().unwrap().is_err());
         assert_eq!(chan.stats().malformed_to_controller, 1);
     }
@@ -486,7 +485,7 @@ mod tests {
         let mut chan = ControlChannel::new();
         chan.send_to_switch(&OfMessage::EchoRequest {
             xid: 42,
-            payload: Bytes::from_static(b"ping"),
+            payload: b"ping".to_vec(),
         });
         let (changed, replies) = service_switch(&mut chan, &mut net, s);
         assert_eq!((changed, replies), (0, 1));
@@ -532,7 +531,7 @@ mod tests {
         let mut chan = ControlChannel::new();
         // Traffic before attachment must be carried into the registry.
         chan.send_to_switch(&OfMessage::Hello { xid: 1 });
-        chan.inject_to_controller(Bytes::from_static(&[0x00]));
+        chan.inject_to_controller(vec![0x00]);
         let _ = chan.recv_at_controller();
 
         let reg = mdn_obs::Registry::new();

@@ -48,11 +48,11 @@
 //! accept thread owns the listener, each connection owns one reader
 //! thread and its session, and all shared state is the ledger's
 //! atomics. A wedged peer costs one parked thread until its idle probe
-//! reaps it; `benches/controller.rs` holds ≥1000 concurrent connections.
+//! reaps it; `controller_e2e::controller_carries_churn_a_concurrent_crowd_and_pipelined_flow_mods`
+//! holds 128 concurrent connections.
 
 use crate::openflow::{OfMessage, PacketInReason, PortReason, OF_HEADER_LEN};
 use crate::wire::WireError;
-use bytes::Bytes;
 use mdn_net::ftable::{Action, Match, PortId};
 use mdn_net::packet::{FlowKey, Ip};
 use mdn_obs::serve::{self, check_deadline, ServeHandle};
@@ -130,7 +130,7 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<(), (usize, std::io::E
 /// A read timeout before the first header byte returns
 /// [`OfStreamError::Idle`]; a timeout after any byte has been consumed is
 /// an [`OfStreamError::Io`] (the stream is mid-frame and unrecoverable).
-pub fn read_frame(r: &mut impl Read) -> Result<Bytes, OfStreamError> {
+pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, OfStreamError> {
     let mut header = [0u8; OF_HEADER_LEN];
     if let Err((done, e)) = read_full(r, &mut header) {
         if done == 0 && is_timeout(&e) {
@@ -149,13 +149,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Bytes, OfStreamError> {
     if let Err((_, e)) = read_full(r, &mut frame[OF_HEADER_LEN..]) {
         return Err(OfStreamError::Io(e));
     }
-    Ok(Bytes::from(frame))
+    Ok(frame)
 }
 
 /// Read and decode one message (see [`read_frame`] for timeout
 /// semantics).
 pub fn read_message(r: &mut impl Read) -> Result<OfMessage, OfStreamError> {
-    Ok(OfMessage::decode(read_frame(r)?)?)
+    Ok(OfMessage::decode(&read_frame(r)?)?)
 }
 
 /// Encode and write one message, flushing the stream.
@@ -556,7 +556,7 @@ impl Session {
 
     /// Step one raw frame: decode it, then as [`Session::on_decoded`].
     pub fn on_frame(&mut self, frame: &[u8]) -> Result<Vec<OfMessage>, SessionError> {
-        self.on_decoded(OfMessage::decode(Bytes::from(frame)))
+        self.on_decoded(OfMessage::decode(frame))
     }
 
     /// Step one frame a transport has already decoded, or failed to.
@@ -639,7 +639,7 @@ impl Session {
         self.ledger.echo_probes.inc();
         let probe = OfMessage::EchoRequest {
             xid: self.ctx.next_xid(),
-            payload: Bytes::new(),
+            payload: Vec::new(),
         };
         self.ledger.sent(&probe);
         Ok(probe)
@@ -887,11 +887,11 @@ impl OfClient {
     /// One EchoRequest round-trip with `payload`; errors if the reply
     /// carries a different xid or payload. Returns the number of
     /// intervening application messages discarded while waiting.
-    pub fn echo(&mut self, payload: Bytes) -> Result<usize, OfStreamError> {
+    pub fn echo(&mut self, payload: &[u8]) -> Result<usize, OfStreamError> {
         let xid = self.next_xid();
         self.send(&OfMessage::EchoRequest {
             xid,
-            payload: payload.clone(),
+            payload: payload.to_vec(),
         })?;
         let mut skipped = 0;
         loop {
@@ -959,7 +959,7 @@ mod tests {
     fn echo_round_trips_with_matching_xid_and_payload() {
         let handle = learning_server(ControllerConfig::default());
         let mut client = OfClient::connect(handle.addr(), Duration::from_secs(2)).unwrap();
-        let skipped = client.echo(Bytes::from_static(b"ping")).unwrap();
+        let skipped = client.echo(b"ping").unwrap();
         assert_eq!(skipped, 0);
         handle.shutdown();
     }
@@ -1043,7 +1043,7 @@ mod tests {
             },
             OfMessage::EchoRequest {
                 xid: 1,
-                payload: Bytes::from_static(b"ping"),
+                payload: b"ping".to_vec(),
             },
         ];
         for (i, msg) in msgs.iter().enumerate() {
@@ -1086,7 +1086,7 @@ mod tests {
             .serve("127.0.0.1:0")
             .unwrap();
         let mut client = OfClient::connect(handle.addr(), Duration::from_secs(2)).unwrap();
-        client.echo(Bytes::from_static(b"x")).unwrap();
+        client.echo(b"x").unwrap();
         wait_until("hello rx counted", || {
             registry
                 .counter("mdn_ctrl_messages_rx_total", &[("kind", "hello")])

@@ -5,8 +5,8 @@
 //! no frame was ever lost, corrupted, reordered or delayed. This module
 //! makes those failures injectable. A [`FaultyQueue`] wraps one direction
 //! of a frame channel and applies a [`DirectionFaults`] policy driven by
-//! its own [`FaultRng`], so two runs with the same seed produce *exactly*
-//! the same loss pattern — the property every chaos test in `tests/`
+//! its own [`SplitMix64`] stream, so two runs with the same seed produce
+//! *exactly* the same loss pattern — the property every chaos test in `tests/`
 //! leans on.
 //!
 //! Determinism contract: for a given [`DirectionFaults`] configuration,
@@ -14,66 +14,8 @@
 //! per *enabled* fault class (zero-probability faults consume none). The
 //! draw order is drop → corrupt → delay jitter → reorder.
 
-use bytes::Bytes;
+use mdn_obs::SplitMix64;
 use std::collections::VecDeque;
-
-/// A tiny deterministic RNG (splitmix64).
-///
-/// Self-contained so `mdn-proto` stays dependency-free and so the draw
-/// sequence is trivially reproducible outside Rust (the chaos tests pick
-/// seeds by mirroring this integer arithmetic).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultRng {
-    state: u64,
-}
-
-impl FaultRng {
-    /// An RNG seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, 1)` with 53-bit resolution.
-    pub fn f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform draw in `[0, n)`.
-    ///
-    /// # Panics
-    /// Panics if `n` is zero.
-    pub fn below(&mut self, n: u64) -> u64 {
-        assert!(n > 0, "below(0) is meaningless");
-        self.next_u64() % n
-    }
-
-    /// Uniform-ish draw in `[lo, hi)`: `lo` plus one raw draw modulo the
-    /// span.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next_u64() % (hi - lo)
-    }
-
-    /// Bernoulli draw. Consumes an RNG draw **only when `p > 0`**, so
-    /// disabled fault classes never perturb the stream.
-    pub fn chance(&mut self, p: f64) -> bool {
-        p > 0.0 && self.f64() < p
-    }
-}
-
-impl Default for FaultRng {
-    fn default() -> Self {
-        Self::new(0)
-    }
-}
 
 /// Fault policy for one direction of a channel. All probabilities are
 /// per-frame; delays are measured in channel ticks (one tick per
@@ -179,15 +121,15 @@ pub struct FaultStats {
 /// One direction of a frame channel with injectable faults.
 ///
 /// With the default [`DirectionFaults::none`] policy this is an exact
-/// stand-in for a `VecDeque<Bytes>`: every frame passes through in order,
+/// stand-in for a `VecDeque<Vec<u8>>`: every frame passes through in order,
 /// untouched, with no RNG draws.
 #[derive(Debug, Clone, Default)]
 pub struct FaultyQueue {
-    queue: VecDeque<Bytes>,
+    queue: VecDeque<Vec<u8>>,
     /// Delayed frames: (ticks remaining, frame), in push order.
-    held: VecDeque<(u32, Bytes)>,
+    held: VecDeque<(u32, Vec<u8>)>,
     faults: DirectionFaults,
-    rng: FaultRng,
+    rng: SplitMix64,
     /// Accounting for tests and health tracking.
     pub stats: FaultStats,
 }
@@ -204,7 +146,7 @@ impl FaultyQueue {
             queue: VecDeque::new(),
             held: VecDeque::new(),
             faults,
-            rng: FaultRng::new(seed),
+            rng: SplitMix64::new(seed),
             stats: FaultStats::default(),
         }
     }
@@ -212,7 +154,7 @@ impl FaultyQueue {
     /// Replace the fault policy (and reseed) on a live queue.
     pub fn set_faults(&mut self, seed: u64, faults: DirectionFaults) {
         self.faults = faults;
-        self.rng = FaultRng::new(seed);
+        self.rng = SplitMix64::new(seed);
     }
 
     /// The active fault policy.
@@ -221,21 +163,17 @@ impl FaultyQueue {
     }
 
     /// Offer one frame to the channel.
-    pub fn push(&mut self, frame: Bytes) {
+    pub fn push(&mut self, mut frame: Vec<u8>) {
         self.stats.offered += 1;
         if self.rng.chance(self.faults.drop_prob) {
             self.stats.dropped += 1;
             return;
         }
-        let frame = if self.rng.chance(self.faults.corrupt_prob) && !frame.is_empty() {
-            let mut bytes = frame.to_vec();
-            let bit = self.rng.below(bytes.len() as u64 * 8);
-            bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+        if self.rng.chance(self.faults.corrupt_prob) && !frame.is_empty() {
+            let bit = self.rng.below(frame.len() as u64 * 8);
+            frame[(bit / 8) as usize] ^= 1 << (bit % 8);
             self.stats.corrupted += 1;
-            Bytes::from(bytes)
-        } else {
-            frame
-        };
+        }
         let mut delay = self.faults.delay_ticks;
         if self.faults.delay_jitter_ticks > 0 {
             delay += self.rng.below(self.faults.delay_jitter_ticks as u64 + 1) as u32;
@@ -269,7 +207,7 @@ impl FaultyQueue {
     }
 
     /// Take the next deliverable frame.
-    pub fn pop(&mut self) -> Option<Bytes> {
+    pub fn pop(&mut self) -> Option<Vec<u8>> {
         let frame = self.queue.pop_front()?;
         self.stats.delivered += 1;
         Some(frame)
@@ -296,8 +234,8 @@ impl FaultyQueue {
 mod tests {
     use super::*;
 
-    fn frame(tag: u8) -> Bytes {
-        Bytes::from(vec![tag, 0xAA, 0x55, tag])
+    fn frame(tag: u8) -> Vec<u8> {
+        vec![tag, 0xAA, 0x55, tag]
     }
 
     #[test]
@@ -414,14 +352,14 @@ mod tests {
     fn rng_matches_reference_sequence() {
         // Splitmix64 reference values — the same arithmetic the chaos
         // tests mirror outside Rust to pick their seeds.
-        let mut rng = FaultRng::new(403);
+        let mut rng = SplitMix64::new(403);
         let fwd_seed = rng.next_u64();
         let rev_seed = rng.next_u64();
-        let mut fwd = FaultRng::new(fwd_seed);
+        let mut fwd = SplitMix64::new(fwd_seed);
         let f: Vec<f64> = (0..4).map(|_| fwd.f64()).collect();
         assert!(f[0] < 0.5 && f[1] < 0.5, "first two forward draws drop");
         assert!(f[2] >= 0.5 && f[3] >= 0.5, "next two forward draws pass");
-        let mut rev = FaultRng::new(rev_seed);
+        let mut rev = SplitMix64::new(rev_seed);
         assert!(rev.f64() < 0.3, "first ack draw drops");
         assert!(rev.f64() >= 0.3, "second ack draw passes");
     }

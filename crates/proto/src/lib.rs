@@ -31,7 +31,7 @@
 //!     tone: MpTone::from_units(700.0, Duration::from_millis(50), 60.0),
 //! };
 //! let frame = msg.encode();
-//! assert_eq!(MpMessage::decode(frame).unwrap(), msg);
+//! assert_eq!(MpMessage::decode(&frame).unwrap(), msg);
 //! ```
 
 #![warn(missing_docs)]
@@ -49,7 +49,7 @@ pub use controller::{
     ControllerApp, ControllerConfig, ControllerHandle, ControllerServer, ControllerStats,
     LearningSwitch, Ledger, OfClient, OfStreamError, PacketInEvent, Session, SessionError,
 };
-pub use faults::{DirectionFaults, FaultRng, FaultStats, FaultyQueue};
+pub use faults::{DirectionFaults, FaultStats, FaultyQueue};
 pub use mp::{MpMessage, MpTone, MpToneError};
 pub use openflow::OfMessage;
 pub use reliable::{BackoffConfig, EchoMonitor, MpDeliveryStats, MpEndpoint, MpLink, MpReceiver};

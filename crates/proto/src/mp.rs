@@ -24,7 +24,6 @@
 //! fields that cover the acoustic range with room to spare.
 
 use crate::wire::{Reader, WireError, Writer};
-use bytes::Bytes;
 use std::fmt;
 use std::time::Duration;
 
@@ -181,7 +180,7 @@ impl MpMessage {
     }
 
     /// Serialize to a wire frame.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let mut body = Writer::new();
         let (ty, seq) = match self {
             MpMessage::PlayTone { seq, tone } => {
@@ -212,7 +211,7 @@ impl MpMessage {
     }
 
     /// Parse a wire frame.
-    pub fn decode(frame: Bytes) -> Result<Self, WireError> {
+    pub fn decode(frame: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(frame);
         let magic = r.u16()?;
         if magic != MP_MAGIC {
@@ -286,7 +285,7 @@ mod tests {
             seq: 7,
             tone: tone(),
         };
-        let decoded = MpMessage::decode(msg.encode()).unwrap();
+        let decoded = MpMessage::decode(&msg.encode()).unwrap();
         assert_eq!(decoded, msg);
     }
 
@@ -302,7 +301,7 @@ mod tests {
                 ),
             ],
         };
-        let decoded = MpMessage::decode(msg.encode()).unwrap();
+        let decoded = MpMessage::decode(&msg.encode()).unwrap();
         assert_eq!(decoded, msg);
     }
 
@@ -311,7 +310,7 @@ mod tests {
         let msg = MpMessage::Ack { seq: 0xBEEF };
         let frame = msg.encode();
         assert_eq!(frame.len(), MP_HEADER_LEN);
-        assert_eq!(MpMessage::decode(frame).unwrap(), msg);
+        assert_eq!(MpMessage::decode(&frame).unwrap(), msg);
     }
 
     #[test]
@@ -328,30 +327,24 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let mut bad = MpMessage::Ack { seq: 1 }.encode().to_vec();
+        let mut bad = MpMessage::Ack { seq: 1 }.encode();
         bad[0] = 0x00;
-        let err = MpMessage::decode(Bytes::from(bad)).unwrap_err();
+        let err = MpMessage::decode(&bad).unwrap_err();
         assert!(matches!(err, WireError::BadMagic { .. }));
     }
 
     #[test]
     fn rejects_bad_version() {
-        let mut bad = MpMessage::Ack { seq: 1 }.encode().to_vec();
+        let mut bad = MpMessage::Ack { seq: 1 }.encode();
         bad[2] = 9;
-        assert_eq!(
-            MpMessage::decode(Bytes::from(bad)),
-            Err(WireError::BadVersion(9))
-        );
+        assert_eq!(MpMessage::decode(&bad), Err(WireError::BadVersion(9)));
     }
 
     #[test]
     fn rejects_unknown_type() {
-        let mut bad = MpMessage::Ack { seq: 1 }.encode().to_vec();
+        let mut bad = MpMessage::Ack { seq: 1 }.encode();
         bad[3] = 0xEE;
-        assert_eq!(
-            MpMessage::decode(Bytes::from(bad)),
-            Err(WireError::UnknownType(0xEE))
-        );
+        assert_eq!(MpMessage::decode(&bad), Err(WireError::UnknownType(0xEE)));
     }
 
     #[test]
@@ -360,16 +353,33 @@ mod tests {
             seq: 1,
             tone: tone(),
         }
-        .encode()
-        .to_vec();
+        .encode();
         bad.truncate(12); // cut into the body
-        let err = MpMessage::decode(Bytes::from(bad)).unwrap_err();
+        let err = MpMessage::decode(&bad).unwrap_err();
         assert!(matches!(err, WireError::LengthMismatch { .. }));
     }
 
     #[test]
+    fn trailing_body_bytes_report_the_real_counts() {
+        // A PlayTone whose length field covers 3 bytes past the tone.
+        let mut bad = MpMessage::PlayTone {
+            seq: 1,
+            tone: tone(),
+        }
+        .encode();
+        let end = bad.len();
+        bad.extend_from_slice(&[0xAB; 3]);
+        let len = (end - MP_HEADER_LEN + 3) as u16;
+        bad[6..8].copy_from_slice(&len.to_be_bytes());
+        assert_eq!(
+            MpMessage::decode(&bad),
+            Err(WireError::TrailingBytes { end, extra: 3 })
+        );
+    }
+
+    #[test]
     fn rejects_truncated_header() {
-        let err = MpMessage::decode(Bytes::from_static(&[0x4D])).unwrap_err();
+        let err = MpMessage::decode(&[0x4D]).unwrap_err();
         assert!(matches!(err, WireError::Truncated { .. }));
     }
 

@@ -10,7 +10,6 @@
 //! end-to-end.
 
 use crate::wire::{Reader, WireError, Writer};
-use bytes::Bytes;
 use mdn_net::ftable::{Action, Match, Rule};
 use mdn_net::packet::{FlowKey, Ip, Proto};
 
@@ -73,14 +72,14 @@ pub enum OfMessage {
         /// Transaction id.
         xid: u32,
         /// Opaque payload, echoed back.
-        payload: Bytes,
+        payload: Vec<u8>,
     },
     /// Liveness reply.
     EchoReply {
         /// Transaction id (matches the request).
         xid: u32,
         /// The request's payload.
-        payload: Bytes,
+        payload: Vec<u8>,
     },
     /// A packet (summary) forwarded to the controller.
     PacketIn {
@@ -167,7 +166,7 @@ impl OfMessage {
     /// whose declared length disagrees with its contents (fatal on a
     /// byte-stream transport, which trusts the length to find the next
     /// frame boundary).
-    pub fn encode(&self) -> Result<Bytes, WireError> {
+    pub fn encode(&self) -> Result<Vec<u8>, WireError> {
         let mut body = Writer::new();
         let (ty, xid) = match self {
             OfMessage::Hello { xid } => (T_HELLO, *xid),
@@ -260,7 +259,7 @@ impl OfMessage {
     }
 
     /// Parse a wire frame.
-    pub fn decode(frame: Bytes) -> Result<Self, WireError> {
+    pub fn decode(frame: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(frame);
         let version = r.u8()?;
         if version != OF_VERSION {
@@ -505,7 +504,7 @@ mod tests {
     use super::*;
 
     fn roundtrip(msg: OfMessage) {
-        let decoded = OfMessage::decode(msg.encode().unwrap()).unwrap();
+        let decoded = OfMessage::decode(&msg.encode().unwrap()).unwrap();
         assert_eq!(decoded, msg);
     }
 
@@ -522,15 +521,15 @@ mod tests {
     fn echo_roundtrip() {
         roundtrip(OfMessage::EchoRequest {
             xid: 1,
-            payload: Bytes::from_static(b"ping"),
+            payload: b"ping".to_vec(),
         });
         roundtrip(OfMessage::EchoReply {
             xid: 1,
-            payload: Bytes::from_static(b"ping"),
+            payload: b"ping".to_vec(),
         });
         roundtrip(OfMessage::EchoRequest {
             xid: 2,
-            payload: Bytes::new(),
+            payload: Vec::new(),
         });
     }
 
@@ -658,16 +657,16 @@ mod tests {
         // 65527-byte payload: total length is exactly u16::MAX — legal.
         let max = OfMessage::EchoRequest {
             xid: 1,
-            payload: Bytes::from(vec![0xAB; OF_MAX_BODY]),
+            payload: vec![0xAB; OF_MAX_BODY],
         };
         let frame = max.encode().unwrap();
         assert_eq!(frame.len(), u16::MAX as usize);
-        assert_eq!(OfMessage::decode(frame).unwrap(), max);
+        assert_eq!(OfMessage::decode(&frame).unwrap(), max);
         // One byte more and the u16 length field would wrap to 0: the
         // old code emitted that corrupt frame; now it's a typed error.
         let over = OfMessage::EchoRequest {
             xid: 1,
-            payload: Bytes::from(vec![0xAB; OF_MAX_BODY + 1]),
+            payload: vec![0xAB; OF_MAX_BODY + 1],
         };
         assert_eq!(
             over.encode(),
@@ -679,7 +678,7 @@ mod tests {
         // EchoReply shares the variable-length body path.
         let over_reply = OfMessage::EchoReply {
             xid: 2,
-            payload: Bytes::from(vec![0; OF_MAX_BODY + 100]),
+            payload: vec![0; OF_MAX_BODY + 100],
         };
         assert!(matches!(
             over_reply.encode(),
@@ -689,30 +688,39 @@ mod tests {
 
     #[test]
     fn rejects_wrong_version() {
-        let mut bad = OfMessage::Hello { xid: 0 }.encode().unwrap().to_vec();
+        let mut bad = OfMessage::Hello { xid: 0 }.encode().unwrap();
         bad[0] = 0x04;
-        assert_eq!(
-            OfMessage::decode(Bytes::from(bad)),
-            Err(WireError::BadVersion(0x04))
-        );
+        assert_eq!(OfMessage::decode(&bad), Err(WireError::BadVersion(0x04)));
     }
 
     #[test]
     fn rejects_unknown_type() {
-        let mut bad = OfMessage::Hello { xid: 0 }.encode().unwrap().to_vec();
+        let mut bad = OfMessage::Hello { xid: 0 }.encode().unwrap();
         bad[1] = 0x77;
-        assert_eq!(
-            OfMessage::decode(Bytes::from(bad)),
-            Err(WireError::UnknownType(0x77))
-        );
+        assert_eq!(OfMessage::decode(&bad), Err(WireError::UnknownType(0x77)));
     }
 
     #[test]
     fn rejects_length_lies() {
-        let mut bad = OfMessage::Hello { xid: 0 }.encode().unwrap().to_vec();
+        let mut bad = OfMessage::Hello { xid: 0 }.encode().unwrap();
         bad[3] = 0xFF; // declared length far beyond the body
-        let err = OfMessage::decode(Bytes::from(bad)).unwrap_err();
+        let err = OfMessage::decode(&bad).unwrap_err();
         assert!(matches!(err, WireError::LengthMismatch { .. }));
+    }
+
+    #[test]
+    fn trailing_body_bytes_report_the_real_counts() {
+        // A Hello whose header declares 12 bytes: the length agrees with
+        // the frame, but a Hello has no body, so 4 bytes are left over.
+        let mut bad = OfMessage::Hello { xid: 0 }.encode().unwrap();
+        bad.extend_from_slice(&[0xAB; 4]);
+        bad[2..4].copy_from_slice(&12u16.to_be_bytes());
+        let err = OfMessage::decode(&bad).unwrap_err();
+        assert_eq!(err, WireError::TrailingBytes { end: 8, extra: 4 });
+        assert_eq!(
+            err.to_string(),
+            "trailing bytes: message ends at byte 8, 4 more follow"
+        );
     }
 
     #[test]
@@ -724,7 +732,7 @@ mod tests {
             mat: Match::ANY,
             action: Action::SplitByFlow(vec![1]),
         };
-        let mut bytes = msg.encode().unwrap().to_vec();
+        let mut bytes = msg.encode().unwrap();
         // Patch the group count (last 3 bytes are count+port): set count=0
         // and truncate the port, fixing the length field.
         let n = bytes.len();
@@ -733,7 +741,7 @@ mod tests {
         let total = bytes.len() as u16;
         bytes[2..4].copy_from_slice(&total.to_be_bytes());
         assert_eq!(
-            OfMessage::decode(Bytes::from(bytes)),
+            OfMessage::decode(&bytes),
             Err(WireError::InvalidField("empty split group"))
         );
     }

@@ -21,7 +21,6 @@ use crate::channel::ControlChannel;
 use crate::faults::{DirectionFaults, FaultStats, FaultyQueue};
 use crate::mp::{MpMessage, MpTone};
 use crate::openflow::OfMessage;
-use bytes::Bytes;
 use mdn_obs::{Counter, Gauge, Registry};
 use std::collections::HashSet;
 use std::time::Duration;
@@ -128,7 +127,7 @@ impl MpLink {
     /// are derived from `seed` (forward first, then reverse), so one
     /// scenario seed fixes the whole loss pattern.
     pub fn with_faults(seed: u64, forward: DirectionFaults, reverse: DirectionFaults) -> Self {
-        let mut root = crate::faults::FaultRng::new(seed);
+        let mut root = mdn_obs::SplitMix64::new(seed);
         let fwd_seed = root.next_u64();
         let rev_seed = root.next_u64();
         Self {
@@ -152,7 +151,7 @@ impl MpLink {
 #[derive(Debug, Clone)]
 struct Outstanding {
     seq: u16,
-    frame: Bytes,
+    frame: Vec<u8>,
     /// Transmissions so far minus one (0 after the initial send).
     attempts: u32,
     next_retry: Duration,
@@ -238,7 +237,7 @@ impl MpEndpoint {
     pub fn poll_acks(&mut self, link: &mut MpLink) -> usize {
         let mut confirmed = 0;
         while let Some(frame) = link.reverse.pop() {
-            if let Ok(MpMessage::Ack { seq }) = MpMessage::decode(frame) {
+            if let Ok(MpMessage::Ack { seq }) = MpMessage::decode(&frame) {
                 if let Some(i) = self.outstanding.iter().position(|o| o.seq == seq) {
                     self.outstanding.remove(i);
                     self.stats.acked += 1;
@@ -327,7 +326,7 @@ impl MpReceiver {
     pub fn poll(&mut self, link: &mut MpLink) -> Vec<MpMessage> {
         let mut fresh = Vec::new();
         while let Some(frame) = link.forward.pop() {
-            match MpMessage::decode(frame) {
+            match MpMessage::decode(&frame) {
                 // An ack has no business in the data direction; ignore.
                 Ok(MpMessage::Ack { .. }) => {}
                 Ok(msg) => {
@@ -437,7 +436,7 @@ impl EchoMonitor {
             self.next_xid = self.next_xid.wrapping_add(1);
             chan.send_to_switch(&OfMessage::EchoRequest {
                 xid,
-                payload: Bytes::new(),
+                payload: Vec::new(),
             });
             self.outstanding = Some((xid, now));
             self.last_send = Some(now);

@@ -1,10 +1,9 @@
 //! Wire-format primitives.
 //!
-//! Checked big-endian readers/writers over `bytes`, shared by the Music
-//! Protocol and the OpenFlow subset. All parse failures are typed — a
-//! malformed frame never panics.
+//! A checked big-endian reader over `&[u8]` and a writer into `Vec<u8>`,
+//! shared by the Music Protocol and the OpenFlow subset. All parse
+//! failures are typed — a malformed frame never panics.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 
 /// Why a frame failed to parse.
@@ -34,6 +33,13 @@ pub enum WireError {
         declared: usize,
         /// Actual length.
         actual: usize,
+    },
+    /// The message parsed completely but the frame holds more bytes.
+    TrailingBytes {
+        /// Frame offset where the message ended.
+        end: usize,
+        /// Bytes left over after it.
+        extra: usize,
     },
     /// A message is too large for its format's length field. Encoding
     /// refuses to emit the frame — a silently wrapped length would
@@ -65,6 +71,12 @@ impl fmt::Display for WireError {
                     "length mismatch: header says {declared}, body is {actual}"
                 )
             }
+            WireError::TrailingBytes { end, extra } => {
+                write!(
+                    f,
+                    "trailing bytes: message ends at byte {end}, {extra} more follow"
+                )
+            }
             WireError::Oversize { len, max } => {
                 write!(f, "oversize frame: {len} bytes exceeds the format's {max}")
             }
@@ -75,81 +87,86 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// A checked big-endian reader over a byte buffer.
+/// A checked big-endian reader: a cursor over a borrowed frame.
 #[derive(Debug)]
-pub struct Reader {
-    buf: Bytes,
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
 }
 
-impl Reader {
-    /// Wrap a buffer.
-    pub fn new(buf: Bytes) -> Self {
-        Self { buf }
+impl<'a> Reader<'a> {
+    /// Read `buf` from its start.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Self { buf, pos: 0 }
     }
 
     /// Bytes left unread.
     pub fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.buf.len() - self.pos
     }
 
-    fn need(&self, n: usize) -> Result<(), WireError> {
-        if self.buf.remaining() < n {
-            Err(WireError::Truncated {
+    /// Take the next `n` bytes, or fail with [`WireError::Truncated`].
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        if self.remaining() < n {
+            return Err(WireError::Truncated {
                 needed: n,
-                available: self.buf.remaining(),
-            })
-        } else {
-            Ok(())
+                available: self.remaining(),
+            });
         }
+        let field = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(field)
+    }
+
+    /// Take the next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
     }
 
     /// Read a `u8`.
     pub fn u8(&mut self) -> Result<u8, WireError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
+        Ok(self.take(1)?[0])
     }
 
     /// Read a big-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, WireError> {
-        self.need(2)?;
-        Ok(self.buf.get_u16())
+        self.array().map(u16::from_be_bytes)
     }
 
     /// Read a big-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32())
+        self.array().map(u32::from_be_bytes)
     }
 
     /// Read a big-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64())
+        self.array().map(u64::from_be_bytes)
     }
 
     /// Read exactly `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<Bytes, WireError> {
-        self.need(n)?;
-        Ok(self.buf.copy_to_bytes(n))
+    pub fn bytes(&mut self, n: usize) -> Result<Vec<u8>, WireError> {
+        self.take(n).map(<[u8]>::to_vec)
     }
 
-    /// Error unless the buffer is fully consumed.
+    /// Error with [`WireError::TrailingBytes`] unless the frame is fully
+    /// consumed.
     pub fn expect_end(&self) -> Result<(), WireError> {
-        if self.buf.has_remaining() {
-            Err(WireError::LengthMismatch {
-                declared: 0,
-                actual: self.buf.remaining(),
-            })
-        } else {
-            Ok(())
+        match self.remaining() {
+            0 => Ok(()),
+            extra => Err(WireError::TrailingBytes {
+                end: self.pos,
+                extra,
+            }),
         }
     }
 }
 
-/// A big-endian writer producing a `Bytes` frame.
+/// A big-endian writer producing a frame.
 #[derive(Debug, Default)]
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Writer {
@@ -160,31 +177,27 @@ impl Writer {
 
     /// Append a `u8`.
     pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.buf.put_u8(v);
-        self
+        self.raw(&[v])
     }
 
     /// Append a big-endian `u16`.
     pub fn u16(&mut self, v: u16) -> &mut Self {
-        self.buf.put_u16(v);
-        self
+        self.raw(&v.to_be_bytes())
     }
 
     /// Append a big-endian `u32`.
     pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.buf.put_u32(v);
-        self
+        self.raw(&v.to_be_bytes())
     }
 
     /// Append a big-endian `u64`.
     pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.buf.put_u64(v);
-        self
+        self.raw(&v.to_be_bytes())
     }
 
     /// Append raw bytes.
     pub fn raw(&mut self, v: &[u8]) -> &mut Self {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
         self
     }
 
@@ -199,8 +212,8 @@ impl Writer {
     }
 
     /// Finish, producing the frame.
-    pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+    pub fn finish(self) -> Vec<u8> {
+        self.buf
     }
 }
 
@@ -217,7 +230,7 @@ mod tests {
             .u64(0x0102030405060708);
         let frame = w.finish();
         assert_eq!(frame.len(), 15);
-        let mut r = Reader::new(frame);
+        let mut r = Reader::new(&frame);
         assert_eq!(r.u8().unwrap(), 0xAB);
         assert_eq!(r.u16().unwrap(), 0x1234);
         assert_eq!(r.u32().unwrap(), 0xDEADBEEF);
@@ -227,7 +240,7 @@ mod tests {
 
     #[test]
     fn truncation_is_typed() {
-        let mut r = Reader::new(Bytes::from_static(&[0x01]));
+        let mut r = Reader::new(&[0x01]);
         assert_eq!(
             r.u32(),
             Err(WireError::Truncated {
@@ -239,10 +252,12 @@ mod tests {
 
     #[test]
     fn expect_end_catches_trailing_bytes() {
-        let mut r = Reader::new(Bytes::from_static(&[1, 2, 3]));
+        let mut r = Reader::new(&[1, 2, 3]);
         r.u8().unwrap();
-        let err = r.expect_end().unwrap_err();
-        assert!(matches!(err, WireError::LengthMismatch { actual: 2, .. }));
+        assert_eq!(
+            r.expect_end(),
+            Err(WireError::TrailingBytes { end: 1, extra: 2 })
+        );
     }
 
     #[test]
@@ -256,7 +271,8 @@ mod tests {
     fn raw_bytes_roundtrip() {
         let mut w = Writer::new();
         w.raw(b"hello");
-        let mut r = Reader::new(w.finish());
+        let frame = w.finish();
+        let mut r = Reader::new(&frame);
         assert_eq!(&r.bytes(5).unwrap()[..], b"hello");
     }
 

@@ -43,9 +43,7 @@ fn main() {
     // The TCP transport: a real switch-side client handshakes and echoes.
     let mut client = OfClient::connect(handle.addr(), Duration::from_secs(5))
         .expect("handshake with the served controller");
-    client
-        .echo(bytes::Bytes::from_static(b"of_controller"))
-        .expect("echo round trip");
+    client.echo(b"of_controller").expect("echo round trip");
     println!("HANDSHAKE=ok");
     drop(client);
     handle.shutdown();

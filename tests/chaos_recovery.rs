@@ -42,7 +42,7 @@ const MS: fn(u64) -> Duration = Duration::from_millis;
 /// alarm frame and the first retransmission (delivering the second and
 /// third), and the Pi→switch direction drops the first ack (delivering
 /// the duplicate's) — provable from the splitmix64 stream pinned in
-/// `mdn_proto::faults`.
+/// `mdn_obs::rng`.
 const SEED: u64 = 403;
 
 /// Everything observable about one scenario run, for exact comparison.

@@ -62,7 +62,7 @@ fn raw_client_completes_hello_handshake_and_echo() {
     let handle = learning_server();
     let mut client =
         OfClient::connect(handle.addr(), Duration::from_secs(2)).expect("handshake over TCP");
-    let skipped = client.echo(bytes::Bytes::from_static(b"e2e")).unwrap();
+    let skipped = client.echo(b"e2e").unwrap();
     assert_eq!(skipped, 0, "no stray messages before the echo reply");
     for _ in 0..200 {
         if handle.stats().handshaken == 1 {
@@ -271,7 +271,7 @@ fn client_poll_answers_probes_and_stays_connected() {
 fn oversize_echo_is_refused_before_it_corrupts_the_stream() {
     let handle = learning_server();
     let mut client = OfClient::connect(handle.addr(), Duration::from_secs(2)).unwrap();
-    let huge = bytes::Bytes::from(vec![0u8; 70_000]);
+    let huge = vec![0u8; 70_000];
     let xid = client.next_xid();
     match client.send(&OfMessage::EchoRequest { xid, payload: huge }) {
         Err(OfStreamError::Wire(mdn_proto::WireError::Oversize { len, max })) => {
@@ -281,7 +281,7 @@ fn oversize_echo_is_refused_before_it_corrupts_the_stream() {
         other => panic!("expected Oversize, got {other:?}"),
     }
     // The refusal left the stream clean: a normal echo still works.
-    assert_eq!(client.echo(bytes::Bytes::from_static(b"ok")).unwrap(), 0);
+    assert_eq!(client.echo(b"ok").unwrap(), 0);
     handle.shutdown();
 }
 
@@ -328,9 +328,7 @@ fn controller_carries_churn_a_concurrent_crowd_and_pipelined_flow_mods() {
         "peak of {peak} concurrent connections"
     );
     for client in crowd.iter_mut().step_by(CROWD / PROBES) {
-        let skipped = client
-            .echo(bytes::Bytes::from_static(b"crowd-probe"))
-            .expect("echo through the crowd");
+        let skipped = client.echo(b"crowd-probe").expect("echo through the crowd");
         assert_eq!(skipped, 0);
     }
     drop(crowd);
@@ -371,7 +369,7 @@ fn controller_carries_churn_a_concurrent_crowd_and_pipelined_flow_mods() {
     client
         .send(&OfMessage::EchoRequest {
             xid,
-            payload: bytes::Bytes::from_static(b"barrier"),
+            payload: b"barrier".to_vec(),
         })
         .unwrap();
     let flow_mods = reader.join().expect("reader thread");

@@ -3,7 +3,6 @@
 //! and the resulting FlowMod — marshaled through the real OpenFlow wire
 //! format — changes what the switch forwards.
 
-use bytes::Bytes;
 use mdn_acoustics::Window;
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};
 use mdn_core::controller::MdnController;
@@ -168,8 +167,8 @@ fn malformed_control_frames_are_counted_and_do_not_block_valid_ones() {
     );
     let mut chan = ControlChannel::new();
     // Truncated garbage, then wrong-magic garbage, then a real FlowMod.
-    chan.inject_to_switch(Bytes::from_static(&[0x01, 0x02, 0x03]));
-    chan.inject_to_switch(Bytes::from_static(&[0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 8]));
+    chan.inject_to_switch(vec![0x01, 0x02, 0x03]);
+    chan.inject_to_switch(vec![0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 8]);
     chan.send_to_switch(&OfMessage::FlowMod {
         xid: 1,
         command: FlowModCommand::Add,
@@ -188,7 +187,7 @@ fn malformed_control_frames_are_counted_and_do_not_block_valid_ones() {
     );
 
     // The reverse direction counts independently.
-    chan.inject_to_controller(Bytes::from_static(&[0xff]));
+    chan.inject_to_controller(vec![0xff]);
     assert!(matches!(chan.recv_at_controller(), Some(Err(_))));
     assert_eq!(chan.stats().malformed_to_controller, 1);
 }

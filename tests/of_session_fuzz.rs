@@ -8,47 +8,29 @@
 //! its ledger must add up. The sweep is deterministic (splitmix64 from
 //! fixed seeds) so a failure reproduces.
 
-use bytes::Bytes;
 use mdn_net::ftable::{Action, Match};
 use mdn_net::packet::{FlowKey, Ip};
-use mdn_obs::Registry;
+use mdn_obs::{Registry, SplitMix64};
 use mdn_proto::controller::{LearningSwitch, Ledger, Session, SessionError};
 use mdn_proto::openflow::{FlowModCommand, OfMessage, PacketInReason, PortReason};
 
-/// splitmix64: tiny, seedable, good enough to scatter the script.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
 /// A random well-formed message; Hellos and PacketIns are the common
 /// cases, so handshakes, duplicates and learning all get exercised.
-fn message(rng: &mut Rng) -> OfMessage {
-    let xid = rng.next() as u32;
+fn message(rng: &mut SplitMix64) -> OfMessage {
+    let xid = rng.next_u64() as u32;
     // Four hosts on four ports, so the learner sees moves and repeats.
     let host = |k: usize| Ip::v4(10, 0, 0, 1 + k as u8);
-    let (a, b) = (rng.below(4), rng.below(4));
+    let (a, b) = (rng.below(4) as usize, rng.below(4) as usize);
     let flow = FlowKey::tcp(host(a), 40_000, host(b), 80);
     match rng.below(9) {
         0 | 1 => OfMessage::Hello { xid },
         2 => OfMessage::EchoRequest {
             xid,
-            payload: Bytes::from(vec![0x5A; rng.below(64)]),
+            payload: vec![0x5A; rng.below(64) as usize],
         },
         3 => OfMessage::EchoReply {
             xid,
-            payload: Bytes::new(),
+            payload: Vec::new(),
         },
         4 | 5 => OfMessage::PacketIn {
             xid,
@@ -85,16 +67,13 @@ enum Step {
 
 /// A random step: mostly well-formed frames, the rest every way a frame
 /// can go wrong, and idle ticks in between.
-fn step(rng: &mut Rng) -> Step {
-    let frame = message(rng)
-        .encode()
-        .expect("corpus messages encode")
-        .to_vec();
+fn step(rng: &mut SplitMix64) -> Step {
+    let frame = message(rng).encode().expect("corpus messages encode");
     match rng.below(16) {
         0..=9 => Step::Frame(frame),
         10 => {
             // Truncated: cut anywhere, down to nothing.
-            let keep = rng.below(frame.len());
+            let keep = rng.below(frame.len() as u64) as usize;
             Step::Frame(frame[..keep].to_vec())
         }
         11 => {
@@ -102,7 +81,7 @@ fn step(rng: &mut Rng) -> Step {
             let extra = if rng.below(8) == 0 {
                 70_000
             } else {
-                1 + rng.below(32)
+                1 + rng.below(32) as usize
             };
             let mut long = frame;
             long.resize(long.len() + extra, 0xEE);
@@ -111,11 +90,11 @@ fn step(rng: &mut Rng) -> Step {
         12 => {
             // One flipped bit anywhere, header included.
             let mut flipped = frame;
-            let at = rng.below(flipped.len());
+            let at = rng.below(flipped.len() as u64) as usize;
             flipped[at] ^= 1 << rng.below(8);
             Step::Frame(flipped)
         }
-        13 => Step::Frame((0..rng.below(40)).map(|_| rng.next() as u8).collect()),
+        13 => Step::Frame((0..rng.below(40)).map(|_| rng.next_u64() as u8).collect()),
         _ => Step::Idle,
     }
 }
@@ -136,7 +115,7 @@ struct Tally {
 /// Drive one session through a seeded script, checking every result
 /// against the reference model.
 fn run_script(seed: u64, ledger: &Ledger, tally: &mut Tally) {
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix64::new(seed);
     let (mut session, hello) = Session::open(seed, Box::new(LearningSwitch::new()), ledger);
     assert!(
         matches!(hello, OfMessage::Hello { .. }),
@@ -146,7 +125,7 @@ fn run_script(seed: u64, ledger: &Ledger, tally: &mut Tally) {
     tally.tx += 1;
     let (mut handshaken, mut probing, mut closed) = (false, false, false);
     // Most peers open with a Hello; the rest start with anything at all.
-    let opening = OfMessage::Hello { xid: 1 }.encode().unwrap().to_vec();
+    let opening = OfMessage::Hello { xid: 1 }.encode().unwrap();
     for i in 0..rng.below(40) {
         let what = format!("seed {seed} step {i}");
         let next = if i == 0 && rng.below(4) != 0 {
@@ -177,7 +156,7 @@ fn run_script(seed: u64, ledger: &Ledger, tally: &mut Tally) {
                     assert_eq!(got, Err(SessionError::Closed), "{what}");
                     continue;
                 }
-                let msg = match OfMessage::decode(Bytes::from(frame)) {
+                let msg = match OfMessage::decode(&frame) {
                     Ok(msg) => msg,
                     Err(e) => {
                         assert_eq!(got, Err(SessionError::Decode(e)), "{what}");
@@ -269,7 +248,7 @@ fn handshake_probe_and_reap_in_order() {
     // Pre-Hello Echo is refused, and the session stays closed.
     let echo = OfMessage::EchoRequest {
         xid: 9,
-        payload: Bytes::from_static(b"hi"),
+        payload: b"hi".to_vec(),
     };
     let frame = echo.encode().unwrap();
     assert_eq!(session.on_frame(&frame), Err(SessionError::BeforeHello));
@@ -285,7 +264,7 @@ fn handshake_probe_and_reap_in_order() {
         session.on_frame(&frame),
         Ok(vec![OfMessage::EchoReply {
             xid: 9,
-            payload: Bytes::from_static(b"hi"),
+            payload: b"hi".to_vec(),
         }])
     );
     // Idle: probe (the next controller xid), then reap.

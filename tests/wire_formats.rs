@@ -2,12 +2,11 @@
 //! rules installed directly and rules delivered over the wire, and a
 //! seeded corruption sweep proving both decoders total on mangled frames.
 
-use bytes::Bytes;
 use mdn_net::ftable::{Action, Decision, Match, PortId};
 use mdn_net::network::Network;
 use mdn_net::packet::{FlowKey, Ip, Proto};
+use mdn_obs::SplitMix64;
 use mdn_proto::channel::{apply_at_switch, ControlChannel};
-use mdn_proto::faults::FaultRng;
 use mdn_proto::mp::{MpMessage, MpTone};
 use mdn_proto::openflow::{FlowModCommand, OfMessage, PacketInReason};
 use proptest::prelude::*;
@@ -78,7 +77,7 @@ proptest! {
             seq,
             tone: MpTone { freq_chz, duration_ms, intensity_ddb },
         };
-        prop_assert_eq!(MpMessage::decode(msg.encode()).unwrap(), msg);
+        prop_assert_eq!(MpMessage::decode(&msg.encode()).unwrap(), msg);
     }
 
     /// Every MP sequence round-trips.
@@ -100,7 +99,7 @@ proptest! {
             })
             .collect();
         let msg = MpMessage::PlaySequence { seq, tones };
-        prop_assert_eq!(MpMessage::decode(msg.encode()).unwrap(), msg);
+        prop_assert_eq!(MpMessage::decode(&msg.encode()).unwrap(), msg);
     }
 
     /// Truncating any MP frame yields a typed error, never a panic.
@@ -115,14 +114,13 @@ proptest! {
         };
         let frame = msg.encode();
         let cut = cut.min(frame.len().saturating_sub(1));
-        let truncated = frame.slice(0..cut);
-        prop_assert!(MpMessage::decode(truncated).is_err());
+        prop_assert!(MpMessage::decode(&frame[..cut]).is_err());
     }
 
     /// Arbitrary bytes never panic the MP decoder.
     #[test]
     fn mp_decoder_is_total(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
-        let _ = MpMessage::decode(Bytes::from(bytes));
+        let _ = MpMessage::decode(&bytes);
     }
 
     /// Every FlowMod round-trips through the OpenFlow wire format.
@@ -141,7 +139,7 @@ proptest! {
             mat,
             action,
         };
-        prop_assert_eq!(OfMessage::decode(msg.encode().unwrap()).unwrap(), msg);
+        prop_assert_eq!(OfMessage::decode(&msg.encode().unwrap()).unwrap(), msg);
     }
 
     /// PacketIn round-trips for arbitrary flows.
@@ -160,13 +158,13 @@ proptest! {
             total_len,
             reason: if reason { PacketInReason::Action } else { PacketInReason::NoMatch },
         };
-        prop_assert_eq!(OfMessage::decode(msg.encode().unwrap()).unwrap(), msg);
+        prop_assert_eq!(OfMessage::decode(&msg.encode().unwrap()).unwrap(), msg);
     }
 
     /// Arbitrary bytes never panic the OpenFlow decoder.
     #[test]
     fn of_decoder_is_total(bytes in prop::collection::vec(any::<u8>(), 0..128)) {
-        let _ = OfMessage::decode(Bytes::from(bytes));
+        let _ = OfMessage::decode(&bytes);
     }
 
     /// A rule delivered over the wire behaves identically to one installed
@@ -209,7 +207,7 @@ proptest! {
 }
 
 /// One well-formed frame of every message shape in both wire formats.
-fn frame_corpus() -> Vec<Bytes> {
+fn frame_corpus() -> Vec<Vec<u8>> {
     use mdn_proto::openflow::PortReason;
     let flow = FlowKey::udp(Ip::v4(10, 0, 0, 1), 7000, Ip::v4(10, 0, 0, 2), 8000);
     let mp = [
@@ -248,11 +246,11 @@ fn frame_corpus() -> Vec<Bytes> {
         OfMessage::Hello { xid: 1 },
         OfMessage::EchoRequest {
             xid: 2,
-            payload: Bytes::from_static(b"ping"),
+            payload: b"ping".to_vec(),
         },
         OfMessage::EchoReply {
             xid: 2,
-            payload: Bytes::from_static(b"ping"),
+            payload: b"ping".to_vec(),
         },
         OfMessage::PacketIn {
             xid: 3,
@@ -292,8 +290,8 @@ fn frame_corpus() -> Vec<Bytes> {
 
 /// Feed a mangled frame to both decoders; the property is totality —
 /// a typed result, never a panic.
-fn decode_both(frame: Bytes) {
-    let _ = MpMessage::decode(frame.clone());
+fn decode_both(frame: &[u8]) {
+    let _ = MpMessage::decode(frame);
     let _ = OfMessage::decode(frame);
 }
 
@@ -302,7 +300,7 @@ fn decode_both(frame: Bytes) {
 fn truncated_frames_never_panic_either_decoder() {
     for frame in frame_corpus() {
         for cut in 0..frame.len() {
-            decode_both(frame.slice(0..cut));
+            decode_both(&frame[..cut]);
         }
     }
 }
@@ -311,13 +309,13 @@ fn truncated_frames_never_panic_either_decoder() {
 /// yields a typed result, never a panic.
 #[test]
 fn header_corruption_never_panics_either_decoder() {
-    let mut rng = FaultRng::new(101);
+    let mut rng = SplitMix64::new(101);
     for frame in frame_corpus() {
         for pos in 0..frame.len().min(8) {
             for _ in 0..4 {
-                let mut bytes = frame.to_vec();
+                let mut bytes = frame.clone();
                 bytes[pos] ^= (rng.next_u64() % 255 + 1) as u8;
-                decode_both(Bytes::from(bytes));
+                decode_both(&bytes);
             }
         }
     }
@@ -327,16 +325,16 @@ fn header_corruption_never_panics_either_decoder() {
 /// corpus frame) yields typed results, never panics.
 #[test]
 fn seeded_bit_flip_storm_never_panics_either_decoder() {
-    let mut rng = FaultRng::new(202);
+    let mut rng = SplitMix64::new(202);
     for frame in frame_corpus() {
         for _ in 0..64 {
-            let mut bytes = frame.to_vec();
+            let mut bytes = frame.clone();
             let flips = rng.below(4) + 1;
             for _ in 0..flips {
                 let bit = rng.below(bytes.len() as u64 * 8) as usize;
                 bytes[bit / 8] ^= 1 << (bit % 8);
             }
-            decode_both(Bytes::from(bytes));
+            decode_both(&bytes);
         }
     }
 }
