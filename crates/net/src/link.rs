@@ -31,10 +31,15 @@ pub struct Link {
     pub latency: Duration,
     /// Administratively up? (Failure injection flips this.)
     pub up: bool,
+    /// Bumped each time the link goes down. A frame carries the epoch it
+    /// left in, so a frame cut off by a flap is told from a later one.
+    pub epoch: u32,
     /// Packets transmitted onto this link (both directions), lifetime.
     pub tx_packets: u64,
     /// Bytes transmitted onto this link (both directions), lifetime.
     pub tx_bytes: u64,
+    /// The last packet size and its serialization delay.
+    memo: (u32, Duration),
 }
 
 impl Link {
@@ -50,8 +55,10 @@ impl Link {
             rate_bps,
             latency,
             up: true,
+            epoch: 0,
             tx_packets: 0,
             tx_bytes: 0,
+            memo: (0, Duration::ZERO),
         }
     }
 
@@ -69,6 +76,16 @@ impl Link {
     /// Serialization delay for `bytes` at the line rate.
     pub fn serialization_delay(&self, bytes: u32) -> Duration {
         Duration::from_secs_f64(bytes as f64 * 8.0 / self.rate_bps as f64)
+    }
+
+    /// [`serialization_delay`](Self::serialization_delay), kept for the
+    /// last packet size: a link mostly carries one size, and the f64 →
+    /// `Duration` conversion is the costly part.
+    pub(crate) fn serialization_delay_memo(&mut self, bytes: u32) -> Duration {
+        if self.memo.0 != bytes {
+            self.memo = (bytes, self.serialization_delay(bytes));
+        }
+        self.memo.1
     }
 
     /// The endpoint opposite `from`, or `None` if `from` is not on this

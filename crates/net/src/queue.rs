@@ -120,6 +120,18 @@ impl PacketQueue {
         Some(pkt)
     }
 
+    /// Account for a packet of `size` bytes that an idle port hands
+    /// straight to its transmitter: exactly what [`enqueue`](Self::enqueue)
+    /// and then [`dequeue`](Self::dequeue) would do to the counters of an
+    /// empty queue, without touching the ring.
+    pub fn pass_through(&mut self, size: u32) {
+        debug_assert!(self.items.is_empty(), "only an empty queue passes through");
+        self.accepted += 1;
+        self.accepted_bytes += size as u64;
+        self.high_water = self.high_water.max(1);
+        self.dequeued += 1;
+    }
+
     /// Peek at the head packet without removing it.
     pub fn peek(&self) -> Option<&Packet> {
         self.items.front()

@@ -6,6 +6,8 @@
 
 use crate::ftable::PortId;
 use crate::packet::Packet;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::time::Duration;
 
 /// Identifies a node in the network.
@@ -23,6 +25,9 @@ pub enum Event {
         in_port: PortId,
         /// The packet.
         packet: Packet,
+        /// The link's up-epoch when the packet left; an older epoch than
+        /// the link's means the link went down while the packet crossed.
+        epoch: u32,
     },
     /// `node`'s transmitter on `port` finishes serializing a packet and can
     /// start on the next queued one.
@@ -31,6 +36,9 @@ pub enum Event {
         node: NodeId,
         /// The now-idle port.
         port: PortId,
+        /// The port's link's up-epoch when serialization started; an
+        /// older epoch than the link's names a frame the link cut off.
+        epoch: u32,
     },
     /// A traffic generator on `node` should emit its next packet.
     Generate {
@@ -48,91 +56,56 @@ pub enum Event {
 }
 
 /// A queue key: the event's time and schedule sequence number, ordered as
-/// `(at, seq)`, plus the slab slot that holds the event itself.
-///
-/// `(secs, nanos, seq)` reads as one 158-bit number — 64 bits of seconds,
-/// 30 of nanoseconds (always below 10⁹ < 2³⁰), 64 of sequence — whose
-/// numeric order is the `(at, seq)` order. The radix buckets are indexed
-/// by the highest bit in which a key differs from the last popped one.
-#[derive(Debug, Clone, Copy)]
+/// `(at, seq)`, plus the slab slot that holds the event itself. `seq` is
+/// unique, so `slot` never decides the order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     secs: u64,
-    seq: u64,
     nanos: u32,
+    seq: u64,
     slot: u32,
 }
 
-/// One bucket per bit of the 158-bit key, plus bucket 0 for a key equal
-/// to the last popped one.
-const BUCKETS: usize = 159;
-
 impl Key {
-    fn order(&self) -> (u64, u32, u64) {
-        (self.secs, self.nanos, self.seq)
-    }
-
     fn at(&self) -> Duration {
         Duration::new(self.secs, self.nanos)
     }
+}
 
-    /// One plus the position of the highest bit in which `self` differs
-    /// from `last`; 0 when they are equal.
-    fn bucket(&self, last: &Key) -> usize {
-        let secs = self.secs ^ last.secs;
-        if secs != 0 {
-            return 158 - secs.leading_zeros() as usize;
-        }
-        let nanos = self.nanos ^ last.nanos;
-        if nanos != 0 {
-            return 96 - nanos.leading_zeros() as usize;
-        }
-        64 - (self.seq ^ last.seq).leading_zeros() as usize
-    }
+/// How many delays get a FIFO lane of their own.
+const LANES: usize = 8;
+
+/// The keys scheduled `delay` after the pop that preceded them, oldest
+/// first.
+#[derive(Debug)]
+struct Lane {
+    delay: Duration,
+    keys: VecDeque<Key>,
 }
 
 /// A deterministic priority queue of timed events, popped in `(at, seq)`
 /// order.
 ///
-/// It is a radix heap: popped keys never decrease, so a pending key
-/// lives in the bucket named by the highest bit in which it differs from
-/// the last popped key, and every key in a lower bucket is smaller than
-/// every key in a higher one. Scheduling is a push onto one bucket. A pop
-/// takes the lowest non-empty bucket's minimum and, when that bucket held
-/// more, redistributes the rest into lower buckets relative to the new
-/// last key — each pending key moves at most once per bit. The events
-/// wait in a slab of slots whose free list recycles a slot as soon as its
-/// event pops, so the slab never grows past the most events ever pending
-/// at once.
-#[derive(Debug)]
+/// Keys wait in FIFO lanes keyed by delay: a key's delay is its time
+/// minus the last popped time. Popped times never decrease, so every key
+/// pushed onto the lane for delay `d` is at or after that lane's tail,
+/// with a larger `seq`, and each lane stays sorted with only `push_back`.
+/// A pop takes the smallest front among at most `LANES` (8) lanes and the
+/// top of a binary heap, which holds only the keys no lane fits; an
+/// emptied lane is given to the next new delay. The events wait in a
+/// slab of slots whose free list recycles a slot as soon as its event
+/// pops, so the slab never grows past the most events ever pending at
+/// once.
+#[derive(Debug, Default)]
 pub struct EventQueue {
-    buckets: Vec<Vec<Key>>,
-    /// Bit `b` of word `b / 64` is set while `buckets[b]` is non-empty.
-    occupied: [u64; 3],
-    /// The last popped key; nothing can be queued below it.
-    last: Key,
+    lanes: Vec<Lane>,
+    heap: BinaryHeap<Reverse<Key>>,
+    /// The last popped time; nothing can be queued below it.
+    last: Duration,
     len: usize,
     slots: Vec<Option<Event>>,
     free: Vec<u32>,
     seq: u64,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self {
-            buckets: vec![Vec::new(); BUCKETS],
-            occupied: [0; 3],
-            last: Key {
-                secs: 0,
-                seq: 0,
-                nanos: 0,
-                slot: 0,
-            },
-            len: 0,
-            slots: Vec::new(),
-            free: Vec::new(),
-            seq: 0,
-        }
-    }
 }
 
 impl EventQueue {
@@ -155,49 +128,46 @@ impl EventQueue {
                 u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 pending events")
             }
         };
-        let at = at.max(self.last.at());
+        let at = at.max(self.last);
         let key = Key {
             secs: at.as_secs(),
-            seq: self.seq,
             nanos: at.subsec_nanos(),
+            seq: self.seq,
             slot,
         };
         self.seq += 1;
-        self.push(key);
         self.len += 1;
+        let delay = at - self.last;
+        if let Some(lane) = self.lanes.iter_mut().find(|l| l.delay == delay) {
+            lane.keys.push_back(key);
+        } else if let Some(lane) = self.lanes.iter_mut().find(|l| l.keys.is_empty()) {
+            lane.delay = delay;
+            lane.keys.push_back(key);
+        } else if self.lanes.len() < LANES {
+            let keys = VecDeque::from([key]);
+            self.lanes.push(Lane { delay, keys });
+        } else {
+            self.heap.push(Reverse(key));
+        }
     }
 
-    fn push(&mut self, key: Key) {
-        let b = key.bucket(&self.last);
-        self.buckets[b].push(key);
-        self.occupied[b / 64] |= 1 << (b % 64);
-    }
-
-    /// The lowest non-empty bucket, if any.
-    fn lowest(&self) -> Option<usize> {
-        self.occupied
-            .iter()
-            .enumerate()
-            .find(|(_, w)| **w != 0)
-            .map(|(i, w)| i * 64 + w.trailing_zeros() as usize)
-    }
-
-    /// Index of the smallest key in bucket `b`.
-    fn min_in(&self, b: usize) -> usize {
-        let bucket = &self.buckets[b];
-        (1..bucket.len()).fold(0, |m, i| {
-            if bucket[i].order() < bucket[m].order() {
-                i
-            } else {
-                m
+    /// The smallest pending key and where it waits: a lane's index, or
+    /// [`LANES`] for the heap.
+    fn min(&self) -> Option<(usize, Key)> {
+        let mut best = self.heap.peek().map(|&Reverse(key)| (LANES, key));
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(&key) = lane.keys.front() {
+                if best.is_none_or(|(_, b)| key < b) {
+                    best = Some((i, key));
+                }
             }
-        })
+        }
+        best
     }
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Duration> {
-        let b = self.lowest()?;
-        Some(self.buckets[b][self.min_in(b)].at())
+        self.min().map(|(_, key)| key.at())
     }
 
     /// Pop the earliest event.
@@ -211,28 +181,22 @@ impl EventQueue {
     }
 
     fn pop_where(&mut self, due: impl Fn(Duration) -> bool) -> Option<(Duration, Event)> {
-        let b = self.lowest()?;
-        let i = self.min_in(b);
-        let key = self.buckets[b][i];
-        if !due(key.at()) {
+        let (from, key) = self.min()?;
+        let at = key.at();
+        if !due(at) {
             return None;
         }
-        let mut rest = std::mem::take(&mut self.buckets[b]);
-        rest.swap_remove(i);
-        self.occupied[b / 64] &= !(1 << (b % 64));
-        self.last = key;
-        // Relative to the new last key every remaining key of bucket `b`
-        // lands in a lower bucket; the higher buckets stay valid.
-        for k in rest.drain(..) {
-            self.push(k);
-        }
-        self.buckets[b] = rest;
+        match self.lanes.get_mut(from) {
+            Some(lane) => lane.keys.pop_front(),
+            None => self.heap.pop().map(|Reverse(key)| key),
+        };
+        self.last = at;
         self.len -= 1;
         let event = self.slots[key.slot as usize]
             .take()
             .expect("a queued key names a filled slot");
         self.free.push(key.slot);
-        Some((key.at(), event))
+        Some((at, event))
     }
 
     /// Number of pending events.
@@ -259,74 +223,103 @@ mod tests {
         Event::Tick { tag }
     }
 
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(Duration::from_millis(30), tick(3));
-        q.schedule(Duration::from_millis(10), tick(1));
-        q.schedule(Duration::from_millis(20), tick(2));
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// Pop everything; the tags in pop order.
+    fn drain_tags(q: &mut EventQueue) -> Vec<u64> {
+        std::iter::from_fn(|| q.pop())
             .map(|(_, e)| match e {
                 Event::Tick { tag } => tag,
                 _ => unreachable!(),
             })
-            .collect();
-        assert_eq!(order, vec![1, 2, 3]);
+            .collect()
+    }
+
+    #[test]
+    fn pops_in_time_order() {
+        let mut q = EventQueue::new();
+        q.schedule(ms(30), tick(3));
+        q.schedule(ms(10), tick(1));
+        q.schedule(ms(20), tick(2));
+        assert_eq!(drain_tags(&mut q), vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
         let mut q = EventQueue::new();
-        let t = Duration::from_millis(5);
         for tag in 0..10 {
-            q.schedule(t, tick(tag));
+            q.schedule(ms(5), tick(tag));
         }
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| match e {
-                Event::Tick { tag } => tag,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
+        assert_eq!(drain_tags(&mut q), (0..10).collect::<Vec<_>>());
+    }
+
+    /// Keys at 1, 2, 4, …, 128 ms fill every lane and `extra` more wait
+    /// at 1 ms. The first pops, then a key at 128 ms brings a new delay,
+    /// 127 ms.
+    fn new_delay_after_full_lanes(extra: usize) -> EventQueue {
+        let mut q = EventQueue::new();
+        for tag in (0..LANES).map(|i| 1 << i) {
+            q.schedule(ms(tag), tick(tag));
+        }
+        (0..extra).for_each(|_| q.schedule(ms(1), tick(1)));
+        assert_eq!(q.pop(), Some((ms(1), tick(1))));
+        q.schedule(ms(128), tick(129));
+        q
+    }
+
+    #[test]
+    fn a_lane_front_and_the_heap_top_tie_in_seq_order() {
+        let mut q = new_delay_after_full_lanes(1);
+        assert_eq!(q.heap.len(), 1, "no lane fits the new delay");
+        let want = [1, 2, 4, 8, 16, 32, 64, 128, 129];
+        assert_eq!(drain_tags(&mut q), want);
+    }
+
+    #[test]
+    fn an_emptied_lane_is_reused_for_a_new_delay() {
+        let mut q = new_delay_after_full_lanes(0);
+        assert!(q.heap.is_empty());
+        assert_eq!((q.lanes.len(), q.lanes[0].delay), (LANES, ms(127)));
+        assert_eq!(drain_tags(&mut q), [2, 4, 8, 16, 32, 64, 128, 129]);
     }
 
     #[test]
     fn peek_time_matches_next_pop() {
         let mut q = EventQueue::new();
         assert_eq!(q.peek_time(), None);
-        q.schedule(Duration::from_millis(7), tick(0));
-        q.schedule(Duration::from_millis(3), tick(1));
-        assert_eq!(q.peek_time(), Some(Duration::from_millis(3)));
-        let (at, _) = q.pop().unwrap();
-        assert_eq!(at, Duration::from_millis(3));
+        q.schedule(ms(7), tick(0));
+        q.schedule(ms(3), tick(1));
+        assert_eq!(q.peek_time(), Some(ms(3)));
+        assert_eq!(q.pop().map(|(at, _)| at), Some(ms(3)));
     }
 
     #[test]
     fn pop_before_leaves_events_at_the_deadline() {
         let mut q = EventQueue::new();
-        q.schedule(Duration::from_millis(4), tick(0));
-        q.schedule(Duration::from_millis(5), tick(1));
-        let deadline = Duration::from_millis(5);
-        assert_eq!(
-            q.pop_before(deadline),
-            Some((Duration::from_millis(4), tick(0)))
-        );
-        assert_eq!(q.pop_before(deadline), None);
+        q.schedule(ms(4), tick(0));
+        q.schedule(ms(5), tick(1));
+        assert_eq!(q.pop_before(ms(5)), Some((ms(4), tick(0))));
+        assert_eq!(q.pop_before(ms(5)), None);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((deadline, tick(1))));
+        assert_eq!(q.pop(), Some((ms(5), tick(1))));
     }
 
     #[test]
     fn scheduling_before_the_last_pop_is_clamped() {
         let mut q = EventQueue::new();
-        q.schedule(Duration::from_millis(10), tick(0));
-        q.schedule(Duration::from_millis(30), tick(1));
-        assert_eq!(q.pop().map(|(at, _)| at), Some(Duration::from_millis(10)));
-        // Time never runs backward: the late event pops at 10 ms, ahead of
-        // the event already waiting at 30 ms.
-        q.schedule(Duration::from_millis(3), tick(2));
-        assert_eq!(q.pop(), Some((Duration::from_millis(10), tick(2))));
-        assert_eq!(q.pop(), Some((Duration::from_millis(30), tick(1))));
+        q.schedule(ms(10), tick(0));
+        q.schedule(ms(10), tick(1));
+        q.schedule(ms(30), tick(4));
+        assert_eq!(q.pop().map(|(at, _)| at), Some(ms(10)));
+        // Time never runs backward: the late event pops at 10 ms, after
+        // the tie already waiting there and ahead of the event at 30 ms.
+        q.schedule(ms(3), tick(2));
+        q.schedule(ms(10), tick(3));
+        assert_eq!(q.pop(), Some((ms(10), tick(1))));
+        assert_eq!(q.pop(), Some((ms(10), tick(2))));
+        assert_eq!(drain_tags(&mut q), [3, 4]);
     }
 
     #[test]

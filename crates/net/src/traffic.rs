@@ -81,6 +81,8 @@ pub struct Generator {
     seq: u64,
     scan_offset: u32,
     rng: Option<SplitMix64>,
+    /// A CBR pattern's inter-packet gap, converted once.
+    cbr_gap: Duration,
 }
 
 impl Generator {
@@ -90,11 +92,16 @@ impl Generator {
             TrafficPattern::Poisson { seed, .. } => Some(SplitMix64::new(*seed)),
             _ => None,
         };
+        let cbr_gap = match &pattern {
+            TrafficPattern::Cbr { pps, .. } => Duration::from_secs_f64(1.0 / pps.max(1e-9)),
+            _ => Duration::ZERO,
+        };
         Self {
             pattern,
             seq: 0,
             scan_offset: 0,
             rng,
+            cbr_gap,
         }
     }
 
@@ -114,17 +121,13 @@ impl Generator {
     pub fn emit(&mut self, now: Duration) -> (Option<Packet>, Option<Duration>) {
         match self.pattern {
             TrafficPattern::Cbr {
-                flow,
-                pps,
-                size,
-                stop,
-                ..
+                flow, size, stop, ..
             } => {
                 if now >= stop {
                     return (None, None);
                 }
                 let pkt = self.make(flow, size, now);
-                let next = now + Duration::from_secs_f64(1.0 / pps.max(1e-9));
+                let next = now + self.cbr_gap;
                 (Some(pkt), (next < stop).then_some(next))
             }
             TrafficPattern::Ramp {

@@ -1,9 +1,11 @@
 //! The packet plane's indexed structures against their plain reference
 //! models: the destination-indexed flow table against a linear scan in
-//! rank order, and the radix-heap event queue against a `BinaryHeap` on
+//! rank order, and the delay-lane event queue against a `BinaryHeap` on
 //! `(at, seq)`. Both references live only here. Also the sampled
 //! dispatch timing's counts against an independent count of dispatched
-//! events, under any split of the run.
+//! events, under any split of the run, and the queue accounting of the
+//! idle-port pass-through against the identities the ring path keeps,
+//! under link flaps and switch crashes.
 
 use mdn_net::flow::hash_flow;
 use mdn_net::ftable::{Action, Decision, FlowTable, Match, PortId, Rule};
@@ -116,6 +118,27 @@ fn action_from(n: u8) -> Action {
     }
 }
 
+/// Delays after the last pop for the queue proptest: more distinct values
+/// than the queue has lanes. Multiples of 250 ms make equal times from
+/// different delays, the nanosecond pair straddles a second boundary,
+/// 5.8, 8 and 13 µs and 2.5 ms are delays a `fabric` run's lanes hold,
+/// and the last is far ahead.
+const DELAYS: [Duration; 13] = [
+    Duration::ZERO,
+    Duration::from_nanos(1),
+    Duration::from_nanos(999_999_999),
+    Duration::from_nanos(5_800),
+    Duration::from_micros(8),
+    Duration::from_micros(13),
+    Duration::from_micros(2_500),
+    Duration::from_millis(250),
+    Duration::from_millis(500),
+    Duration::from_millis(750),
+    Duration::from_millis(1_000),
+    Duration::from_millis(1_250),
+    Duration::from_secs(1 << 40),
+];
+
 /// A test event whose tag records the order it was scheduled in.
 fn tick(tag: u64) -> Event {
     Event::Tick { tag }
@@ -138,16 +161,7 @@ const KINDS: [&str; 3] = ["generate", "port_free", "deliver"];
 fn star_network(flows: &[(u8, u8, u16, u64)], ticks: &[u64]) -> (Network, StarTopo, Registry) {
     let mut net = Network::new();
     let topo = star(&mut net, 4, 10_000_000, Duration::from_micros(20));
-    for h in 0..4u8 {
-        net.install_rule(
-            topo.switch,
-            Rule {
-                mat: Match::dst(Ip::v4(10, 0, 0, h + 1)),
-                priority: 1,
-                action: Action::Forward(h as usize),
-            },
-        );
-    }
+    install_routes(&mut net, topo.switch);
     for &(src, dst, pps, seed) in flows {
         let (src, dst) = (src % 4, (src % 4 + 1 + dst % 3) % 4);
         net.attach_generator(
@@ -198,6 +212,72 @@ fn independent_counts(net: &Network, topo: &StarTopo, ticks: u64) -> [u64; 3] {
     [net.events_processed() - ticks - 2 * tx, tx, tx]
 }
 
+/// A four-host star whose switch ports hold `capacity` packets, hosts on
+/// alternating 10 and 100 Mb/s links, with a route to every host and one
+/// CBR or Poisson flow per `(src, dst, pps, seed, cbr)`.
+fn small_queue_star(flows: &[(u8, u8, u16, u64, bool)], capacity: usize) -> (Network, StarTopo) {
+    let mut net = Network::new();
+    let switch = net.add_switch_with_queue("s1", 4, capacity);
+    let hosts = (0..4u8)
+        .map(|h| {
+            let host = net.add_host(format!("h{}", h + 1), Ip::v4(10, 0, 0, h + 1));
+            let rate = if h % 2 == 0 { 10_000_000 } else { 100_000_000 };
+            net.connect(host, 0, switch, h as usize, rate, Duration::from_micros(20));
+            host
+        })
+        .collect();
+    let topo = StarTopo { hosts, switch };
+    install_routes(&mut net, topo.switch);
+    for &(src, dst, pps, seed, cbr) in flows {
+        let (src, dst) = (src % 4, (src % 4 + 1 + dst % 3) % 4);
+        let flow = FlowKey::udp(
+            Ip::v4(10, 0, 0, src + 1),
+            4000,
+            Ip::v4(10, 0, 0, dst + 1),
+            9,
+        );
+        let (size, start, stop) = (
+            1200,
+            Duration::from_micros(u64::from(pps) % 977),
+            Duration::from_millis(300),
+        );
+        let pattern = if cbr {
+            TrafficPattern::Cbr {
+                flow,
+                pps: f64::from(pps),
+                size,
+                start,
+                stop,
+            }
+        } else {
+            TrafficPattern::Poisson {
+                flow,
+                mean_pps: f64::from(pps),
+                size,
+                start,
+                stop,
+                seed,
+            }
+        };
+        net.attach_generator(topo.hosts[src as usize], pattern);
+    }
+    (net, topo)
+}
+
+/// A route to each of the four star hosts, on the port of the same index.
+fn install_routes(net: &mut Network, switch: NodeId) {
+    for h in 0..4u8 {
+        net.install_rule(
+            switch,
+            Rule {
+                mat: Match::dst(Ip::v4(10, 0, 0, h + 1)),
+                priority: 1,
+                action: Action::Forward(h as usize),
+            },
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -246,50 +326,49 @@ proptest! {
         }
     }
 
-    /// The radix-heap queue pops the same `(at, event)` sequence as a
+    /// The lane queue pops the same `(at, event)` sequence as a
     /// `BinaryHeap` on `(at, seq)` — through `pop` and `pop_before` —
     /// reports the same `len` and `peek_time`, and reuses freed slots: the
     /// slab never grows past the most events pending at once. Events are
-    /// scheduled at or after the last popped time, as `Network` does.
+    /// scheduled a delay after the last popped time, as `Network` does,
+    /// drawn from more distinct delays than there are lanes, so lanes are
+    /// emptied and reused, keys fall back to the heap, and equal times
+    /// reached through different delays tie across lanes and the heap. A
+    /// few schedules name a time before the last pop and are clamped.
     #[test]
     fn event_queue_matches_binary_heap(
-        ops in prop::collection::vec((0u8..5, 0u64..6, any::<u16>()), 1..400)
+        ops in prop::collection::vec((0u8..6, 0usize..DELAYS.len(), any::<u16>()), 1..400)
     ) {
         let mut queue = EventQueue::new();
         let mut reference: BinaryHeap<(Reverse<Duration>, Reverse<u64>)> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut floor = Duration::ZERO;
         let mut high_water = 0usize;
-        for (op, ms, n) in ops {
-            // Few distinct offsets, some across second boundaries and a few
-            // far ahead: most events tie on time and fall back on seq.
-            let mut at = floor;
-            if n.is_multiple_of(3) {
-                at += Duration::from_millis(ms * 250);
-            }
-            if n.is_multiple_of(7) {
-                at += Duration::from_secs(u64::from(n) << 20);
-            }
+        for (op, d, n) in ops {
+            let at = floor + DELAYS[d];
             match op {
-                0 | 1 => {
+                0..=2 => {
                     let event = if n.is_multiple_of(2) {
                         tick(seq)
                     } else {
                         Event::Generate { node: NodeId(n as usize), gen_idx: seq as usize }
                     };
-                    queue.schedule(at, event);
-                    reference.push((Reverse(at), Reverse(seq)));
+                    // One schedule in 16 asks for a time before the last
+                    // pop; both queues hold it at the last pop.
+                    let asked = if n % 16 == 1 { floor.saturating_sub(DELAYS[d]) } else { at };
+                    queue.schedule(asked, event);
+                    reference.push((Reverse(asked.max(floor)), Reverse(seq)));
                     seq += 1;
                 }
-                2 | 3 => {
-                    let deadline = if op == 2 { Duration::MAX } else { at };
+                3 | 4 => {
+                    let deadline = if op == 3 { Duration::MAX } else { at };
                     let want = match reference.peek() {
                         Some((Reverse(t), _)) if *t < deadline => {
                             reference.pop().map(|(Reverse(t), Reverse(s))| (t, s))
                         }
                         _ => None,
                     };
-                    let got = if op == 2 { queue.pop() } else { queue.pop_before(deadline) };
+                    let got = if op == 3 { queue.pop() } else { queue.pop_before(deadline) };
                     let got = got.map(|(t, event)| (t, tag_of(&event)));
                     prop_assert_eq!(got, want);
                     if let Some((t, _)) = got {
@@ -361,5 +440,65 @@ proptest! {
         for (n, sum) in counts {
             prop_assert!(n == 0 || sum > 0, "a kind that ran was timed");
         }
+    }
+
+    /// Idle ports hand packets straight to the transmitter; the queue
+    /// counters must still read as if every packet went through the ring.
+    /// Over star runs with small switch queues, CBR and Poisson flows, and
+    /// scripted link flaps and switch crash/restarts (many shorter than a
+    /// frame): every queue reconciles `accepted == dequeued + cleared +
+    /// in_flight` and has a high-water mark once it accepted a packet,
+    /// each host egress that dropped nothing accepted exactly the host's
+    /// `tx_bytes`, and every packet sent is delivered or charged to one
+    /// drop class.
+    #[test]
+    fn queue_accounting_reconciles_through_pass_through(
+        flows in prop::collection::vec((any::<u8>(), any::<u8>(), 50u16..4000, any::<u64>(), any::<bool>()), 1..6),
+        capacity in 1usize..5,
+        faults in prop::collection::vec((0u64..300_000, 0usize..6, 0u64..3_000), 0..8),
+    ) {
+        let (mut net, topo) = small_queue_star(&flows, capacity);
+        // Fault `i` starts at tick 2i and ends at tick 2i + 1, `len` µs
+        // later; kinds 0–3 flap that host's link, 4 and 5 crash the switch.
+        for (i, &(at, _, len)) in faults.iter().enumerate() {
+            net.schedule_tick(Duration::from_micros(at), 2 * i as u64);
+            net.schedule_tick(Duration::from_micros(at + len), 2 * i as u64 + 1);
+        }
+        while let RunOutcome::Tick { tag, .. } = net.run_until(Duration::from_secs(10)) {
+            let (start, kind) = (tag % 2 == 0, faults[tag as usize / 2].1);
+            match topo.hosts.get(kind) {
+                Some(&host) => net.set_link_up(net.link_at(host, 0).expect("host link"), !start),
+                None if start => net.crash_switch(topo.switch),
+                None => {
+                    net.restart_switch(topo.switch);
+                    install_routes(&mut net, topo.switch);
+                }
+            }
+        }
+        net.drain();
+
+        let host_queues = topo.hosts.iter().map(|&h| &net.host(h).port.queue);
+        let switch_stats = net.queue_stats();
+        let switch_queues = switch_stats.iter().map(|q| (q.accepted, q.dequeued, q.cleared, q.in_flight, q.high_water));
+        for (accepted, dequeued, cleared, in_flight, high_water) in host_queues
+            .map(|q| (q.accepted, q.dequeued, q.cleared, q.len(), q.high_water))
+            .chain(switch_queues)
+        {
+            prop_assert_eq!(accepted, dequeued + cleared + in_flight as u64);
+            prop_assert!(accepted == 0 || high_water >= 1, "a queue that accepted has a high-water mark");
+        }
+        let mut sent = 0;
+        for &h in &topo.hosts {
+            let host = net.host(h);
+            if host.port.queue.dropped == 0 {
+                prop_assert_eq!(host.port.queue.accepted_bytes, host.tx_bytes);
+            }
+            sent += host.tx_packets;
+        }
+        let c = net.counters;
+        prop_assert_eq!(
+            sent,
+            c.delivered + c.policy_drops + c.queue_drops + c.link_drops + c.crash_drops
+        );
     }
 }
