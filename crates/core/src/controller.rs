@@ -532,10 +532,12 @@ mod tests {
         // registry.
         let mut health = crate::health::HealthTracker::default();
         health.attach_obs(&registry);
-        health.record_expiry("sw1", 2, Duration::from_millis(900));
+        health.record_missed_tone("sw1", 3, Duration::from_millis(900));
         let snap = registry.snapshot();
-        assert_eq!(snap.counters["mdn_health_transitions_total"], 1);
+        assert_eq!(snap.counters["mdn_health_acoustic_deaths_total"], 1);
         assert_eq!(snap.journal.len(), 1);
+        assert_eq!(snap.journal[0].kind, "health.acoustic");
+        assert_eq!(snap.journal[0].detail, "sw1: dead");
     }
 
     #[test]

@@ -24,8 +24,7 @@
 //! * [`apps`] — the six applications of §4–§7 plus the open-problem
 //!   extensions;
 //! * [`fan`] — the parametric server-fan model behind Figures 6–7;
-//! * [`health`] — the controller's per-device degradation ladder
-//!   (Healthy → Degraded → Quarantined) and wire/acoustic path choice;
+//! * [`health`] — the per-device acoustic liveness and MTTR ledger;
 //! * [`selfheal`] — the self-healing acoustic plane: streaming ambient
 //!   re-calibration, dead speaker/mic detection, and live cell
 //!   re-planning with plan hot-swap;
@@ -82,6 +81,6 @@ pub use controller::{CellId, MdnController, MdnEvent, ShardEvent};
 pub use detector::{DetectorConfig, ToneDetector};
 pub use encoder::SoundingDevice;
 pub use freqplan::{FrequencyPlan, FrequencySet};
-pub use health::{ControlPath, HealthConfig, HealthState, HealthTracker};
+pub use health::{HealthConfig, HealthTracker};
 pub use ofbridge::{OfAgent, PumpReport};
 pub use selfheal::{AmbientEstimator, SelfHealConfig, SelfHealingController};

@@ -194,7 +194,8 @@ impl AmbientEstimator {
 pub struct SelfHealConfig {
     /// The ambient tracker's parameters.
     pub estimator: AmbientEstimatorConfig,
-    /// Health-ladder scoring (missed/heard tone weights live here).
+    /// Acoustic-ledger scoring: the missed/heard tone weights and the
+    /// death threshold.
     pub health: HealthConfig,
     /// Run [`CellPlan::verify_reuse`] on every patched plan before
     /// swapping it in. The proof replays real audio per cell — cheap at
@@ -217,7 +218,7 @@ impl Default for SelfHealConfig {
 
 impl SelfHealConfig {
     /// Check this config and every nested one, prefixing nested fields
-    /// with their section (`estimator.alpha`, `health.decay`).
+    /// with their section (`estimator.alpha`, `health.acoustic_dead_at`).
     pub fn validate(&self) -> Result<(), mdn_obs::ConfigError> {
         self.estimator.validate().map_err(|e| {
             mdn_obs::ConfigError::new("estimator", format!("{}: {}", e.field, e.reason))

@@ -1,9 +1,9 @@
 //! Scheduled network faults: link flaps and switch crashes.
 //!
 //! A [`FaultScript`] is a sorted list of `(time, fault)` events applied
-//! to a [`Network`] as virtual time passes — the network-layer third of
-//! the fault-injection subsystem (frame-level faults live in
-//! `mdn_proto::faults`, acoustic faults in `mdn_acoustics::faults`).
+//! to a [`Network`] as virtual time passes — the network-layer half of
+//! the fault-injection subsystem (acoustic faults live in
+//! `mdn_acoustics::faults`).
 //! Scripts are plain data, so a chaos scenario is reproducible by
 //! construction: same script, same network, same outcome.
 

@@ -2,7 +2,7 @@
 //! structs.
 //!
 //! Every tunable struct (`DetectorConfig`, `SelfHealConfig`,
-//! `BackoffConfig`, `StftConfig`, …) exposes a `validate()` returning
+//! `ControllerConfig`, `StftConfig`, …) exposes a `validate()` returning
 //! [`ConfigError`] instead of panicking deep inside a constructor, so a
 //! bad scenario spec surfaces as a diagnosable error naming the field —
 //! not an `assert!` backtrace. The type lives here because `mdn-obs` is

@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn prometheus_golden() {
         let reg = Registry::new();
-        reg.counter("mdn_mp_acked_total", &[]).add(2);
+        reg.counter("mdn_health_recoveries_total", &[]).add(2);
         reg.counter("mdn_channel_frames_total", &[("dir", "to_switch")])
             .add(7);
         reg.counter("mdn_channel_frames_total", &[("dir", "to_controller")])
@@ -369,8 +369,8 @@ mod tests {
 # TYPE mdn_channel_frames_total counter
 mdn_channel_frames_total{dir=\"to_controller\"} 3
 mdn_channel_frames_total{dir=\"to_switch\"} 7
-# TYPE mdn_mp_acked_total counter
-mdn_mp_acked_total 2
+# TYPE mdn_health_recoveries_total counter
+mdn_health_recoveries_total 2
 # TYPE mdn_queue_high_water gauge
 mdn_queue_high_water{queue=\"sw1\"} 5
 # TYPE mdn_stage_ns histogram

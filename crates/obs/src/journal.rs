@@ -1,13 +1,10 @@
 //! A bounded ring-buffer event journal.
 //!
 //! Counters summarise *how often*; the journal answers *what happened
-//! last* — the final N health transitions, fault activations, or
-//! fallback switches before a snapshot was taken. It is a fixed-capacity
-//! ring: when full, the oldest event is dropped and a drop counter is
-//! bumped, so long chaos runs can't grow memory without bound (the same
-//! defect [`HealthTracker`] had with its unbounded timeline).
-//!
-//! [`HealthTracker`]: https://docs.rs/mdn-core
+//! last* — the final N acoustic deaths, recoveries, fault activations or
+//! re-plans before a snapshot was taken. It is a fixed-capacity ring:
+//! when full, the oldest event is dropped and a drop counter is bumped,
+//! so long chaos runs can't grow memory without bound.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};

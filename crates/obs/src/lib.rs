@@ -12,12 +12,11 @@
 //!   nothing (not even a clock read).
 //! * [`mod@span`] — lightweight span guards ([`span!`]) that record per-stage
 //!   wall time into a histogram when dropped: the capture → window →
-//!   Goertzel/FFT → local-max → event pipeline, MP encode → ARQ → ack
-//!   round trips, per-queue testbed hops.
+//!   Goertzel/FFT → local-max → event pipeline, per-queue testbed hops.
 //! * [`export`] — a Prometheus text-format dump and a JSON
 //!   [`Snapshot`] (same spirit as the `BENCH_*.json` summaries).
 //! * [`journal`] — a bounded ring-buffer event journal holding the last N
-//!   health/fault transitions, with an overflow counter instead of
+//!   health/fault events, with an overflow counter instead of
 //!   unbounded growth.
 //! * [`trace`] — causal tracing: a deterministic [`TraceId`] per
 //!   scheduled tone, typed [`TraceSpan`]s for every pipeline hop it

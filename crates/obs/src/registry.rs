@@ -4,7 +4,7 @@
 //! a metric takes a short mutex on the name table; the returned handle is
 //! an `Arc` straight to the metric's atomics, so the *update* path — the
 //! only path that runs inside detection workers, render workers, or the
-//! ARQ tick loop — is a single relaxed atomic op with no lock, no
+//! packet plane's dispatch loop — is a single relaxed atomic op with no lock, no
 //! allocation and no branch beyond the enabled check.
 //!
 //! A registry built with [`Registry::disabled`] hands out inert handles:

@@ -6,13 +6,13 @@
 //! can't hide. A [`ControlChannel`] is a pair of one-way frame queues; the
 //! helpers apply decoded FlowMods to a live [`mdn_net::Network`].
 
-use crate::faults::{DirectionFaults, FaultStats, FaultyQueue};
 use crate::openflow::{FlowModCommand, OfMessage};
 use crate::wire::WireError;
 use mdn_net::ftable::FlowTable;
 use mdn_net::network::Network;
 use mdn_net::sim::NodeId;
 use mdn_obs::{Counter, Registry};
+use std::collections::VecDeque;
 
 /// A point-in-time snapshot of a [`ControlChannel`]'s frame accounting,
 /// returned by [`ControlChannel::stats`].
@@ -31,15 +31,12 @@ pub struct ChannelStats {
 /// A bidirectional, in-memory, frame-oriented channel.
 ///
 /// The two directions are named from the controller's perspective:
-/// `send_to_switch` / `recv_from_switch`. Each direction is a
-/// [`FaultyQueue`] — perfect by default, lossy/corrupting/reordering when
-/// a [`DirectionFaults`] policy is attached via [`attach_faults`].
-///
-/// [`attach_faults`]: ControlChannel::attach_faults
+/// `send_to_switch` / `recv_from_switch`. Each direction is a lossless
+/// FIFO of encoded frames.
 #[derive(Debug, Default)]
 pub struct ControlChannel {
-    to_switch: FaultyQueue,
-    to_controller: FaultyQueue,
+    to_switch: VecDeque<Vec<u8>>,
+    to_controller: VecDeque<Vec<u8>>,
     stats: ChannelStats,
     obs_frames_to_switch: Counter,
     obs_frames_to_controller: Counter,
@@ -80,28 +77,6 @@ impl ControlChannel {
         self.stats
     }
 
-    /// Attach per-direction fault policies. Per-direction RNG seeds are
-    /// derived from `seed` (to-switch first, then to-controller), so one
-    /// scenario seed fixes the whole fault pattern. Frames already queued
-    /// are preserved.
-    pub fn attach_faults(
-        &mut self,
-        seed: u64,
-        to_switch: DirectionFaults,
-        to_controller: DirectionFaults,
-    ) {
-        let mut root = mdn_obs::SplitMix64::new(seed);
-        let sw_seed = root.next_u64();
-        let ct_seed = root.next_u64();
-        self.to_switch.set_faults(sw_seed, to_switch);
-        self.to_controller.set_faults(ct_seed, to_controller);
-    }
-
-    /// Per-direction fault accounting `(to_switch, to_controller)`.
-    pub fn fault_stats(&self) -> (FaultStats, FaultStats) {
-        (self.to_switch.stats, self.to_controller.stats)
-    }
-
     /// Controller → switch: enqueue an encoded message.
     ///
     /// # Panics
@@ -111,7 +86,7 @@ impl ControlChannel {
     /// [`crate::wire::WireError::Oversize`] instead.
     pub fn send_to_switch(&mut self, msg: &OfMessage) {
         self.to_switch
-            .push(msg.encode().expect("OF message exceeds u16 frame length"));
+            .push_back(msg.encode().expect("OF message exceeds u16 frame length"));
         self.stats.frames_to_switch += 1;
         self.obs_frames_to_switch.inc();
     }
@@ -123,7 +98,7 @@ impl ControlChannel {
     /// [`ControlChannel::send_to_switch`].
     pub fn send_to_controller(&mut self, msg: &OfMessage) {
         self.to_controller
-            .push(msg.encode().expect("OF message exceeds u16 frame length"));
+            .push_back(msg.encode().expect("OF message exceeds u16 frame length"));
         self.stats.frames_to_controller += 1;
         self.obs_frames_to_controller.inc();
     }
@@ -131,14 +106,14 @@ impl ControlChannel {
     /// Inject a raw (possibly garbage) frame toward the switch — a test
     /// hook for exercising the malformed-frame path.
     pub fn inject_to_switch(&mut self, frame: Vec<u8>) {
-        self.to_switch.push(frame);
+        self.to_switch.push_back(frame);
         self.stats.frames_to_switch += 1;
         self.obs_frames_to_switch.inc();
     }
 
     /// Inject a raw (possibly garbage) frame toward the controller.
     pub fn inject_to_controller(&mut self, frame: Vec<u8>) {
-        self.to_controller.push(frame);
+        self.to_controller.push_back(frame);
         self.stats.frames_to_controller += 1;
         self.obs_frames_to_controller.inc();
     }
@@ -147,7 +122,7 @@ impl ControlChannel {
     /// bumps [`ChannelStats::malformed_to_switch`] and still surfaces the
     /// error to the caller.
     pub fn recv_at_switch(&mut self) -> Option<Result<OfMessage, WireError>> {
-        let decoded = self.to_switch.pop().map(|f| OfMessage::decode(&f));
+        let decoded = self.to_switch.pop_front().map(|f| OfMessage::decode(&f));
         if matches!(decoded, Some(Err(_))) {
             self.stats.malformed_to_switch += 1;
             self.obs_malformed_to_switch.inc();
@@ -159,7 +134,10 @@ impl ControlChannel {
     /// failure bumps [`ChannelStats::malformed_to_controller`] and still
     /// surfaces the error to the caller.
     pub fn recv_at_controller(&mut self) -> Option<Result<OfMessage, WireError>> {
-        let decoded = self.to_controller.pop().map(|f| OfMessage::decode(&f));
+        let decoded = self
+            .to_controller
+            .pop_front()
+            .map(|f| OfMessage::decode(&f));
         if matches!(decoded, Some(Err(_))) {
             self.stats.malformed_to_controller += 1;
             self.obs_malformed_to_controller.inc();
@@ -167,13 +145,12 @@ impl ControlChannel {
         decoded
     }
 
-    /// Frames waiting on the switch side (excluding delay-held frames).
+    /// Frames waiting on the switch side.
     pub fn pending_at_switch(&self) -> usize {
         self.to_switch.len()
     }
 
-    /// Frames waiting on the controller side (excluding delay-held
-    /// frames).
+    /// Frames waiting on the controller side.
     pub fn pending_at_controller(&self) -> usize {
         self.to_controller.len()
     }
@@ -204,9 +181,9 @@ pub fn apply_at_switch(table: &mut FlowTable, msg: &OfMessage) -> bool {
 /// Drain every frame queued for the switch, decoding and applying each.
 /// Returns how many messages changed state.
 ///
-/// Malformed frames (possible once corruption faults are attached) are
-/// skipped; [`ControlChannel::recv_at_switch`] has already counted them
-/// in `malformed_to_switch`.
+/// Malformed frames (injected with [`ControlChannel::inject_to_switch`])
+/// are skipped; [`ControlChannel::recv_at_switch`] has already counted
+/// them in `malformed_to_switch`.
 pub fn pump_to_switch(chan: &mut ControlChannel, net: &mut Network, switch: NodeId) -> usize {
     let mut changed = 0;
     while let Some(frame) = chan.recv_at_switch() {
@@ -216,55 +193,6 @@ pub fn pump_to_switch(chan: &mut ControlChannel, net: &mut Network, switch: Node
         }
     }
     changed
-}
-
-/// Service every frame queued for the switch like [`pump_to_switch`], but
-/// additionally answer `PortStatsRequest`s with `PortStatsReply`s built
-/// from the live switch state — the in-band polling loop that MDN's queue
-/// tones replace — and `EchoRequest`s with `EchoReply`s (the liveness
-/// probes [`EchoMonitor`](crate::reliable::EchoMonitor) sends). Returns
-/// `(state_changes, replies)` where `replies` counts both kinds.
-///
-/// Malformed frames are skipped (counted in `malformed_to_switch`).
-pub fn service_switch(
-    chan: &mut ControlChannel,
-    net: &mut Network,
-    switch: NodeId,
-) -> (usize, usize) {
-    let mut changed = 0;
-    let mut replies = 0;
-    while let Some(frame) = chan.recv_at_switch() {
-        let Ok(msg) = frame else { continue };
-        match &msg {
-            OfMessage::EchoRequest { xid, payload } => {
-                chan.send_to_controller(&OfMessage::EchoReply {
-                    xid: *xid,
-                    payload: payload.clone(),
-                });
-                replies += 1;
-            }
-            OfMessage::PortStatsRequest { xid, port } => {
-                let s = net.switch(switch);
-                let p = &s.ports[*port as usize];
-                let reply = OfMessage::PortStatsReply {
-                    xid: *xid,
-                    port: *port,
-                    tx_packets: p.queue.accepted,
-                    tx_bytes: p.queue.accepted_bytes,
-                    queue_len: p.queue.len() as u32,
-                    queue_drops: p.queue.dropped,
-                };
-                chan.send_to_controller(&reply);
-                replies += 1;
-            }
-            _ => {
-                if apply_at_switch(&mut net.switch_mut(switch).table, &msg) {
-                    changed += 1;
-                }
-            }
-        }
-    }
-    (changed, replies)
 }
 
 /// Drain the switch's table-miss outbox (populated under
@@ -381,52 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn service_switch_answers_stats_requests() {
-        let mut net = Network::new();
-        let s = net.add_switch("s1", 2);
-        // Put something in a queue so the counters are non-trivial.
-        let mut pkt_flow = flow();
-        pkt_flow.dst_port = 99;
-        net.switch_mut(s).ports[1]
-            .queue
-            .enqueue(mdn_net::packet::Packet::new(
-                pkt_flow,
-                700,
-                0,
-                std::time::Duration::ZERO,
-            ));
-        let mut chan = ControlChannel::new();
-        chan.send_to_switch(&OfMessage::PortStatsRequest { xid: 5, port: 1 });
-        // A FlowMod in the same batch still applies.
-        chan.send_to_switch(&OfMessage::FlowMod {
-            xid: 6,
-            command: FlowModCommand::Add,
-            priority: 1,
-            mat: Match::ANY,
-            action: Action::Forward(1),
-        });
-        let (changed, replies) = service_switch(&mut chan, &mut net, s);
-        assert_eq!((changed, replies), (1, 1));
-        match chan.recv_at_controller().unwrap().unwrap() {
-            OfMessage::PortStatsReply {
-                xid,
-                port,
-                tx_packets,
-                tx_bytes,
-                queue_len,
-                queue_drops,
-            } => {
-                assert_eq!((xid, port), (5, 1));
-                assert_eq!(tx_packets, 1);
-                assert_eq!(tx_bytes, 700);
-                assert_eq!(queue_len, 1);
-                assert_eq!(queue_drops, 0);
-            }
-            other => panic!("expected stats reply, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn ship_packet_ins_moves_misses_to_controller() {
         use mdn_net::node::{MissPolicy, MissRecord};
         let mut net = Network::new();
@@ -476,54 +358,6 @@ mod tests {
         chan.inject_to_controller(vec![0x00]);
         assert!(chan.recv_at_controller().unwrap().is_err());
         assert_eq!(chan.stats().malformed_to_controller, 1);
-    }
-
-    #[test]
-    fn service_switch_answers_echo_requests() {
-        let mut net = Network::new();
-        let s = net.add_switch("s1", 2);
-        let mut chan = ControlChannel::new();
-        chan.send_to_switch(&OfMessage::EchoRequest {
-            xid: 42,
-            payload: b"ping".to_vec(),
-        });
-        let (changed, replies) = service_switch(&mut chan, &mut net, s);
-        assert_eq!((changed, replies), (0, 1));
-        match chan.recv_at_controller().unwrap().unwrap() {
-            OfMessage::EchoReply { xid, payload } => {
-                assert_eq!(xid, 42);
-                assert_eq!(&payload[..], b"ping");
-            }
-            other => panic!("expected echo reply, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn attached_drop_faults_lose_frames_deterministically() {
-        use crate::faults::DirectionFaults;
-        let run = |seed: u64| {
-            let mut chan = ControlChannel::new();
-            chan.attach_faults(
-                seed,
-                DirectionFaults::none().drop(0.5),
-                DirectionFaults::none(),
-            );
-            for xid in 0..20 {
-                chan.send_to_switch(&OfMessage::Hello { xid });
-            }
-            let mut got = Vec::new();
-            while let Some(Ok(msg)) = chan.recv_at_switch() {
-                got.push(msg.xid());
-            }
-            let (sw, _) = chan.fault_stats();
-            (got, sw.dropped)
-        };
-        let (got_a, dropped_a) = run(7);
-        let (got_b, dropped_b) = run(7);
-        assert_eq!(got_a, got_b, "same seed, same survivors");
-        assert_eq!(dropped_a, dropped_b);
-        assert!(dropped_a > 0, "seed 7 must drop something at p=0.5");
-        assert_eq!(got_a.len() as u64 + dropped_a, 20);
     }
 
     #[test]

@@ -16,11 +16,7 @@
 //!   [`controller::Session`] (Hello/Echo handshake, idle probing, a
 //!   pluggable [`controller::ControllerApp`] trait with a learning-switch
 //!   demo app) served over TCP on `mdn-obs`'s pure-std serve core, and
-//!   stepped in-process by the simulation;
-//! * [`faults`] — seeded, deterministic frame-level fault injection
-//!   (drop, corruption, reordering, delay) attachable to any channel;
-//! * [`reliable`] — ARQ machinery over MP (`seq`/`Ack` retransmission
-//!   with exponential backoff) and OpenFlow echo liveness probing.
+//!   stepped in-process by the simulation.
 //!
 //! ```
 //! use mdn_proto::mp::{MpMessage, MpTone};
@@ -38,10 +34,8 @@
 
 pub mod channel;
 pub mod controller;
-pub mod faults;
 pub mod mp;
 pub mod openflow;
-pub mod reliable;
 pub mod wire;
 
 pub use channel::{ChannelStats, ControlChannel};
@@ -49,8 +43,6 @@ pub use controller::{
     ControllerApp, ControllerConfig, ControllerHandle, ControllerServer, ControllerStats,
     LearningSwitch, Ledger, OfClient, OfStreamError, PacketInEvent, Session, SessionError,
 };
-pub use faults::{DirectionFaults, FaultStats, FaultyQueue};
 pub use mp::{MpMessage, MpTone, MpToneError};
 pub use openflow::OfMessage;
-pub use reliable::{BackoffConfig, EchoMonitor, MpDeliveryStats, MpEndpoint, MpLink, MpReceiver};
 pub use wire::WireError;

@@ -2,10 +2,10 @@
 //! exporter formats: a Prometheus text dump and a JSON snapshot.
 //!
 //! The run exercises every layer the `mdn-obs` registry watches: a
-//! congested testbed (queue and link stats), a lossy MP alarm path (ARQ
-//! counters), the health ladder (transition counters and journal), and
-//! the acoustic pipeline end to end (scene fault counters, detector stage
-//! timings, decoded events).
+//! congested testbed (queue and link stats), the acoustic pipeline end to
+//! end (scene fault counters, detector stage timings, decoded events),
+//! and the acoustic health ledger (death and recovery counters, the MTTR
+//! histogram and the journal).
 //!
 //! ```text
 //! cargo run --release --example obs_snapshot
@@ -26,9 +26,6 @@ use mdn_net::packet::{FlowKey, Ip};
 use mdn_net::topology;
 use mdn_net::traffic::TrafficPattern;
 use mdn_obs::Registry;
-use mdn_proto::faults::DirectionFaults;
-use mdn_proto::mp::{MpMessage, MpTone};
-use mdn_proto::reliable::{BackoffConfig, MpEndpoint, MpLink, MpReceiver};
 use std::time::Duration;
 
 const SR: u32 = 44_100;
@@ -38,8 +35,7 @@ fn main() {
     let registry = Registry::new();
 
     congest_testbed(&registry);
-    let alarm_at = deliver_alarm_over_lossy_link(&registry);
-    listen_and_decode(&registry, alarm_at);
+    listen_and_decode(&registry);
 
     println!("=== Prometheus text exposition ===");
     print!("{}", registry.prometheus());
@@ -87,46 +83,9 @@ fn congest_testbed(registry: &Registry) {
     assert!(totals.dropped > 0, "bottleneck queue never overflowed");
 }
 
-/// Send one alarm tone over a 50 %-loss MP link; ARQ retransmits until
-/// the ack lands. Returns the delivered tone for the acoustic stage.
-fn deliver_alarm_over_lossy_link(registry: &Registry) -> MpTone {
-    let tone = MpTone::from_units(700.0, MS(150), 65.0);
-    // Seed 2: the first send and the first retransmission are lost; the
-    // second retransmission delivers, so the ARQ counters are non-trivial.
-    let mut link = MpLink::with_faults(
-        2,
-        DirectionFaults::none().drop(0.5),
-        DirectionFaults::none(),
-    );
-    let mut endpoint = MpEndpoint::new(BackoffConfig::default());
-    endpoint.attach_obs(registry);
-    let mut receiver = MpReceiver::new();
-    endpoint.send_tone(&mut link, tone, Duration::ZERO);
-    let mut now = Duration::ZERO;
-    let mut delivered = false;
-    while endpoint.outstanding() > 0 && now < Duration::from_secs(30) {
-        now += MS(100);
-        for msg in receiver.poll(&mut link) {
-            if matches!(msg, MpMessage::PlayTone { .. }) {
-                delivered = true;
-            }
-        }
-        endpoint.poll_acks(&mut link);
-        endpoint.tick(&mut link, now);
-        link.tick();
-    }
-    let stats = endpoint.stats();
-    assert!(delivered, "ARQ failed to push the alarm through");
-    println!(
-        "mp delivery: sent {}, retransmitted {}, acked {}",
-        stats.sent, stats.retransmitted, stats.acked
-    );
-    tone
-}
-
-/// Play the delivered alarm into a faulty scene and decode it back,
-/// feeding the health ladder the delivery evidence along the way.
-fn listen_and_decode(registry: &Registry, alarm: MpTone) {
+/// Play an alarm tone into a faulty scene and decode it back, then feed
+/// the acoustic health ledger a speaker that dies and comes back.
+fn listen_and_decode(registry: &Registry) {
     let mut plan = FrequencyPlan::audible_default();
     let set = plan.allocate("s1", 1).unwrap();
     let mut scene = Scene::quiet(SR);
@@ -141,18 +100,24 @@ fn listen_and_decode(registry: &Registry, alarm: MpTone) {
     ctl.bind_device("s1", set.clone());
 
     let mut device = SoundingDevice::new("s1", set, Pos::ORIGIN);
-    device
-        .emit_slot(&mut scene, 0, MS(600), alarm.duration())
-        .unwrap();
+    device.emit_slot(&mut scene, 0, MS(600), MS(150)).unwrap();
 
     let events = ctl.listen(&scene, Window::from_start(MS(1000)));
     println!("decoded {} events from the alarm tone", events.len());
 
-    // The same evidence the chaos scenario feeds: retransmissions degrade
-    // the device, a dead wire channel quarantines it.
+    // The evidence the self-healing loop feeds: expected tones that never
+    // decode kill the device's acoustic plane, a heard tone revives it
+    // and records the outage length.
     let mut health = HealthTracker::default();
     health.attach_obs(registry);
-    health.record_retransmit("s1", 2, MS(600));
-    health.set_wire_alive("s1", false, MS(900));
-    health.decay_tick(MS(1000));
+    let mut at = MS(1000);
+    while health.acoustic_alive("s1") {
+        health.record_missed_tone("s1", 1, at);
+        at += MS(300);
+    }
+    health.record_heard_tone("s1", 1, at);
+    let took = health
+        .recovery_time("s1")
+        .expect("the heard tone recovers s1");
+    println!("s1 acoustic outage lasted {took:?}");
 }

@@ -115,13 +115,15 @@ fn default_spec_round_trips() {
     assert_eq!(back, spec);
 }
 
-/// A typo'd knob must not silently run the default experiment.
+/// A typo'd or unknown knob must not silently run the default
+/// experiment.
 #[test]
 fn unknown_keys_are_hard_errors() {
     for text in [
         r#"{"windoes": 4}"#,
         r#"{"hall": {"cels": 2}}"#,
         r#"{"expect": {"min_avalability": 0.9}}"#,
+        r#"{"selfheal": {"config": {"health": {"decay": 0.85}}}}"#,
     ] {
         match ScenarioSpec::from_json(text) {
             Err(ScenarioError::Parse(_)) => {}
