@@ -89,11 +89,15 @@ impl AmbientProfile {
         spl_to_amplitude(self.level_spl) / power.sqrt().max(1e-12)
     }
 
-    /// Expected tone-equivalent magnitude the bed leaks into one detector
-    /// bin of width `bin_hz` centred at `freq_hz` — the amplitude a
-    /// Goertzel-style detector (normalized so a sinusoid of peak
-    /// amplitude `a` reads `a`) typically reports for this bed at that
-    /// frequency.
+    /// Worst-case expected tone-equivalent magnitude the bed leaks into one
+    /// detector bin of width `bin_hz`, over every bin centre `lo_hz,
+    /// lo_hz + bin_hz, …` up to `hi_hz` — the floor a detector watching any
+    /// slot in that range must stay above to gate this bed out. Walks real
+    /// bin centres, so a slot grid with `bin_hz` spacing starting at `lo_hz`
+    /// is evaluated exactly; `lo_hz == hi_hz` asks about one bin. The
+    /// magnitude is what a Goertzel-style detector (normalized so a
+    /// sinusoid of peak amplitude `a` reads `a`) typically reports for this
+    /// bed at that frequency.
     ///
     /// Composed from each component's analytic one-sided PSD (white flat,
     /// pink per Voss row, rumble per the band filter's real `|H|⁴`
@@ -101,15 +105,6 @@ impl AmbientProfile {
     /// sum; hum lines are tonal, so a line contributes its full amplitude
     /// when it falls in the bin, decaying with a conservative
     /// `1/(1 + (Δf/bin)²)` skirt off-bin.
-    pub fn bin_leakage(&self, freq_hz: f64, bin_hz: f64, sample_rate: u32) -> f64 {
-        self.peak_bin_leakage(freq_hz, freq_hz, bin_hz, sample_rate)
-    }
-
-    /// Worst-case [`Self::bin_leakage`] over every bin centre
-    /// `lo_hz, lo_hz + bin_hz, …` up to `hi_hz` — the floor a detector
-    /// watching any slot in that range must stay above to gate this bed
-    /// out. Walks real bin centres, so a slot grid with `bin_hz` spacing
-    /// starting at `lo_hz` is evaluated exactly.
     pub fn peak_bin_leakage(&self, lo_hz: f64, hi_hz: f64, bin_hz: f64, sample_rate: u32) -> f64 {
         assert!(bin_hz > 0.0, "bin width must be positive");
         assert!(hi_hz >= lo_hz, "inverted range {lo_hz}..{hi_hz}");
@@ -217,14 +212,14 @@ mod tests {
         let dc = AmbientProfile::datacenter();
         let uniform =
             mdn_audio::signal::spl_to_amplitude(dc.level_spl) * (20.0f64 / 20_000.0).sqrt();
+        let low = dc.peak_bin_leakage(400.0, 400.0, 20.0, SR);
         assert!(
-            dc.bin_leakage(400.0, 20.0, SR) > 1.5 * uniform,
-            "low-band leakage {:.3e} should beat the uniform estimate {uniform:.3e}",
-            dc.bin_leakage(400.0, 20.0, SR)
+            low > 1.5 * uniform,
+            "low-band leakage {low:.3e} should beat the uniform estimate {uniform:.3e}"
         );
-        assert!(dc.bin_leakage(400.0, 20.0, SR) > 5.0 * dc.bin_leakage(10_000.0, 20.0, SR));
+        assert!(low > 5.0 * dc.peak_bin_leakage(10_000.0, 10_000.0, 20.0, SR));
         // Quiet room: pink only, everything tiny.
-        assert!(AmbientProfile::quiet().bin_leakage(400.0, 20.0, SR) < 1e-4);
+        assert!(AmbientProfile::quiet().peak_bin_leakage(400.0, 400.0, 20.0, SR) < 1e-4);
     }
 
     #[test]
@@ -239,7 +234,7 @@ mod tests {
             let frame = (SR as usize) / 20; // 50 ms → 20 Hz resolution
             for slot in 0..40 {
                 let f = 300.0 + slot as f64 * 20.0;
-                let est = profile.bin_leakage(f, 20.0, SR);
+                let est = profile.peak_bin_leakage(f, f, 20.0, SR);
                 for start in (0..bed.samples().len() - frame).step_by(frame / 2) {
                     let mag = Goertzel::new(f, SR).magnitude(&bed.samples()[start..start + frame]);
                     assert!(
@@ -258,7 +253,8 @@ mod tests {
         let peak = dc.peak_bin_leakage(300.0, 1100.0, 20.0, SR);
         let mut max_single = 0.0f64;
         for slot in 0..41 {
-            max_single = max_single.max(dc.bin_leakage(300.0 + slot as f64 * 20.0, 20.0, SR));
+            let f = 300.0 + slot as f64 * 20.0;
+            max_single = max_single.max(dc.peak_bin_leakage(f, f, 20.0, SR));
         }
         assert!((peak - max_single).abs() < 1e-12);
     }

@@ -6,7 +6,8 @@
 //!
 //! * [`speaker`] — speaker response band, 30 ms tone floor, level clamping;
 //! * [`mic`] — microphone ADC models (cheap / measurement / ultrasound);
-//! * [`medium`] — spherical spreading, air absorption, propagation delay;
+//! * [`medium`] — spherical spreading and propagation delay (what the
+//!   renderer applies), plus an air-absorption model it does not apply;
 //! * [`ambient`] — datacenter / office / quiet noise beds at calibrated SPL;
 //! * [`scene`] — schedule emissions, render or capture at any listener
 //!   position;

@@ -2,9 +2,11 @@
 //!
 //! Point-source spherical spreading: amplitude falls as `1/r` relative to
 //! the 1 m reference distance at which speakers are calibrated, and sound
-//! travels at 343 m/s, so distant sources arrive late. High-frequency air
-//! absorption is modeled as a gentle per-metre dB/kHz loss — enough to make
-//! the paper's "close-range, single-hop" caveat measurable.
+//! travels at 343 m/s, so distant sources arrive late. The scene renderer
+//! applies exactly these two effects, spreading and delay. High-frequency
+//! air absorption ([`absorption_gain`], a gentle per-metre dB/kHz loss) is
+//! modelled here but not applied by the renderer: at rack scale it is a
+//! fraction of a dB.
 
 /// Speed of sound in air at ~20 °C, m/s.
 pub const SPEED_OF_SOUND: f64 = 343.0;
@@ -62,14 +64,6 @@ pub fn spreading_gain(distance: f64) -> f64 {
 pub fn absorption_gain(distance: f64, freq_hz: f64) -> f64 {
     let db = ABSORPTION_DB_PER_M_PER_KHZ * distance.max(0.0) * (freq_hz / 1000.0);
     10f64.powf(-db / 20.0)
-}
-
-/// Combined propagation gain (spreading × absorption) for a tone at
-/// `freq_hz` over `distance` metres. For broadband signals the scene uses
-/// the spreading term only (absorption is small at rack scale).
-#[inline]
-pub fn propagation_gain(distance: f64, freq_hz: f64) -> f64 {
-    spreading_gain(distance) * absorption_gain(distance, freq_hz)
 }
 
 /// Propagation delay in seconds over `distance` metres.
@@ -145,13 +139,6 @@ mod tests {
     fn delay_at_speed_of_sound() {
         assert!((propagation_delay_s(343.0) - 1.0).abs() < 1e-12);
         assert_eq!(propagation_delay_s(0.0), 0.0);
-    }
-
-    #[test]
-    fn combined_gain_bounded_by_parts() {
-        let g = propagation_gain(5.0, 8_000.0);
-        assert!(g <= spreading_gain(5.0));
-        assert!(g > 0.0);
     }
 
     #[test]

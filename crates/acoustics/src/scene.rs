@@ -319,16 +319,6 @@ impl Scene {
         &self.emissions
     }
 
-    /// Time at which the last emission finishes (ignoring propagation
-    /// delay), or zero for an empty scene.
-    pub fn end_time(&self) -> Duration {
-        self.emissions
-            .iter()
-            .map(|e| e.start + e.signal.duration())
-            .max()
-            .unwrap_or(Duration::ZERO)
-    }
-
     /// Drop emissions that cannot be heard in any window starting at or
     /// after `cutoff`: those with `start + duration + delay_bound <=
     /// cutoff`, where `delay_bound` is a caller-supplied upper bound on
@@ -552,8 +542,9 @@ impl Scene {
     /// `listener`, excluding ambient: each emission's peak scaled by the
     /// same spreading law the renderer applies, summed coherently (as if
     /// every source lined up in phase). The render at `listener` can never
-    /// exceed this bound plus the ambient bed — the cross-cell
-    /// interference query the acoustic-cell planner builds on.
+    /// exceed this bound plus the ambient bed. It is the test oracle for
+    /// that bound; the acoustic-cell planner evaluates the same per-source
+    /// term, [`incident_amplitude`], itself.
     pub fn incident_peak_at(&self, listener: Pos) -> f64 {
         self.emissions
             .iter()
@@ -580,11 +571,6 @@ impl SceneCursor<'_> {
     /// The time the next [`SceneCursor::advance`] starts from.
     pub fn position(&self) -> Duration {
         self.at
-    }
-
-    /// Jump the cursor to `at` (the stream is seekable end to end).
-    pub fn seek(&mut self, at: Duration) {
-        self.at = at;
     }
 
     /// Render the next `len` of the stream and advance past it. The
@@ -742,25 +728,6 @@ mod tests {
         let out = scene.render_at(Pos::ORIGIN, Duration::from_millis(100));
         let spec = Spectrum::of(&out);
         assert!(spec.magnitude_at(500.0) < spl_to_amplitude(40.0));
-    }
-
-    #[test]
-    fn end_time_tracks_longest_emission() {
-        let mut scene = Scene::quiet(SR);
-        assert_eq!(scene.end_time(), Duration::ZERO);
-        scene.add(
-            Pos::ORIGIN,
-            Duration::from_millis(100),
-            tone(500.0, 200, 60.0),
-            "a",
-        );
-        scene.add(
-            Pos::ORIGIN,
-            Duration::from_millis(50),
-            tone(600.0, 100, 60.0),
-            "b",
-        );
-        assert_eq!(scene.end_time(), Duration::from_millis(300));
     }
 
     #[test]
@@ -985,12 +952,6 @@ mod tests {
         }
         assert_eq!(cursor.position(), Duration::from_millis(900));
         assert_eq!(streamed, batch.samples(), "streamed chunks diverged");
-        // The cursor is seekable: jumping back re-renders identically.
-        cursor.seek(Duration::from_millis(230));
-        let again = cursor.advance(Duration::from_millis(71));
-        let w = win(230, 71);
-        let (a, b) = w.sample_range(SR);
-        assert_eq!(again.samples(), &batch.samples()[a..b]);
     }
 
     #[test]

@@ -214,28 +214,13 @@ impl FftPlanner {
     /// `min_size` if given). Returns the full complex spectrum of length
     /// `n`; bins `0..=n/2` are the non-redundant half.
     pub fn forward_real(&mut self, samples: &[f32], min_size: Option<usize>) -> Vec<Complex> {
-        let mut buf = Vec::new();
-        self.forward_real_into(samples, min_size, &mut buf);
-        buf
-    }
-
-    /// Like [`FftPlanner::forward_real`], but writes the spectrum into
-    /// `buf`, reusing its allocation. In a detector loop transforming one
-    /// frame after another, this makes the FFT path allocation-free after
-    /// the first call.
-    pub fn forward_real_into(
-        &mut self,
-        samples: &[f32],
-        min_size: Option<usize>,
-        buf: &mut Vec<Complex>,
-    ) {
         let n = next_pow2(samples.len().max(min_size.unwrap_or(1)));
-        buf.clear();
-        buf.resize(n, Complex::ZERO);
+        let mut buf = vec![Complex::ZERO; n];
         for (dst, &s) in buf.iter_mut().zip(samples) {
             dst.re = s as f64;
         }
-        self.forward(buf);
+        self.forward(&mut buf);
+        buf
     }
 }
 
@@ -395,25 +380,6 @@ mod tests {
             let b = spec[n - k].conj();
             assert!((a.re - b.re).abs() < 1e-9 && (a.im - b.im).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn forward_real_into_reuses_buffer_and_matches() {
-        let mut planner = FftPlanner::new();
-        let samples: Vec<f32> = (0..300).map(|i| (i as f32 * 0.01).sin()).collect();
-        let fresh = planner.forward_real(&samples, Some(512));
-        let mut buf = Vec::new();
-        planner.forward_real_into(&samples, Some(512), &mut buf);
-        assert_eq!(buf, fresh);
-        let cap = buf.capacity();
-        // Second call with the same size must not reallocate.
-        planner.forward_real_into(&samples, Some(512), &mut buf);
-        assert_eq!(buf.capacity(), cap);
-        assert_eq!(buf, fresh);
-        // Shrinking to a smaller transform reuses the same allocation.
-        planner.forward_real_into(&samples[..100], Some(128), &mut buf);
-        assert_eq!(buf.len(), 128);
-        assert_eq!(buf.capacity(), cap);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! bin per candidate frequency with the Goertzel recurrence is far cheaper
 //! than a full FFT. The ablation bench `claims.rs` compares the two paths.
 
-use crate::signal::Signal;
 use std::f64::consts::PI;
 
 /// A Goertzel filter tuned to one target frequency at one sample rate.
@@ -17,7 +16,7 @@ use std::f64::consts::PI;
 ///
 /// let tone = Tone::new(700.0, Duration::from_millis(100), 0.4).render(44_100);
 /// let det = Goertzel::new(700.0, 44_100);
-/// assert!((det.magnitude_of(&tone) - 0.4).abs() < 0.05);
+/// assert!((det.magnitude(tone.samples()) - 0.4).abs() < 0.05);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Goertzel {
@@ -70,20 +69,6 @@ impl Goertzel {
         let (re, im) = self.run(samples);
         re.hypot(im) * 2.0 / samples.len() as f64
     }
-
-    /// Convenience: normalized magnitude over a whole [`Signal`].
-    pub fn magnitude_of(&self, signal: &Signal) -> f64 {
-        self.magnitude(signal.samples())
-    }
-}
-
-/// Evaluate the normalized magnitude at each of `freqs_hz` over `signal`.
-/// Returns magnitudes in the same order as the input frequencies.
-pub fn magnitudes_at(signal: &Signal, freqs_hz: &[f64]) -> Vec<f64> {
-    freqs_hz
-        .iter()
-        .map(|&f| Goertzel::new(f, signal.sample_rate()).magnitude_of(signal))
-        .collect()
 }
 
 /// Reusable scratch for [`GoertzelBank`]; one per worker thread.
@@ -113,13 +98,11 @@ const LANES: usize = 16;
 /// pad lanes are computed and discarded.
 ///
 /// [`Self::response`] is the one kernel: the unnormalized complex response
-/// of every candidate, exactly [`Goertzel::run`]'s. [`Self::magnitudes_into`]
-/// is that response plus [`Goertzel::magnitude`]'s normalization. Per
-/// candidate, the recurrence `x + coeff * s1 - s2`, the response and the
-/// normalization are written exactly as in [`Goertzel`] — never as a fused
-/// multiply-add (`mul_add`) or in another association order, either of
-/// which rounds differently — so the bank is bit-for-bit the same as the
-/// per-candidate path.
+/// of every candidate, exactly [`Goertzel::run`]'s. Per candidate, the
+/// recurrence `x + coeff * s1 - s2` and the response are written exactly as
+/// in [`Goertzel`] — never as a fused multiply-add (`mul_add`) or in another
+/// association order, either of which rounds differently — so the bank is
+/// bit-for-bit the same as the per-candidate path.
 ///
 /// The response over `x` followed by `d` zeros is the response over `x`
 /// turned by `e^{jωd}` ([`Self::phasors`]), so responses of consecutive
@@ -127,14 +110,15 @@ const LANES: usize = 16;
 /// by the number of samples that follow it, then they are summed.
 ///
 /// ```
-/// use mdn_audio::goertzel::{Goertzel, GoertzelBank};
+/// use mdn_audio::goertzel::{Goertzel, GoertzelBank, GoertzelState};
 /// use mdn_audio::synth::Tone;
 /// use std::time::Duration;
 ///
 /// let tone = Tone::new(700.0, Duration::from_millis(100), 0.4).render(44_100);
 /// let bank = GoertzelBank::new(&[500.0, 700.0], 44_100);
-/// let mags = bank.magnitudes(tone.samples());
-/// assert_eq!(mags[1], Goertzel::new(700.0, 44_100).magnitude(tone.samples()));
+/// let mut state = GoertzelState::default();
+/// let response = bank.response(tone.samples(), &mut state);
+/// assert_eq!(response[1], Goertzel::new(700.0, 44_100).run(tone.samples()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct GoertzelBank {
@@ -227,38 +211,12 @@ impl GoertzelBank {
             (cos, sin)
         })
     }
-
-    /// Normalized magnitudes of all candidates over `samples`, written into
-    /// `out` (one per candidate, bank order), reusing `state` so the hot
-    /// path allocates nothing.
-    ///
-    /// # Panics
-    /// Panics if `out.len()` differs from the bank size.
-    pub fn magnitudes_into(&self, samples: &[f32], state: &mut GoertzelState, out: &mut [f64]) {
-        assert_eq!(out.len(), self.len, "output slice must match bank size");
-        if samples.is_empty() {
-            out.fill(0.0);
-            return;
-        }
-        // Same expression shape as `Goertzel::magnitude` so the result is
-        // bit-identical to the per-candidate path.
-        let len = samples.len() as f64;
-        for (m, &(re, im)) in out.iter_mut().zip(self.response(samples, state)) {
-            *m = re.hypot(im) * 2.0 / len;
-        }
-    }
-
-    /// Convenience: allocate fresh state and an output vector.
-    pub fn magnitudes(&self, samples: &[f32]) -> Vec<f64> {
-        let mut out = vec![0.0; self.len()];
-        self.magnitudes_into(samples, &mut GoertzelState::default(), &mut out);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::signal::Signal;
     use crate::synth::Tone;
     use std::time::Duration;
 
@@ -272,7 +230,7 @@ mod tests {
     fn detects_matching_tone_with_unit_normalization() {
         let s = tone(1000.0, 100, 0.8);
         let g = Goertzel::new(1000.0, SR);
-        let m = g.magnitude_of(&s);
+        let m = g.magnitude(s.samples());
         assert!((m - 0.8).abs() < 0.05, "magnitude {m}");
     }
 
@@ -280,7 +238,7 @@ mod tests {
     fn rejects_distant_tone() {
         let s = tone(1000.0, 100, 0.8);
         let g = Goertzel::new(2000.0, SR);
-        assert!(g.magnitude_of(&s) < 0.02);
+        assert!(g.magnitude(s.samples()) < 0.02);
     }
 
     #[test]
@@ -288,30 +246,20 @@ mod tests {
         // The paper's 20 Hz spacing claim: with a long enough window the
         // Goertzel bin at f rejects a tone at f+20.
         let s = tone(1000.0, 200, 0.5);
-        let on = Goertzel::new(1000.0, SR).magnitude_of(&s);
-        let off = Goertzel::new(1020.0, SR).magnitude_of(&s);
+        let on = Goertzel::new(1000.0, SR).magnitude(s.samples());
+        let off = Goertzel::new(1020.0, SR).magnitude(s.samples());
         assert!(on > 10.0 * off, "on {on} off {off}");
     }
 
     #[test]
     fn magnitude_of_silence_is_zero() {
         let s = Signal::silence(Duration::from_millis(50), SR);
-        assert_eq!(Goertzel::new(440.0, SR).magnitude_of(&s), 0.0);
+        assert_eq!(Goertzel::new(440.0, SR).magnitude(s.samples()), 0.0);
     }
 
     #[test]
     fn empty_buffer_is_zero() {
         assert_eq!(Goertzel::new(440.0, SR).magnitude(&[]), 0.0);
-    }
-
-    #[test]
-    fn magnitudes_at_preserves_order() {
-        let mut s = tone(500.0, 100, 0.5);
-        s.mix_at(&tone(700.0, 100, 0.25), 0);
-        let mags = magnitudes_at(&s, &[500.0, 600.0, 700.0]);
-        assert!(mags[0] > 0.4);
-        assert!(mags[1] < 0.05);
-        assert!((mags[2] - 0.25).abs() < 0.05);
     }
 
     #[test]
@@ -340,6 +288,13 @@ mod tests {
         s
     }
 
+    /// `(re, im)` as bit patterns, for exact comparisons.
+    fn bits(v: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        v.iter()
+            .map(|(re, im)| (re.to_bits(), im.to_bits()))
+            .collect()
+    }
+
     #[test]
     fn bank_matches_individual_filters_exactly() {
         // Candidate counts below, at and across the 16-lane block edges,
@@ -347,6 +302,7 @@ mod tests {
         // equal the per-candidate path to the last bit on every frequency.
         let s = busy_frame();
         assert_eq!(s.samples().len(), 2205);
+        let mut state = GoertzelState::default();
         for n in [1, 5, 15, 16, 17, 33, 48, 56, 64] {
             let freqs = spaced(n);
             let bank = GoertzelBank::new(&freqs, SR);
@@ -354,16 +310,12 @@ mod tests {
             assert!(!bank.is_empty());
             for len in [1, 7, 1103, 2205] {
                 let frame = &s.samples()[..len];
-                let got = bank.magnitudes(frame);
-                assert_eq!(got.len(), n);
-                for (c, &f) in freqs.iter().enumerate() {
-                    let want = Goertzel::new(f, SR).magnitude(frame);
-                    assert_eq!(
-                        got[c].to_bits(),
-                        want.to_bits(),
-                        "{n} candidates, {len} samples, {f} Hz"
-                    );
-                }
+                let got = bits(bank.response(frame, &mut state));
+                let want: Vec<(f64, f64)> = freqs
+                    .iter()
+                    .map(|&f| Goertzel::new(f, SR).run(frame))
+                    .collect();
+                assert_eq!(got, bits(&want), "{n} candidates, {len} samples");
             }
         }
     }
@@ -376,11 +328,9 @@ mod tests {
         let mut state = GoertzelState::default();
         for n in [48, 3, 17] {
             let bank = GoertzelBank::new(&spaced(n), SR);
-            let mut out = vec![0.0; n];
-            bank.magnitudes_into(s.samples(), &mut state, &mut out);
-            let fresh = bank.magnitudes(s.samples());
-            let bits = |v: &[f64]| v.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&out), bits(&fresh), "{n} candidates after reuse");
+            let reused = bits(bank.response(s.samples(), &mut state));
+            let fresh = bits(bank.response(s.samples(), &mut GoertzelState::default()));
+            assert_eq!(reused, fresh, "{n} candidates after reuse");
         }
     }
 
@@ -417,32 +367,10 @@ mod tests {
     }
 
     #[test]
-    fn bank_state_reuse_does_not_leak_between_calls() {
-        let loud = tone(700.0, 50, 0.8);
-        let quiet = tone(700.0, 50, 0.01);
-        let bank = GoertzelBank::new(&[700.0], SR);
-        let mut state = GoertzelState::default();
-        let mut out = [0.0f64];
-        bank.magnitudes_into(loud.samples(), &mut state, &mut out);
-        let first = out[0];
-        bank.magnitudes_into(quiet.samples(), &mut state, &mut out);
-        assert!(out[0] < first / 10.0, "stale state leaked: {}", out[0]);
-        bank.magnitudes_into(loud.samples(), &mut state, &mut out);
-        assert_eq!(out[0], first, "reused state must reproduce the result");
-    }
-
-    #[test]
     fn bank_empty_samples_yield_zeros() {
         let bank = GoertzelBank::new(&[500.0, 700.0], SR);
-        assert_eq!(bank.magnitudes(&[]), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "match bank size")]
-    fn bank_rejects_mismatched_output_slice() {
-        let bank = GoertzelBank::new(&[500.0, 700.0], SR);
-        let mut out = [0.0f64; 3];
-        bank.magnitudes_into(&[0.0; 64], &mut GoertzelState::default(), &mut out);
+        let mut state = GoertzelState::default();
+        assert_eq!(bank.response(&[], &mut state), [(0.0, 0.0); 2]);
     }
 
     #[test]

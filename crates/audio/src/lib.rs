@@ -8,8 +8,7 @@
 //! * [`fft`] — iterative radix-2 Cooley–Tukey FFT with a caching planner
 //!   (the code path benchmarked in the paper's Figure 2b);
 //! * [`goertzel`] — cheap per-frequency tone detection;
-//! * [`spectral`] — amplitude spectra, peak picking, band power, the Fig. 7
-//!   amplitude-difference statistic;
+//! * [`spectral`] — amplitude spectra, peak picking, band power;
 //! * [`spectrogram`] — STFT spectrograms and ridge extraction;
 //! * [`mel`] — mel scale + mel-scaled spectrograms (the paper's figures);
 //! * [`noise`] — white/pink/band noise and the deterministic pop-song

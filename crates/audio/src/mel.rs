@@ -111,16 +111,6 @@ impl MelFilterbank {
             })
             .collect()
     }
-
-    /// The band whose centre is nearest `freq_hz`.
-    pub fn hz_to_band(&self, freq_hz: f64) -> usize {
-        self.centers_hz
-            .iter()
-            .enumerate()
-            .min_by(|a, b| (a.1 - freq_hz).abs().total_cmp(&(b.1 - freq_hz).abs()))
-            .map(|(i, _)| i)
-            .expect("filterbank has at least one band")
-    }
 }
 
 /// A mel-scaled spectrogram: `frames × mel_bands` energies.
@@ -231,7 +221,10 @@ mod tests {
         let sg = Spectrogram::compute(&s, &StftConfig::default_for(SR));
         let mel = MelSpectrogram::from_spectrogram(&sg, 64, 100.0, 8000.0);
         let fb = MelFilterbank::new(64, 100.0, 8000.0, sg.num_bins(), sg.bin_hz());
-        let target = fb.hz_to_band(1000.0);
+        let distance = |band: usize| (fb.center_hz(band) - 1000.0).abs();
+        let target = (0..fb.num_bands())
+            .min_by(|&a, &b| distance(a).total_cmp(&distance(b)))
+            .unwrap();
         let frame = mel.frame(mel.num_frames() / 2);
         let best = frame
             .iter()
@@ -272,15 +265,5 @@ mod tests {
     #[should_panic(expected = "bad band edges")]
     fn inverted_edges_panic() {
         MelFilterbank::new(10, 8000.0, 100.0, 1025, 43.0);
-    }
-
-    #[test]
-    fn hz_to_band_picks_nearest() {
-        let fb = MelFilterbank::new(20, 100.0, 8000.0, 2049, 44_100.0 / 4096.0);
-        let m = fb.hz_to_band(1000.0);
-        let d_chosen = (fb.center_hz(m) - 1000.0).abs();
-        for other in 0..fb.num_bands() {
-            assert!((fb.center_hz(other) - 1000.0).abs() >= d_chosen - 1e-9);
-        }
     }
 }

@@ -116,23 +116,13 @@ fn pink_sample(salts: &[u64; PINK_ROWS], index: u64) -> f64 {
 
 /// Pink (1/f) noise via a hashed Voss–McCartney scheme with
 /// `PINK_ROWS` octave rows, calibrated analytically to RMS ≈ `rms`.
-/// Samples `[0, duration)` of the stream; see [`pink_noise_at`].
+/// Samples `[0, duration)` of the stream; see [`pink_noise_add`] to mix
+/// from mid-stream.
 pub fn pink_noise(duration: Duration, rms: f64, sample_rate: u32, seed: u64) -> Signal {
-    pink_noise_at(
-        0,
-        duration_to_samples(duration, sample_rate),
-        rms,
-        sample_rate,
-        seed,
-    )
-}
-
-/// Samples `[from, from + n)` of the seeded pink-noise stream.
-pub fn pink_noise_at(from: u64, n: usize, rms: f64, sample_rate: u32, seed: u64) -> Signal {
     let salts = pink_salts(seed);
     let scale = rms / (PINK_ROWS as f64 / 3.0).sqrt();
-    let samples = (0..n as u64)
-        .map(|i| (pink_sample(&salts, from + i) * scale) as f32)
+    let samples = (0..duration_to_samples(duration, sample_rate) as u64)
+        .map(|i| (pink_sample(&salts, i) * scale) as f32)
         .collect();
     Signal::from_samples(samples, sample_rate)
 }
@@ -285,7 +275,7 @@ fn band_noise_run(out: &mut [f32], from: u64, a_hi: f64, a_lo: f64, scale: f64, 
 /// Band-limited noise: white noise passed through a crude bandpass
 /// (a cascaded difference of one-pole lowpasses), calibrated analytically
 /// to RMS ≈ `rms`. Samples `[0, duration)` of the stream; see
-/// [`band_noise_at`].
+/// [`band_noise_add`] to mix from mid-stream.
 pub fn band_noise(
     duration: Duration,
     lo_hz: f64,
@@ -294,45 +284,15 @@ pub fn band_noise(
     sample_rate: u32,
     seed: u64,
 ) -> Signal {
-    band_noise_at(
-        0,
-        duration_to_samples(duration, sample_rate),
-        lo_hz,
-        hi_hz,
-        rms,
-        sample_rate,
-        seed,
-    )
-}
-
-/// Samples `[from, from + n)` of the seeded band-noise stream. The filter
-/// state is reconstructed on an absolute block grid (`BAND_BLOCK` with
-/// `BAND_WARMUP` run-in), so the values are byte-identical no matter
-/// which window of the stream is requested.
-pub fn band_noise_at(
-    from: u64,
-    n: usize,
-    lo_hz: f64,
-    hi_hz: f64,
-    rms: f64,
-    sample_rate: u32,
-    seed: u64,
-) -> Signal {
-    let mut out = Signal::from_samples(vec![0.0; n], sample_rate);
-    band_noise_add(
-        out.samples_mut(),
-        from,
-        lo_hz,
-        hi_hz,
-        rms,
-        sample_rate,
-        seed,
-    );
+    let mut out = Signal::silence(duration, sample_rate);
+    band_noise_add(out.samples_mut(), 0, lo_hz, hi_hz, rms, sample_rate, seed);
     out
 }
 
 /// Add samples `[from, from + out.len())` of the seeded band-noise stream
-/// into `out`.
+/// into `out`. The filter state is reconstructed on an absolute block grid
+/// (`BAND_BLOCK` with `BAND_WARMUP` run-in), so the values are
+/// byte-identical no matter which window of the stream is requested.
 pub fn band_noise_add(
     out: &mut [f32],
     from: u64,
@@ -609,8 +569,9 @@ mod tests {
     #[test]
     fn pink_noise_is_seekable() {
         let full = pink_noise(Duration::from_millis(500), 0.1, SR, 99);
-        let mid = pink_noise_at(5_000, 2_000, 0.1, SR, 99);
-        assert_eq!(mid.samples(), &full.samples()[5_000..7_000]);
+        let mut mid = vec![0.0f32; 2_000];
+        pink_noise_add(&mut mid, 5_000, 0.1, 99);
+        assert_eq!(mid, &full.samples()[5_000..7_000]);
     }
 
     #[test]
@@ -618,8 +579,9 @@ mod tests {
         // [15_000, 19_000) straddles the 16_384-sample block boundary, so
         // this checks both the intra-block path and the grid alignment.
         let full = band_noise(Duration::from_millis(500), 800.0, 1600.0, 0.1, SR, 99);
-        let mid = band_noise_at(15_000, 4_000, 800.0, 1600.0, 0.1, SR, 99);
-        assert_eq!(mid.samples(), &full.samples()[15_000..19_000]);
+        let mut mid = vec![0.0f32; 4_000];
+        band_noise_add(&mut mid, 15_000, 800.0, 1600.0, 0.1, SR, 99);
+        assert_eq!(mid, &full.samples()[15_000..19_000]);
     }
 
     #[test]
@@ -629,21 +591,11 @@ mod tests {
     }
 
     #[test]
-    fn noise_add_variants_match_at_variants() {
+    fn white_noise_add_matches_white_noise_at() {
         let n = 3_000;
         let mut acc = vec![0.0f32; n];
         white_noise_add(&mut acc, 1_234, 0.1, 7);
         let alone = white_noise_at(1_234, n, 0.1, SR, 7);
-        assert_eq!(&acc, alone.samples());
-
-        let mut acc = vec![0.0f32; n];
-        pink_noise_add(&mut acc, 1_234, 0.1, 7);
-        let alone = pink_noise_at(1_234, n, 0.1, SR, 7);
-        assert_eq!(&acc, alone.samples());
-
-        let mut acc = vec![0.0f32; n];
-        band_noise_add(&mut acc, 1_234, 500.0, 1500.0, 0.1, SR, 7);
-        let alone = band_noise_at(1_234, n, 500.0, 1500.0, 0.1, SR, 7);
         assert_eq!(&acc, alone.samples());
     }
 }

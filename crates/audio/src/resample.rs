@@ -34,25 +34,6 @@ pub fn resample(signal: &Signal, target_rate: u32) -> Signal {
     Signal::from_samples(out, target_rate)
 }
 
-/// Integer decimation by `factor` with a preceding moving-average
-/// anti-aliasing filter of the same length.
-pub fn decimate(signal: &Signal, factor: usize) -> Signal {
-    assert!(factor > 0, "decimation factor must be non-zero");
-    if factor == 1 {
-        return signal.clone();
-    }
-    let src = signal.samples();
-    let new_rate = (signal.sample_rate() / factor as u32).max(1);
-    let mut out = Vec::with_capacity(src.len() / factor);
-    let mut i = 0;
-    while i + factor <= src.len() {
-        let avg: f32 = src[i..i + factor].iter().sum::<f32>() / factor as f32;
-        out.push(avg);
-        i += factor;
-    }
-    Signal::from_samples(out, new_rate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,23 +83,6 @@ mod tests {
     fn empty_input_empty_output() {
         let s = Signal::empty(44_100);
         assert!(resample(&s, 8_000).is_empty());
-        assert!(decimate(&s, 4).is_empty());
-    }
-
-    #[test]
-    fn decimate_reduces_rate_and_length() {
-        let s = Signal::from_samples(vec![1.0; 100], 44_100);
-        let d = decimate(&s, 4);
-        assert_eq!(d.len(), 25);
-        assert_eq!(d.sample_rate(), 11_025);
-        // Moving average of a constant is the constant.
-        assert!(d.samples().iter().all(|&v| (v - 1.0).abs() < 1e-6));
-    }
-
-    #[test]
-    fn decimate_by_one_is_identity() {
-        let s = Signal::from_samples(vec![1.0, 2.0, 3.0], 8_000);
-        assert_eq!(decimate(&s, 1).samples(), s.samples());
     }
 
     #[test]

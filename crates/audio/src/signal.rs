@@ -25,10 +25,6 @@ use std::time::Duration;
 /// (amplitude ≈ 10^((30-100)/20) ≈ 3.2e-4) far above `f32` precision.
 pub const SPL_FULL_SCALE_DB: f64 = 100.0;
 
-/// Default sample rate used throughout the reproduction (CD quality, the
-/// rate commodity microphones and the paper's Pi sound cards capture at).
-pub const DEFAULT_SAMPLE_RATE: u32 = 44_100;
-
 /// Convert an amplitude ratio to decibels (`20·log10`).
 ///
 /// Returns `f64::NEG_INFINITY` for a zero or negative ratio.
@@ -119,14 +115,6 @@ impl Window {
         t >= self.from && t < self.end()
     }
 
-    /// The overlap of two windows, or `None` when they are disjoint
-    /// (sharing only an endpoint counts as disjoint).
-    pub fn intersect(&self, other: &Window) -> Option<Window> {
-        let from = self.from.max(other.from);
-        let to = self.end().min(other.end());
-        (from < to).then(|| Window::between(from, to))
-    }
-
     /// The absolute sample range `[round(from·sr), round(end·sr))` this
     /// window covers at `sample_rate`. Deriving both endpoints from the
     /// timeline (rather than rounding the length) is what makes adjacent
@@ -135,12 +123,6 @@ impl Window {
         let a = duration_to_samples(self.from, sample_rate);
         let b = duration_to_samples(self.end(), sample_rate);
         (a, b.max(a))
-    }
-
-    /// Number of samples the window covers at `sample_rate`.
-    pub fn num_samples(&self, sample_rate: u32) -> usize {
-        let (a, b) = self.sample_range(sample_rate);
-        b - a
     }
 }
 
@@ -235,11 +217,6 @@ impl Signal {
         self.samples
             .iter()
             .fold(0.0f64, |m, &s| m.max((s as f64).abs()))
-    }
-
-    /// RMS level in dBFS (a full-scale sine reads ≈ −3.01 dBFS RMS).
-    pub fn rms_dbfs(&self) -> f64 {
-        ratio_to_db(self.rms())
     }
 
     /// RMS level in dB SPL under the crate calibration.
@@ -398,7 +375,6 @@ mod tests {
         let s = Signal::silence(Duration::from_millis(50), 44_100);
         assert_eq!(s.len(), 2205);
         assert_eq!(s.rms(), 0.0);
-        assert_eq!(s.rms_dbfs(), f64::NEG_INFINITY);
     }
 
     #[test]
@@ -416,11 +392,8 @@ mod tests {
             .collect();
         let s = Signal::from_samples(samples, sr);
         // RMS of a sine is 1/sqrt(2) => -3.0103 dBFS.
-        assert!(
-            (s.rms_dbfs() - (-3.0103)).abs() < 0.05,
-            "got {}",
-            s.rms_dbfs()
-        );
+        let dbfs = ratio_to_db(s.rms());
+        assert!((dbfs - (-3.0103)).abs() < 0.05, "got {dbfs}");
     }
 
     #[test]
@@ -487,29 +460,18 @@ mod tests {
     }
 
     #[test]
-    fn window_intersection() {
-        let ms = Duration::from_millis;
-        let a = Window::between(ms(100), ms(300));
-        let b = Window::between(ms(200), ms(400));
-        assert_eq!(a.intersect(&b), Some(Window::between(ms(200), ms(300))));
-        let c = Window::between(ms(300), ms(400));
-        assert_eq!(a.intersect(&c), None, "touching windows are disjoint");
-        assert_eq!(a.intersect(&a), Some(a));
-    }
-
-    #[test]
     fn adjacent_windows_tile_the_sample_grid() {
         // Fractional boundaries: rounding each endpoint (not the length)
         // means [a,b) and [b,c) never overlap or leave a gap.
         let sr = 44_100;
         let a = Window::between(Duration::ZERO, Duration::from_micros(10_700));
         let b = Window::between(Duration::from_micros(10_700), Duration::from_micros(21_300));
-        let (_, a_end) = a.sample_range(sr);
-        let (b_start, _) = b.sample_range(sr);
+        let (a_start, a_end) = a.sample_range(sr);
+        let (b_start, b_end) = b.sample_range(sr);
         assert_eq!(a_end, b_start);
         assert_eq!(
-            a.num_samples(sr) + b.num_samples(sr),
-            Window::between(Duration::ZERO, Duration::from_micros(21_300)).num_samples(sr)
+            (a_start, b_end),
+            Window::between(Duration::ZERO, Duration::from_micros(21_300)).sample_range(sr)
         );
     }
 

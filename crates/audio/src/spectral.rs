@@ -5,38 +5,9 @@
 //! find the spectral peaks, with quadratic interpolation so a tone between
 //! bins is still located to sub-bin accuracy.
 
-use crate::fft::{Complex, FftPlanner};
+use crate::fft::FftPlanner;
 use crate::signal::Signal;
 use crate::window::WindowKind;
-
-/// Reusable buffers for [`Spectrum::compute_into`]: the windowed frame, the
-/// complex FFT buffer, and the window coefficients (cached per
-/// kind × length, which a frame loop hits every time). One per worker
-/// thread; after the first frame the spectral hot path allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct SpectrumScratch {
-    frame: Vec<f32>,
-    fft: Vec<Complex>,
-    win: Vec<f64>,
-    win_gain: f64,
-    win_key: Option<(WindowKind, usize)>,
-}
-
-impl SpectrumScratch {
-    fn refresh_window(&mut self, kind: WindowKind, n: usize) {
-        if self.win_key != Some((kind, n)) {
-            self.win = kind.coefficients(n);
-            // Mean of the coefficients — identical arithmetic to
-            // `WindowKind::coherent_gain`.
-            self.win_gain = if n == 0 {
-                0.0
-            } else {
-                self.win.iter().sum::<f64>() / n as f64
-            };
-            self.win_key = Some((kind, n));
-        }
-    }
-}
 
 /// An amplitude spectrum: one magnitude per non-redundant FFT bin, with the
 /// metadata needed to map bins to Hz and magnitudes back to amplitudes.
@@ -48,16 +19,6 @@ pub struct Spectrum {
 }
 
 impl Spectrum {
-    /// An empty spectrum, as the reusable target for
-    /// [`Spectrum::compute_into`].
-    pub fn empty(sample_rate: u32) -> Self {
-        Self {
-            magnitudes: Vec::new(),
-            sample_rate,
-            fft_size: 1,
-        }
-    }
-
     /// Compute the spectrum of `signal` with the given window, zero-padding
     /// to the next power of two (at least `min_fft` if given). Magnitudes
     /// are normalized so a sinusoid of amplitude `a` centred on a bin reads
@@ -68,54 +29,12 @@ impl Spectrum {
         min_fft: Option<usize>,
         planner: &mut FftPlanner,
     ) -> Self {
-        let mut out = Spectrum::empty(signal.sample_rate());
-        Spectrum::compute_into(
-            signal.samples(),
-            signal.sample_rate(),
-            window,
-            min_fft,
-            planner,
-            &mut SpectrumScratch::default(),
-            &mut out,
-        );
-        out
-    }
-
-    /// Allocation-reusing spectrum computation over a raw sample slice.
-    ///
-    /// Identical numerics to [`Spectrum::compute`], but the windowed frame,
-    /// the FFT buffer, the window coefficients, and the output magnitudes
-    /// all live in `scratch`/`out` and are reused across calls — the shape
-    /// a frame-by-frame detector loop wants, with no per-frame `Signal`
-    /// clone and no per-frame allocation.
-    pub fn compute_into(
-        samples: &[f32],
-        sample_rate: u32,
-        window: WindowKind,
-        min_fft: Option<usize>,
-        planner: &mut FftPlanner,
-        scratch: &mut SpectrumScratch,
-        out: &mut Spectrum,
-    ) {
-        let frame_len = samples.len();
-        scratch.refresh_window(window, frame_len);
-        let SpectrumScratch {
-            frame,
-            fft,
-            win,
-            win_gain,
-            ..
-        } = &mut *scratch;
-        frame.clear();
-        frame.extend_from_slice(samples);
-        if window != WindowKind::Rectangular {
-            for (s, &w) in frame.iter_mut().zip(win.iter()) {
-                *s = (*s as f64 * w) as f32;
-            }
-        }
-        planner.forward_real_into(frame, min_fft, fft);
+        let frame_len = signal.len();
+        let mut frame = signal.samples().to_vec();
+        window.apply(&mut frame);
+        let gain = window.coherent_gain(frame_len);
+        let fft = planner.forward_real(&frame, min_fft);
         let n = fft.len();
-        let gain = *win_gain;
         // Amplitude normalization: 2/N_frame for a one-sided spectrum,
         // divided by the window's coherent gain.
         let scale = if frame_len == 0 || gain == 0.0 {
@@ -123,11 +42,11 @@ impl Spectrum {
         } else {
             2.0 / (frame_len as f64 * gain)
         };
-        out.magnitudes.clear();
-        out.magnitudes
-            .extend(fft[..n / 2 + 1].iter().map(|c| c.norm() * scale));
-        out.sample_rate = sample_rate;
-        out.fft_size = n;
+        Self {
+            magnitudes: fft[..n / 2 + 1].iter().map(|c| c.norm() * scale).collect(),
+            sample_rate: signal.sample_rate(),
+            fft_size: n,
+        }
     }
 
     /// Convenience: Hann window, default padding, fresh planner.
@@ -230,25 +149,6 @@ impl Spectrum {
         let hi = self.hz_to_bin(hi_hz.max(lo_hz));
         self.magnitudes[lo..=hi].iter().map(|m| m * m).sum()
     }
-
-    /// Sum of absolute per-bin magnitude differences against another
-    /// spectrum of the same shape — the paper's Figure 7 fan-failure
-    /// statistic.
-    ///
-    /// # Panics
-    /// Panics if the spectra have different bin counts.
-    pub fn amplitude_difference(&self, other: &Spectrum) -> f64 {
-        assert_eq!(
-            self.magnitudes.len(),
-            other.magnitudes.len(),
-            "spectra must have the same FFT size"
-        );
-        self.magnitudes
-            .iter()
-            .zip(&other.magnitudes)
-            .map(|(a, b)| (a - b).abs())
-            .sum()
-    }
 }
 
 /// A detected spectral peak.
@@ -348,27 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn amplitude_difference_zero_for_identical() {
-        let spec = Spectrum::of(&tone(700.0, 100, 0.5));
-        assert_eq!(spec.amplitude_difference(&spec.clone()), 0.0);
-    }
-
-    #[test]
-    fn amplitude_difference_large_for_on_vs_off() {
-        let on = Spectrum::of(&tone(700.0, 100, 0.5));
-        let off = Spectrum::of(&Signal::silence(Duration::from_millis(100), SR));
-        assert!(on.amplitude_difference(&off) > 0.4);
-    }
-
-    #[test]
-    #[should_panic(expected = "same FFT size")]
-    fn amplitude_difference_rejects_shape_mismatch() {
-        let a = Spectrum::of(&tone(700.0, 100, 0.5));
-        let b = Spectrum::of(&tone(700.0, 200, 0.5));
-        a.amplitude_difference(&b);
-    }
-
-    #[test]
     fn hz_bin_roundtrip() {
         let spec = Spectrum::of(&tone(1000.0, 100, 0.5));
         let k = spec.hz_to_bin(1000.0);
@@ -379,5 +258,92 @@ mod tests {
     fn empty_signal_spectrum_is_silent() {
         let spec = Spectrum::of(&Signal::empty(SR));
         assert!(spec.magnitudes().iter().all(|&m| m == 0.0));
+    }
+
+    /// FNV-1a over the magnitudes' bit patterns, the FFT size and the bin
+    /// count: one number per spectrum, so a golden can pin every bit.
+    fn spectrum_digest(spec: &Spectrum) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        let words = [spec.fft_size() as u64, spec.magnitudes().len() as u64];
+        for w in words
+            .into_iter()
+            .chain(spec.magnitudes().iter().map(|m| m.to_bits()))
+        {
+            for byte in w.to_le_bytes() {
+                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        h
+    }
+
+    /// A fixed test frame: two off-bin tones plus LCG noise.
+    fn golden_frame(len: usize) -> Signal {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let samples = (0..len)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let noise = (state >> 40) as f64 / (1u64 << 24) as f64 - 0.5;
+                let t = i as f64 / SR as f64;
+                (0.4 * (2.0 * std::f64::consts::PI * 1003.7 * t).sin()
+                    + 0.2 * (2.0 * std::f64::consts::PI * 4411.3 * t + 0.3).sin()
+                    + 0.1 * noise) as f32
+            })
+            .collect();
+        Signal::from_samples(samples, SR)
+    }
+
+    /// `Spectrum::compute`, pinned bit for bit: every window kind at three
+    /// frame lengths, with and without a `min_fft` floor.
+    #[test]
+    fn compute_matches_recorded_bits() {
+        const KINDS: [WindowKind; 4] = [
+            WindowKind::Rectangular,
+            WindowKind::Hann,
+            WindowKind::Hamming,
+            WindowKind::Blackman,
+        ];
+        let mut planner = FftPlanner::new();
+        let mut got = Vec::new();
+        for len in [1, 441, 2205] {
+            let frame = golden_frame(len);
+            for kind in KINDS {
+                for min_fft in [None, Some(8192)] {
+                    let spec = Spectrum::compute(&frame, kind, min_fft, &mut planner);
+                    got.push(spectrum_digest(&spec));
+                }
+            }
+        }
+        let want: [u64; 24] = [
+            // len 1: a one-point window is 1.0 whatever its kind.
+            0x47de_41a3_aed3_ce13,
+            0x916e_6620_a659_8c26,
+            0x47de_41a3_aed3_ce13,
+            0x916e_6620_a659_8c26,
+            0x47de_41a3_aed3_ce13,
+            0x916e_6620_a659_8c26,
+            0x47de_41a3_aed3_ce13,
+            0x916e_6620_a659_8c26,
+            // len 441
+            0xcf4d_6a8c_637f_b35d,
+            0x84ea_280f_3761_0d93,
+            0x76e6_0461_0d17_c1d3,
+            0x9510_ede0_4586_1a2d,
+            0x049f_27fa_12dd_5ad0,
+            0x7ea4_959c_ef84_e5b0,
+            0x43a7_c3cc_3786_68ca,
+            0x6380_0a54_2290_33b0,
+            // len 2205
+            0x5ead_ae47_3393_75e8,
+            0xf138_e5eb_c1bd_055a,
+            0xca5a_5807_f054_f0f5,
+            0xd4a7_ac76_6df9_e882,
+            0x72d2_61a2_2d3e_6911,
+            0x0b50_bf66_d8d4_7fea,
+            0x4992_dc94_813c_5762,
+            0x2a58_5a5c_b9fd_3bc8,
+        ];
+        assert_eq!(got, want);
     }
 }

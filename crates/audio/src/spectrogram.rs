@@ -8,7 +8,6 @@ use crate::fft::FftPlanner;
 use crate::signal::Signal;
 use crate::spectral::Spectrum;
 use crate::window::WindowKind;
-use std::time::Duration;
 
 /// STFT parameters.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -61,18 +60,6 @@ impl StftConfig {
         Self {
             frame_len,
             hop: frame_len / 2,
-            window: WindowKind::Hann,
-            min_fft: None,
-        }
-    }
-
-    /// A config with explicit frame/hop durations.
-    pub fn with_timing(sample_rate: u32, frame: Duration, hop: Duration) -> Self {
-        let frame_len = (frame.as_secs_f64() * sample_rate as f64).round() as usize;
-        let hop_len = ((hop.as_secs_f64() * sample_rate as f64).round() as usize).max(1);
-        Self {
-            frame_len: frame_len.max(1),
-            hop: hop_len,
             window: WindowKind::Hann,
             min_fft: None,
         }
@@ -266,12 +253,5 @@ mod tests {
         let s = Signal::silence(Duration::from_secs(1), SR);
         let sg = Spectrogram::compute(&s, &StftConfig::default_for(SR));
         assert!(sg.times().windows(2).all(|w| w[1] > w[0]));
-    }
-
-    #[test]
-    fn with_timing_config() {
-        let cfg = StftConfig::with_timing(SR, Duration::from_millis(50), Duration::from_millis(25));
-        assert_eq!(cfg.frame_len, 2205);
-        assert_eq!(cfg.hop, 1103);
     }
 }

@@ -3,7 +3,7 @@
 use serde::Serialize;
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Where experiment outputs land (relative to the workspace root when the
 /// binary runs from there).
@@ -45,11 +45,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// True if `path`'s parent results directory is writable (used by tests).
-pub fn results_writable() -> bool {
-    fs::create_dir_all(Path::new(RESULTS_DIR)).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,10 +75,5 @@ mod tests {
         assert_eq!(parsed["x"], 7);
         assert_eq!(parsed["name"], "ok");
         fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn results_dir_is_writable() {
-        assert!(results_writable());
     }
 }

@@ -246,12 +246,6 @@ impl FanFailureDetector {
         self.threshold
     }
 
-    /// The signature bins (indices into the averaged spectrum) chosen at
-    /// calibration.
-    pub fn signature_bins(&self) -> &[usize] {
-        &self.signature
-    }
-
     /// Score a capture against the baseline (no thresholding): summed
     /// amplitude difference over the signature bins.
     ///
@@ -346,7 +340,7 @@ mod tests {
             "fan-off missed in datacenter noise: score {} vs threshold {:?} ({} signature bins)",
             det.score(&off),
             det.threshold(),
-            det.signature_bins().len(),
+            det.signature.len(),
         );
         let healthy = capture(&ambient, FanState::Healthy, 76);
         assert!(

@@ -60,11 +60,6 @@ impl LoadBalancerApp {
         }
     }
 
-    /// Has the split already been installed?
-    pub fn is_rebalanced(&self) -> bool {
-        self.rebalanced
-    }
-
     /// Feed one listen window of events. Returns the rebalance decision the
     /// first time a High band tone is heard; afterwards the app is quiet
     /// (the paper installs a single corrective FlowMod).
@@ -123,7 +118,7 @@ mod tests {
     fn low_and_mid_tones_do_not_trigger() {
         let mut a = app();
         assert!(a.on_events(&[ev(0, 0), ev(1, 300), ev(1, 600)]).is_none());
-        assert!(!a.is_rebalanced());
+        assert!(!a.rebalanced);
     }
 
     #[test]
@@ -143,7 +138,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(a.is_rebalanced());
+        assert!(a.rebalanced);
     }
 
     #[test]

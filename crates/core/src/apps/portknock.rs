@@ -85,12 +85,6 @@ impl PortKnockFsm {
             KnockOutcome::Reset
         }
     }
-
-    /// Relock the FSM (e.g. after a timeout policy).
-    pub fn relock(&mut self) {
-        self.unlocked = false;
-        self.progress = 0;
-    }
 }
 
 /// The controller-side application: binds the FSM to a device's tone
@@ -215,17 +209,6 @@ mod tests {
         assert_eq!(fsm.observe(0), KnockOutcome::Unlocked);
         assert_eq!(fsm.observe(5), KnockOutcome::AlreadyUnlocked);
         assert_eq!(fsm.knocks, 1);
-    }
-
-    #[test]
-    fn relock_restores_initial_state() {
-        let mut fsm = PortKnockFsm::new(vec![0, 1]);
-        fsm.observe(0);
-        fsm.observe(1);
-        assert!(fsm.is_unlocked());
-        fsm.relock();
-        assert!(!fsm.is_unlocked());
-        assert_eq!(fsm.progress(), 0);
     }
 
     #[test]

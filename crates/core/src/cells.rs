@@ -605,11 +605,6 @@ impl CellPlan {
         self.colors * self.cfg.switches_per_cell * self.cfg.slots_per_switch
     }
 
-    /// Slots a flat (no-reuse) plan would need for the same deployment.
-    pub fn flat_slots(&self) -> usize {
-        self.total_switches() * self.cfg.slots_per_switch
-    }
-
     /// The configuration the plan was built from.
     pub fn config(&self) -> &CellConfig {
         &self.cfg
@@ -1165,7 +1160,8 @@ mod tests {
     fn default_plan_reaches_target_scale_and_reuse() {
         let plan = CellPlan::plan(20, &[AmbientProfile::office()], CellConfig::default()).unwrap();
         assert_eq!(plan.total_switches(), 120);
-        assert!(plan.flat_slots() > FrequencyPlan::audible_default().capacity());
+        let flat_slots = plan.total_switches() * plan.config().slots_per_switch;
+        assert!(flat_slots > FrequencyPlan::audible_default().capacity());
         assert!(
             plan.reuse_factor() >= 4.0,
             "reuse only {}×",

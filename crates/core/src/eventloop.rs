@@ -378,12 +378,7 @@ impl UnifiedLoop {
             self.free_tags.push(tag);
             match ev {
                 ControlEvent::App(token) => return Step::App { token, at },
-                ControlEvent::Fault(fault) => match fault {
-                    NetFault::LinkDown(l) => self.net.set_link_up(l, false),
-                    NetFault::LinkUp(l) => self.net.set_link_up(l, true),
-                    NetFault::SwitchCrash(s) => self.net.crash_switch(s),
-                    NetFault::SwitchRestart(s) => self.net.restart_switch(s),
-                },
+                ControlEvent::Fault(fault) => self.net.apply_fault(fault),
                 ControlEvent::Emission {
                     device,
                     slot,
@@ -602,11 +597,6 @@ impl UnifiedLoop {
     /// The self-healing controller.
     pub fn heal(&self) -> &SelfHealingController {
         &self.heal
-    }
-
-    /// Capture window length.
-    pub fn window_len(&self) -> Duration {
-        self.window_len
     }
 
     /// Start of the window currently accumulating.

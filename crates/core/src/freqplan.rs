@@ -168,36 +168,6 @@ impl FrequencyPlan {
         })
     }
 
-    /// Allocate `count` slots spread maximally apart across the whole free
-    /// band (stride allocation) — more robust to a local interferer than a
-    /// contiguous block, used by the multi-app multiplexing extension.
-    ///
-    /// Note: stride allocation consumes the *entire* remaining band, so it
-    /// should be the last allocation on a plan.
-    pub fn allocate_spread(
-        &mut self,
-        label: impl Into<String>,
-        count: usize,
-    ) -> Result<FrequencySet, PlanError> {
-        if count > self.available() {
-            return Err(PlanError::Exhausted {
-                requested: count,
-                available: self.available(),
-            });
-        }
-        let stride = (self.available() / count).max(1);
-        let indices: Vec<usize> = (0..count).map(|k| self.next_free + k * stride).collect();
-        self.next_free = indices.last().unwrap() + 1;
-        let label = label.into();
-        self.assignments.push((label.clone(), indices.clone()));
-        let freqs = indices.iter().map(|&i| self.slot_freq(i)).collect();
-        Ok(FrequencySet {
-            label,
-            slots: indices,
-            freqs,
-        })
-    }
-
     /// Every `(label, slots)` allocation made so far.
     pub fn assignments(&self) -> &[(String, Vec<usize>)] {
         &self.assignments
@@ -270,23 +240,6 @@ impl FrequencySet {
     /// Panics if `i` is out of range.
     pub fn freq(&self, i: usize) -> f64 {
         self.freqs[i]
-    }
-
-    /// Map a global plan slot back to this set's local index, if the set
-    /// contains it.
-    pub fn local_index(&self, global_slot: usize) -> Option<usize> {
-        self.slots.iter().position(|&s| s == global_slot)
-    }
-
-    /// The set-local index whose frequency is nearest `freq_hz`, with the
-    /// distance, or `None` if the nearest is further than `tolerance_hz`.
-    pub fn nearest(&self, freq_hz: f64, tolerance_hz: f64) -> Option<(usize, f64)> {
-        self.freqs
-            .iter()
-            .enumerate()
-            .map(|(i, &f)| (i, (f - freq_hz).abs()))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .filter(|&(_, d)| d <= tolerance_hz)
     }
 }
 
@@ -362,35 +315,6 @@ mod tests {
         assert!((dist - 9.0).abs() < 1e-9);
         assert_eq!(plan.nearest_slot(100.0), None);
         assert_eq!(plan.nearest_slot(2000.0), None);
-    }
-
-    #[test]
-    fn spread_allocation_spans_the_band() {
-        let mut plan = FrequencyPlan::new(500.0, 1500.0, 20.0); // 51 slots
-        let set = plan.allocate_spread("app", 5).unwrap();
-        assert_eq!(set.len(), 5);
-        let span = set.freqs.last().unwrap() - set.freqs.first().unwrap();
-        assert!(span > 700.0, "spread only spans {span} Hz");
-    }
-
-    #[test]
-    fn set_nearest_respects_tolerance() {
-        let mut plan = FrequencyPlan::new(500.0, 1000.0, 20.0);
-        let set = plan.allocate("x", 5).unwrap(); // 500..580
-        assert_eq!(set.nearest(503.0, 10.0), Some((0, 3.0)));
-        assert_eq!(set.nearest(503.0, 2.0), None);
-        assert_eq!(set.nearest(585.0, 10.0), Some((4, 5.0)));
-    }
-
-    #[test]
-    fn set_local_index_roundtrip() {
-        let mut plan = FrequencyPlan::new(500.0, 1000.0, 20.0);
-        plan.allocate("skip", 3).unwrap();
-        let set = plan.allocate("x", 4).unwrap();
-        for (local, &global) in set.slots.iter().enumerate() {
-            assert_eq!(set.local_index(global), Some(local));
-        }
-        assert_eq!(set.local_index(0), None);
     }
 
     #[test]

@@ -50,17 +50,31 @@ impl Default for HealthConfig {
 }
 
 impl HealthConfig {
-    /// Check the death threshold: at zero or below, every device starts
-    /// out dead.
+    /// Check the death threshold and the two evidence weights. At a
+    /// threshold of zero or below, every device starts out dead; at an
+    /// infinite one, none can die. A weight of zero or below turns its
+    /// evidence around or off: a negative reward makes heard tones kill a
+    /// healthy device.
     pub fn validate(&self) -> Result<(), mdn_obs::ConfigError> {
-        if self.acoustic_dead_at.is_nan() || self.acoustic_dead_at <= 0.0 {
+        if !(self.acoustic_dead_at.is_finite() && self.acoustic_dead_at > 0.0) {
             return Err(mdn_obs::ConfigError::new(
                 "acoustic_dead_at",
                 format!(
-                    "the acoustic-death threshold must be positive, got {}",
+                    "the acoustic-death threshold must be finite and positive, got {}",
                     self.acoustic_dead_at
                 ),
             ));
+        }
+        for (field, weight) in [
+            ("missed_tone_penalty", self.missed_tone_penalty),
+            ("heard_tone_reward", self.heard_tone_reward),
+        ] {
+            if !(weight.is_finite() && weight > 0.0) {
+                return Err(mdn_obs::ConfigError::new(
+                    field,
+                    format!("the evidence weight must be finite and positive, got {weight}"),
+                ));
+            }
         }
         Ok(())
     }
@@ -217,11 +231,6 @@ impl HealthTracker {
         self.devices.get(device).map_or(0.0, |d| d.acoustic_score)
     }
 
-    /// When `device`'s current outage started (`None` while serviceable).
-    pub fn outage_since(&self, device: &str) -> Option<Duration> {
-        self.devices.get(device).and_then(|d| d.outage_since)
-    }
-
     /// Length of `device`'s most recent completed outage — the MTTR
     /// sample the self-healing loop reports (`None` until the first
     /// recovery).
@@ -230,11 +239,6 @@ impl HealthTracker {
             .get(device)
             .and_then(|d| d.last_recovery)
             .map(|(_, took)| took)
-    }
-
-    /// `(when, outage length)` of `device`'s most recent recovery.
-    pub fn last_recovery(&self, device: &str) -> Option<(Duration, Duration)> {
-        self.devices.get(device).and_then(|d| d.last_recovery)
     }
 
     /// Iterate over `(name, record)` in deterministic (name) order.
@@ -255,12 +259,16 @@ mod tests {
 
     const MS: fn(u64) -> Duration = Duration::from_millis;
 
+    fn outage_since(t: &HealthTracker, device: &str) -> Option<Duration> {
+        t.devices.get(device).and_then(|d| d.outage_since)
+    }
+
     #[test]
     fn unknown_device_is_alive() {
         let t = HealthTracker::default();
         assert!(t.acoustic_alive("ghost"));
         assert_eq!(t.acoustic_score("ghost"), 0.0);
-        assert_eq!(t.outage_since("ghost"), None);
+        assert_eq!(outage_since(&t, "ghost"), None);
         assert_eq!(t.recovery_time("ghost"), None);
     }
 
@@ -272,10 +280,10 @@ mod tests {
         assert!(t.acoustic_alive("sw"), "two misses are not conclusive");
         t.record_missed_tone("sw", 1, MS(300));
         assert!(!t.acoustic_alive("sw"), "three misses cross the threshold");
-        assert_eq!(t.outage_since("sw"), Some(MS(300)));
+        assert_eq!(outage_since(&t, "sw"), Some(MS(300)));
         // More misses extend the same outage; they do not restart it.
         t.record_missed_tone("sw", 2, MS(400));
-        assert_eq!(t.outage_since("sw"), Some(MS(300)));
+        assert_eq!(outage_since(&t, "sw"), Some(MS(300)));
         assert_eq!(t.devices().next().unwrap().1.acoustic_deaths, 1);
     }
 
@@ -287,8 +295,8 @@ mod tests {
         t.record_heard_tone("sw", 1, MS(700)); // score 1.5 -> alive again
         assert!(t.acoustic_alive("sw"));
         assert_eq!(t.recovery_time("sw"), Some(MS(600)));
-        assert_eq!(t.last_recovery("sw"), Some((MS(700), MS(600))));
-        assert_eq!(t.outage_since("sw"), None);
+        assert_eq!(t.devices["sw"].last_recovery, Some((MS(700), MS(600))));
+        assert_eq!(outage_since(&t, "sw"), None);
         t.record_heard_tone("sw", 1, MS(800));
         assert_eq!(t.acoustic_score("sw"), 0.0, "score floors at zero");
     }
@@ -320,12 +328,28 @@ mod tests {
     #[test]
     fn nonpositive_death_threshold_is_rejected() {
         assert!(HealthConfig::default().validate().is_ok());
-        for bad in [0.0, -1.0, f64::NAN] {
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             let cfg = HealthConfig {
                 acoustic_dead_at: bad,
                 ..HealthConfig::default()
             };
             assert_eq!(cfg.validate().unwrap_err().field, "acoustic_dead_at");
+        }
+    }
+
+    #[test]
+    fn nonpositive_or_nonfinite_weights_are_rejected() {
+        for bad in [0.0, -1.5, f64::NAN, f64::INFINITY] {
+            let cfg = HealthConfig {
+                missed_tone_penalty: bad,
+                ..HealthConfig::default()
+            };
+            assert_eq!(cfg.validate().unwrap_err().field, "missed_tone_penalty");
+            let cfg = HealthConfig {
+                heard_tone_reward: bad,
+                ..HealthConfig::default()
+            };
+            assert_eq!(cfg.validate().unwrap_err().field, "heard_tone_reward");
         }
     }
 

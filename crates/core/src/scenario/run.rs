@@ -18,6 +18,7 @@ use crate::controller::ShardEvent;
 use crate::eventloop::Step;
 use crate::selfheal::TickReport;
 use mdn_audio::signal::Window;
+use mdn_obs::registry::DEFAULT_TRACE_CAPACITY;
 use mdn_obs::{HistogramSnapshot, ObsServer, Registry};
 use std::time::{Duration, Instant};
 
@@ -518,7 +519,10 @@ pub fn execute(spec: &ScenarioSpec) -> Result<ScenarioRun, ScenarioError> {
     let o = &spec.output;
     let tracing_on = o.trace_out.is_some() || o.obs_addr.is_some();
     let registry = if tracing_on {
-        Registry::with_trace(o.trace_cap.unwrap_or(1 << 18) as usize)
+        Registry::with_trace(
+            o.trace_cap
+                .map_or(DEFAULT_TRACE_CAPACITY, |cap| cap as usize),
+        )
     } else {
         Registry::new()
     };

@@ -386,7 +386,9 @@ pub struct OutputSpec {
     pub bench_json: Option<String>,
     /// Write retained trace spans as Chrome trace-event JSON here.
     pub trace_out: Option<String>,
-    /// Trace ring capacity in spans (default 262144 when tracing is on).
+    /// Trace ring capacity in spans (default
+    /// [`DEFAULT_TRACE_CAPACITY`](mdn_obs::registry::DEFAULT_TRACE_CAPACITY),
+    /// 262144, when tracing is on).
     pub trace_cap: Option<u64>,
     /// Serve `/metrics`, `/snapshot`, `/trace?since=` here for the run's
     /// lifetime (use `:0` for an ephemeral port).

@@ -65,12 +65,7 @@ impl FaultScript {
             if time > now {
                 break;
             }
-            match fault {
-                NetFault::LinkDown(l) => net.set_link_up(l, false),
-                NetFault::LinkUp(l) => net.set_link_up(l, true),
-                NetFault::SwitchCrash(s) => net.crash_switch(s),
-                NetFault::SwitchRestart(s) => net.restart_switch(s),
-            }
+            net.apply_fault(fault);
             self.applied += 1;
             n += 1;
         }

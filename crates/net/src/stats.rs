@@ -48,11 +48,6 @@ impl TimeSeries {
             Some(self.points.iter().map(|p| p.1).sum::<f64>() / self.points.len() as f64)
         }
     }
-
-    /// Earliest time at which `pred` holds, or `None`.
-    pub fn first_time_where(&self, mut pred: impl FnMut(f64) -> bool) -> Option<f64> {
-        self.points.iter().find(|p| pred(p.1)).map(|p| p.0)
-    }
 }
 
 /// Bucket a host receive log into bytes-per-interval over `[0, span)` —
@@ -169,7 +164,5 @@ mod tests {
         s.push(Duration::from_secs(3), 20.0);
         assert_eq!(s.max(), Some(30.0));
         assert_eq!(s.mean(), Some(20.0));
-        assert_eq!(s.first_time_where(|v| v > 15.0), Some(2.0));
-        assert_eq!(s.first_time_where(|v| v > 99.0), None);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! * [`fn@line`] — h1 — s1 — h2 (the port-knocking and queue-monitoring
 //!   setups);
-//! * [`rhomboid`] — the §6 load-balancing topology: "four switches
+//! * [`rhomboid_rates`] — the §6 load-balancing topology: "four switches
 //!   connected in a rhomboid topology, with the two hosts attached to two
 //!   opposite vertices of the rhombus";
 //! * [`star`] — one switch, many hosts (the telemetry experiments).
@@ -73,11 +73,6 @@ pub struct RhomboidTopo {
     pub s_bot: NodeId,
     /// Egress vertex.
     pub s_out: NodeId,
-}
-
-/// Build the rhomboid with uniform link rate/latency.
-pub fn rhomboid(net: &mut Network, rate_bps: u64, latency: Duration) -> RhomboidTopo {
-    rhomboid_rates(net, rate_bps, rate_bps, latency)
 }
 
 /// Build the rhomboid with distinct access (host↔switch) and core
@@ -265,7 +260,7 @@ mod tests {
     #[test]
     fn rhomboid_has_two_disjoint_paths() {
         let mut net = Network::new();
-        let t = rhomboid(&mut net, 10 * MBPS, Duration::from_micros(10));
+        let t = rhomboid_rates(&mut net, 10 * MBPS, 10 * MBPS, Duration::from_micros(10));
         let dst = Match::dst(Ip::v4(10, 0, 0, 2));
         // Route via top only.
         net.install_rule(

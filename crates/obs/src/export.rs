@@ -79,7 +79,7 @@ pub struct Snapshot {
 }
 
 /// Escape a string for a JSON string literal (quotes not included).
-fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

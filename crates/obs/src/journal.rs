@@ -6,8 +6,7 @@
 //! when full, the oldest event is dropped and a drop counter is bumped,
 //! so long chaos runs can't grow memory without bound.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use crate::ring::Ring;
 use std::time::Duration;
 
 /// One journal entry: when it happened (scenario clock), an event kind
@@ -23,84 +22,52 @@ pub struct JournalEvent {
     pub detail: String,
 }
 
-#[derive(Debug)]
-struct JournalInner {
-    events: Mutex<JournalState>,
-    capacity: usize,
-}
-
-#[derive(Debug)]
-struct JournalState {
-    ring: VecDeque<JournalEvent>,
-    dropped: u64,
-}
-
 /// A bounded, shareable event journal. Cloning is a cheap `Arc` clone;
 /// the default value is a disabled (no-op) journal.
 #[derive(Debug, Clone, Default)]
-pub struct Journal(Option<Arc<JournalInner>>);
+pub struct Journal(Ring<JournalEvent>);
 
 impl Journal {
     /// A journal keeping the last `capacity` events (capacity 0 keeps
     /// none but still counts drops).
     pub fn with_capacity(capacity: usize) -> Self {
-        Self(Some(Arc::new(JournalInner {
-            events: Mutex::new(JournalState {
-                ring: VecDeque::with_capacity(capacity.min(1024)),
-                dropped: 0,
-            }),
-            capacity,
-        })))
+        Self(Ring::with_capacity(capacity))
     }
 
     /// A journal that ignores every record.
     pub const fn disabled() -> Self {
-        Self(None)
+        Self(Ring::disabled())
     }
 
     /// Is this a live journal?
     pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
+        self.0.is_enabled()
     }
 
     /// Append an event, evicting the oldest if the ring is full.
     pub fn record(&self, at: Duration, kind: &str, detail: impl Into<String>) {
-        let Some(inner) = &self.0 else { return };
-        let mut state = inner.events.lock().unwrap();
-        if inner.capacity == 0 {
-            state.dropped += 1;
-            return;
+        if self.is_enabled() {
+            self.0.push(JournalEvent {
+                at,
+                kind: kind.to_string(),
+                detail: detail.into(),
+            });
         }
-        if state.ring.len() == inner.capacity {
-            state.ring.pop_front();
-            state.dropped += 1;
-        }
-        state.ring.push_back(JournalEvent {
-            at,
-            kind: kind.to_string(),
-            detail: detail.into(),
-        });
     }
 
     /// The retained events, oldest first (empty when disabled).
     pub fn events(&self) -> Vec<JournalEvent> {
-        self.0.as_ref().map_or_else(Vec::new, |inner| {
-            inner.events.lock().unwrap().ring.iter().cloned().collect()
-        })
+        self.0.items()
     }
 
     /// How many events were evicted (or rejected at capacity 0).
     pub fn dropped(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |inner| inner.events.lock().unwrap().dropped)
+        self.0.evicted()
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.0
-            .as_ref()
-            .map_or(0, |inner| inner.events.lock().unwrap().ring.len())
+        self.0.len()
     }
 
     /// True when no events are retained.
@@ -113,32 +80,22 @@ impl Journal {
 mod tests {
     use super::*;
 
+    /// The ring itself is tested in `ring.rs`; this checks the journal
+    /// hands its events to it and reads them back.
     #[test]
-    fn ring_keeps_newest_and_counts_drops() {
-        let j = Journal::with_capacity(3);
-        for i in 0..5u64 {
+    fn records_into_the_ring() {
+        let j = Journal::with_capacity(2);
+        for i in 0..3u64 {
             j.record(Duration::from_millis(i), "k", format!("e{i}"));
         }
-        let events: Vec<String> = j.events().into_iter().map(|e| e.detail).collect();
-        assert_eq!(events, ["e2", "e3", "e4"]);
-        assert_eq!(j.dropped(), 2);
-        assert_eq!(j.len(), 3);
-    }
-
-    #[test]
-    fn disabled_journal_is_inert() {
-        let j = Journal::disabled();
-        j.record(Duration::ZERO, "k", "x");
-        assert!(j.events().is_empty());
-        assert_eq!(j.dropped(), 0);
-        assert!(!j.is_enabled());
-    }
-
-    #[test]
-    fn zero_capacity_counts_but_keeps_nothing() {
-        let j = Journal::with_capacity(0);
-        j.record(Duration::ZERO, "k", "x");
-        assert!(j.is_empty());
-        assert_eq!(j.dropped(), 1);
+        let want = |i: u64| JournalEvent {
+            at: Duration::from_millis(i),
+            kind: "k".into(),
+            detail: format!("e{i}"),
+        };
+        assert_eq!(j.events(), [want(1), want(2)]);
+        assert_eq!((j.len(), j.dropped()), (2, 1));
+        assert!(j.is_enabled() && !j.is_empty());
+        assert!(!Journal::disabled().is_enabled());
     }
 }

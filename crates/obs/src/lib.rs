@@ -60,6 +60,7 @@ pub mod export;
 pub mod http;
 pub mod journal;
 pub mod registry;
+mod ring;
 pub mod rng;
 pub mod serve;
 pub mod span;

@@ -26,9 +26,10 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// Default ring capacity of the registry's event journal.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 256;
 
-/// Default ring capacity of the registry's trace sink (when tracing is
-/// turned on via [`Registry::with_trace`]).
-pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
+/// Default ring capacity of a scenario run's trace sink, in spans, when
+/// its spec turns tracing on without naming a capacity (see
+/// [`Registry::with_trace`]).
+pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 18;
 
 /// A metric's identity: family name plus sorted `(key, value)` labels.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -161,25 +162,6 @@ impl Gauge {
     pub fn set(&self, value: f64) {
         if let Some(cell) = &self.0 {
             cell.store(value.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Raise the gauge to `value` if it is currently lower — a high-water
-    /// mark update, exact under concurrency.
-    pub fn raise_to(&self, value: f64) {
-        if let Some(cell) = &self.0 {
-            let mut current = cell.load(Ordering::Relaxed);
-            while f64::from_bits(current) < value {
-                match cell.compare_exchange_weak(
-                    current,
-                    value.to_bits(),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(seen) => current = seen,
-                }
-            }
         }
     }
 
@@ -462,14 +444,13 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_and_high_water() {
+    fn gauge_set_overwrites() {
         let reg = Registry::new();
         let g = reg.gauge("depth", &[]);
         g.set(4.0);
-        g.raise_to(2.0);
         assert_eq!(g.get(), 4.0);
-        g.raise_to(9.0);
-        assert_eq!(g.get(), 9.0);
+        g.set(2.0);
+        assert_eq!(g.get(), 2.0);
     }
 
     #[test]

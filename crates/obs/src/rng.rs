@@ -71,13 +71,6 @@ impl SplitMix64 {
     pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
         lo + self.next_u64() % (hi - lo)
     }
-
-    /// Bernoulli draw. Consumes a draw **only when `p > 0`**, so a
-    /// disabled fault class never perturbs the stream.
-    #[inline]
-    pub fn chance(&mut self, p: f64) -> bool {
-        p > 0.0 && self.f64() < p
-    }
 }
 
 #[cfg(test)]

@@ -12,19 +12,19 @@
 //! cost (diagnostic only, explicitly excluded from the determinism
 //! contract; see [`TraceSpan::deterministic_view`]).
 //!
-//! Spans land in a [`TraceSink`]: a bounded ring with a drop counter,
-//! mirroring [`Journal`](crate::journal::Journal)'s inert-by-default
-//! handle pattern — a disabled sink costs one branch per hop, safe to
-//! leave wired through `std::thread::scope` hot paths. The retained tail
+//! Spans land in a [`TraceSink`]: the same bounded ring with a drop
+//! counter that backs [`Journal`](crate::journal::Journal), inert by
+//! default — a disabled sink costs one branch per hop, safe to leave
+//! wired through `std::thread::scope` hot paths. The retained tail
 //! exports as Chrome trace-event JSON ([`TraceSink::to_chrome_json`]),
 //! loadable in Perfetto / `chrome://tracing`, with one async
 //! begin/end pair per span keyed by the trace id so concurrent tones
 //! from different cells do not mis-nest.
 
-use std::collections::VecDeque;
+use crate::export::json_escape;
+use crate::ring::Ring;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A deterministic causal trace identifier for one scheduled tone.
@@ -130,73 +130,38 @@ impl TraceSpan {
     }
 }
 
-#[derive(Debug)]
-struct SinkState {
-    ring: VecDeque<TraceSpan>,
-    /// Index of the first retained span in the all-time sequence.
-    first_index: u64,
-    dropped: u64,
-}
-
-#[derive(Debug)]
-struct SinkInner {
-    state: Mutex<SinkState>,
-    capacity: usize,
-}
-
 /// A bounded, shareable span sink. Cloning is a cheap `Arc` clone; the
 /// default value is a disabled (no-op) sink, so instrumented code can
 /// hold one unconditionally.
 #[derive(Debug, Clone, Default)]
-pub struct TraceSink(Option<Arc<SinkInner>>);
+pub struct TraceSink(Ring<TraceSpan>);
 
 impl TraceSink {
     /// A sink keeping the last `capacity` spans (capacity 0 keeps none
     /// but still counts drops).
     pub fn with_capacity(capacity: usize) -> Self {
-        Self(Some(Arc::new(SinkInner {
-            state: Mutex::new(SinkState {
-                ring: VecDeque::with_capacity(capacity.min(4096)),
-                first_index: 0,
-                dropped: 0,
-            }),
-            capacity,
-        })))
+        Self(Ring::with_capacity(capacity))
     }
 
     /// A sink that ignores every span — what disabled registries hand
     /// out, so un-traced runs pay one branch per hop.
     pub const fn disabled() -> Self {
-        Self(None)
+        Self(Ring::disabled())
     }
 
     /// Is this a live sink?
     pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
+        self.0.is_enabled()
     }
 
     /// Append a span, evicting the oldest if the ring is full.
     pub fn record(&self, span: TraceSpan) {
-        let Some(inner) = &self.0 else { return };
-        let mut state = inner.state.lock().unwrap();
-        if inner.capacity == 0 {
-            state.dropped += 1;
-            state.first_index += 1;
-            return;
-        }
-        if state.ring.len() == inner.capacity {
-            state.ring.pop_front();
-            state.dropped += 1;
-            state.first_index += 1;
-        }
-        state.ring.push_back(span);
+        self.0.push(span);
     }
 
     /// The retained spans, oldest first (empty when disabled).
     pub fn spans(&self) -> Vec<TraceSpan> {
-        self.0.as_ref().map_or_else(Vec::new, |inner| {
-            inner.state.lock().unwrap().ring.iter().cloned().collect()
-        })
+        self.0.items()
     }
 
     /// Retained spans whose all-time index is `>= since`, plus the
@@ -204,52 +169,22 @@ impl TraceSink {
     /// A `since` older than the retained tail silently returns from the
     /// oldest retained span (the gap is visible in [`TraceSink::dropped`]).
     pub fn spans_since(&self, since: u64) -> (u64, Vec<TraceSpan>) {
-        let Some(inner) = &self.0 else {
-            return (0, Vec::new());
-        };
-        let state = inner.state.lock().unwrap();
-        let next = state.first_index + state.ring.len() as u64;
-        let skip = since.saturating_sub(state.first_index) as usize;
-        let spans = state.ring.iter().skip(skip).cloned().collect();
-        (next, spans)
-    }
-
-    /// Every span of one trace, in record order (scans the retained
-    /// tail).
-    pub fn for_trace(&self, id: TraceId) -> Vec<TraceSpan> {
-        self.0.as_ref().map_or_else(Vec::new, |inner| {
-            inner
-                .state
-                .lock()
-                .unwrap()
-                .ring
-                .iter()
-                .filter(|s| s.trace == id)
-                .cloned()
-                .collect()
-        })
+        self.0.since(since)
     }
 
     /// Spans evicted from the ring (or rejected at capacity 0).
     pub fn dropped(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |inner| inner.state.lock().unwrap().dropped)
+        self.0.evicted()
     }
 
     /// Spans ever recorded (retained + dropped).
     pub fn total(&self) -> u64 {
-        self.0.as_ref().map_or(0, |inner| {
-            let state = inner.state.lock().unwrap();
-            state.first_index + state.ring.len() as u64
-        })
+        self.0.total()
     }
 
     /// Number of retained spans.
     pub fn len(&self) -> usize {
-        self.0
-            .as_ref()
-            .map_or(0, |inner| inner.state.lock().unwrap().ring.len())
+        self.0.len()
     }
 
     /// True when no spans are retained.
@@ -262,25 +197,6 @@ impl TraceSink {
     pub fn to_chrome_json(&self) -> String {
         chrome_trace_json(&self.spans())
     }
-}
-
-/// Escape a string for a JSON string literal (quotes not included).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Render spans in the Chrome trace-event format (the JSON-object form,
@@ -311,7 +227,7 @@ pub fn chrome_trace_json(spans: &[TraceSpan]) -> String {
              \"args\": {{\"detail\": \"{}\", \"wall_ns\": {}}}}},",
             s.kind.name(),
             s.trace,
-            esc(&s.detail),
+            json_escape(&s.detail),
             s.wall_ns,
         );
         let _ = write!(
@@ -358,58 +274,21 @@ mod tests {
         assert_ne!(a.0, 0, "ids are never zero");
     }
 
+    /// The ring itself is tested in `ring.rs`; this checks the sink
+    /// hands its spans to it and reads them back through the cursor.
     #[test]
-    fn ring_keeps_newest_counts_drops_and_cursors() {
-        let sink = TraceSink::with_capacity(3);
-        for i in 0..5u64 {
+    fn records_into_the_ring() {
+        let sink = TraceSink::with_capacity(2);
+        for i in 0..3u64 {
             sink.record(span(i, SpanKind::Schedule, i, i + 1));
         }
-        assert_eq!(sink.len(), 3);
-        assert_eq!(sink.dropped(), 2);
-        assert_eq!(sink.total(), 5);
-        let ids: Vec<u64> = sink.spans().iter().map(|s| s.trace.0).collect();
-        assert_eq!(ids, [2, 3, 4]);
-        // Cursor semantics: since=4 returns only the newest span; the
-        // returned cursor re-fetches nothing until new spans arrive.
-        let (next, tail) = sink.spans_since(4);
-        assert_eq!(next, 5);
-        assert_eq!(tail.len(), 1);
-        assert_eq!(tail[0].trace.0, 4);
-        let (_, empty) = sink.spans_since(next);
-        assert!(empty.is_empty());
-        // A cursor older than the retained tail clamps to the tail.
-        let (_, clamped) = sink.spans_since(0);
-        assert_eq!(clamped.len(), 3);
-    }
-
-    #[test]
-    fn disabled_sink_is_inert() {
-        let sink = TraceSink::disabled();
-        sink.record(span(1, SpanKind::Emit, 0, 1));
-        assert!(sink.spans().is_empty());
-        assert_eq!(sink.dropped(), 0);
-        assert!(!sink.is_enabled());
-        assert_eq!(sink.spans_since(0), (0, Vec::new()));
-    }
-
-    #[test]
-    fn zero_capacity_counts_but_keeps_nothing() {
-        let sink = TraceSink::with_capacity(0);
-        sink.record(span(1, SpanKind::Emit, 0, 1));
-        assert!(sink.is_empty());
-        assert_eq!(sink.dropped(), 1);
-        assert_eq!(sink.total(), 1);
-    }
-
-    #[test]
-    fn for_trace_filters_and_preserves_order() {
-        let sink = TraceSink::with_capacity(16);
-        sink.record(span(7, SpanKind::Schedule, 0, 10));
-        sink.record(span(9, SpanKind::Schedule, 0, 10));
-        sink.record(span(7, SpanKind::Emit, 10, 20));
-        let spans = sink.for_trace(TraceId(7));
-        let kinds: Vec<SpanKind> = spans.iter().map(|s| s.kind).collect();
-        assert_eq!(kinds, [SpanKind::Schedule, SpanKind::Emit]);
+        let ids = |spans: Vec<TraceSpan>| spans.iter().map(|s| s.trace.0).collect::<Vec<_>>();
+        assert_eq!(ids(sink.spans()), [1, 2]);
+        let (next, tail) = sink.spans_since(2);
+        assert_eq!((next, ids(tail)), (3, vec![2]));
+        assert_eq!((sink.len(), sink.dropped(), sink.total()), (2, 1, 3));
+        assert!(sink.is_enabled() && !sink.is_empty());
+        assert!(!TraceSink::disabled().is_enabled());
     }
 
     #[test]

@@ -144,16 +144,6 @@ impl ControlChannel {
         }
         decoded
     }
-
-    /// Frames waiting on the switch side.
-    pub fn pending_at_switch(&self) -> usize {
-        self.to_switch.len()
-    }
-
-    /// Frames waiting on the controller side.
-    pub fn pending_at_controller(&self) -> usize {
-        self.to_controller.len()
-    }
 }
 
 /// Apply a decoded control message to a switch's flow table, as the
@@ -236,7 +226,6 @@ mod tests {
         let mut chan = ControlChannel::new();
         chan.send_to_switch(&OfMessage::Hello { xid: 1 });
         chan.send_to_switch(&OfMessage::Hello { xid: 2 });
-        assert_eq!(chan.pending_at_switch(), 2);
         assert_eq!(chan.recv_at_switch().unwrap().unwrap().xid(), 1);
         assert_eq!(chan.recv_at_switch().unwrap().unwrap().xid(), 2);
         assert!(chan.recv_at_switch().is_none());
@@ -247,9 +236,9 @@ mod tests {
     fn directions_are_independent() {
         let mut chan = ControlChannel::new();
         chan.send_to_controller(&OfMessage::Hello { xid: 9 });
-        assert_eq!(chan.pending_at_switch(), 0);
-        assert_eq!(chan.pending_at_controller(), 1);
+        assert!(chan.recv_at_switch().is_none());
         assert_eq!(chan.recv_at_controller().unwrap().unwrap().xid(), 9);
+        assert!(chan.recv_at_controller().is_none());
     }
 
     #[test]
@@ -326,7 +315,7 @@ mod tests {
         let mut chan = ControlChannel::new();
         assert_eq!(ship_packet_ins(&mut chan, &mut net, s, 100), 2);
         assert!(net.switch(s).miss_outbox.is_empty(), "outbox should drain");
-        assert_eq!(chan.pending_at_controller(), 2);
+        assert_eq!(chan.stats().frames_to_controller, 2);
         let first = chan.recv_at_controller().unwrap().unwrap();
         match first {
             OfMessage::PacketIn { xid, flow, .. } => {

@@ -132,6 +132,33 @@ fn unknown_keys_are_hard_errors() {
     }
 }
 
+/// Negative evidence weights turn the acoustic ledger around: every
+/// heard tone raises the score until a healthy device is declared dead
+/// and its cell evacuated. An infinite death threshold (`1e999` parses
+/// as one) turns the ledger off. Such specs are refused before they run.
+#[test]
+fn negative_health_weights_are_rejected() {
+    for (text, field) in [
+        (
+            r#"{"selfheal": {"config": {"health": {"missed_tone_penalty": -1.5, "heard_tone_reward": -3.0}}}}"#,
+            "missed_tone_penalty",
+        ),
+        (
+            r#"{"selfheal": {"config": {"health": {"acoustic_dead_at": 1e999}}}}"#,
+            "acoustic_dead_at",
+        ),
+    ] {
+        let spec = ScenarioSpec::from_json(text).expect("the spec parses");
+        match ScenarioBuilder::new(&spec).map(|_| ()) {
+            Err(ScenarioError::Config(e)) => {
+                assert_eq!(e.field, "health");
+                assert!(e.reason.starts_with(&format!("{field}:")), "{e}");
+            }
+            other => panic!("{text} not rejected: {other:?}"),
+        }
+    }
+}
+
 /// The rejection table: each structural violation is refused with the
 /// offending field's dotted path.
 #[test]
