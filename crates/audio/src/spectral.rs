@@ -31,8 +31,7 @@ impl Spectrum {
     ) -> Self {
         let frame_len = signal.len();
         let mut frame = signal.samples().to_vec();
-        window.apply(&mut frame);
-        let gain = window.coherent_gain(frame_len);
+        let gain = window.apply(&mut frame);
         let fft = planner.forward_real(&frame, min_fft);
         let n = fft.len();
         // Amplitude normalization: 2/N_frame for a one-sided spectrum,

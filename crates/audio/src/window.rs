@@ -77,22 +77,29 @@ impl WindowKind {
     /// spectrum's magnitude by this recovers the amplitude of a sinusoid
     /// centred on a bin.
     pub fn coherent_gain(self, n: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        self.coefficients(n).iter().sum::<f64>() / n as f64
+        mean(&self.coefficients(n))
     }
 
-    /// Apply the window in place to a frame of samples.
-    pub fn apply(self, frame: &mut [f32]) {
-        if self == WindowKind::Rectangular {
-            return;
-        }
+    /// Apply the window in place to a frame of samples and return its
+    /// [`coherent_gain`](Self::coherent_gain), from one set of
+    /// coefficients.
+    pub fn apply(self, frame: &mut [f32]) -> f64 {
         let coeffs = self.coefficients(frame.len());
-        for (s, w) in frame.iter_mut().zip(coeffs) {
-            *s = (*s as f64 * w) as f32;
+        if self != WindowKind::Rectangular {
+            for (s, w) in frame.iter_mut().zip(&coeffs) {
+                *s = (*s as f64 * w) as f32;
+            }
         }
+        mean(&coeffs)
     }
+}
+
+/// Mean of a window's coefficients; zero for an empty window.
+fn mean(coeffs: &[f64]) -> f64 {
+    if coeffs.is_empty() {
+        return 0.0;
+    }
+    coeffs.iter().sum::<f64>() / coeffs.len() as f64
 }
 
 #[cfg(test)]
@@ -136,9 +143,10 @@ mod tests {
     #[test]
     fn apply_scales_frame() {
         let mut frame = vec![1.0f32; 16];
-        WindowKind::Hann.apply(&mut frame);
+        let gain = WindowKind::Hann.apply(&mut frame);
         assert!(frame[0].abs() < 1e-9);
         assert!((frame[8] - 1.0).abs() < 1e-6);
+        assert_eq!(gain.to_bits(), WindowKind::Hann.coherent_gain(16).to_bits());
     }
 
     #[test]

@@ -66,6 +66,7 @@ pub fn monitoring_under_congestion() -> MonitoringAblationResult {
     let h1 = net.add_host("h1", Ip::v4(10, 0, 0, 1));
     let h2 = net.add_host("h2", Ip::v4(10, 0, 0, 2));
     let h_ctl = net.add_host("h_ctl", Ip::v4(10, 0, 0, 9));
+    net.host_mut(h_ctl).enable_rx_log();
     let h_agent = net.add_host("h_agent", Ip::v4(10, 0, 0, 8));
     let s1 = net.add_switch("s1", 3);
     let s2 = net.add_switch("s2", 3);

@@ -82,6 +82,7 @@ pub fn port_knocking(params: &PortKnockParams) -> PortKnockResult {
     let mut net = Network::new();
     let topo = topology::line(&mut net, 10_000_000, Duration::from_micros(50));
     net.switch_mut(topo.s1).enable_tap();
+    net.host_mut(topo.h2).enable_rx_log();
 
     // Acoustic side: the switch owns three knock slots (one per knock
     // port); the controller's FSM expects them in order.

@@ -129,6 +129,7 @@ mod tests {
         let mut net = Network::new();
         let h1 = net.add_host("h1", Ip::v4(10, 0, 0, 1));
         let h2 = net.add_host("h2", Ip::v4(10, 0, 0, 2));
+        net.host_mut(h2).enable_rx_log();
         let s = net.add_switch("s1", 2);
         net.connect(h1, 0, s, 0, 10_000_000, Duration::from_micros(50));
         let egress = net.connect(h2, 0, s, 1, 10_000_000, Duration::from_micros(50));

@@ -160,8 +160,15 @@ pub struct HostNode {
     pub tx_packets: u64,
     /// Bytes transmitted.
     pub tx_bytes: u64,
-    /// Per-packet receive log, for time-series plots (Figure 3a).
+    /// Per-packet receive log, for time-series plots (Figure 3a). Empty
+    /// unless [`enable_rx_log`](Self::enable_rx_log) was called, like a
+    /// switch's [`tap`](SwitchNode::tap): a logging host keeps one record
+    /// per delivered packet for the whole run, so only the hosts a
+    /// per-packet series is read from turn it on. `rx_packets` and
+    /// `rx_bytes` count every delivery either way.
     pub rx_log: Vec<RxRecord>,
+    /// Whether [`record_rx`](Self::record_rx) appends to `rx_log`.
+    logs_rx: bool,
 }
 
 impl HostNode {
@@ -177,22 +184,42 @@ impl HostNode {
             tx_packets: 0,
             tx_bytes: 0,
             rx_log: Vec::new(),
+            logs_rx: false,
         }
+    }
+
+    /// Start recording every delivered packet into
+    /// [`rx_log`](Self::rx_log). Deliveries before the call are counted
+    /// but not logged.
+    pub fn enable_rx_log(&mut self) {
+        self.logs_rx = true;
     }
 
     /// Record a delivery.
     pub fn record_rx(&mut self, packet: &Packet, at: Duration) {
         self.rx_packets += 1;
         self.rx_bytes += packet.size_bytes as u64;
-        self.rx_log.push(RxRecord {
-            at,
-            size_bytes: packet.size_bytes,
-            flow: packet.flow,
-        });
+        if self.logs_rx {
+            self.rx_log.push(RxRecord {
+                at,
+                size_bytes: packet.size_bytes,
+                flow: packet.flow,
+            });
+        }
     }
 
-    /// Bytes received in the half-open interval `[from, to)`.
+    /// Bytes received in the half-open interval `[from, to)`, read from
+    /// the receive log.
+    ///
+    /// # Panics
+    /// Panics if the host's log was never enabled: without it every
+    /// interval would read zero.
     pub fn rx_bytes_between(&self, from: Duration, to: Duration) -> u64 {
+        assert!(
+            self.logs_rx,
+            "host `{}` keeps no receive log; call enable_rx_log before the traffic",
+            self.name
+        );
         self.rx_log
             .iter()
             .filter(|r| r.at >= from && r.at < to)
@@ -268,16 +295,36 @@ mod tests {
         let mut h = HostNode::new("h1", Ip::v4(10, 0, 0, 1));
         let (p, t) = pkt(1000, 100);
         h.record_rx(&p, t);
+        assert_eq!((h.rx_packets, h.rx_bytes), (1, 1000));
+        assert!(h.rx_log.is_empty(), "the log is off by default");
+        h.enable_rx_log();
         let (p, t) = pkt(500, 200);
         h.record_rx(&p, t);
         assert_eq!(h.rx_packets, 2);
         assert_eq!(h.rx_bytes, 1500);
-        assert_eq!(h.rx_log.len(), 2);
+        assert_eq!(
+            h.rx_log,
+            [RxRecord {
+                at: t,
+                size_bytes: 500,
+                flow: p.flow,
+            }]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "host `h1` keeps no receive log")]
+    fn rx_bytes_between_needs_the_log() {
+        let mut h = HostNode::new("h1", Ip::v4(10, 0, 0, 1));
+        let (p, t) = pkt(100, 100);
+        h.record_rx(&p, t);
+        h.rx_bytes_between(Duration::ZERO, Duration::from_secs(1));
     }
 
     #[test]
     fn rx_bytes_between_is_half_open() {
         let mut h = HostNode::new("h1", Ip::v4(10, 0, 0, 1));
+        h.enable_rx_log();
         for (size, at) in [(100, 100u64), (200, 200), (300, 300)] {
             let (p, t) = pkt(size, at);
             h.record_rx(&p, t);

@@ -55,14 +55,17 @@ pub struct PacketQueue {
 }
 
 impl PacketQueue {
-    /// A queue holding at most `capacity` packets.
+    /// A queue holding at most `capacity` packets. The ring is allocated
+    /// on the first packet that waits in it, not here: an idle port, or
+    /// one whose packets all [`pass_through`](Self::pass_through), costs
+    /// no buffer however large its capacity.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be non-zero");
         Self {
-            items: VecDeque::with_capacity(capacity.min(1024)),
+            items: VecDeque::new(),
             capacity,
             accepted: 0,
             dropped: 0,

@@ -68,6 +68,7 @@ fn run_scenario() -> ScenarioOutcome {
     let mut net = Network::new();
     let topo =
         topology::rhomboid_rates(&mut net, 100_000_000, 10_000_000, Duration::from_micros(50));
+    net.host_mut(topo.h_dst).enable_rx_log();
     let dst_ip = Ip::v4(10, 0, 0, 2);
     let dst = Match::dst(dst_ip);
     for (switch, port) in [

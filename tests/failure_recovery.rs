@@ -34,6 +34,7 @@ fn link_failure_alarm_tone_triggers_reroute() {
     let mut net = Network::new();
     let topo =
         topology::rhomboid_rates(&mut net, 100_000_000, 10_000_000, Duration::from_micros(50));
+    net.host_mut(topo.h_dst).enable_rx_log();
     let dst_ip = Ip::v4(10, 0, 0, 2);
     let dst = Match::dst(dst_ip);
     // Route via the top path.
@@ -178,6 +179,7 @@ fn without_the_alarm_the_outage_persists() {
     let mut net = Network::new();
     let topo =
         topology::rhomboid_rates(&mut net, 100_000_000, 10_000_000, Duration::from_micros(50));
+    net.host_mut(topo.h_dst).enable_rx_log();
     let dst_ip = Ip::v4(10, 0, 0, 2);
     let dst = Match::dst(dst_ip);
     net.install_rule(

@@ -5,13 +5,15 @@
 //! dispatch timing's counts against an independent count of dispatched
 //! events, under any split of the run, and the queue accounting of the
 //! idle-port pass-through against the identities the ring path keeps,
-//! under link flaps and switch crashes.
+//! under link flaps and switch crashes. And runs with every host's
+//! receive log on against the same runs with it off: the log records
+//! and changes nothing else.
 
 use mdn_net::flow::hash_flow;
 use mdn_net::ftable::{Action, Decision, FlowTable, Match, PortId, Rule};
 use mdn_net::packet::{FlowKey, Ip};
 use mdn_net::sim::{Event, EventQueue, NodeId};
-use mdn_net::topology::{star, StarTopo};
+use mdn_net::topology::{leaf_spine, star, StarTopo};
 use mdn_net::traffic::TrafficPattern;
 use mdn_net::{Network, RunOutcome};
 use mdn_obs::Registry;
@@ -161,7 +163,9 @@ const KINDS: [&str; 3] = ["generate", "port_free", "deliver"];
 fn star_network(flows: &[(u8, u8, u16, u64)], ticks: &[u64]) -> (Network, StarTopo, Registry) {
     let mut net = Network::new();
     let topo = star(&mut net, 4, 10_000_000, Duration::from_micros(20));
-    install_routes(&mut net, topo.switch);
+    for rule in star_routes() {
+        net.install_rule(topo.switch, rule);
+    }
     for &(src, dst, pps, seed) in flows {
         let (src, dst) = (src % 4, (src % 4 + 1 + dst % 3) % 4);
         net.attach_generator(
@@ -212,13 +216,90 @@ fn independent_counts(net: &Network, topo: &StarTopo, ticks: u64) -> [u64; 3] {
     [net.events_processed() - ticks - 2 * tx, tx, tx]
 }
 
+/// A test network, its hosts, and each switch with the rules it is
+/// given at build time and again after every restart.
+struct Fabric {
+    net: Network,
+    hosts: Vec<NodeId>,
+    switches: Vec<(NodeId, Vec<Rule>)>,
+}
+
+impl Fabric {
+    /// Install switch `i`'s rules.
+    fn install(&mut self, i: usize) {
+        let (switch, rules) = &self.switches[i];
+        for rule in rules {
+            self.net.install_rule(*switch, rule.clone());
+        }
+    }
+
+    /// Run to completion under `(at_us, kind, len_us)` faults. Fault `i`
+    /// starts at tick 2i and ends at tick 2i + 1, `len` µs later. A kind
+    /// below the host count flaps that host's link; any other kind
+    /// crashes switch `(kind - hosts) % switches`, which restarts with its
+    /// rules reinstalled.
+    fn run_faulted(&mut self, faults: &[(u64, usize, u64)]) {
+        for (i, &(at, _, len)) in faults.iter().enumerate() {
+            self.net
+                .schedule_tick(Duration::from_micros(at), 2 * i as u64);
+            self.net
+                .schedule_tick(Duration::from_micros(at + len), 2 * i as u64 + 1);
+        }
+        while let RunOutcome::Tick { tag, .. } = self.net.run_until(Duration::from_secs(10)) {
+            let (start, kind) = (tag % 2 == 0, faults[tag as usize / 2].1);
+            if let Some(&host) = self.hosts.get(kind) {
+                let link = self.net.link_at(host, 0).expect("host link");
+                self.net.set_link_up(link, !start);
+                continue;
+            }
+            let i = (kind - self.hosts.len()) % self.switches.len();
+            if start {
+                self.net.crash_switch(self.switches[i].0);
+            } else {
+                self.net.restart_switch(self.switches[i].0);
+                self.install(i);
+            }
+        }
+        self.net.drain();
+    }
+}
+
+/// A UDP flow of `size`-byte packets from `src` to `dst` over the first
+/// 300 ms, at `pps` (CBR) or a Poisson mean of `pps` seeded by `seed`.
+fn pattern(src: Ip, dst: Ip, size: u32, pps: u16, seed: u64, cbr: bool) -> TrafficPattern {
+    let flow = FlowKey::udp(src, 4000, dst, 9);
+    let (start, stop) = (
+        Duration::from_micros(u64::from(pps) % 977),
+        Duration::from_millis(300),
+    );
+    if cbr {
+        TrafficPattern::Cbr {
+            flow,
+            pps: f64::from(pps),
+            size,
+            start,
+            stop,
+        }
+    } else {
+        TrafficPattern::Poisson {
+            flow,
+            mean_pps: f64::from(pps),
+            size,
+            start,
+            stop,
+            seed,
+        }
+    }
+}
+
 /// A four-host star whose switch ports hold `capacity` packets, hosts on
 /// alternating 10 and 100 Mb/s links, with a route to every host and one
-/// CBR or Poisson flow per `(src, dst, pps, seed, cbr)`.
-fn small_queue_star(flows: &[(u8, u8, u16, u64, bool)], capacity: usize) -> (Network, StarTopo) {
+/// CBR or Poisson flow of 1200-byte packets per
+/// `(src, dst, pps, seed, cbr)`.
+fn small_queue_star(flows: &[(u8, u8, u16, u64, bool)], capacity: usize) -> Fabric {
     let mut net = Network::new();
     let switch = net.add_switch_with_queue("s1", 4, capacity);
-    let hosts = (0..4u8)
+    let hosts: Vec<NodeId> = (0..4u8)
         .map(|h| {
             let host = net.add_host(format!("h{}", h + 1), Ip::v4(10, 0, 0, h + 1));
             let rate = if h % 2 == 0 { 10_000_000 } else { 100_000_000 };
@@ -226,56 +307,88 @@ fn small_queue_star(flows: &[(u8, u8, u16, u64, bool)], capacity: usize) -> (Net
             host
         })
         .collect();
-    let topo = StarTopo { hosts, switch };
-    install_routes(&mut net, topo.switch);
     for &(src, dst, pps, seed, cbr) in flows {
         let (src, dst) = (src % 4, (src % 4 + 1 + dst % 3) % 4);
-        let flow = FlowKey::udp(
-            Ip::v4(10, 0, 0, src + 1),
-            4000,
-            Ip::v4(10, 0, 0, dst + 1),
-            9,
-        );
-        let (size, start, stop) = (
-            1200,
-            Duration::from_micros(u64::from(pps) % 977),
-            Duration::from_millis(300),
-        );
-        let pattern = if cbr {
-            TrafficPattern::Cbr {
-                flow,
-                pps: f64::from(pps),
-                size,
-                start,
-                stop,
-            }
-        } else {
-            TrafficPattern::Poisson {
-                flow,
-                mean_pps: f64::from(pps),
-                size,
-                start,
-                stop,
-                seed,
-            }
-        };
-        net.attach_generator(topo.hosts[src as usize], pattern);
+        let (from, to) = (Ip::v4(10, 0, 0, src + 1), Ip::v4(10, 0, 0, dst + 1));
+        net.attach_generator(hosts[src as usize], pattern(from, to, 1200, pps, seed, cbr));
     }
-    (net, topo)
+    let mut fabric = Fabric {
+        net,
+        hosts,
+        switches: vec![(switch, star_routes())],
+    };
+    fabric.install(0);
+    fabric
+}
+
+/// A leaf-spine fabric of two spines and three leaves with two hosts
+/// each, every link at 10 Mb/s and every switch port holding the default
+/// 100 packets. Each switch has a route to every host, and each leaf
+/// spreads the rest over its uplinks by flow hash. One CBR or Poisson
+/// flow per `(src, dst, pps, seed, cbr)`, its packet size drawn from its
+/// rate.
+fn small_leaf_spine(flows: &[(u8, u8, u16, u64, bool)]) -> Fabric {
+    let mut net = Network::new();
+    let topo = leaf_spine(
+        &mut net,
+        2,
+        3,
+        2,
+        10_000_000,
+        10_000_000,
+        Duration::from_micros(20),
+    );
+    let ips: Vec<Ip> = (0..6).map(|i| topo.host_ip(i / 2, i % 2)).collect();
+    let route = |host: usize, port: usize| Rule {
+        mat: Match::dst(ips[host]),
+        priority: 10,
+        action: Action::Forward(port),
+    };
+    let mut switches: Vec<(NodeId, Vec<Rule>)> = topo
+        .spines
+        .iter()
+        .map(|&spine| (spine, (0..6).map(|h| route(h, h / 2)).collect()))
+        .collect();
+    for (l, &leaf) in topo.leaves.iter().enumerate() {
+        let mut rules: Vec<Rule> = (2 * l..2 * l + 2).map(|h| route(h, h % 2)).collect();
+        rules.push(Rule {
+            mat: Match::ANY,
+            priority: 0,
+            action: Action::SplitByFlow(vec![topo.uplink_port(0), topo.uplink_port(1)]),
+        });
+        switches.push((leaf, rules));
+    }
+    for &(src, dst, pps, seed, cbr) in flows {
+        let (src, dst) = (
+            src as usize % 6,
+            (src as usize % 6 + 1 + dst as usize % 5) % 6,
+        );
+        let size = 64 + u32::from(pps) % 1400;
+        net.attach_generator(
+            topo.hosts[src],
+            pattern(ips[src], ips[dst], size, pps, seed, cbr),
+        );
+    }
+    let mut fabric = Fabric {
+        net,
+        hosts: topo.hosts,
+        switches,
+    };
+    for i in 0..fabric.switches.len() {
+        fabric.install(i);
+    }
+    fabric
 }
 
 /// A route to each of the four star hosts, on the port of the same index.
-fn install_routes(net: &mut Network, switch: NodeId) {
-    for h in 0..4u8 {
-        net.install_rule(
-            switch,
-            Rule {
-                mat: Match::dst(Ip::v4(10, 0, 0, h + 1)),
-                priority: 1,
-                action: Action::Forward(h as usize),
-            },
-        );
-    }
+fn star_routes() -> Vec<Rule> {
+    (0..4u8)
+        .map(|h| Rule {
+            mat: Match::dst(Ip::v4(10, 0, 0, h + 1)),
+            priority: 1,
+            action: Action::Forward(h as usize),
+        })
+        .collect()
 }
 
 proptest! {
@@ -457,27 +570,11 @@ proptest! {
         capacity in 1usize..5,
         faults in prop::collection::vec((0u64..300_000, 0usize..6, 0u64..3_000), 0..8),
     ) {
-        let (mut net, topo) = small_queue_star(&flows, capacity);
-        // Fault `i` starts at tick 2i and ends at tick 2i + 1, `len` µs
-        // later; kinds 0–3 flap that host's link, 4 and 5 crash the switch.
-        for (i, &(at, _, len)) in faults.iter().enumerate() {
-            net.schedule_tick(Duration::from_micros(at), 2 * i as u64);
-            net.schedule_tick(Duration::from_micros(at + len), 2 * i as u64 + 1);
-        }
-        while let RunOutcome::Tick { tag, .. } = net.run_until(Duration::from_secs(10)) {
-            let (start, kind) = (tag % 2 == 0, faults[tag as usize / 2].1);
-            match topo.hosts.get(kind) {
-                Some(&host) => net.set_link_up(net.link_at(host, 0).expect("host link"), !start),
-                None if start => net.crash_switch(topo.switch),
-                None => {
-                    net.restart_switch(topo.switch);
-                    install_routes(&mut net, topo.switch);
-                }
-            }
-        }
-        net.drain();
+        let mut fabric = small_queue_star(&flows, capacity);
+        fabric.run_faulted(&faults);
+        let net = &fabric.net;
 
-        let host_queues = topo.hosts.iter().map(|&h| &net.host(h).port.queue);
+        let host_queues = fabric.hosts.iter().map(|&h| &net.host(h).port.queue);
         let switch_stats = net.queue_stats();
         let switch_queues = switch_stats.iter().map(|q| (q.accepted, q.dequeued, q.cleared, q.in_flight, q.high_water));
         for (accepted, dequeued, cleared, in_flight, high_water) in host_queues
@@ -488,7 +585,7 @@ proptest! {
             prop_assert!(accepted == 0 || high_water >= 1, "a queue that accepted has a high-water mark");
         }
         let mut sent = 0;
-        for &h in &topo.hosts {
+        for &h in &fabric.hosts {
             let host = net.host(h);
             if host.port.queue.dropped == 0 {
                 prop_assert_eq!(host.port.queue.accepted_bytes, host.tx_bytes);
@@ -500,5 +597,55 @@ proptest! {
             sent,
             c.delivered + c.policy_drops + c.queue_drops + c.link_drops + c.crash_drops
         );
+    }
+
+    /// The receive log only records. Over random stars with small switch
+    /// queues and random leaf-spines, CBR and Poisson flows, and scripted
+    /// link flaps and switch crash/restarts, a run with every host's log
+    /// on and the same run with it off leave the same network counters,
+    /// event count, per-host receive counters and per-port queue
+    /// accounting. The logs hold exactly one record per packet received
+    /// and sum to the bytes received; the unlogged hosts hold none.
+    #[test]
+    fn receive_log_changes_nothing_but_itself(
+        flows in prop::collection::vec((any::<u8>(), any::<u8>(), 50u16..4000, any::<u64>(), any::<bool>()), 1..6),
+        capacity in 1usize..5,
+        leaf_spine in any::<bool>(),
+        faults in prop::collection::vec((0u64..300_000, 0usize..11, 0u64..3_000), 0..8),
+    ) {
+        let run = |log: bool| {
+            let mut fabric = if leaf_spine {
+                small_leaf_spine(&flows)
+            } else {
+                small_queue_star(&flows, capacity)
+            };
+            if log {
+                for &h in &fabric.hosts {
+                    fabric.net.host_mut(h).enable_rx_log();
+                }
+            }
+            fabric.run_faulted(&faults);
+            fabric
+        };
+        let (on, off) = (run(true), run(false));
+        let (a, b) = (&on.net, &off.net);
+        prop_assert_eq!(a.counters, b.counters);
+        prop_assert_eq!(a.events_processed(), b.events_processed());
+        prop_assert_eq!(a.queue_stats(), b.queue_stats());
+        let mut received = 0;
+        for &h in &on.hosts {
+            let (x, y) = (a.host(h), b.host(h));
+            prop_assert_eq!((x.rx_packets, x.rx_bytes), (y.rx_packets, y.rx_bytes));
+            let (qx, qy) = (&x.port.queue, &y.port.queue);
+            prop_assert_eq!(
+                (qx.accepted, qx.dequeued, qx.dropped, qx.high_water),
+                (qy.accepted, qy.dequeued, qy.dropped, qy.high_water)
+            );
+            prop_assert_eq!(x.rx_log.len() as u64, x.rx_packets);
+            prop_assert_eq!(x.rx_log.iter().map(|r| u64::from(r.size_bytes)).sum::<u64>(), x.rx_bytes);
+            prop_assert!(y.rx_log.is_empty());
+            received += x.rx_packets;
+        }
+        prop_assert_eq!(received, a.counters.delivered);
     }
 }

@@ -22,6 +22,7 @@ fn run_line(
     let mut net = Network::new();
     let h1 = net.add_host("h1", Ip::v4(10, 0, 0, 1));
     let h2 = net.add_host("h2", Ip::v4(10, 0, 0, 2));
+    net.host_mut(h2).enable_rx_log();
     let s1 = net.add_switch_with_queue("s1", 2, queue_capacity);
     net.connect(h1, 0, s1, 0, 1_000_000_000, Duration::from_micros(5));
     net.connect(h2, 0, s1, 1, rate_bps, Duration::from_micros(5));
