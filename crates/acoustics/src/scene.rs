@@ -21,6 +21,24 @@
 //! that span by copying: a hall's per-cell listens of one window
 //! synthesise the bed once between them.
 //!
+//! Tones repeat: a hall's switches sound a few hundred distinct
+//! `(frequency, level, duration)` tones over and over. [`Scene::add_tone`]
+//! renders each distinct shaped [`Tone`] once per scene and every emission
+//! of it shares the one array ([`Emission::signal`] is an `Arc`). A tone's
+//! samples are a pure function of its fields and the sample rate, so a
+//! shared array is bit-for-bit the array a fresh render would give.
+//! [`Scene::retire_emissions_before`] drops the tones no live emission
+//! holds any more.
+//!
+//! Because a render is time-functional, a span rendered earlier stays
+//! valid until something that can reach it changes. [`Scene::render_mark`]
+//! stamps the scene's state, and [`Scene::renders_unchanged`] proves a
+//! span still renders as it did: same scene, no fault-plan or ambient-seed
+//! change, no emission added since that starts before the span's end, and
+//! no garbage collection past its start. A listener that keeps the tail
+//! of one window's render can then prepend it to the next window's
+//! ([`Scene::extend_render`]) instead of rendering it again.
+//!
 //! A render is sequential. The one parallel layer sits above it, in the
 //! per-cell listens of `mdn_core::cells::ShardedController`, which share
 //! one `&Scene`: hence the atomic counters and the memo's `Mutex`.
@@ -31,9 +49,12 @@ use crate::medium::{incident_amplitude, propagation_delay_s, spreading_gain, Pos
 use crate::mic::Microphone;
 use mdn_audio::noise::white_noise_add;
 use mdn_audio::signal::{duration_to_samples, spl_to_amplitude, Window};
+use mdn_audio::synth::Tone;
 use mdn_audio::Signal;
 use mdn_obs::{Counter, Histogram, Registry, SpanKind, TraceId, TraceSink, TraceSpan};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Registry handles for a [`Scene`]'s counters; disabled by default.
@@ -56,10 +77,55 @@ pub struct Emission {
     pub pos: Pos,
     /// When the source starts playing (scene time).
     pub start: Duration,
-    /// What it plays (pressure at the 1 m reference distance).
-    pub signal: Signal,
+    /// What it plays (pressure at the 1 m reference distance), shared
+    /// with every other emission of the same tone.
+    pub signal: Arc<Signal>,
     /// Label for debugging/tracing (e.g. "switch-3").
     pub label: String,
+    /// Insertion sequence number: how many emissions the scene was given
+    /// before this one.
+    seq: u64,
+}
+
+/// A memoised tone: the bits of the shaped [`Tone`]'s frequency,
+/// amplitude and phase, and its duration in nanoseconds.
+type ToneKey = (u64, u64, u64, u128);
+
+fn tone_key(tone: &Tone) -> ToneKey {
+    (
+        tone.freq_hz.to_bits(),
+        tone.amplitude.to_bits(),
+        tone.phase.to_bits(),
+        tone.duration.as_nanos(),
+    )
+}
+
+/// A process-unique scene identity. A clone is another scene that can
+/// diverge from the original, so it draws a fresh id.
+#[derive(Debug)]
+struct SceneId(u64);
+
+impl SceneId {
+    fn fresh() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Self(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for SceneId {
+    fn clone(&self) -> Self {
+        Self::fresh()
+    }
+}
+
+/// A stamp of everything a scene's render depends on, from
+/// [`Scene::render_mark`]; [`Scene::renders_unchanged`] checks a span
+/// against it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RenderMark {
+    scene: u64,
+    edits: u64,
+    added: u64,
 }
 
 /// Single-entry memo of the ambient bed: samples `[from, from +
@@ -170,8 +236,18 @@ impl EmissionIndex {
 /// A collection of emissions over a shared timeline, with an ambient bed.
 #[derive(Debug, Clone)]
 pub struct Scene {
+    id: SceneId,
     sample_rate: u32,
     emissions: Vec<Emission>,
+    /// Emissions ever added; the next one's `seq`.
+    added: u64,
+    /// Calls that change how any span renders: [`Scene::set_faults`] and
+    /// [`Scene::set_ambient_seed`].
+    edits: u64,
+    /// The latest [`Scene::retire_emissions_before`] cutoff.
+    gc_cutoff: Duration,
+    /// Rendered tones by shaped [`Tone`], shared by their emissions.
+    tones: HashMap<ToneKey, Arc<Signal>>,
     ambient: AmbientProfile,
     ambient_seed: u64,
     faults: Option<SceneFaultPlan>,
@@ -191,8 +267,13 @@ impl Scene {
     pub fn new(sample_rate: u32, ambient: AmbientProfile) -> Self {
         assert!(sample_rate > 0);
         Self {
+            id: SceneId::fresh(),
             sample_rate,
             emissions: Vec::new(),
+            added: 0,
+            edits: 0,
+            gc_cutoff: Duration::ZERO,
+            tones: HashMap::new(),
             ambient,
             ambient_seed: 0,
             faults: None,
@@ -253,6 +334,7 @@ impl Scene {
     /// Replace the ambient noise seed (defaults to 0).
     pub fn set_ambient_seed(&mut self, seed: u64) {
         self.ambient_seed = seed;
+        self.edits += 1;
         let memo = self
             .ambient_memo
             .0
@@ -265,6 +347,7 @@ impl Scene {
     /// time, so one scene can be rendered with and without them.
     pub fn set_faults(&mut self, plan: SceneFaultPlan) {
         self.faults = Some(plan);
+        self.edits += 1;
     }
 
     /// The attached fault plan, if any.
@@ -282,12 +365,37 @@ impl Scene {
     /// # Panics
     /// Panics if the signal's sample rate differs from the scene's.
     pub fn add(&mut self, pos: Pos, start: Duration, signal: Signal, label: impl Into<String>) {
+        self.add_shared(pos, start, Arc::new(signal), label.into());
+    }
+
+    /// Schedule `tone` to play from `pos` starting at `start`, rendered
+    /// at the scene's rate, and return how long it plays. The first
+    /// emission of a tone renders it; later ones share that array, which
+    /// is bit-for-bit `tone.render(sample_rate)`.
+    pub fn add_tone(
+        &mut self,
+        pos: Pos,
+        start: Duration,
+        tone: &Tone,
+        label: impl Into<String>,
+    ) -> Duration {
+        let sr = self.sample_rate;
+        let signal = self
+            .tones
+            .entry(tone_key(tone))
+            .or_insert_with(|| Arc::new(tone.render(sr)))
+            .clone();
+        let played = signal.duration();
+        self.add_shared(pos, start, signal, label.into());
+        played
+    }
+
+    fn add_shared(&mut self, pos: Pos, start: Duration, signal: Arc<Signal>, label: String) {
         assert_eq!(
             signal.sample_rate(),
             self.sample_rate,
             "emission sample rate must match the scene"
         );
-        let label = label.into();
         if let Some((trace, cell)) = self.pending_trace.take() {
             self.trace.record(TraceSpan {
                 trace,
@@ -304,9 +412,37 @@ impl Scene {
             start,
             signal,
             label,
+            seq: self.added,
         });
+        self.added += 1;
         self.index.take();
         self.obs.emissions.inc();
+    }
+
+    /// Stamp the scene's current render state, for a later
+    /// [`Scene::renders_unchanged`].
+    pub fn render_mark(&self) -> RenderMark {
+        RenderMark {
+            scene: self.id.0,
+            edits: self.edits,
+            added: self.added,
+        }
+    }
+
+    /// True when window `span` renders now, for every listener, exactly
+    /// as it did when `mark` was taken: `mark` is this scene's, neither
+    /// [`Scene::set_faults`] nor [`Scene::set_ambient_seed`] ran since,
+    /// every emission added since starts at or after `span.end()` (an
+    /// emission is heard no earlier than it starts), and no
+    /// [`Scene::retire_emissions_before`] cutoff lies past `span.from`.
+    pub fn renders_unchanged(&self, mark: RenderMark, span: Window) -> bool {
+        if mark.scene != self.id.0 || mark.edits != self.edits || self.gc_cutoff > span.from {
+            return false;
+        }
+        let since = self.emissions.partition_point(|e| e.seq < mark.added);
+        self.emissions[since..]
+            .iter()
+            .all(|e| e.start >= span.end())
     }
 
     /// Number of scheduled emissions.
@@ -332,13 +468,17 @@ impl Scene {
     /// garbage collection that keeps a soak's emission index O(active
     /// tones) instead of O(all tones ever played); windows *before*
     /// `cutoff` must not be rendered again afterwards.
+    ///
+    /// Memoised tones that no remaining emission holds are dropped too.
     pub fn retire_emissions_before(&mut self, cutoff: Duration, delay_bound: Duration) -> usize {
         let before = self.emissions.len();
         self.emissions
             .retain(|e| e.start + e.signal.duration() + delay_bound > cutoff);
+        self.gc_cutoff = self.gc_cutoff.max(cutoff);
         let retired = before - self.emissions.len();
         if retired > 0 {
             self.index.take();
+            self.tones.retain(|_, signal| Arc::strong_count(signal) > 1);
         }
         retired
     }
@@ -402,9 +542,8 @@ impl Scene {
     /// the same per-sample arithmetic as `Signal::scaled` + `Signal::mix_at`
     /// (`out[i] += (src as f64 * gain) as f32`), so the result is
     /// byte-identical for any window split.
-    fn mix_placed(&self, placed: &[(usize, f64, usize)], range0: usize, out: &mut Signal) {
+    fn mix_placed(&self, placed: &[(usize, f64, usize)], range0: usize, out: &mut [f32]) {
         let range_end = range0 + out.len();
-        let out = out.samples_mut();
         for &(ei, gain, offset) in placed {
             let src = self.emissions[ei].signal.samples();
             let begin = offset.max(range0);
@@ -450,6 +589,18 @@ impl Scene {
     /// # Panics
     /// Panics if `out`'s sample rate differs from the scene's.
     pub fn render_window_into(&self, listener: Pos, w: Window, out: &mut Signal) {
+        out.reset(0);
+        self.extend_render(listener, w, out);
+    }
+
+    /// Append window `w` of the listener's timeline to `out`. When `out`
+    /// holds the span just before `w` (rendered while
+    /// [`Scene::renders_unchanged`] still holds for it), the result is
+    /// byte-identical to one render of the joined window.
+    ///
+    /// # Panics
+    /// Panics if `out`'s sample rate differs from the scene's.
+    pub fn extend_render(&self, listener: Pos, w: Window, out: &mut Signal) {
         assert_eq!(
             out.sample_rate(),
             self.sample_rate,
@@ -457,28 +608,29 @@ impl Scene {
         );
         let _span = self.obs.render_span.start_span();
         let (a, b) = w.sample_range(self.sample_rate);
-        out.reset(b - a);
+        let kept = out.len();
+        out.pad_to(kept + b - a);
         if a == b {
             return;
         }
-        self.ambient_into(a, out.samples_mut());
+        let out = &mut out.samples_mut()[kept..];
+        self.ambient_into(a, out);
         let placed = self.place_in_window(listener, w);
         self.mix_placed(&placed, a, out);
         if let Some(plan) = &self.faults {
             for (i, (win, level_db)) in plan.noise_bursts().iter().enumerate() {
-                if win.from >= w.end() || win.end() <= w.from {
-                    continue;
-                }
-                self.obs.noise_bursts.inc();
                 // The burst is samples [0, round(len)) of its own white
-                // stream, placed at the absolute sample of its start.
+                // stream, placed at the absolute sample of its start. Its
+                // last sample can lie one past round(end), so the window
+                // is clipped in samples, never by `win.end()`.
                 let s0 = duration_to_samples(win.from, self.sample_rate);
                 let blen = duration_to_samples(win.len, self.sample_rate);
                 let begin = s0.max(a);
                 let end = (s0 + blen).min(b);
                 if begin < end {
+                    self.obs.noise_bursts.inc();
                     white_noise_add(
-                        &mut out.samples_mut()[begin - a..end - a],
+                        &mut out[begin - a..end - a],
                         (begin - s0) as u64,
                         spl_to_amplitude(*level_db),
                         plan.seed() ^ (i as u64),
@@ -490,9 +642,7 @@ impl Scene {
                 let end = duration_to_samples(win.end(), self.sample_rate).min(b);
                 if begin < end {
                     self.obs.mic_dead_windows.inc();
-                    for s in &mut out.samples_mut()[begin - a..end - a] {
-                        *s = 0.0;
-                    }
+                    out[begin - a..end - a].fill(0.0);
                 }
             }
         }
@@ -940,6 +1090,26 @@ mod tests {
     }
 
     #[test]
+    fn a_window_from_a_bursts_rounded_end_keeps_its_last_sample() {
+        // At 44.1 kHz a burst over [75.5, 453) ms covers samples
+        // [round(3329.55), + round(16647.75)) = [3330, 19978), one past
+        // round(453 ms) = 19977. A window starting at 453 ms must still
+        // carry sample 19977's burst, as the longer render does.
+        let mut scene = Scene::quiet(SR);
+        scene.set_faults(SceneFaultPlan::new(9).noise_burst(
+            Window::between(Duration::from_micros(75_500), Duration::from_millis(453)),
+            70.0,
+        ));
+        let listener = Pos::ORIGIN;
+        let whole = scene.render_window(listener, win(300, 300));
+        let tail = scene.render_window(listener, win(453, 147));
+        let (a, _) = win(453, 147).sample_range(SR);
+        let (w0, _) = win(300, 300).sample_range(SR);
+        assert_eq!(a, 19_977);
+        assert_eq!(tail.samples(), &whole.samples()[a - w0..]);
+    }
+
+    #[test]
     fn cursor_chunks_concatenate_to_batch_render() {
         let scene = busy_scene();
         let listener = Pos::new(0.9, -0.3, 0.2);
@@ -952,6 +1122,85 @@ mod tests {
         }
         assert_eq!(cursor.position(), Duration::from_millis(900));
         assert_eq!(streamed, batch.samples(), "streamed chunks diverged");
+    }
+
+    #[test]
+    fn extended_render_joins_windows_into_one_render() {
+        let scene = busy_scene();
+        let listener = Pos::new(0.9, -0.3, 0.2);
+        for (from, split, to) in [(0u64, 150u64, 450u64), (270, 420, 721), (555, 556, 1000)] {
+            let whole = scene.render_window(listener, win(from, to - from));
+            let mut joined = scene.render_window(listener, win(from, split - from));
+            scene.extend_render(listener, win(split, to - split), &mut joined);
+            assert_eq!(
+                joined.samples(),
+                whole.samples(),
+                "{from}..{split}..{to} ms"
+            );
+        }
+    }
+
+    #[test]
+    fn render_mark_holds_until_something_can_reach_the_span() {
+        let mut scene = busy_scene();
+        let span = win(600, 150);
+        let ms = Duration::from_millis;
+        let mark = scene.render_mark();
+        assert!(scene.renders_unchanged(mark, span));
+        // Heard no earlier than it starts: a tone from the span's end on
+        // cannot reach it, one starting a nanosecond before can.
+        scene.add(Pos::ORIGIN, span.end(), tone(800.0, 50, 60.0), "after");
+        assert!(scene.renders_unchanged(mark, span));
+        scene.add(
+            Pos::ORIGIN,
+            span.end() - Duration::from_nanos(1),
+            tone(800.0, 50, 60.0),
+            "inside",
+        );
+        assert!(!scene.renders_unchanged(mark, span));
+        let mark = scene.render_mark();
+        assert!(scene.renders_unchanged(mark, span));
+        scene.set_ambient_seed(3);
+        assert!(!scene.renders_unchanged(mark, span));
+        let mark = scene.render_mark();
+        scene.set_faults(SceneFaultPlan::new(1));
+        assert!(!scene.renders_unchanged(mark, span));
+        // GC up to the span's start keeps it; past it, it may not.
+        let mark = scene.render_mark();
+        scene.retire_emissions_before(span.from, ms(50));
+        assert!(scene.renders_unchanged(mark, span));
+        scene.retire_emissions_before(span.from + ms(1), ms(50));
+        assert!(!scene.renders_unchanged(mark, span));
+        // A clone is another scene: its marks and the original's differ.
+        let clone = scene.clone();
+        let later = win(900, 150);
+        assert!(!clone.renders_unchanged(scene.render_mark(), later));
+        assert!(clone.renders_unchanged(clone.render_mark(), later));
+    }
+
+    #[test]
+    fn tone_memo_shares_arrays_and_drops_unheld_tones() {
+        let mut scene = Scene::quiet(SR);
+        let ms = Duration::from_millis;
+        let a = Tone::new(900.0, ms(50), 0.01);
+        let b = Tone::new(900.0, ms(60), 0.01);
+        assert_eq!(
+            scene.add_tone(Pos::ORIGIN, ms(0), &a, "x"),
+            a.render(SR).duration()
+        );
+        scene.add_tone(Pos::ORIGIN, ms(100), &b, "y");
+        scene.add_tone(Pos::ORIGIN, ms(500), &a, "x");
+        let e = scene.emissions();
+        assert!(Arc::ptr_eq(&e[0].signal, &e[2].signal));
+        assert_eq!(e[1].signal.samples(), b.render(SR).samples());
+        assert_eq!(scene.tones.len(), 2);
+        // The first two emissions retire; `b` goes with them, `a` stays
+        // held by the third.
+        assert_eq!(scene.retire_emissions_before(ms(400), ms(10)), 2);
+        assert_eq!(scene.tones.len(), 1);
+        scene.add_tone(Pos::ORIGIN, ms(600), &a, "x");
+        let e = scene.emissions();
+        assert!(Arc::ptr_eq(&e[0].signal, &e[1].signal));
     }
 
     #[test]

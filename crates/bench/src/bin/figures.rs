@@ -8,7 +8,8 @@
 //!
 //! Prints the series each figure plots and writes CSV/JSON under
 //! `results/`. Every file there is deterministic; Figure 2b's wall-clock
-//! FFT latencies go to `BENCH_fig2b.json` at the workspace root instead.
+//! FFT latencies go to `BENCH_fig2b.json` instead. Both paths are
+//! relative to the working directory: run from the workspace root.
 //!
 //! Each figure also checks the paper's verdict it reproduces (recall 1.0,
 //! the heavy slot flagged, both fan rooms separated, ...). The outputs are
@@ -161,8 +162,9 @@ fn run_fig2b() {
         r.fraction_under_paper_0_35ms
     );
     // Wall-clock timings differ run to run, so they stay out of the
-    // byte-reproducible `results/`.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fig2b.json");
+    // byte-reproducible `results/`. Like `results/`, the file lands in the
+    // working directory, so a run writes into the checkout it runs from.
+    let path = "BENCH_fig2b.json";
     let json = serde_json::to_string_pretty(&r).expect("serialize fig2b");
     std::fs::write(path, json + "\n").expect("write BENCH_fig2b.json");
 }

@@ -33,7 +33,7 @@
 //! Captures go through the windowed render path, so each listening tick
 //! costs O(window) regardless of elapsed scene time.
 
-use crate::controller::{merge_event_streams, MdnController, MdnEvent};
+use crate::controller::{merge_event_streams, MdnController, MdnEvent, PreRoll};
 pub use crate::controller::{CellId, ShardEvent};
 use crate::detector::{DetectorConfig, FrameMagnitudes};
 use crate::encoder::{EmitError, SoundingDevice};
@@ -944,6 +944,8 @@ fn emit_worst_case(
 #[derive(Debug)]
 pub struct ShardedController {
     controllers: Vec<MdnController>,
+    /// Each cell's carried pre-roll render, for the loop's next listen.
+    pre_rolls: Vec<Option<PreRoll>>,
     reuse_factor: f64,
     threads: usize,
     obs_cell_events: Vec<Counter>,
@@ -961,6 +963,7 @@ impl ShardedController {
             .map(|_| Counter::disabled())
             .collect();
         Self {
+            pre_rolls: controllers.iter().map(|_| None).collect(),
             controllers,
             reuse_factor: plan.reuse_factor(),
             threads: 0,
@@ -988,6 +991,7 @@ impl ShardedController {
         self.controllers = (0..plan.cells().len())
             .map(|c| plan.controller_for(c))
             .collect();
+        self.pre_rolls.fill_with(|| None);
         self.reuse_factor = plan.reuse_factor();
         if let Some(registry) = self.obs_registry.clone() {
             // Re-attach so rebuilt controllers keep feeding the same
@@ -1063,32 +1067,41 @@ impl ShardedController {
     /// sequentially by [`merge_event_streams`], so the result is
     /// bit-identical for any thread count.
     pub fn listen(&self, scene: &Scene, w: Window) -> Vec<ShardEvent> {
-        let per_cell = self.per_cell(|ctl| ctl.listen(scene, w));
+        let mut unit = vec![(); self.controllers.len()];
+        let per_cell = self.per_cell(&mut unit, |ctl, ()| ctl.listen(scene, w));
         self.merge(per_cell)
     }
 
     /// [`Self::listen`] plus each cell's ambient-retune analysis of `w`,
     /// cut from the cell's one listen render inside the same shard
     /// worker (see [`MdnController::listen_and_analyze`]). `None` for a
-    /// cell with no bindings.
+    /// cell with no bindings. Each cell carries the tail of its render to
+    /// its next call as that listen's pre-roll; [`Self::apply_plan`]
+    /// drops the carried tails.
     pub(crate) fn listen_and_analyze(
-        &self,
+        &mut self,
         scene: &Scene,
         w: Window,
     ) -> (Vec<ShardEvent>, Vec<Option<FrameMagnitudes>>) {
+        let mut pre_rolls = std::mem::take(&mut self.pre_rolls);
         let (per_cell, analyses) = self
-            .per_cell(|ctl| ctl.listen_and_analyze(scene, w))
+            .per_cell(&mut pre_rolls, |ctl, pre_roll| {
+                ctl.listen_and_analyze(scene, w, pre_roll)
+            })
             .into_iter()
             .unzip();
+        self.pre_rolls = pre_rolls;
         (self.merge(per_cell), analyses)
     }
 
-    /// `listen_one` over every cell that has bindings, in cell order,
-    /// fanned over the shard workers; an evacuated cell's controller has
-    /// no bindings (and no detector), so it yields the default.
-    fn per_cell<T: Default + Send>(
+    /// `listen_one` over every cell that has bindings, with that cell's
+    /// entry of `state`, in cell order, fanned over the shard workers; an
+    /// evacuated cell's controller has no bindings (and no detector), so
+    /// it yields the default.
+    fn per_cell<S: Send, T: Default + Send>(
         &self,
-        listen_one: impl Fn(&MdnController) -> T + Sync,
+        state: &mut [S],
+        listen_one: impl Fn(&MdnController, &mut S) -> T + Sync,
     ) -> Vec<T> {
         let n = self.controllers.len();
         let mut per_cell: Vec<T> = Vec::with_capacity(n);
@@ -1101,30 +1114,31 @@ impl ShardedController {
         }
         .clamp(1, n.max(1));
 
-        let listen_one = |ctl: &MdnController| -> T {
+        let listen_one = |ctl: &MdnController, state: &mut S| -> T {
             if ctl.bindings().is_empty() {
                 T::default()
             } else {
-                listen_one(ctl)
+                listen_one(ctl, state)
             }
         };
 
         if workers <= 1 {
-            for (ctl, out) in self.controllers.iter().zip(per_cell.iter_mut()) {
-                *out = listen_one(ctl);
+            for ((ctl, state), out) in self.controllers.iter().zip(state).zip(&mut per_cell) {
+                *out = listen_one(ctl, state);
             }
         } else {
             let chunk = n.div_ceil(workers);
             let listen_one = &listen_one;
             std::thread::scope(|s| {
-                for (ctls, outs) in self
+                for ((ctls, states), outs) in self
                     .controllers
                     .chunks(chunk)
+                    .zip(state.chunks_mut(chunk))
                     .zip(per_cell.chunks_mut(chunk))
                 {
                     s.spawn(move || {
-                        for (ctl, out) in ctls.iter().zip(outs.iter_mut()) {
-                            *out = listen_one(ctl);
+                        for ((ctl, state), out) in ctls.iter().zip(states).zip(outs) {
+                            *out = listen_one(ctl, state);
                         }
                     });
                 }

@@ -11,7 +11,7 @@ use crate::detector::{DetectorConfig, FrameMagnitudes, ToneDetector, ToneObserva
 use crate::freqplan::FrequencySet;
 use mdn_acoustics::medium::Pos;
 use mdn_acoustics::mic::Microphone;
-use mdn_acoustics::scene::Scene;
+use mdn_acoustics::scene::{RenderMark, Scene};
 use mdn_audio::signal::{duration_to_samples, Window};
 use mdn_audio::Signal;
 use mdn_obs::{Counter, Registry};
@@ -23,6 +23,45 @@ use std::time::Duration;
 /// that ended more than this before a capture can never influence it —
 /// the bound an event loop's scene garbage collection builds on.
 pub const LISTEN_PRE_ROLL: Duration = Duration::from_millis(150);
+
+/// The pre-roll span of a listen of `w`: the [`LISTEN_PRE_ROLL`] before
+/// it, clamped at scene start.
+fn pre_roll_span(w: Window) -> Window {
+    let len = LISTEN_PRE_ROLL.min(w.from);
+    Window::new(w.from - len, len)
+}
+
+/// The pressure a cell's loop listen rendered over the next listen's
+/// pre-roll span, and the scene state it was rendered in. The next
+/// listen prepends it to a render of its own window alone when the scene
+/// proves the span unchanged ([`Scene::renders_unchanged`]); a render is
+/// time-functional, so the joined buffer is the bytes of one pre-rolled
+/// render.
+#[derive(Debug)]
+pub(crate) struct PreRoll {
+    mark: RenderMark,
+    span: Window,
+    samples: Signal,
+}
+
+impl PreRoll {
+    /// The tail of `pressure`, a render of `[from, w.end())` taken at
+    /// `mark`, that the listen of the window after `w` opens with; `None`
+    /// when `pressure` starts too late to hold it.
+    fn keep(mark: RenderMark, pressure: &Signal, from: Duration, w: Window) -> Option<Self> {
+        let span = pre_roll_span(Window::new(w.end(), Duration::ZERO));
+        if span.from < from {
+            return None;
+        }
+        let sr = pressure.sample_rate();
+        let skip = duration_to_samples(span.from, sr) - duration_to_samples(from, sr);
+        Some(Self {
+            mark,
+            span,
+            samples: pressure.slice(skip, pressure.len()),
+        })
+    }
+}
 
 /// A device the controller listens for.
 #[derive(Debug, Clone)]
@@ -64,6 +103,7 @@ pub struct MdnController {
     /// `rebuild` can re-instrument freshly constructed detectors.
     obs_registry: Registry,
     obs_events: Counter,
+    obs_pre_roll_carried: Counter,
 }
 
 impl MdnController {
@@ -79,16 +119,20 @@ impl MdnController {
             candidate_map: Vec::new(),
             obs_registry: Registry::disabled(),
             obs_events: Counter::disabled(),
+            obs_pre_roll_carried: Counter::disabled(),
         }
     }
 
     /// Register the controller's metrics with an observability registry:
-    /// `mdn_events_decoded_total` and the detector's counters and stage
-    /// spans (kept attached across [`MdnController::set_config`] /
-    /// [`MdnController::bind_device`] rebuilds).
+    /// `mdn_events_decoded_total`, `mdn_listen_pre_roll_carried_total`
+    /// (loop listens that reused the previous window's pre-roll render)
+    /// and the detector's counters and stage spans (kept attached across
+    /// [`MdnController::set_config`] / [`MdnController::bind_device`]
+    /// rebuilds).
     pub fn attach_obs(&mut self, registry: &Registry) {
         self.obs_registry = registry.clone();
         self.obs_events = registry.counter("mdn_events_decoded_total", &[]);
+        self.obs_pre_roll_carried = registry.counter("mdn_listen_pre_roll_carried_total", &[]);
         if let Some(det) = &mut self.detector {
             det.attach_obs(registry);
         }
@@ -184,11 +228,17 @@ impl MdnController {
     /// Decode a captured signal into device events. Times are relative to
     /// the start of the capture.
     pub fn decode(&self, capture: &Signal) -> Vec<MdnEvent> {
+        self.decode_from(capture, Duration::ZERO)
+    }
+
+    /// [`Self::decode`] of the events at or after `from` alone
+    /// ([`ToneDetector::detect_from`]).
+    fn decode_from(&self, capture: &Signal, from: Duration) -> Vec<MdnEvent> {
         let Some(det) = &self.detector else {
             return Vec::new();
         };
         let events: Vec<MdnEvent> = det
-            .detect(capture)
+            .detect_from(capture, from)
             .into_iter()
             .map(|o| self.to_event(o))
             .collect();
@@ -206,50 +256,67 @@ impl MdnController {
     /// neighbouring-frame gate can suppress the offset splatter instead of
     /// reporting a ghost event. Without the pre-roll, windowed listeners
     /// (the 300 ms tick loops of §6) see phantom tones at window
-    /// boundaries.
+    /// boundaries. The bank runs over the pre-roll only as far as that
+    /// gate reads it: from the frame before the window's first onward.
     ///
     /// The self-healing loop listens through a variant that also returns
-    /// the ambient retune's analysis of `w`, cut from this same render
-    /// (see [`crate::selfheal::SelfHealingController::tick`]); this call
-    /// renders, captures and decodes only.
+    /// the ambient retune's analysis of `w`, cut from this same render,
+    /// and that carries each window's pre-roll render over from the
+    /// window before (see [`crate::selfheal::SelfHealingController::tick`]);
+    /// both give this call's events. This call renders the whole span,
+    /// captures and decodes.
     pub fn listen(&self, scene: &Scene, w: Window) -> Vec<MdnEvent> {
-        self.listen_rendered(scene, w).0
+        let span = pre_roll_span(w);
+        let pressure = scene.render_window(self.pos, Window::new(span.from, span.len + w.len));
+        self.decode_listen(&pressure, span)
     }
 
     /// [`Self::listen`] plus the ambient retune's analysis of `w` alone,
-    /// from the one render. A render of `[w.from, w.end())` is
-    /// byte-identical to that span of the pre-rolled render, so the
-    /// span is sliced out, captured from zero state and analysed: the
-    /// same bytes a separate capture of `w` would give. `None` until a
-    /// device is bound.
+    /// from the one render, with the pre-roll render carried between
+    /// consecutive calls in `pre_roll`. When the carried span is the one
+    /// this listen needs and the scene proves it unchanged, only `w` is
+    /// rendered and appended to it; otherwise the whole span is. A render
+    /// of `[w.from, w.end())` is byte-identical to that span of the
+    /// pre-rolled render, so the span is sliced out, captured from zero
+    /// state and analysed: the same bytes a separate capture of `w` would
+    /// give. The analysis is `None` until a device is bound.
     pub(crate) fn listen_and_analyze(
         &self,
         scene: &Scene,
         w: Window,
+        pre_roll: &mut Option<PreRoll>,
     ) -> (Vec<MdnEvent>, Option<FrameMagnitudes>) {
-        let (events, pressure, offset) = self.listen_rendered(scene, w);
+        let span = pre_roll_span(w);
+        let mark = scene.render_mark();
+        let pressure = match pre_roll.take() {
+            Some(carried)
+                if carried.span == span && scene.renders_unchanged(carried.mark, span) =>
+            {
+                self.obs_pre_roll_carried.inc();
+                let mut pressure = carried.samples;
+                scene.extend_render(self.pos, w, &mut pressure);
+                pressure
+            }
+            _ => scene.render_window(self.pos, Window::new(span.from, span.len + w.len)),
+        };
+        let events = self.decode_listen(&pressure, span);
+        let sr = scene.sample_rate();
+        let offset = duration_to_samples(w.from, sr) - duration_to_samples(span.from, sr);
         let own = pressure.slice(offset, pressure.len());
-        (events, self.analyze(&self.mic.capture(&own)))
+        let analysis = self.analyze(&self.mic.capture(&own));
+        *pre_roll = PreRoll::keep(mark, &pressure, span.from, w);
+        (events, analysis)
     }
 
-    /// The listen of `w`: its decoded events, the pre-rolled pressure
-    /// render they came from, and the sample offset of `w.from` in it.
-    fn listen_rendered(&self, scene: &Scene, w: Window) -> (Vec<MdnEvent>, Signal, usize) {
-        let pre_roll = LISTEN_PRE_ROLL.min(w.from);
-        let start = w.from - pre_roll;
-        let pressure = scene.render_window(self.pos, Window::new(start, w.len + pre_roll));
-        let events = self
-            .decode(&self.mic.capture(&pressure))
-            .into_iter()
-            .filter(|e| e.time >= pre_roll)
-            .map(|mut e| {
-                e.time += start;
-                e
-            })
-            .collect();
-        let sr = scene.sample_rate();
-        let offset = duration_to_samples(w.from, sr) - duration_to_samples(start, sr);
-        (events, pressure, offset)
+    /// The events of `pressure`, a render of `span` followed by the
+    /// listened window: captured whole, decoded from the window's start,
+    /// with scene-absolute times.
+    fn decode_listen(&self, pressure: &Signal, span: Window) -> Vec<MdnEvent> {
+        let mut events = self.decode_from(&self.mic.capture(pressure), span.len);
+        for e in &mut events {
+            e.time += span.from;
+        }
+        events
     }
 
     fn to_event(&self, o: ToneObservation) -> MdnEvent {

@@ -20,7 +20,12 @@
 //!   after it (see `FrameGrid`);
 //! * the steady-state loop performs **no allocation** per frame — the
 //!   bank's scratch is reused, and the zero-padded tail frame needs no
-//!   copy.
+//!   copy;
+//! * the bank and the segments' turns are built once per detector and
+//!   sample rate, not per capture;
+//! * [`ToneDetector::detect_from`] skips the frames a caller would
+//!   discard: it analyses only the first reported frame's neighbour and
+//!   the frames after it.
 //!
 //! The bank is bit-for-bit the per-candidate [`Goertzel`] filter. A frame
 //! row is a sum of segments rather than one recurrence, so it stays within
@@ -41,7 +46,9 @@ use mdn_audio::goertzel::{GoertzelBank, GoertzelState};
 use mdn_audio::signal::duration_to_samples;
 use mdn_audio::Signal;
 use mdn_obs::{Counter, Histogram, Registry};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Detection parameters.
@@ -217,6 +224,24 @@ impl FrameGrid {
     }
 }
 
+/// What a detector's frame analysis needs at one sample rate, built once:
+/// the Goertzel bank over its candidates and, per frame segment, the turn
+/// by the samples after it in the frame (row-major, segments × candidates).
+#[derive(Debug, Clone)]
+struct BankPlan {
+    sample_rate: u32,
+    bank: GoertzelBank,
+    turns: Vec<(f64, f64)>,
+}
+
+/// The magnitude rows of frames `first_row..grid.n_frames` of a capture.
+struct FrameRows {
+    grid: FrameGrid,
+    first_row: usize,
+    /// Row-major `(n_frames − first_row) × candidates`.
+    mags: Vec<f64>,
+}
+
 /// Registry handles for the detector's counters and stage spans; disabled
 /// (free) by default. Cells decoding on parallel listen workers share one
 /// registry, which the atomic handles make safe; histograms are resolved
@@ -255,6 +280,13 @@ impl FrameMagnitudes {
 }
 
 /// A multi-frequency tone detector.
+///
+/// The Goertzel bank over its candidates and the frame segments' turns
+/// are built on the first analysis and reused by every later one at the
+/// same sample rate. [`Self::detect`] decodes a whole capture;
+/// [`Self::detect_from`] decodes the frames from an offset on, with the
+/// same bytes, and runs the bank over no frame it would drop except the
+/// one neighbour its relative gate reads.
 #[derive(Debug, Clone)]
 pub struct ToneDetector {
     config: DetectorConfig,
@@ -266,6 +298,9 @@ pub struct ToneDetector {
     /// floors used to be literal zeros, which silently reduced
     /// `min_snr` to a no-op.
     noise_floor: Vec<f64>,
+    /// The bank and turns for the first sample rate analysed; another
+    /// rate builds its own per call.
+    plan: OnceLock<BankPlan>,
     obs: DetectorObs,
 }
 
@@ -294,6 +329,7 @@ impl ToneDetector {
             config,
             candidates,
             noise_floor: vec![floor; n],
+            plan: OnceLock::new(),
             obs: DetectorObs::default(),
         }
     }
@@ -348,11 +384,11 @@ impl ToneDetector {
     /// zero the floors and quietly disarm the SNR gate.
     pub fn calibrate(&mut self, noise_only: &Signal) {
         let min = self.floor_min();
-        let (grid, mags) = self.frame_magnitudes(noise_only);
+        let rows = self.frame_magnitudes(noise_only, Duration::ZERO);
         let k = self.candidates.len();
         for (c, floor) in self.noise_floor.iter_mut().enumerate() {
-            *floor = (0..grid.n_frames)
-                .map(|fi| mags[fi * k + c])
+            *floor = (0..rows.grid.n_frames)
+                .map(|fi| rows.mags[fi * k + c])
                 .fold(min, f64::max);
         }
     }
@@ -386,10 +422,10 @@ impl ToneDetector {
     /// [`Self::detect`] without the thresholding: ambient trackers use it
     /// to watch the slots that *didn't* fire.
     pub fn analyze(&self, signal: &Signal) -> FrameMagnitudes {
-        let (grid, magnitudes) = self.frame_magnitudes(signal);
+        let FrameRows { grid, mags, .. } = self.frame_magnitudes(signal, Duration::ZERO);
         FrameMagnitudes {
             times: (0..grid.n_frames).map(|fi| grid.time(fi)).collect(),
-            magnitudes,
+            magnitudes: mags,
             candidates: self.candidates.len(),
         }
     }
@@ -405,26 +441,62 @@ impl ToneDetector {
         FrameGrid::new(frame_len, hop, n_frames, sample_rate)
     }
 
-    /// The magnitude matrix (`n_frames × candidates`, row-major) for every
-    /// frame of `signal`. Each segment of the grid runs through the Goertzel
-    /// bank once; a frame's response is the sum, in offset order, of its
-    /// segments' responses, each turned by the samples that follow it in the
-    /// frame. A segment past the end of the capture is zero, and the one
-    /// the end cuts short is turned by its missing samples, which is the
-    /// zero-padded tail. Since every frame has the same cuts, the same
-    /// turns and the same order of addition, a complete frame's row depends
-    /// only on that frame's samples.
-    fn frame_magnitudes(&self, signal: &Signal) -> (FrameGrid, Vec<f64>) {
+    /// The bank and segment turns at `grid`'s sample rate: built on the
+    /// first analysis and kept, or built for this call at another rate.
+    fn plan(&self, grid: &FrameGrid) -> Cow<'_, BankPlan> {
+        let build = || {
+            let bank = GoertzelBank::new(&self.candidates, grid.sample_rate);
+            let turns = grid.cuts[1..]
+                .iter()
+                .flat_map(|&end| bank.phasors(grid.frame_len - end))
+                .collect();
+            BankPlan {
+                sample_rate: grid.sample_rate,
+                bank,
+                turns,
+            }
+        };
+        let plan = self.plan.get_or_init(build);
+        if plan.sample_rate == grid.sample_rate {
+            Cow::Borrowed(plan)
+        } else {
+            Cow::Owned(build())
+        }
+    }
+
+    /// The magnitude rows (`candidates` wide, row-major) of the frames of
+    /// `signal` from the neighbour of the first frame starting at or after
+    /// `from` onward. Each segment of those frames runs through the
+    /// Goertzel bank once; a frame's response is the sum, in offset order,
+    /// of its segments' responses, each turned by the samples that follow
+    /// it in the frame. A segment past the end of the capture is zero, and
+    /// the one the end cuts short is turned by its missing samples, which
+    /// is the zero-padded tail. Since every frame has the same cuts, the
+    /// same turns and the same order of addition, a complete frame's row
+    /// depends only on that frame's samples, and every row is bit-for-bit
+    /// the row of a whole-capture analysis.
+    fn frame_magnitudes(&self, signal: &Signal, from: Duration) -> FrameRows {
         let _span = self.obs.goertzel_span.start_span();
-        let sr = signal.sample_rate();
         let samples = signal.samples();
-        let grid = self.grid(samples.len(), sr);
+        let grid = self.grid(samples.len(), signal.sample_rate());
+        let first_kept = (0..grid.n_frames)
+            .find(|&fi| grid.time(fi) >= from)
+            .unwrap_or(grid.n_frames);
+        // The first kept frame's relative gate reads its left neighbour.
+        let first_row = if first_kept == grid.n_frames {
+            first_kept
+        } else {
+            first_kept.saturating_sub(1)
+        };
         let k = self.candidates.len();
-        let bank = GoertzelBank::new(&self.candidates, sr);
+        let first_segment = first_row * grid.per_hop;
+        let plan = self.plan(&grid);
+        let bank = &plan.bank;
         let mut state = GoertzelState::default();
-        let mut segments = vec![(0.0f64, 0.0f64); grid.n_segments() * k];
+        let n_segments = grid.n_segments().saturating_sub(first_segment);
+        let mut segments = vec![(0.0f64, 0.0f64); n_segments * k];
         for (s, row) in segments.chunks_mut(k).enumerate() {
-            let range = grid.segment(s);
+            let range = grid.segment(first_segment + s);
             if range.start >= samples.len() {
                 break;
             }
@@ -439,18 +511,13 @@ impl ToneDetector {
                 }
             }
         }
-        // The turn of frame segment `i`: the samples after it in the frame.
-        let phasors: Vec<(f64, f64)> = grid.cuts[1..]
-            .iter()
-            .flat_map(|&end| bank.phasors(grid.frame_len - end))
-            .collect();
         let len = grid.frame_len as f64;
-        let mut mags = vec![0.0f64; grid.n_frames * k];
+        let mut mags = vec![0.0f64; (grid.n_frames - first_row) * k];
         let mut acc = vec![(0.0f64, 0.0f64); k];
-        for (fi, row) in mags.chunks_mut(k).enumerate() {
+        for (r, row) in mags.chunks_mut(k).enumerate() {
             acc.fill((0.0, 0.0));
-            for (i, turns) in phasors.chunks(k).enumerate() {
-                let s = fi * grid.per_hop + i;
+            for (i, turns) in plan.turns.chunks(k).enumerate() {
+                let s = r * grid.per_hop + i;
                 for ((a, &y), &p) in acc.iter_mut().zip(&segments[s * k..][..k]).zip(turns) {
                     let (re, im) = turn(y, p);
                     *a = (a.0 + re, a.1 + im);
@@ -460,8 +527,12 @@ impl ToneDetector {
                 *m = re.hypot(im) * 2.0 / len;
             }
         }
-        self.obs.frames.add(grid.n_frames as u64);
-        (grid, mags)
+        self.obs.frames.add((grid.n_frames - first_row) as u64);
+        FrameRows {
+            grid,
+            first_row,
+            mags,
+        }
     }
 
     /// Goertzel detection: probe every candidate in every frame.
@@ -476,7 +547,20 @@ impl ToneDetector {
     ///   frame's strongest candidate (suppresses far sidelobes of loud
     ///   tones in partially-occupied frames).
     pub fn detect(&self, signal: &Signal) -> Vec<ToneObservation> {
-        let (grid, all_mags) = self.frame_magnitudes(signal);
+        self.detect_from(signal, Duration::ZERO)
+    }
+
+    /// [`Self::detect`] filtered to observations at or after `from`, bit
+    /// for bit, without the work for the frames it drops: only the first
+    /// kept frame's neighbour (which its relative gate reads) and the
+    /// frames after it run through the bank. A listen whose capture opens
+    /// with a context pre-roll decodes this way.
+    pub fn detect_from(&self, signal: &Signal, from: Duration) -> Vec<ToneObservation> {
+        let FrameRows {
+            grid,
+            first_row,
+            mags: all_mags,
+        } = self.frame_magnitudes(signal, from);
         let _span = self.obs.local_max_span.start_span();
         let k = self.candidates.len();
         // Candidate indices sorted by frequency, for local-max testing.
@@ -494,11 +578,16 @@ impl ToneDetector {
             .chunks(k.max(1))
             .map(|mags| mags.iter().cloned().fold(0.0, f64::max))
             .collect();
+        let rows = frame_maxes.len();
         let mut out = Vec::new();
-        for fi in 0..grid.n_frames {
-            let mags = &all_mags[fi * k..(fi + 1) * k];
+        for fi in first_row..grid.n_frames {
             let time = grid.time(fi);
-            let neighborhood_max = frame_maxes[fi.saturating_sub(1)..(fi + 2).min(grid.n_frames)]
+            if time < from {
+                continue;
+            }
+            let r = fi - first_row;
+            let mags = &all_mags[r * k..(r + 1) * k];
+            let neighborhood_max = frame_maxes[r.saturating_sub(1)..(r + 2).min(rows)]
                 .iter()
                 .cloned()
                 .fold(0.0, f64::max);
@@ -875,6 +964,51 @@ mod tests {
     }
 
     #[test]
+    fn detect_from_is_detect_filtered_bit_for_bit() {
+        // Offsets of 0, on a frame start, between frame starts and past
+        // the end, over captures cut to seeded lengths: `detect_from`
+        // must be `detect` filtered to `time >= from`, field by field.
+        let mut rng = mdn_obs::SplitMix64::new(31);
+        for sr in RATES {
+            let full = seeded_capture(sr, u64::from(sr) ^ 5);
+            for (frame_ms, hop_ms) in GRIDS {
+                for candidates in candidate_sets() {
+                    let det = ToneDetector::with_config(candidates, config(frame_ms, hop_ms));
+                    for _ in 0..3 {
+                        let len = 1 + (rng.next_u64() % full.len() as u64) as usize;
+                        let sig = full.slice(0, len);
+                        let all = det.detect(&sig);
+                        let grid = det.grid(len, sr);
+                        let mut offsets = vec![Duration::ZERO, sig.duration() * 2];
+                        for fi in 0..grid.n_frames {
+                            offsets.push(grid.time(fi));
+                            offsets.push(grid.time(fi) + Duration::from_nanos(1));
+                            offsets.push(grid.time(fi) + config(frame_ms, hop_ms).hop / 2);
+                        }
+                        let key = |o: &ToneObservation| {
+                            (
+                                o.time,
+                                o.candidate,
+                                o.freq_hz.to_bits(),
+                                o.magnitude.to_bits(),
+                            )
+                        };
+                        for from in offsets {
+                            let want: Vec<_> =
+                                all.iter().filter(|o| o.time >= from).map(key).collect();
+                            let got: Vec<_> = det.detect_from(&sig, from).iter().map(key).collect();
+                            assert_eq!(
+                                got, want,
+                                "{sr} Hz {frame_ms}/{hop_ms} ms, {len} samples, from {from:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn obs_counter_totals_match_the_decode() {
         let sig = busy_capture();
         let registry = mdn_obs::Registry::new();
@@ -976,9 +1110,9 @@ mod tests {
         let fm = det.analyze(&sig);
         assert_eq!(fm.candidates, 2);
         assert_eq!(fm.magnitudes.len(), fm.n_frames() * 2);
-        let (grid, raw) = det.frame_magnitudes(&sig);
-        assert_eq!(fm.n_frames(), grid.n_frames);
-        assert_eq!(fm.magnitudes, raw, "analyze must be the raw matrix");
+        let rows = det.frame_magnitudes(&sig, Duration::ZERO);
+        assert_eq!(fm.n_frames(), rows.grid.n_frames);
+        assert_eq!(fm.magnitudes, rows.mags, "analyze must be the raw matrix");
         assert_eq!(fm.times[0], Duration::ZERO);
         assert!(fm.frame(1).iter().all(|&m| m >= 0.0));
     }

@@ -134,8 +134,8 @@ impl SoundingDevice {
             duration: tone.duration(),
             level_spl: tone.intensity_db(),
         };
-        let signal = self.speaker.play(req, scene.sample_rate())?;
-        scene.add(self.pos, start, signal, self.name.clone());
+        let tone = self.speaker.shape(req)?;
+        scene.add_tone(self.pos, start, &tone, self.name.clone());
         Ok(())
     }
 
@@ -196,9 +196,8 @@ impl SoundingDevice {
                 duration: t.duration(),
                 level_spl: t.intensity_db(),
             };
-            let signal = self.speaker.play(req, scene.sample_rate())?;
-            let produced = signal.duration();
-            scene.add(self.pos, at, signal, self.name.clone());
+            let tone = self.speaker.shape(req)?;
+            let produced = scene.add_tone(self.pos, at, &tone, self.name.clone());
             at += produced + g;
         }
         Ok(at)
@@ -210,6 +209,8 @@ mod tests {
     use super::*;
     use crate::freqplan::FrequencyPlan;
     use mdn_audio::spectral::Spectrum;
+    use mdn_audio::Signal;
+    use std::sync::Arc;
 
     const SR: u32 = 44_100;
 
@@ -295,6 +296,70 @@ mod tests {
         assert!(matches!(err, EmitError::Tone(_)), "got {err:?}");
         assert!(err.to_string().contains("intensity out of range"));
         assert_eq!(scene.num_emissions(), 0);
+    }
+
+    /// The request the Pi hands its speaker for `freq` at `dur` and
+    /// `level`, after the MP frame's unit quantisation.
+    fn pi_request(freq: f64, dur: Duration, level: f64) -> ToneRequest {
+        let tone = MpTone::try_from_units(freq, dur, level).unwrap();
+        ToneRequest {
+            freq_hz: tone.freq_hz(),
+            duration: tone.duration(),
+            level_spl: tone.intensity_db(),
+        }
+    }
+
+    #[test]
+    fn memoized_emissions_equal_fresh_speaker_renders() {
+        // Repeated and interleaved (slot, duration, level) keys — one
+        // duration below the speaker floor, so two requests shape to one
+        // tone — through both emit paths, both speaker presets and three
+        // scene rates: every emission's samples are a fresh
+        // `Speaker::play`'s, bit for bit, and equal tones share one array.
+        let bits = |s: &Signal| s.samples().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let ms = Duration::from_millis;
+        for sr in [16_000, 44_100, 96_000] {
+            for speaker in [Speaker::cheap(), Speaker::ultrasound_capable()] {
+                let mut plan = FrequencyPlan::new(500.0, 5000.0, 20.0);
+                let mut a = SoundingDevice::new("a", plan.allocate("a", 3).unwrap(), Pos::ORIGIN);
+                let mut b = SoundingDevice::new("b", plan.allocate("b", 3).unwrap(), Pos::ORIGIN);
+                a.speaker = speaker.clone();
+                b.speaker = speaker.clone();
+                b.level_db = 70.0;
+                let mut scene = Scene::quiet(sr);
+                let mut want = Vec::new();
+                let schedule = [(0, 50), (1, 50), (0, 50), (0, 80), (2, 1), (2, 3), (1, 50)];
+                for (i, &(slot, dur)) in schedule.iter().enumerate() {
+                    let at = ms(100 * i as u64);
+                    for dev in [&mut a, &mut b] {
+                        dev.emit_slot(&mut scene, slot, at, ms(dur)).unwrap();
+                        want.push(pi_request(dev.set.freq(slot), ms(dur), dev.level_db));
+                    }
+                }
+                let melody = [2, 0, 2, 1];
+                a.emit_melody(&mut scene, &melody, ms(900), ms(40), ms(10))
+                    .unwrap();
+                want.extend(
+                    melody
+                        .iter()
+                        .map(|&slot| pi_request(a.set.freq(slot), ms(40), a.level_db)),
+                );
+                let emissions = scene.emissions();
+                assert_eq!(emissions.len(), want.len());
+                for (e, req) in emissions.iter().zip(&want) {
+                    let fresh = speaker.play(*req, sr).unwrap();
+                    assert_eq!(bits(&e.signal), bits(&fresh), "{sr} Hz {req:?}");
+                }
+                // Two emissions share an array exactly when the speaker
+                // shapes their requests to the same tone.
+                for (e, req) in emissions.iter().zip(&want) {
+                    for (f, other) in emissions.iter().zip(&want) {
+                        let same = speaker.shape(*req) == speaker.shape(*other);
+                        assert_eq!(Arc::ptr_eq(&e.signal, &f.signal), same, "{sr} Hz");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

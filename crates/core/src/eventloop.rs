@@ -390,7 +390,8 @@ impl UnifiedLoop {
                 ControlEvent::WindowBoundary => {
                     let w = Window::between(self.window_start, at);
                     let observe_started = self.trace.is_enabled().then(Instant::now);
-                    let (events, analyses) = self.heal.sharded().listen_and_analyze(&self.scene, w);
+                    let (events, analyses) =
+                        self.heal.sharded_mut().listen_and_analyze(&self.scene, w);
                     let observe_wall_ns =
                         observe_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
                     self.observed = Some(Observed {

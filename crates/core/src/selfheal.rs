@@ -350,10 +350,14 @@ impl SelfHealingController {
     ///
     /// Each cell renders its pre-rolled listen window once: the listen
     /// decodes it, and the ambient retune analyses the `w` span cut from
-    /// the same render, inside the same shard worker. The report and
-    /// every detector floor are byte-identical to
+    /// the same render, inside the same shard worker. Consecutive ticks
+    /// carry each cell's pre-roll render over: when `w` starts where the
+    /// last tick's window ended and the scene proves that span unchanged
+    /// ([`Scene::renders_unchanged`]), only `w` itself is rendered. The
+    /// report and every detector floor are byte-identical to
     /// [`ShardedController::listen`] followed by [`Self::heal_pass`],
-    /// which renders `w` a second time.
+    /// which renders the whole pre-rolled span and then `w` a second
+    /// time.
     pub fn tick(&mut self, scene: &Scene, w: Window, expected: &[String]) -> TickReport {
         let (events, analyses) = self.sharded.listen_and_analyze(scene, w);
         self.heal_analyzed(w, expected, events, analyses)

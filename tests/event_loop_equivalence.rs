@@ -35,6 +35,7 @@
 //! [`ScenarioSpec`]: mdn_core::scenario::ScenarioSpec
 
 use mdn_audio::signal::Window;
+use mdn_core::controller::LISTEN_PRE_ROLL;
 use mdn_core::scenario::{
     self, EmissionSpec, EmitSpec, FaultSpec, ScenarioBuilder, ScenarioSpec, TrafficSpec,
 };
@@ -163,68 +164,121 @@ proptest! {
 /// Consecutive heal windows in the shared-render property.
 const HEAL_WINDOWS: u64 = 5;
 
+/// Consecutive windows in the carried pre-roll property: enough for a
+/// dead mic's three missed ticks to evacuate its cell mid-run.
+const CARRY_WINDOWS: u64 = 8;
+
 /// A tick's report and every cell's detector floors (as bits) after it.
 type HealStep = (TickReport, Vec<Vec<u64>>);
 
-/// Drive `spec`'s hall over `HEAL_WINDOWS` consecutive windows — the
-/// first `first_ms` long, the rest `spec.window_ms` — emitting `emits`
-/// (`(window, permil, device, slot, dur_ms)`) plus one tone of device
-/// `edge_dev` at exactly each window's end. With `shared`, each window
-/// is one `tick`, which analyses the listen's own render; otherwise it
-/// is `sharded().listen` + `heal_pass`, which renders the window again,
-/// with the end-of-window tone added between the two halves.
-fn heal_run(
-    spec: &ScenarioSpec,
+/// What a [`heal_run`] schedules besides its windows.
+struct Drive<'a> {
+    /// The first window's length; the rest are `spec.window_ms` long.
     first_ms: u64,
-    emits: &[EmitSpec],
+    /// `(window, permil, device, slot, dur_ms)` tones.
+    emits: &'a [EmitSpec],
+    /// The device that sounds at exactly each window's end.
     edge_dev: usize,
-    shared: bool,
-) -> Vec<HealStep> {
+    /// Sound every device of cell 1 once per window, so a dead mic there
+    /// is evacuated mid-run.
+    starve_cell_1: bool,
+    /// Windows after whose heal a tone starts 40 ms before the boundary:
+    /// inside the span the next listen would carry.
+    late: &'a [u64],
+    /// Retire spent emissions after each window up to the next listen's
+    /// pre-roll, as `UnifiedLoop`'s GC does.
+    gc: bool,
+}
+
+/// Drive `spec`'s hall over `spec.windows` consecutive windows as `drive`
+/// schedules them. With `shared`, each window is one `tick`, which
+/// analyses the listen's own render and carries each cell's pre-roll
+/// render over from the window before; otherwise it is a fresh
+/// `sharded().listen` plus `heal_pass`, which renders the whole
+/// pre-rolled span and then the window again, with the end-of-window
+/// tone added between the two halves. Each step comes with how many cell
+/// listens reused their carried pre-roll.
+fn heal_run(spec: &ScenarioSpec, drive: &Drive, shared: bool) -> Vec<(HealStep, u64)> {
     let builder = ScenarioBuilder::new(spec).expect("spec validates");
     let mut scene = builder.scene(None).expect("scene builds");
     let mut heal = builder.heal();
-    let names: Vec<String> = builder.device_names().concat();
+    let registry = Registry::new();
+    heal.attach_obs(&registry);
+    let carried_total = || {
+        registry
+            .snapshot()
+            .counters
+            .get("mdn_listen_pre_roll_carried_total")
+            .copied()
+            .unwrap_or(0)
+    };
+    let cells = builder.device_names();
+    let names: Vec<String> = cells.concat();
+    let hall_m = spec.hall.cell.cell_pitch_m * spec.hall.cells as f64 + 10.0;
+    let gc_bound = Duration::from_secs_f64(hall_m / 343.0 + 0.1);
     let mut carried: Vec<String> = Vec::new();
     let mut from = Duration::ZERO;
     let mut out = Vec::new();
-    for t in 0..HEAL_WINDOWS {
-        let len = Duration::from_millis(if t == 0 { first_ms } else { spec.window_ms });
+    for t in 0..spec.windows {
+        let ms = if t == 0 {
+            drive.first_ms
+        } else {
+            spec.window_ms
+        };
+        let len = Duration::from_millis(ms);
         let w = Window::new(from, len);
         let mut expected = std::mem::take(&mut carried);
-        let mut tones: Vec<(Duration, usize, usize, Duration)> = emits
+        let mut tones: Vec<(Duration, String, usize, Duration)> = drive
+            .emits
             .iter()
             .filter(|e| e.window == t)
             .map(|e| {
                 let at = from + len * e.permil as u32 / 1000;
-                (
-                    at,
-                    e.dev % names.len(),
-                    e.slot,
-                    Duration::from_millis(e.dur_ms),
-                )
+                let name = names[e.dev % names.len()].clone();
+                (at, name, e.slot, Duration::from_millis(e.dur_ms))
             })
             .collect();
+        if drive.starve_cell_1 {
+            for (i, name) in cells[1].iter().enumerate() {
+                let at = from + Duration::from_millis(30 + 40 * i as u64);
+                tones.push((at, name.clone(), 1, Duration::from_millis(60)));
+            }
+        }
         tones.sort_by_key(|tone| tone.0);
-        for (at, dev, slot, dur) in tones {
-            let mut d = heal.plan().sounding_device(&names[dev]).expect("device");
-            let _ = d.emit_slot(&mut scene, slot, at, dur);
-            expected.push(names[dev].clone());
+        for (at, name, slot, dur) in tones {
+            if let Some(mut d) = heal.plan().sounding_device(&name) {
+                let _ = d.emit_slot(&mut scene, slot, at, dur);
+                expected.push(name);
+            }
         }
         // A tone at exactly `w.end()` starts no sample of `w`; it is the
-        // next window's evidence.
-        let edge = names[edge_dev % names.len()].clone();
+        // next window's evidence. It plays from the plan the window was
+        // listened under, evacuated after it or not.
+        let edge = names[drive.edge_dev % names.len()].clone();
+        let mut edge_dev = heal.plan().sounding_device(&edge).expect("device");
+        let edge_tone = Duration::from_millis(60);
+        let before = carried_total();
         let report = if shared {
             let report = heal.tick(&scene, w, &expected);
-            let mut d = heal.plan().sounding_device(&edge).expect("device");
-            let _ = d.emit_slot(&mut scene, 0, w.end(), Duration::from_millis(60));
+            let _ = edge_dev.emit_slot(&mut scene, 0, w.end(), edge_tone);
             report
         } else {
             let events = heal.sharded().listen(&scene, w);
-            let mut d = heal.plan().sounding_device(&edge).expect("device");
-            let _ = d.emit_slot(&mut scene, 0, w.end(), Duration::from_millis(60));
+            let _ = edge_dev.emit_slot(&mut scene, 0, w.end(), edge_tone);
             heal.heal_pass(&scene, w, &expected, events)
         };
+        let reused = carried_total() - before;
         carried.push(edge);
+        if drive.late.contains(&t) {
+            let name = &names[(t as usize + 1) % names.len()];
+            if let Some(mut d) = heal.plan().sounding_device(name) {
+                let at = w.end() - Duration::from_millis(40);
+                let _ = d.emit_slot(&mut scene, 2, at, Duration::from_millis(60));
+            }
+        }
+        if drive.gc {
+            scene.retire_emissions_before(w.end().saturating_sub(LISTEN_PRE_ROLL), gc_bound);
+        }
         let floors = heal
             .sharded()
             .controllers()
@@ -235,10 +289,33 @@ fn heal_run(
                     .unwrap_or_default()
             })
             .collect();
-        out.push((report, floors));
+        out.push(((report, floors), reused));
         from = w.end();
     }
     out
+}
+
+/// Hold a shared run to the fresh reference, window by window, and check
+/// how many cells reused their carried pre-roll in each: every live cell,
+/// except in the first window, after a tone landed inside the carried
+/// span (`late`) and after an evacuation rebuilt the cells, where none.
+fn check_shared_run(
+    shared: &[(HealStep, u64)],
+    reference: &[(HealStep, u64)],
+    cells: u64,
+    late: &[u64],
+) -> Result<(), String> {
+    let replanned = |t: usize| shared[t].0 .0.replanned.is_some();
+    for (t, ((step, reused), (want, _))) in shared.iter().zip(reference).enumerate() {
+        prop_assert_eq!(step, want, "window {} diverged from the fresh listen", t);
+        let invalidated = t
+            .checked_sub(1)
+            .is_none_or(|p| late.contains(&(p as u64)) || replanned(p));
+        let live = cells - (0..t).filter(|&p| replanned(p)).count() as u64;
+        let want_reused = if invalidated { 0 } else { live };
+        prop_assert_eq!(*reused, want_reused, "window {}: carried pre-rolls", t);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -296,20 +373,109 @@ proptest! {
                 ..FaultSpec::default()
             }],
         };
+        let drive = Drive {
+            first_ms,
+            emits: &emits,
+            edge_dev,
+            starve_cell_1: false,
+            late: &[],
+            gc: false,
+        };
 
         spec.selfheal.threads = 1;
-        let reference = heal_run(&spec, first_ms, &emits, edge_dev, false);
+        let reference = heal_run(&spec, &drive, false);
         for threads in [0usize, 1, 4] {
             spec.selfheal.threads = threads;
-            let shared = heal_run(&spec, first_ms, &emits, edge_dev, true);
-            prop_assert_eq!(
-                &shared, &reference,
-                "shared render diverged from the re-render (threads={})", threads
-            );
+            let shared = heal_run(&spec, &drive, true);
+            check_shared_run(&shared, &reference, 2, &[])
+                .map_err(|e| format!("threads={threads}: {e}"))?;
         }
         prop_assert!(
-            reference.iter().any(|(r, _)| !r.events.is_empty()),
+            reference.iter().any(|((r, _), _)| !r.events.is_empty()),
             "the schedule decoded something"
         );
+    }
+
+    /// `tick` carries each cell's pre-roll render from one window to the
+    /// next and renders only the new window; a fresh `listen` renders the
+    /// whole pre-rolled span every time. Over consecutive windows with
+    /// tones at the boundaries, scene GC, each fault plan and (under a
+    /// dead mic) an evacuation mid-run, both give the same reports and
+    /// bit-identical detector floors for shard threads 0, 1 and 4. A tone
+    /// that lands inside the carried span makes the next listen render
+    /// the whole span again.
+    #[test]
+    fn carried_pre_roll_tick_matches_fresh_listen(
+        seed in any::<u64>(),
+        win_ms in 150u64..350,
+        raw_emits in prop::collection::vec(
+            (0u64..CARRY_WINDOWS, 0u64..1000, 0usize..4, 0usize..3, 40u64..120),
+            3..12,
+        ),
+        edge_dev in 0usize..4,
+        late in prop::collection::vec(0u64..CARRY_WINDOWS - 1, 1..3),
+    ) {
+        let emits: Vec<EmitSpec> = raw_emits
+            .into_iter()
+            .map(|(window, permil, dev, slot, dur_ms)| EmitSpec { window, permil, dev, slot, dur_ms })
+            .collect();
+        let total_ms = win_ms * CARRY_WINDOWS;
+        for kind_sel in 0..4 {
+            let mut spec = ScenarioSpec::small_hall(2, 2, 3, "office");
+            spec.seed = seed;
+            spec.window_ms = win_ms;
+            spec.windows = CARRY_WINDOWS;
+            spec.faults = match kind_sel {
+                0 => vec![],
+                1 => vec![FaultSpec {
+                    kind: "mic_dead".into(),
+                    cell: Some(1),
+                    at_ms: win_ms,
+                    until_ms: Some(total_ms),
+                    ..FaultSpec::default()
+                }],
+                2 => vec![FaultSpec {
+                    kind: "noise_burst".into(),
+                    level_db: Some(60.0),
+                    at_ms: win_ms / 2,
+                    until_ms: Some(win_ms * 3),
+                    ..FaultSpec::default()
+                }],
+                _ => vec![FaultSpec {
+                    kind: "speaker_dropout".into(),
+                    device: Some("c0-s0".into()),
+                    at_ms: win_ms,
+                    until_ms: Some(win_ms * 4),
+                    ..FaultSpec::default()
+                }],
+            };
+            let drive = Drive {
+                first_ms: win_ms,
+                emits: &emits,
+                edge_dev,
+                starve_cell_1: kind_sel == 1,
+                late: &late,
+                gc: true,
+            };
+
+            spec.selfheal.threads = 1;
+            let fresh = heal_run(&spec, &drive, false);
+            for threads in [0usize, 1, 4] {
+                spec.selfheal.threads = threads;
+                let carried = heal_run(&spec, &drive, true);
+                check_shared_run(&carried, &fresh, 2, &late)
+                    .map_err(|e| format!("fault {kind_sel}, threads={threads}: {e}"))?;
+            }
+            prop_assert!(
+                fresh.iter().any(|((r, _), _)| !r.events.is_empty()),
+                "the schedule decoded something"
+            );
+            if drive.starve_cell_1 {
+                prop_assert!(
+                    fresh.iter().any(|((r, _), _)| r.replanned == Some(1)),
+                    "the dead mic's cell was evacuated mid-run"
+                );
+            }
+        }
     }
 }
