@@ -25,6 +25,14 @@
 //! double as the CI scenario matrix; `src/bin/scenario.rs` is the CLI
 //! front-end (`cargo run --release --bin scenario -- scenarios/<f>.json`,
 //! or `--fuzz N --seed S`).
+//!
+//! Specs are input: outside tests no code here may `unwrap`, `expect` or
+//! `panic!`; each failure is a typed [`ScenarioError`].
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod builder;
 pub mod fuzz;

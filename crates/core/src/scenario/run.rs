@@ -13,7 +13,7 @@
 //! BENCH-compatible summary JSON, and the spec's `expect` gates.
 
 use super::builder::ScenarioBuilder;
-use super::spec::{ScenarioError, ScenarioSpec};
+use super::spec::{Pattern, ScenarioError, ScenarioSpec};
 use crate::controller::ShardEvent;
 use crate::eventloop::Step;
 use crate::selfheal::TickReport;
@@ -91,6 +91,10 @@ pub struct ScenarioOutcome {
     pub availability: f64,
     /// Wall-clock runtime of the stepping loop, seconds.
     pub wall_seconds: f64,
+    /// Switches in the packet fabric.
+    pub network_switches: usize,
+    /// Hosts on the packet fabric.
+    pub hosts: usize,
 }
 
 /// Schedule window `t`'s sonification onto the loop per the spec's
@@ -100,16 +104,19 @@ pub struct ScenarioOutcome {
 /// the f32 contract the equivalence property pins down.
 fn schedule_window(
     spec: &ScenarioSpec,
+    pattern: Pattern,
     names: &[Vec<String>],
-    switches_per_cell: usize,
-    slots_per_switch: usize,
     t: u64,
     mut emit: impl FnMut(Duration, &str, usize, Duration),
 ) -> u64 {
     let win = spec.window();
     let e = &spec.emissions;
-    match e.pattern.as_str() {
-        "rotate" => {
+    let (switches_per_cell, slots_per_switch) = (
+        spec.hall.cell.switches_per_cell,
+        spec.hall.cell.slots_per_switch,
+    );
+    match pattern {
+        Pattern::Rotate => {
             let start = win * t as u32 + MS(e.offset_ms);
             for (c, cell_names) in names.iter().enumerate() {
                 let j = (t as usize + c) % switches_per_cell;
@@ -118,7 +125,7 @@ fn schedule_window(
             }
             names.len() as u64
         }
-        "all" => {
+        Pattern::All => {
             let start = win * t as u32 + MS(e.offset_ms);
             let slot = e.slot.unwrap_or(t as usize % slots_per_switch);
             let mut n = 0u64;
@@ -130,7 +137,7 @@ fn schedule_window(
             }
             n
         }
-        "explicit" => {
+        Pattern::Explicit => {
             let flat: Vec<&String> = names.iter().flatten().collect();
             // Stable time sort: equal instants keep spec order.
             let mut emits: Vec<_> = e.explicit.iter().filter(|em| em.window == t).collect();
@@ -142,30 +149,25 @@ fn schedule_window(
             }
             n
         }
-        _ => 0,
+        Pattern::None => 0,
     }
 }
 
 /// Run the spec's experiment through the unified event loop.
 pub fn run(spec: &ScenarioSpec, registry: &Registry) -> Result<ScenarioOutcome, ScenarioError> {
-    let built = ScenarioBuilder::new(spec)?.build(registry)?;
+    let builder = ScenarioBuilder::new(spec)?;
+    let built = builder.build(registry)?;
     let mut lp = built.lp;
     let mut agent = built.agent;
     let names = built.names;
+    let pattern = builder.parsed().pattern;
     let win = spec.window();
     let horizon = spec.total() + win;
 
     let sched = |lp: &mut crate::eventloop::UnifiedLoop, t: u64| -> u64 {
-        schedule_window(
-            spec,
-            &names,
-            built.switches_per_cell,
-            built.slots_per_switch,
-            t,
-            |at, name, slot, dur| {
-                lp.schedule_emission(at, name, slot, dur);
-            },
-        )
+        schedule_window(spec, pattern, &names, t, |at, name, slot, dur| {
+            lp.schedule_emission(at, name, slot, dur);
+        })
     };
 
     let mut expected_total = sched(&mut lp, 0);
@@ -224,6 +226,7 @@ pub fn run(spec: &ScenarioSpec, registry: &Registry) -> Result<ScenarioOutcome, 
         .unwrap_or(0);
 
     let counters = lp.net().counters;
+    let (network_switches, hosts) = builder.parsed().topology.size();
     Ok(ScenarioOutcome {
         windows,
         replans,
@@ -248,6 +251,8 @@ pub fn run(spec: &ScenarioSpec, registry: &Registry) -> Result<ScenarioOutcome, 
             heard_total as f64 / expected_total as f64
         },
         wall_seconds,
+        network_switches,
+        hosts,
     })
 }
 
@@ -261,11 +266,8 @@ pub fn run_batch(spec: &ScenarioSpec) -> Result<Vec<WindowReport>, ScenarioError
     let mut heal = builder.heal();
     let names = builder.device_names();
     let speaker = builder.speaker().cloned();
+    let pattern = builder.parsed().pattern;
     let win = spec.window();
-    let (spc, sps) = (
-        spec.hall.cell.switches_per_cell,
-        spec.hall.cell.slots_per_switch,
-    );
 
     let mut out = Vec::new();
     for t in 0..spec.windows {
@@ -275,14 +277,13 @@ pub fn run_batch(spec: &ScenarioSpec) -> Result<Vec<WindowReport>, ScenarioError
         // evacuation the migrated switch sounds its patched allocation —
         // exactly what the loop does at fire time.
         let mut emits: Vec<(Duration, String, usize, Duration)> = Vec::new();
-        schedule_window(spec, &names, spc, sps, t, |at, name, slot, dur| {
+        schedule_window(spec, pattern, &names, t, |at, name, slot, dur| {
             emits.push((at, name.to_string(), slot, dur));
         });
         for (at, name, slot, dur) in emits {
-            let mut dev = heal
-                .plan()
-                .sounding_device(&name)
-                .expect("device names persist across replans");
+            let mut dev = heal.plan().sounding_device(&name).ok_or_else(|| {
+                ScenarioError::Run(format!("device `{name}` left the plan in window {t}"))
+            })?;
             if let Some(sp) = &speaker {
                 dev.speaker = sp.clone();
             }
@@ -306,25 +307,8 @@ pub fn run_batch(spec: &ScenarioSpec) -> Result<Vec<WindowReport>, ScenarioError
 /// timing (one event in 64 per kind); `dispatch_kind_count` stays the
 /// exact, deterministic number of events of each kind dispatched.
 pub fn summary(spec: &ScenarioSpec, out: &ScenarioOutcome, registry: &Registry) -> serde::Value {
-    let t = &spec.traffic;
-    let (network_switches, hosts) = match t.topology.as_str() {
-        "leaf_spine" => (t.leaves + t.spines, t.leaves),
-        "pair" => (1, 2),
-        _ => (0, 0),
-    };
     let snap = registry.snapshot();
-    let hist = |name: &str| {
-        snap.histograms
-            .get(name)
-            .cloned()
-            .unwrap_or(HistogramSnapshot {
-                count: 0,
-                sum: 0,
-                max: 0,
-                mean: 0.0,
-                buckets: Vec::new(),
-            })
-    };
+    let hist = |name: &str| snap.histograms.get(name).cloned().unwrap_or_default();
     let dispatch = hist("mdn_net_dispatch_ns{kind=\"all\"}");
     let window_wall = hist("mdn_scenario_window_wall_ns");
     let us = |h: &HistogramSnapshot, q: f64| h.quantile(q) / 1e3;
@@ -345,8 +329,8 @@ pub fn summary(spec: &ScenarioSpec, out: &ScenarioOutcome, registry: &Registry) 
         "sim_seconds": spec.total().as_secs_f64(),
         "cells": spec.hall.cells,
         "sounding_switches": spec.hall.cells * spec.hall.cell.switches_per_cell,
-        "network_switches": network_switches,
-        "hosts": hosts,
+        "network_switches": out.network_switches,
+        "hosts": out.hosts,
         "events_total": out.events_total,
         "packets_delivered": out.packets_delivered,
         "packets_dropped": out.packets_dropped,
@@ -400,86 +384,56 @@ pub fn check_expect(spec: &ScenarioSpec, out: &ScenarioOutcome) -> Result<(), Sc
             format!("{} scheduled emissions failed to play", out.emit_failures),
         );
     }
-    if let Some(min) = e.min_availability {
-        if out.availability < min {
-            return fail(
-                "min_availability",
-                format!("availability {:.4} below floor {min:.4}", out.availability),
-            );
+    if let Some(min) = e.min_availability.filter(|&min| out.availability < min) {
+        return fail(
+            "min_availability",
+            format!("availability {:.4} below floor {min:.4}", out.availability),
+        );
+    }
+    let evacuations = out.replans.len() as u64;
+    if let Some(want) = e.replans.filter(|&want| evacuations != want) {
+        let detail = format!("expected {want} evacuations, saw {evacuations}");
+        return fail("replans", detail);
+    }
+    let first = out.replans.first();
+    if let Some(cell) = e
+        .replanned_cell
+        .filter(|&c| first.map(|&(_, got)| got) != Some(c))
+    {
+        let detail = format!("expected cell {cell} evacuated first, saw {first:?}");
+        return fail("replanned_cell", detail);
+    }
+    if let (Some(after_ms), Some((at, _))) = (e.replan_after_ms, first) {
+        if *at <= MS(after_ms) {
+            let detail = format!("first evacuation at {at:?}, not after {after_ms} ms");
+            return fail("replan_after_ms", detail);
         }
     }
-    if let Some(want) = e.replans {
-        if out.replans.len() as u64 != want {
-            return fail(
-                "replans",
-                format!("expected {want} evacuations, saw {}", out.replans.len()),
-            );
-        }
+    if let Some(want) = e.tone_events.filter(|&want| out.tone_events != want) {
+        let detail = format!("expected {want} tone emissions, fired {}", out.tone_events);
+        return fail("tone_events", detail);
     }
-    if let Some(cell) = e.replanned_cell {
-        match out.replans.first() {
-            Some((_, got)) if *got == cell => {}
-            other => {
-                return fail(
-                    "replanned_cell",
-                    format!("expected cell {cell} evacuated first, saw {other:?}"),
-                )
-            }
-        }
+    let delivered = out.packets_delivered;
+    if let Some(min) = e.min_packets_delivered.filter(|&min| delivered < min) {
+        return fail(
+            "min_packets_delivered",
+            format!("{delivered} delivered, floor {min}"),
+        );
     }
-    if let Some(after_ms) = e.replan_after_ms {
-        if let Some((at, _)) = out.replans.first() {
-            if *at <= MS(after_ms) {
-                return fail(
-                    "replan_after_ms",
-                    format!("first evacuation at {at:?}, not after {after_ms} ms"),
-                );
-            }
-        }
+    if let Some(want_drops) = e.drops.filter(|&want| (out.packets_dropped > 0) != want) {
+        let detail = format!(
+            "expected drops={want_drops}, saw {} dropped",
+            out.packets_dropped
+        );
+        return fail("drops", detail);
     }
-    if let Some(want) = e.tone_events {
-        if out.tone_events != want {
-            return fail(
-                "tone_events",
-                format!("expected {want} tone emissions, fired {}", out.tone_events),
-            );
-        }
+    if let Some(min) = e.min_flow_mods.filter(|&min| out.flow_mods < min) {
+        let detail = format!("{} FlowMods applied, floor {min}", out.flow_mods);
+        return fail("min_flow_mods", detail);
     }
-    if let Some(min) = e.min_packets_delivered {
-        if out.packets_delivered < min {
-            return fail(
-                "min_packets_delivered",
-                format!("{} delivered, floor {min}", out.packets_delivered),
-            );
-        }
-    }
-    if let Some(want_drops) = e.drops {
-        let dropped = out.packets_dropped > 0;
-        if dropped != want_drops {
-            return fail(
-                "drops",
-                format!(
-                    "expected drops={want_drops}, saw {} dropped",
-                    out.packets_dropped
-                ),
-            );
-        }
-    }
-    if let Some(min) = e.min_flow_mods {
-        if out.flow_mods < min {
-            return fail(
-                "min_flow_mods",
-                format!("{} FlowMods applied, floor {min}", out.flow_mods),
-            );
-        }
-    }
-    if let Some(min) = e.min_packet_ins {
-        if out.packet_ins < min {
-            return fail(
-                "min_packet_ins",
-                format!("{} PacketIns sent, floor {min}", out.packet_ins),
-            );
-        }
+    if let Some(min) = e.min_packet_ins.filter(|&min| out.packet_ins < min) {
+        let detail = format!("{} PacketIns sent, floor {min}", out.packet_ins);
+        return fail("min_packet_ins", detail);
     }
     Ok(())
 }

@@ -9,7 +9,9 @@
 //! is the identity), and [`ScenarioSpec::validate`] rejects malformed
 //! experiments with a typed [`ScenarioError`] naming the offending field
 //! — overlapping cells, unknown fault kinds, slots past the set size —
-//! before anything is built.
+//! before anything is built. The spec's string choices (ambient bed,
+//! speaker, pattern, topology, fault kinds) are read only here, by
+//! `ScenarioSpec::parse`, into typed values the builder and runner match.
 //!
 //! Deserialization is overlay-on-default: a spec file only states what it
 //! changes, and unknown keys are hard errors (a typo'd knob must not
@@ -17,8 +19,13 @@
 
 use crate::cells::{CellConfig, CellPlanError};
 use crate::selfheal::SelfHealConfig;
+use mdn_acoustics::ambient::AmbientProfile;
+use mdn_acoustics::faults::Window;
+use mdn_acoustics::speaker::Speaker;
 use std::fmt;
 use std::time::Duration;
+
+const MS: fn(u64) -> Duration = Duration::from_millis;
 
 // Size limits `ScenarioSpec::validate` enforces, so that a typo'd size
 // fails validation rather than the allocator. Each sits far above the
@@ -403,24 +410,13 @@ impl OutputSpec {
     /// `MDN_OBS_HOLD_SECS` are parsed here and nowhere else; a set
     /// variable wins over the spec file, an unset one leaves it alone.
     pub fn apply_env_overrides(&mut self) {
-        if let Ok(v) = std::env::var("MDN_TRACE_OUT") {
-            self.trace_out = Some(v);
-        }
-        if let Some(v) = std::env::var("MDN_TRACE_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            self.trace_cap = Some(v);
-        }
-        if let Ok(v) = std::env::var("MDN_OBS_ADDR") {
-            self.obs_addr = Some(v);
-        }
-        if let Some(v) = std::env::var("MDN_OBS_HOLD_SECS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            self.obs_hold_secs = Some(v);
-        }
+        let var = |name| std::env::var(name).ok();
+        self.trace_out = var("MDN_TRACE_OUT").or(self.trace_out.take());
+        let cap = var("MDN_TRACE_CAP").and_then(|v| v.parse().ok());
+        self.trace_cap = cap.or(self.trace_cap);
+        self.obs_addr = var("MDN_OBS_ADDR").or(self.obs_addr.take());
+        let hold = var("MDN_OBS_HOLD_SECS").and_then(|v| v.parse().ok());
+        self.obs_hold_secs = hold.or(self.obs_hold_secs);
     }
 }
 
@@ -467,30 +463,133 @@ impl Default for ExpectSpec {
     }
 }
 
-const AMBIENTS: &[&str] = &["quiet", "office", "datacenter"];
-const SPEAKERS: &[&str] = &["cheap", "ultrasound"];
-const PATTERNS: &[&str] = &["rotate", "all", "explicit", "none"];
-const TOPOLOGIES: &[&str] = &["none", "pair", "leaf_spine"];
-const FAULT_KINDS: &[&str] = &[
-    "mic_dead",
-    "speaker_dropout",
-    "speaker_degraded",
-    "noise_burst",
-    "music",
-    "link_flap",
-];
+/// Default SPL of injected music playback, dB — loud office speakers.
+const MUSIC_SPL_DB: f64 = 75.0;
+/// Default SPL of a scripted wide-band noise burst, dB.
+const BURST_SPL_DB: f64 = 60.0;
 
-fn known(field: &str, value: &str, table: &[&str]) -> Result<(), ScenarioError> {
-    if table.contains(&value) {
-        return Ok(());
+/// A spec's string choices as typed values, every default resolved:
+/// what [`ScenarioSpec::parse`] returns, and all the builder and the
+/// runner read of the spec's vocabulary.
+pub(crate) struct Parsed {
+    /// The ambient bed, `ambient_spl` applied.
+    pub ambient: AmbientProfile,
+    /// The non-default speaker every emission drives (`ultrasound`).
+    pub speaker: Option<Speaker>,
+    /// `emissions.pattern`.
+    pub pattern: Pattern,
+    /// `traffic.topology`.
+    pub topology: Topology,
+    /// The fault script in spec order: a noise burst's seed is its index
+    /// among the bursts.
+    pub faults: Vec<Fault>,
+}
+
+/// Which switches sound in which window (see [`EmissionSpec`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Pattern {
+    Rotate,
+    All,
+    Explicit,
+    None,
+}
+
+/// The packet side's shape (see [`TrafficSpec`]).
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Topology {
+    None,
+    /// h1 —(p0)— s —(p1)— h2; `controller` attaches the OpenFlow
+    /// controller to `s`.
+    Pair {
+        controller: bool,
+    },
+    LeafSpine {
+        spines: usize,
+        leaves: usize,
+    },
+}
+
+impl Topology {
+    /// `(switches, hosts)` in the fabric.
+    pub fn size(self) -> (usize, usize) {
+        match self {
+            Self::None => (0, 0),
+            Self::Pair { .. } => (1, 2),
+            Self::LeafSpine { spines, leaves } => (leaves + spines, leaves),
+        }
     }
+}
+
+/// One scripted fault with its defaults resolved (see [`FaultSpec`]);
+/// `window` ends at `until_ms` or the horizon.
+pub(crate) enum Fault {
+    MicDead {
+        cell: usize,
+        radius_m: f64,
+        window: Window,
+    },
+    SpeakerDropout {
+        device: String,
+        window: Window,
+    },
+    SpeakerDegraded {
+        device: String,
+        window: Window,
+        atten_db: f64,
+    },
+    NoiseBurst {
+        window: Window,
+        spl_db: f64,
+    },
+    Music {
+        cell: usize,
+        window: Window,
+        spl_db: f64,
+        note: Duration,
+        notes: Vec<f64>,
+    },
+    /// Down over `window`: from `at_ms` until `until_ms`.
+    LinkFlap {
+        leaf: usize,
+        window: Window,
+    },
+}
+
+/// `FaultSpec::kind`, before its fields are read.
+#[derive(Clone, Copy)]
+enum Kind {
+    MicDead,
+    SpeakerDropout,
+    SpeakerDegraded,
+    NoiseBurst,
+    Music,
+    LinkFlap,
+}
+
+/// `value`'s choice in `table`, or an error naming `field` and every
+/// accepted value.
+fn pick<T: Copy>(field: &str, value: &str, table: &[(&str, T)]) -> Result<T, ScenarioError> {
+    if let Some(&(_, choice)) = table.iter().find(|(name, _)| *name == value) {
+        return Ok(choice);
+    }
+    let names: Vec<&str> = table.iter().map(|&(name, _)| name).collect();
     Err(ScenarioError::invalid(
         field,
         format!(
             "unknown value `{value}` (expected one of {})",
-            table.join("|")
+            names.join("|")
         ),
     ))
+}
+
+/// Return `Invalid { field, reason }` from the enclosing function when
+/// `bad` holds; the reason is formatted only then.
+macro_rules! reject_if {
+    ($bad:expr, $field:expr, $($reason:tt)+) => {
+        if $bad {
+            return Err(ScenarioError::invalid($field, format!($($reason)+)));
+        }
+    };
 }
 
 impl ScenarioSpec {
@@ -515,6 +614,10 @@ impl ScenarioSpec {
 
     /// Pretty-printed JSON of the full spec (every field explicit, so
     /// round-trips are bit-identical).
+    #[allow(
+        clippy::expect_used,
+        reason = "the serde_json stand-in's serializer never fails"
+    )]
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("spec serialization is infallible")
     }
@@ -533,58 +636,60 @@ impl ScenarioSpec {
     /// slots outside the speaker band) surface from
     /// [`super::ScenarioBuilder::new`], which runs this first.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        if self.windows == 0 {
-            return Err(ScenarioError::invalid(
-                "windows",
-                "a run needs at least one window",
-            ));
+        self.parse().map(|_| ())
+    }
+
+    /// [`Self::validate`], returning the spec's choices as typed values:
+    /// the one place the spec's string vocabulary is read.
+    pub(crate) fn parse(&self) -> Result<Parsed, ScenarioError> {
+        reject_if! { self.windows == 0, "windows", "a run needs at least one window" }
+        reject_if! {
+            self.window_ms == 0, "window_ms", "zero-length capture windows render nothing"
         }
-        if self.window_ms == 0 {
-            return Err(ScenarioError::invalid(
-                "window_ms",
-                "zero-length capture windows render nothing",
-            ));
-        }
-        if self.sample_rate == 0 {
-            return Err(ScenarioError::invalid("sample_rate", "must be non-zero"));
-        }
+        reject_if! { self.sample_rate == 0, "sample_rate", "must be non-zero" }
         let total_ms = self.window_ms.checked_mul(self.windows).ok_or_else(|| {
             ScenarioError::invalid("windows", "the run's length overflows u64 milliseconds")
         })?;
         // A window's listen buffer and a tone's signal are each one
         // allocation of this many samples.
         let samples = |ms: u64| u128::from(ms) * u128::from(self.sample_rate) / 1000;
+        let too_long = |ms: u64| samples(ms) > u128::from(MAX_WINDOW_SAMPLES);
         let window_samples = samples(self.window_ms);
-        if window_samples > u128::from(MAX_WINDOW_SAMPLES) {
-            return Err(ScenarioError::invalid(
-                "window_ms",
-                format!("{window_samples} samples per window exceed {MAX_WINDOW_SAMPLES}"),
-            ));
+        reject_if! {
+            too_long(self.window_ms), "window_ms",
+            "{window_samples} samples per window exceed {MAX_WINDOW_SAMPLES}"
         }
 
         // Hall.
         let h = &self.hall;
-        if h.cells == 0 || h.cells > MAX_CELLS {
-            return Err(ScenarioError::invalid(
-                "hall.cells",
-                format!("a hall needs 1 to {MAX_CELLS} cells, not {}", h.cells),
-            ));
+        reject_if! {
+            h.cells == 0 || h.cells > MAX_CELLS, "hall.cells",
+            "a hall needs 1 to {MAX_CELLS} cells, not {}", h.cells
         }
-        known("hall.ambient", &h.ambient, AMBIENTS)?;
-        known("hall.speaker", &h.speaker, SPEAKERS)?;
+        let bed: fn() -> AmbientProfile = pick(
+            "hall.ambient",
+            &h.ambient,
+            &[
+                ("quiet", AmbientProfile::quiet as _),
+                ("office", AmbientProfile::office as _),
+                ("datacenter", AmbientProfile::datacenter as _),
+            ],
+        )?;
+        let mut ambient = bed();
+        if let Some(spl) = h.ambient_spl {
+            ambient.level_spl = spl;
+        }
+        let speakers = [("cheap", false), ("ultrasound", true)];
+        let ultrasound = pick("hall.speaker", &h.speaker, &speakers)?;
         let c = &h.cell;
-        if c.switches_per_cell == 0 || c.slots_per_switch == 0 {
-            return Err(ScenarioError::invalid(
-                "hall.cell",
-                "switches_per_cell and slots_per_switch must be at least 1",
-            ));
+        reject_if! {
+            c.switches_per_cell == 0 || c.slots_per_switch == 0, "hall.cell",
+            "switches_per_cell and slots_per_switch must be at least 1"
         }
         let bad_len = |m: f64| m.is_nan() || m <= 0.0;
-        if bad_len(c.rack_spacing_m) || bad_len(c.cell_pitch_m) {
-            return Err(ScenarioError::invalid(
-                "hall.cell",
-                "rack_spacing_m and cell_pitch_m must be positive",
-            ));
+        reject_if! {
+            bad_len(c.rack_spacing_m) || bad_len(c.cell_pitch_m), "hall.cell",
+            "rack_spacing_m and cell_pitch_m must be positive"
         }
         // Overlapping cells: a cell's rack row spans
         // `rack_spacing_m × (switches_per_cell − 1)` metres; the next
@@ -592,218 +697,217 @@ impl ScenarioSpec {
         // means two cells' racks interleave and per-cell attribution is
         // geometric nonsense.
         let span = c.rack_spacing_m * (c.switches_per_cell - 1) as f64;
-        if span >= c.cell_pitch_m {
-            return Err(ScenarioError::invalid(
-                "hall.cell.cell_pitch_m",
-                format!(
-                    "cells overlap: rack row spans {span:.2} m but the cell pitch is only {:.2} m",
-                    c.cell_pitch_m
-                ),
-            ));
+        reject_if! {
+            span >= c.cell_pitch_m, "hall.cell.cell_pitch_m",
+            "cells overlap: rack row spans {span:.2} m but the cell pitch is only {:.2} m",
+            c.cell_pitch_m
         }
 
         self.selfheal.config.validate()?;
 
         // Emissions.
         let e = &self.emissions;
-        known("emissions.pattern", &e.pattern, PATTERNS)?;
+        let patterns = [
+            ("rotate", Pattern::Rotate),
+            ("all", Pattern::All),
+            ("explicit", Pattern::Explicit),
+            ("none", Pattern::None),
+        ];
+        let pattern = pick("emissions.pattern", &e.pattern, &patterns)?;
         let slots = c.slots_per_switch;
         let devices = h.cells.saturating_mul(c.switches_per_cell);
-        if matches!(e.pattern.as_str(), "rotate" | "all") {
-            if e.duration_ms == 0 {
-                return Err(ScenarioError::invalid(
-                    "emissions.duration_ms",
-                    "zero-length tones are inaudible by construction",
-                ));
-            }
-            if samples(e.duration_ms) > u128::from(MAX_WINDOW_SAMPLES) {
-                return Err(ScenarioError::invalid(
-                    "emissions.duration_ms",
-                    format!("tones over {MAX_WINDOW_SAMPLES} samples"),
-                ));
-            }
-            if let Some(s) = e.slot {
-                if s >= slots {
-                    return Err(ScenarioError::invalid(
-                        "emissions.slot",
-                        format!("slot {s} outside the {slots}-slot set"),
-                    ));
+        match pattern {
+            Pattern::Rotate | Pattern::All => {
+                reject_if! {
+                    e.duration_ms == 0, "emissions.duration_ms",
+                    "zero-length tones are inaudible by construction"
+                }
+                reject_if! {
+                    too_long(e.duration_ms), "emissions.duration_ms",
+                    "tones over {MAX_WINDOW_SAMPLES} samples"
+                }
+                if let Some(s) = e.slot {
+                    reject_if! {
+                        s >= slots, "emissions.slot", "slot {s} outside the {slots}-slot set"
+                    }
                 }
             }
-        }
-        if e.pattern == "explicit" {
-            for (i, em) in e.explicit.iter().enumerate() {
-                let field = format!("emissions.explicit[{i}]");
-                if em.window >= self.windows {
-                    return Err(ScenarioError::invalid(
-                        field,
-                        format!(
-                            "window {} past the run's {} windows",
-                            em.window, self.windows
-                        ),
-                    ));
-                }
-                if em.permil >= 1000 {
-                    return Err(ScenarioError::invalid(field, "permil must be 0..1000"));
-                }
-                if em.dev >= devices {
-                    return Err(ScenarioError::invalid(
-                        field,
-                        format!("device index {} past the hall's {devices} switches", em.dev),
-                    ));
-                }
-                if em.slot >= slots {
-                    return Err(ScenarioError::invalid(
-                        field,
-                        format!("slot {} outside the {slots}-slot set", em.slot),
-                    ));
-                }
-                if em.dur_ms == 0 {
-                    return Err(ScenarioError::invalid(field, "zero-length tone"));
-                }
-                if samples(em.dur_ms) > u128::from(MAX_WINDOW_SAMPLES) {
-                    return Err(ScenarioError::invalid(
-                        field,
-                        format!("tone over {MAX_WINDOW_SAMPLES} samples"),
-                    ));
+            Pattern::Explicit => {
+                for (i, em) in e.explicit.iter().enumerate() {
+                    let field = format!("emissions.explicit[{i}]");
+                    reject_if! {
+                        em.window >= self.windows, field,
+                        "window {} past the run's {} windows", em.window, self.windows
+                    }
+                    reject_if! { em.permil >= 1000, field, "permil must be 0..1000" }
+                    reject_if! {
+                        em.dev >= devices, field,
+                        "device index {} past the hall's {devices} switches", em.dev
+                    }
+                    reject_if! {
+                        em.slot >= slots, field, "slot {} outside the {slots}-slot set", em.slot
+                    }
+                    reject_if! { em.dur_ms == 0, field, "zero-length tone" }
+                    reject_if! {
+                        too_long(em.dur_ms), field, "tone over {MAX_WINDOW_SAMPLES} samples"
+                    }
                 }
             }
+            Pattern::None => {}
         }
 
         // Traffic.
         let t = &self.traffic;
-        known("traffic.topology", &t.topology, TOPOLOGIES)?;
-        if t.topology != "none" && (t.pps.is_nan() || t.pps <= 0.0) {
-            return Err(ScenarioError::invalid(
-                "traffic.pps",
-                "CBR rate must be positive",
-            ));
+        let (spines, leaves, controller) = (t.spines, t.leaves, self.controller.enabled);
+        let topologies = [
+            ("none", Topology::None),
+            ("pair", Topology::Pair { controller }),
+            ("leaf_spine", Topology::LeafSpine { spines, leaves }),
+        ];
+        let topology = pick("traffic.topology", &t.topology, &topologies)?;
+        reject_if! {
+            topology != Topology::None && (t.pps.is_nan() || t.pps <= 0.0), "traffic.pps",
+            "CBR rate must be positive"
         }
-        let fabric = t.spines.saturating_add(t.leaves);
-        if t.topology == "leaf_spine"
-            && (t.spines == 0 || t.leaves == 0 || fabric > MAX_FABRIC_SWITCHES)
-        {
-            return Err(ScenarioError::invalid(
+        if let Topology::LeafSpine { spines, leaves } = topology {
+            reject_if! {
+                spines == 0 || leaves == 0 || spines.saturating_add(leaves) > MAX_FABRIC_SWITCHES,
                 "traffic",
-                format!(
-                    "a leaf-spine fabric needs a spine, a leaf and at most \
-                     {MAX_FABRIC_SWITCHES} switches, not {} + {}",
-                    t.spines, t.leaves
-                ),
-            ));
+                "a leaf-spine fabric needs a spine, a leaf and at most \
+                 {MAX_FABRIC_SWITCHES} switches, not {spines} + {leaves}"
+            }
         }
 
         // Controller.
-        if self.controller.enabled && t.topology != "pair" {
-            return Err(ScenarioError::invalid(
-                "controller.enabled",
-                "the OpenFlow controller attaches to the `pair` topology's switch",
-            ));
+        if let Topology::None | Topology::LeafSpine { .. } = topology {
+            reject_if! {
+                controller, "controller.enabled",
+                "the OpenFlow controller attaches to the `pair` topology's switch"
+            }
         }
 
-        // Faults.
-        for (i, fault) in self.faults.iter().enumerate() {
+        // Faults, in spec order.
+        let kinds = [
+            ("mic_dead", Kind::MicDead),
+            ("speaker_dropout", Kind::SpeakerDropout),
+            ("speaker_degraded", Kind::SpeakerDegraded),
+            ("noise_burst", Kind::NoiseBurst),
+            ("music", Kind::Music),
+            ("link_flap", Kind::LinkFlap),
+        ];
+        let mut faults = Vec::with_capacity(self.faults.len());
+        for (i, f) in self.faults.iter().enumerate() {
             let field = format!("faults[{i}]");
-            known(&field, &fault.kind, FAULT_KINDS)?;
-            if let Some(until) = fault.until_ms {
-                if until <= fault.at_ms {
-                    return Err(ScenarioError::invalid(
-                        field,
-                        format!("until_ms {until} not after at_ms {}", fault.at_ms),
-                    ));
+            let kind = pick(&field, &f.kind, &kinds)?;
+            if let Some(until) = f.until_ms {
+                reject_if! {
+                    until <= f.at_ms, field, "until_ms {until} not after at_ms {}", f.at_ms
                 }
             }
-            match fault.kind.as_str() {
-                "mic_dead" | "music" => {
-                    let cell = fault.cell.unwrap_or(0);
-                    if cell >= h.cells {
-                        return Err(ScenarioError::invalid(
-                            field,
-                            format!("cell {cell} past the hall's {} cells", h.cells),
-                        ));
+            // The fault lifts at `until_ms` or the horizon; one landing
+            // past the horizon never sounds.
+            let until_ms = f.until_ms.unwrap_or(total_ms).max(f.at_ms);
+            let window = Window::between(MS(f.at_ms), MS(until_ms));
+            let cell = f.cell.unwrap_or(0);
+            let check_cell = || -> Result<(), ScenarioError> {
+                reject_if! {
+                    cell >= h.cells, &field, "cell {cell} past the hall's {} cells", h.cells
+                }
+                Ok(())
+            };
+            let device = || {
+                let reason = "speaker faults need a `device` name";
+                f.device
+                    .clone()
+                    .ok_or_else(|| ScenarioError::invalid(&field, reason))
+            };
+            faults.push(match kind {
+                Kind::MicDead => {
+                    check_cell()?;
+                    Fault::MicDead {
+                        cell,
+                        radius_m: f.radius_m,
+                        window,
                     }
                 }
-                "speaker_dropout" | "speaker_degraded" => {
-                    if fault.device.is_none() {
-                        return Err(ScenarioError::invalid(
-                            field,
-                            "speaker faults need a `device` name",
-                        ));
+                Kind::SpeakerDropout => Fault::SpeakerDropout {
+                    device: device()?,
+                    window,
+                },
+                Kind::SpeakerDegraded => {
+                    let device = device()?;
+                    let atten_db = f.level_db.unwrap_or(0.0);
+                    reject_if! {
+                        atten_db.is_nan() || atten_db < 0.0, field,
+                        "degradation `level_db` is an attenuation and must be >= 0"
                     }
-                    let atten = fault.level_db.unwrap_or(0.0);
-                    if fault.kind == "speaker_degraded" && (atten.is_nan() || atten < 0.0) {
-                        return Err(ScenarioError::invalid(
-                            field,
-                            "degradation `level_db` is an attenuation and must be >= 0",
-                        ));
-                    }
-                }
-                "link_flap" => {
-                    if t.topology != "leaf_spine" {
-                        return Err(ScenarioError::invalid(
-                            field,
-                            "link_flap needs the leaf_spine topology",
-                        ));
-                    }
-                    let leaf = fault.leaf.ok_or_else(|| {
-                        ScenarioError::invalid(field.clone(), "link_flap needs a `leaf` index")
-                    })?;
-                    if leaf >= t.leaves {
-                        return Err(ScenarioError::invalid(
-                            field,
-                            format!("leaf {leaf} past the fabric's {} leaves", t.leaves),
-                        ));
-                    }
-                    if fault.until_ms.is_none() {
-                        return Err(ScenarioError::invalid(
-                            field,
-                            "link_flap needs `until_ms` (when the bundle comes back)",
-                        ));
+                    Fault::SpeakerDegraded {
+                        device,
+                        window,
+                        atten_db,
                     }
                 }
-                _ => {}
-            }
-            if fault.kind == "music" {
-                if fault.notes.is_empty() {
-                    return Err(ScenarioError::invalid(
-                        field,
-                        "music needs at least one note",
-                    ));
+                Kind::NoiseBurst => {
+                    let spl_db = f.level_db.unwrap_or(BURST_SPL_DB);
+                    Fault::NoiseBurst { window, spl_db }
                 }
-                // The builder renders the whole span, from `at_ms` to
-                // `until_ms` or the horizon, as one allocation.
-                let span = fault
-                    .until_ms
-                    .unwrap_or(total_ms)
-                    .saturating_sub(fault.at_ms);
-                if samples(span) > u128::from(MAX_WINDOW_SAMPLES) {
-                    return Err(ScenarioError::invalid(
-                        field,
-                        format!("music spans over {MAX_WINDOW_SAMPLES} samples"),
-                    ));
-                }
-                // The builder cycles notes of `60 / tempo_bpm` seconds.
-                let note = Duration::try_from_secs_f64(60.0 / fault.tempo_bpm);
-                if !note.is_ok_and(|n| n >= Duration::from_millis(1)) {
-                    return Err(ScenarioError::invalid(
-                        field,
+                Kind::Music => {
+                    check_cell()?;
+                    reject_if! { f.notes.is_empty(), field, "music needs at least one note" }
+                    // The builder renders the whole window as one allocation.
+                    reject_if! {
+                        too_long(until_ms - f.at_ms), field,
+                        "music spans over {MAX_WINDOW_SAMPLES} samples"
+                    }
+                    // The builder cycles notes of `60 / tempo_bpm` seconds.
+                    let note = Duration::try_from_secs_f64(60.0 / f.tempo_bpm);
+                    let note = note.unwrap_or(Duration::ZERO);
+                    reject_if! {
+                        note < Duration::from_millis(1), field,
                         "tempo_bpm must be positive, give a note of at least 1 ms \
-                         and not overflow a Duration",
-                    ));
+                         and not overflow a Duration"
+                    }
+                    Fault::Music {
+                        cell,
+                        window,
+                        spl_db: f.level_db.unwrap_or(MUSIC_SPL_DB),
+                        note,
+                        notes: f.notes.clone(),
+                    }
                 }
-            }
+                Kind::LinkFlap => {
+                    let Topology::LeafSpine { leaves, .. } = topology else {
+                        let reason = "link_flap needs the leaf_spine topology";
+                        return Err(ScenarioError::invalid(field, reason));
+                    };
+                    reject_if! { f.leaf.is_none(), field, "link_flap needs a `leaf` index" }
+                    let leaf = f.leaf.unwrap_or_default();
+                    reject_if! {
+                        leaf >= leaves, field, "leaf {leaf} past the fabric's {leaves} leaves"
+                    }
+                    reject_if! {
+                        f.until_ms.is_none(), field,
+                        "link_flap needs `until_ms` (when the bundle comes back)"
+                    }
+                    Fault::LinkFlap { leaf, window }
+                }
+            });
         }
 
         // Apps must land inside the horizon or the loop never reaches them.
         for (i, app) in self.apps.iter().enumerate() {
-            if app.at_ms >= total_ms {
-                return Err(ScenarioError::invalid(
-                    format!("apps[{i}]"),
-                    format!("at_ms {} past the {total_ms} ms horizon", app.at_ms),
-                ));
+            reject_if! {
+                app.at_ms >= total_ms, format!("apps[{i}]"),
+                "at_ms {} past the {total_ms} ms horizon", app.at_ms
             }
         }
-        Ok(())
+        Ok(Parsed {
+            ambient,
+            speaker: ultrasound.then(Speaker::ultrasound_capable),
+            pattern,
+            topology,
+            faults,
+        })
     }
 
     /// The shared small-hall preset: `cells` cells of
@@ -824,6 +928,7 @@ impl ScenarioSpec {
             selfheal: SelfHealSpec {
                 threads: 0,
                 config: SelfHealConfig {
+                    // Replaying real audio per cell is O(hall) — skip the proof.
                     verify_on_replan: false,
                     ..SelfHealConfig::default()
                 },
@@ -832,24 +937,23 @@ impl ScenarioSpec {
         }
     }
 
-    /// The shared leaf-spine-hall preset: an ultrasound-fitted hall of
-    /// `cells` default cells over a `spines × leaves` fabric with
-    /// per-host CBR cross-traffic — the soak-bench shape.
+    /// The shared leaf-spine-hall preset: an ultrasound-fitted
+    /// [`Self::small_hall`] of `cells` default cells over a
+    /// `spines × leaves` fabric with per-host CBR cross-traffic — the
+    /// soak-bench shape.
     pub fn leaf_spine_hall(cells: usize, spines: usize, leaves: usize, windows: u64) -> Self {
+        let cell = CellConfig::default();
+        let base = Self::small_hall(
+            cells,
+            cell.switches_per_cell,
+            cell.slots_per_switch,
+            "office",
+        );
         Self {
             windows,
             hall: HallSpec {
-                cells,
                 speaker: "ultrasound".into(),
-                ..HallSpec::default()
-            },
-            selfheal: SelfHealSpec {
-                threads: 0,
-                config: SelfHealConfig {
-                    // Replaying real audio per cell is O(hall) — skip the proof.
-                    verify_on_replan: false,
-                    ..SelfHealConfig::default()
-                },
+                ..base.hall
             },
             emissions: EmissionSpec {
                 pattern: "rotate".into(),
@@ -864,7 +968,7 @@ impl ScenarioSpec {
                 latency_us: 5,
                 ..TrafficSpec::default()
             },
-            ..Self::default()
+            ..base
         }
     }
 }

@@ -18,8 +18,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 
-/// Point-in-time values of one histogram.
-#[derive(Debug, Clone, PartialEq)]
+/// Point-in-time values of one histogram (`Default`: an empty one).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistogramSnapshot {
     /// Number of recorded values.
     pub count: u64,

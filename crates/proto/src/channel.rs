@@ -84,6 +84,10 @@ impl ControlChannel {
     /// [`crate::openflow::OF_MAX_BODY`]); the in-memory channel has no
     /// error path to report it on. Socket transports surface the typed
     /// [`crate::wire::WireError::Oversize`] instead.
+    #[allow(
+        clippy::expect_used,
+        reason = "documented panic: the in-memory channel has no error path"
+    )]
     pub fn send_to_switch(&mut self, msg: &OfMessage) {
         self.to_switch
             .push_back(msg.encode().expect("OF message exceeds u16 frame length"));
@@ -96,6 +100,10 @@ impl ControlChannel {
     /// # Panics
     /// Panics on an unencodable message, like
     /// [`ControlChannel::send_to_switch`].
+    #[allow(
+        clippy::expect_used,
+        reason = "documented panic: the in-memory channel has no error path"
+    )]
     pub fn send_to_controller(&mut self, msg: &OfMessage) {
         self.to_controller
             .push_back(msg.encode().expect("OF message exceeds u16 frame length"));
@@ -150,14 +158,12 @@ impl ControlChannel {
 /// switch's OpenFlow agent would. Returns `true` if the table changed
 /// (an Add installed, or a Delete removed at least one rule).
 pub fn apply_at_switch(table: &mut FlowTable, msg: &OfMessage) -> bool {
+    // Exactly an Add FlowMod converts to a rule.
+    if let Some(rule) = msg.as_rule() {
+        table.install(rule);
+        return true;
+    }
     match msg {
-        OfMessage::FlowMod {
-            command: FlowModCommand::Add,
-            ..
-        } => {
-            table.install(msg.as_rule().expect("Add FlowMod converts to a rule"));
-            true
-        }
         OfMessage::FlowMod {
             command: FlowModCommand::Delete,
             mat,

@@ -31,6 +31,12 @@
 //! ```
 
 #![warn(missing_docs)]
+// Frames are peer input: outside tests no code here may `unwrap`,
+// `expect` or `panic!` on them.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod channel;
 pub mod controller;

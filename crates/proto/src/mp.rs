@@ -110,6 +110,10 @@ impl MpTone {
     /// Panics if the values exceed the wire ranges; use
     /// [`try_from_units`](Self::try_from_units) to handle that
     /// gracefully.
+    #[allow(
+        clippy::panic,
+        reason = "documented panic; `try_from_units` is the typed path"
+    )]
     pub fn from_units(freq_hz: f64, duration: Duration, intensity_db: f64) -> Self {
         Self::try_from_units(freq_hz, duration, intensity_db).unwrap_or_else(|e| panic!("{e}"))
     }

@@ -359,10 +359,45 @@ fn validation_rejects_malformed_specs_by_field() {
             }),
         ),
     ];
-    for (field, mutate) in mutations {
+    // Rejections only the planned hall can make: the spec validates, and
+    // `ScenarioBuilder::new` refuses it. The hall has switches c0-s0 to
+    // c1-s1.
+    let speaker_fault = |kind: &str, device: &str| FaultSpec {
+        kind: kind.into(),
+        device: Some(device.into()),
+        at_ms: 100,
+        ..FaultSpec::default()
+    };
+    let planned: Vec<(&str, Mutation)> = vec![
+        (
+            "faults[0]",
+            Box::new(move |s| s.faults = vec![speaker_fault("speaker_dropout", "c9-s7")]),
+        ),
+        (
+            "faults[1]",
+            Box::new(move |s| {
+                s.faults = vec![
+                    speaker_fault("speaker_dropout", "c1-s1"),
+                    speaker_fault("speaker_degraded", "c0-s2"),
+                ]
+            }),
+        ),
+    ];
+    let cases = mutations.into_iter().map(|(field, m)| (field, m, false));
+    for (field, mutate, planned) in cases.chain(planned.into_iter().map(|(f, m)| (f, m, true))) {
         let mut spec = ScenarioSpec::small_hall(2, 2, 3, "office");
         mutate(&mut spec);
-        match spec.validate() {
+        let validated = spec.validate();
+        let built = ScenarioBuilder::new(&spec).map(|_| ());
+        if planned {
+            assert_eq!(validated, Ok(()), "`{field}` case fails validation");
+        } else {
+            assert_eq!(
+                built, validated,
+                "builder and validation disagree on `{field}`"
+            );
+        }
+        match built {
             Err(ScenarioError::Invalid { field: got, .. }) => assert!(
                 got.contains(field),
                 "expected rejection naming `{field}`, got `{got}`"

@@ -126,7 +126,7 @@ fn run_scenario(seed: u64, dead_cell: usize, inject: bool) -> ScenarioOutcome {
         spec.faults.clear();
     }
     let builder = ScenarioBuilder::new(&spec).expect("chaos spec validates");
-    let faults = builder.scene_faults().expect("fault script lowers");
+    let faults = builder.scene_faults();
     let base_ambient = builder.ambient().clone();
     let slot = spec.emissions.slot.expect("chaos schedule pins one slot");
     let (offset, dur) = (MS(spec.emissions.offset_ms), MS(spec.emissions.duration_ms));

@@ -4,13 +4,16 @@
 //! timeline in arbitrary chunks reproduces the batch render exactly.
 //! The scene's shared ambient memo never shows: any interleaving of
 //! windows, listeners, re-seeds and clones renders what a fresh scene
-//! renders.
+//! renders. Fault edges fall between whole milliseconds, and windows
+//! are cut exactly at every edge of every fault, including a burst's
+//! end rounded up to its last sample.
 
 use mdn_acoustics::ambient::AmbientProfile;
 use mdn_acoustics::faults::{SceneFaultPlan, Window};
 use mdn_acoustics::medium::Pos;
 use mdn_acoustics::mic::Microphone;
 use mdn_acoustics::scene::Scene;
+use mdn_audio::signal::{duration_to_samples, samples_to_duration};
 use mdn_audio::synth::Tone;
 use mdn_core::controller::MdnController;
 use proptest::prelude::*;
@@ -19,6 +22,7 @@ use std::time::Duration;
 const SR: u32 = 44_100;
 
 const MS: fn(u64) -> Duration = Duration::from_millis;
+const US: fn(u64) -> Duration = Duration::from_micros;
 
 /// One randomly placed tone emission.
 #[derive(Debug, Clone)]
@@ -48,7 +52,8 @@ fn emission_strategy() -> impl Strategy<Value = Emission> {
 }
 
 /// An optional fault plan: a noise burst, a mic-dead interval, and a
-/// speaker dropout, each present ~half the time.
+/// speaker dropout, each present ~half the time. Windows are
+/// `(from, len)` in microseconds, so their edges rarely land on a sample.
 #[derive(Debug, Clone)]
 struct Faults {
     burst: Option<(u64, u64, f64)>,
@@ -57,19 +62,47 @@ struct Faults {
     seed: u64,
 }
 
+/// A fault window `(from, len)` in microseconds.
+fn span_us() -> impl Strategy<Value = (u64, u64)> {
+    (0u64..800_000, 20_000u64..300_000)
+}
+
 fn faults_strategy() -> impl Strategy<Value = Faults> {
     (
-        proptest::option::of((0u64..800, 20u64..300, 30.0f64..60.0)),
-        proptest::option::of((0u64..800, 20u64..300)),
-        proptest::option::of((0u64..800, 20u64..300)),
+        proptest::option::of((span_us(), 30.0f64..60.0)),
+        proptest::option::of(span_us()),
+        proptest::option::of(span_us()),
         0u64..1000,
     )
         .prop_map(|(burst, mic_dead, dropout, seed)| Faults {
-            burst,
+            burst: burst.map(|((from, len), spl)| (from, len, spl)),
             mic_dead,
             dropout,
             seed,
         })
+}
+
+/// Every instant a fault starts or stops acting, sorted: each window's
+/// start and end, and the sample-aligned start and end the renderer
+/// actually uses. A burst covers samples `[round(from), + round(len))`,
+/// whose end can lie one sample past `round(from + len)`.
+fn fault_edges(faults: &Faults) -> Vec<Duration> {
+    let spans = [
+        faults.burst.map(|(from, len, _)| (from, len)),
+        faults.mic_dead,
+        faults.dropout,
+    ];
+    let mut edges = Vec::new();
+    for (from, len) in spans.into_iter().flatten() {
+        let (s0, n) = (
+            duration_to_samples(US(from), SR),
+            duration_to_samples(US(len), SR),
+        );
+        edges.extend([US(from), US(from + len)]);
+        edges.extend([s0, s0 + n].map(|s| samples_to_duration(s, SR)));
+    }
+    edges.sort();
+    edges
 }
 
 fn build_scene(
@@ -87,13 +120,13 @@ fn build_scene(
     scene.set_ambient_seed(ambient_seed);
     let mut plan = SceneFaultPlan::new(faults.seed);
     if let Some((from, len, spl)) = faults.burst {
-        plan = plan.noise_burst(Window::new(MS(from), MS(len)), spl);
+        plan = plan.noise_burst(Window::new(US(from), US(len)), spl);
     }
     if let Some((from, len)) = faults.mic_dead {
-        plan = plan.mic_dead(Window::new(MS(from), MS(len)));
+        plan = plan.mic_dead(Window::new(US(from), US(len)));
     }
     if let Some((from, len)) = faults.dropout {
-        plan = plan.speaker_dropout("sw-0", Window::new(MS(from), MS(len)));
+        plan = plan.speaker_dropout("sw-0", Window::new(US(from), US(len)));
     }
     scene.set_faults(plan);
     for (k, e) in emissions.iter().enumerate() {
@@ -121,6 +154,14 @@ enum RenderOp {
     /// Render the last window minus its first `skip_ms` — the heal
     /// pass's re-capture of a listen's pre-rolled window.
     Suffix { skip_ms: u64, who: usize },
+    /// Render `len_ms` starting (or, with `ends`, ending) exactly at
+    /// fault edge `edge` (mod the number of edges).
+    FaultEdge {
+        edge: usize,
+        len_ms: u64,
+        ends: bool,
+        who: usize,
+    },
     /// Replace the ambient seed.
     Reseed(u64),
     /// Carry on with a clone of the scene.
@@ -135,9 +176,25 @@ fn render_op_strategy() -> impl Strategy<Value = RenderOp> {
             who
         }),
         (0u64..300, 0usize..3).prop_map(|(skip_ms, who)| RenderOp::Suffix { skip_ms, who }),
+        (0usize..12, 0u64..400, any::<bool>(), 0usize..3).prop_map(|(edge, len_ms, ends, who)| {
+            RenderOp::FaultEdge {
+                edge,
+                len_ms,
+                ends,
+                who,
+            }
+        }),
         (0u64..1000).prop_map(RenderOp::Reseed),
         Just(RenderOp::Clone),
     ]
+}
+
+/// `len` starting at `at`, or with `ends`, ending at `at` (clipped at zero).
+fn edge_window(at: Duration, len: Duration, ends: bool) -> Window {
+    match ends {
+        false => Window::new(at, len),
+        true => Window::between(at.saturating_sub(len), at),
+    }
 }
 
 const LISTENERS: [Pos; 3] = [
@@ -150,8 +207,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every render of an interleaved sequence on one scene is
-    /// byte-identical to a fresh scene's render of the same window,
-    /// whatever the scene rendered before, for every ambient profile.
+    /// byte-identical to the same span of a fresh scene's from-zero
+    /// render, whatever the scene rendered before, for every ambient
+    /// profile.
     #[test]
     fn memo_never_shows(
         emissions in proptest::collection::vec(emission_strategy(), 0..3),
@@ -172,6 +230,13 @@ proptest! {
                     let skip = MS(skip_ms).min(last.len);
                     (Window::new(last.from + skip, last.len - skip), who)
                 }
+                RenderOp::FaultEdge { edge, len_ms, ends, who } => {
+                    let edges = fault_edges(&faults);
+                    let Some(&at) = edges.get(edge % edges.len().max(1)) else {
+                        continue;
+                    };
+                    (edge_window(at, MS(len_ms), ends), who)
+                }
                 RenderOp::Reseed(s) => {
                     seed = s;
                     scene.set_ambient_seed(s);
@@ -185,8 +250,9 @@ proptest! {
             last = w;
             let listener = LISTENERS[who];
             let fresh = build_scene(&emissions, ambient_idx, seed, &faults)
-                .render_window(listener, w);
-            prop_assert_eq!(scene.render_window(listener, w).samples(), fresh.samples(),
+                .render_at(listener, w.end());
+            let (a, b) = w.sample_range(SR);
+            prop_assert_eq!(scene.render_window(listener, w).samples(), &fresh.samples()[a..b],
                 "{:?} diverged from a fresh scene", op);
         }
     }
@@ -211,6 +277,40 @@ proptest! {
         let full = scene.render_at(listener, w.end());
         let (a, b) = w.sample_range(SR);
         prop_assert_eq!(windowed.samples(), &full.samples()[a..b]);
+    }
+
+    /// A window starting or ending exactly on any fault's edge renders
+    /// the same span of a from-zero render, wherever the edge falls
+    /// between samples.
+    #[test]
+    fn windows_cut_at_fault_edges_equal_full_render_slice(
+        emissions in proptest::collection::vec(emission_strategy(), 0..3),
+        burst in (span_us(), 30.0f64..60.0),
+        mic_dead in span_us(),
+        dropout in span_us(),
+        seed in 0u64..1000,
+        len_ms in 1u64..300,
+    ) {
+        let ((from, len), spl) = burst;
+        let faults = Faults {
+            burst: Some((from, len, spl)),
+            mic_dead: Some(mic_dead),
+            dropout: Some(dropout),
+            seed,
+        };
+        let scene = build_scene(&emissions, 1, seed, &faults);
+        let listener = Pos::new(0.5, 0.3, 0.0);
+        let edges = fault_edges(&faults);
+        let last = edges.last().copied().unwrap_or_default() + MS(len_ms);
+        let full = scene.render_at(listener, last);
+        for at in edges {
+            for ends in [false, true] {
+                let w = edge_window(at, MS(len_ms), ends);
+                let (a, b) = w.sample_range(SR);
+                prop_assert_eq!(scene.render_window(listener, w).samples(), &full.samples()[a..b],
+                    "window {:?} at fault edge {:?}", w, at);
+            }
+        }
     }
 
     /// A cursor advancing in arbitrary chunk sizes concatenates to exactly
