@@ -48,7 +48,7 @@ use crate::faults::SceneFaultPlan;
 use crate::medium::{incident_amplitude, propagation_delay_s, spreading_gain, Pos};
 use crate::mic::Microphone;
 use mdn_audio::noise::white_noise_add;
-use mdn_audio::signal::{duration_to_samples, spl_to_amplitude, Window};
+use mdn_audio::signal::{duration_to_samples, mix_scaled, spl_to_amplitude, Window};
 use mdn_audio::synth::Tone;
 use mdn_audio::Signal;
 use mdn_obs::{Counter, Histogram, Registry, SpanKind, TraceId, TraceSink, TraceSpan};
@@ -551,11 +551,11 @@ impl Scene {
             if begin >= end {
                 continue;
             }
-            let src = &src[begin - offset..end - offset];
-            let dst = &mut out[begin - range0..end - range0];
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d += (s as f64 * gain) as f32;
-            }
+            mix_scaled(
+                &mut out[begin - range0..end - range0],
+                &src[begin - offset..end - offset],
+                gain,
+            );
         }
     }
 

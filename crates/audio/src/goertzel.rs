@@ -5,6 +5,7 @@
 //! bin per candidate frequency with the Goertzel recurrence is far cheaper
 //! than a full FFT. The ablation bench `claims.rs` compares the two paths.
 
+use crate::kernels::{BankLanes, Kernels, BANK_PAD};
 use std::f64::consts::PI;
 
 /// A Goertzel filter tuned to one target frequency at one sample rate.
@@ -81,28 +82,29 @@ pub struct GoertzelState {
     response: Vec<(f64, f64)>,
 }
 
-/// Candidates per block of the bank's kernel: each block's recurrence
-/// state lives in local `[f64; LANES]` arrays for a whole slice.
-const LANES: usize = 16;
-
 /// A bank of Goertzel filters evaluated together over a slice of samples.
 ///
 /// Probing C candidate frequencies with independent [`Goertzel`] filters
 /// runs C separate recurrences, one after another. The bank instead groups
-/// the candidates into blocks of 16 lanes (the per-candidate constants are
-/// zero-padded to a whole number of blocks once, at construction) and walks
-/// the slice once per block. That block's 16 recurrences live in local
-/// arrays rather than being loaded from and stored to memory at every
-/// sample, so the compiler keeps them in registers and vectorizes across
-/// lanes. The slice is small enough to stay in L1 cache between blocks;
-/// pad lanes are computed and discarded.
+/// the candidates into blocks of lanes and walks the slice once per block.
+/// A block's recurrences live in local arrays rather than being loaded from
+/// and stored to memory at every sample, so they stay in vector registers.
+/// The block is as wide as the CPU's vectors need to hide the
+/// recurrence's latency, picked once at run time: 48 lanes with AVX-512F,
+/// 24 with AVX2, else 16 (SSE2). A bank narrower than its block, or the
+/// rest after its whole blocks, runs as one narrower block of whole
+/// vectors. The per-candidate constants are zero-padded once, at
+/// construction, to a multiple of 16 lanes; pad lanes are computed and
+/// discarded. The slice is small enough to stay in L1 cache between
+/// blocks.
 ///
 /// [`Self::response`] is the one kernel: the unnormalized complex response
 /// of every candidate, exactly [`Goertzel::run`]'s. Per candidate, the
 /// recurrence `x + coeff * s1 - s2` and the response are written exactly as
 /// in [`Goertzel`] — never as a fused multiply-add (`mul_add`) or in another
 /// association order, either of which rounds differently — so the bank is
-/// bit-for-bit the same as the per-candidate path.
+/// bit-for-bit the same as the per-candidate path, whatever the vector
+/// width.
 ///
 /// The response over `x` followed by `d` zeros is the response over `x`
 /// turned by `e^{jωd}` ([`Self::phasors`]), so responses of consecutive
@@ -126,7 +128,7 @@ pub struct GoertzelBank {
     len: usize,
     /// Angular frequency per candidate, radians per sample.
     w: Vec<f64>,
-    /// Per-candidate constants, zero-padded to a multiple of `LANES`.
+    /// Per-candidate constants, zero-padded to a multiple of 16 lanes.
     coeff: Vec<f64>,
     sin_w: Vec<f64>,
     cos_w: Vec<f64>,
@@ -138,7 +140,7 @@ impl GoertzelBank {
     /// # Panics
     /// Panics if any frequency is not in `(0, sample_rate/2)`.
     pub fn new(freqs_hz: &[f64], sample_rate: u32) -> Self {
-        let padded = freqs_hz.len().next_multiple_of(LANES);
+        let padded = freqs_hz.len().next_multiple_of(BANK_PAD);
         let mut coeff = vec![0.0; padded];
         let mut sin_w = vec![0.0; padded];
         let mut cos_w = vec![0.0; padded];
@@ -175,31 +177,24 @@ impl GoertzelBank {
     /// The result lives in `state`, which is reused so the hot path
     /// allocates nothing. An empty slice responds with zeros.
     pub fn response<'s>(&self, samples: &[f32], state: &'s mut GoertzelState) -> &'s [(f64, f64)] {
-        // Every lane of the resized scratch is overwritten by its block.
+        self.response_with(Kernels::detected(), samples, state)
+    }
+
+    /// [`Self::response`] on the instruction-set path `kernels`.
+    pub(crate) fn response_with<'s>(
+        &self,
+        kernels: Kernels,
+        samples: &[f32],
+        state: &'s mut GoertzelState,
+    ) -> &'s [(f64, f64)] {
+        // The kernel overwrites every lane this bank reads.
         state.response.resize(self.coeff.len(), (0.0, 0.0));
-        let blocks = self
-            .coeff
-            .chunks_exact(LANES)
-            .zip(self.cos_w.chunks_exact(LANES))
-            .zip(self.sin_w.chunks_exact(LANES));
-        for (((coeff, cos_w), sin_w), out) in blocks.zip(state.response.chunks_exact_mut(LANES)) {
-            let coeff: &[f64; LANES] = coeff.try_into().expect("chunks_exact yields LANES");
-            let mut s1 = [0.0f64; LANES];
-            let mut s2 = [0.0f64; LANES];
-            // One traversal of the slice per block; the block's recurrences
-            // advance in lockstep without touching memory.
-            for &x in samples {
-                let x = x as f64;
-                for l in 0..LANES {
-                    let s = x + coeff[l] * s1[l] - s2[l];
-                    s2[l] = s1[l];
-                    s1[l] = s;
-                }
-            }
-            for l in 0..LANES {
-                out[l] = (s1[l] * cos_w[l] - s2[l], s1[l] * sin_w[l]);
-            }
-        }
+        let lanes = BankLanes {
+            coeff: &self.coeff,
+            cos_w: &self.cos_w,
+            sin_w: &self.sin_w,
+        };
+        kernels.goertzel(self.len, lanes, samples, &mut state.response);
         &state.response[..self.len]
     }
 

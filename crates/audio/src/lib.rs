@@ -32,6 +32,7 @@
 
 pub mod fft;
 pub mod goertzel;
+mod kernels;
 pub mod mel;
 pub mod noise;
 pub mod resample;

@@ -14,6 +14,7 @@
 //!   calibration constant: [`SPL_FULL_SCALE_DB`] dB SPL corresponds to a
 //!   full-scale (amplitude 1.0) sine.
 
+use crate::kernels::Kernels;
 use std::f64::consts::PI;
 use std::fmt;
 use std::time::Duration;
@@ -317,6 +318,17 @@ impl Signal {
             .chunks_exact(chunk_len)
             .map(move |c| Signal::from_samples(c.to_vec(), self.sample_rate))
     }
+}
+
+/// Add `src`, scaled by `gain`, into `dst`, sample by sample:
+/// `dst[i] += (src[i] as f64 * gain) as f32`. That is the arithmetic of
+/// [`Signal::scaled`] followed by [`Signal::mix_at`], bit for bit, at the
+/// CPU's widest vector width.
+///
+/// # Panics
+/// Panics if the slices' lengths differ.
+pub fn mix_scaled(dst: &mut [f32], src: &[f32], gain: f64) {
+    Kernels::detected().mix_scaled(dst, src, gain);
 }
 
 /// Number of samples covering `duration` at `sample_rate` (rounded to

@@ -14,7 +14,7 @@ use mdn_acoustics::mic::Microphone;
 use mdn_acoustics::scene::{RenderMark, Scene};
 use mdn_audio::signal::{duration_to_samples, Window};
 use mdn_audio::Signal;
-use mdn_obs::{Counter, Registry};
+use mdn_obs::{Counter, Histogram, Registry};
 use std::time::Duration;
 
 /// How far before a window [`MdnController::listen`] extends its capture
@@ -104,6 +104,7 @@ pub struct MdnController {
     obs_registry: Registry,
     obs_events: Counter,
     obs_pre_roll_carried: Counter,
+    obs_capture_span: Histogram,
 }
 
 impl MdnController {
@@ -120,19 +121,22 @@ impl MdnController {
             obs_registry: Registry::disabled(),
             obs_events: Counter::disabled(),
             obs_pre_roll_carried: Counter::disabled(),
+            obs_capture_span: Histogram::disabled(),
         }
     }
 
     /// Register the controller's metrics with an observability registry:
     /// `mdn_events_decoded_total`, `mdn_listen_pre_roll_carried_total`
-    /// (loop listens that reused the previous window's pre-roll render)
-    /// and the detector's counters and stage spans (kept attached across
+    /// (loop listens that reused the previous window's pre-roll render),
+    /// the `mdn_stage_ns{stage="mic.capture"}` span, and the detector's
+    /// counters and stage spans (kept attached across
     /// [`MdnController::set_config`] / [`MdnController::bind_device`]
     /// rebuilds).
     pub fn attach_obs(&mut self, registry: &Registry) {
         self.obs_registry = registry.clone();
         self.obs_events = registry.counter("mdn_events_decoded_total", &[]);
         self.obs_pre_roll_carried = registry.counter("mdn_listen_pre_roll_carried_total", &[]);
+        self.obs_capture_span = registry.stage_histogram("mic.capture");
         if let Some(det) = &mut self.detector {
             det.attach_obs(registry);
         }
@@ -182,7 +186,14 @@ impl MdnController {
     /// tick render costs O(window) no matter how much scene time has
     /// elapsed.
     pub fn capture(&self, scene: &Scene, w: Window) -> Signal {
-        scene.capture(&self.mic, self.pos, w)
+        self.capture_pressure(&scene.render_window(self.pos, w))
+    }
+
+    /// Capture `pressure` through the controller's microphone, timed as
+    /// the `mic.capture` stage.
+    fn capture_pressure(&self, pressure: &Signal) -> Signal {
+        let _span = self.obs_capture_span.start_span();
+        self.mic.capture(pressure)
     }
 
     /// Calibrate the detector's per-slot noise floor against the scene's
@@ -303,7 +314,7 @@ impl MdnController {
         let sr = scene.sample_rate();
         let offset = duration_to_samples(w.from, sr) - duration_to_samples(span.from, sr);
         let own = pressure.slice(offset, pressure.len());
-        let analysis = self.analyze(&self.mic.capture(&own));
+        let analysis = self.analyze(&self.capture_pressure(&own));
         *pre_roll = PreRoll::keep(mark, &pressure, span.from, w);
         (events, analysis)
     }
@@ -312,7 +323,7 @@ impl MdnController {
     /// listened window: captured whole, decoded from the window's start,
     /// with scene-absolute times.
     fn decode_listen(&self, pressure: &Signal, span: Window) -> Vec<MdnEvent> {
-        let mut events = self.decode_from(&self.mic.capture(pressure), span.len);
+        let mut events = self.decode_from(&self.capture_pressure(pressure), span.len);
         for e in &mut events {
             e.time += span.from;
         }
@@ -595,6 +606,11 @@ mod tests {
         assert!(snap
             .histograms
             .contains_key("mdn_stage_ns{stage=\"detect.goertzel_bank\"}"));
+        // The one listen captured once, inside the `mic.capture` span.
+        assert_eq!(
+            snap.histograms["mdn_stage_ns{stage=\"mic.capture\"}"].count,
+            1
+        );
         // A health ledger attached beside it reports into the same
         // registry.
         let mut health = crate::health::HealthTracker::default();
