@@ -11,6 +11,10 @@
 //! stream is kept as one process-wide memoized prefix per noise
 //! configuration, and a capture adds its first `len` samples instead of
 //! synthesising them again.
+//!
+//! Captures run in batches ([`capture_batch`]): independent streams'
+//! band limits advance side by side as the lanes of one pass, with the
+//! bits of lone captures. [`Microphone::capture`] is a batch of one.
 
 use mdn_audio::noise::white_noise_at;
 use mdn_audio::resample::resample;
@@ -71,60 +75,38 @@ impl Microphone {
     }
 
     /// Capture a pressure signal: band-limit, resample to the ADC rate, add
-    /// the self-noise floor, clip at full scale.
-    ///
-    /// At the ADC rate the band limit, the floor and the clip run as one
-    /// pass into one buffer; a resampling mic adds the floor and clips in
-    /// place after resampling. Either way each sample is
-    /// `(band_limited as f32 + floor).clamp(-1, 1)`, the arithmetic of
-    /// mixing a from-zero `white_noise` floor and clipping.
+    /// the self-noise floor, clip at full scale. This is the one-stream
+    /// case of [`capture_batch`], so every capture runs the same code.
     pub fn capture(&self, pressure: &Signal) -> Signal {
-        let (lo, hi) = self.band;
-        if pressure.sample_rate() == self.sample_rate {
-            let floor = self.noise_floor(pressure.len());
-            let samples = band_limit(pressure, lo, hi)
-                .zip(floor.iter())
-                .map(|(y, &n)| add_floor(y, n))
-                .collect();
-            return Signal::from_samples(samples, self.sample_rate);
-        }
-        let limited = Signal::from_samples(
-            band_limit(pressure, lo, hi).collect(),
-            pressure.sample_rate(),
-        );
-        let mut sig = resample(&limited, self.sample_rate);
-        let floor = self.noise_floor(sig.len());
-        for (s, &n) in sig.samples_mut().iter_mut().zip(floor.iter()) {
-            *s = add_floor(*s, n);
-        }
+        let mut sig = pressure.clone();
+        capture_batch(&mut [(self, &mut sig)]);
         sig
     }
 
-    /// At least the first `len` samples of this mic's self-noise stream,
-    /// from the process-wide memo.
-    fn noise_floor(&self, len: usize) -> Arc<[f32]> {
-        let rms = spl_to_amplitude(self.noise_floor_spl);
-        let key = (self.noise_seed, rms.to_bits(), self.sample_rate);
-        // Every update below swaps in a whole entry or prefix, so the memo
-        // stays valid even if a holder panicked: recover a poisoned lock.
-        let mut memo = NOISE_FLOORS.lock().unwrap_or_else(PoisonError::into_inner);
-        let at = match memo.iter().position(|(k, _)| *k == key) {
-            Some(at) => at,
-            None => {
-                if memo.len() == NOISE_FLOOR_KEYS {
-                    memo.remove(0);
-                }
-                memo.push((key, Arc::from([])));
-                memo.len() - 1
-            }
+    /// What a capture of a `sample_rate` pressure signal depends on
+    /// besides its samples: streams with equal keys can share a pass.
+    fn lane_key(&self, sample_rate: u32) -> LaneKey {
+        let sr = sample_rate as f64;
+        let dt = 1.0 / sr;
+        let alpha = |fc: f64| {
+            let rc = 1.0 / (2.0 * std::f64::consts::PI * fc);
+            dt / (rc + dt)
         };
-        let prefix = &mut memo[at].1;
-        if prefix.len() < len {
-            let grown = len.max(2 * prefix.len());
-            let noise = white_noise_at(0, grown, rms, self.sample_rate, self.noise_seed);
-            *prefix = noise.samples().into();
+        let (lo_hz, hi_hz) = self.band;
+        let a_lo = alpha(lo_hz.max(1.0));
+        let a_hi = alpha(hi_hz.min(sr / 2.0 - 1.0));
+        LaneKey {
+            sample_rate,
+            a_lo: a_lo.to_bits(),
+            a_hi: a_hi.to_bits(),
+            noise: self.noise_key(),
         }
-        Arc::clone(prefix)
+    }
+
+    /// This mic's self-noise stream's identity, read from its fields.
+    fn noise_key(&self) -> NoiseKey {
+        let rms = spl_to_amplitude(self.noise_floor_spl);
+        (self.noise_seed, rms.to_bits(), self.sample_rate)
     }
 }
 
@@ -146,32 +128,170 @@ type NoiseKey = (u64, u64, u32);
 /// workers; a miss holds the lock while it synthesises.
 static NOISE_FLOORS: Mutex<Vec<(NoiseKey, Arc<[f32]>)>> = Mutex::new(Vec::new());
 
+/// At least the first `len` samples of the self-noise stream `key`, from
+/// the process-wide memo.
+fn noise_floor(key: NoiseKey, len: usize) -> Arc<[f32]> {
+    let (seed, rms, sample_rate) = key;
+    // Every update below swaps in a whole entry or prefix, so the memo
+    // stays valid even if a holder panicked: recover a poisoned lock.
+    let mut memo = NOISE_FLOORS.lock().unwrap_or_else(PoisonError::into_inner);
+    let at = match memo.iter().position(|(k, _)| *k == key) {
+        Some(at) => at,
+        None => {
+            if memo.len() == NOISE_FLOOR_KEYS {
+                memo.remove(0);
+            }
+            memo.push((key, Arc::from([])));
+            memo.len() - 1
+        }
+    };
+    let prefix = &mut memo[at].1;
+    if prefix.len() < len {
+        let grown = len.max(2 * prefix.len());
+        let noise = white_noise_at(0, grown, f64::from_bits(rms), sample_rate, seed);
+        *prefix = noise.samples().into();
+    }
+    Arc::clone(prefix)
+}
+
+/// Capture every stream in place: `streams[i].1`, a pressure signal,
+/// becomes its capture through `streams[i].0`, bit for bit
+/// [`Microphone::capture`] of it.
+///
+/// Each capture band-limits its pressure with two one-pole recurrences
+/// per sample, whose latency, not their arithmetic, sets its speed. The
+/// batch therefore runs independent streams side by side, one lane each,
+/// up to [`CAPTURE_LANES`] per pass: streams share a pass when they share
+/// their input rate, band-limit coefficients and noise floor. Every lane
+/// performs a lone capture's operations in its order, so the bits do not
+/// depend on which streams share a pass, or on the batch at all. At the
+/// ADC rate the floor and the clip are applied as each sample leaves the
+/// pass; a resampling mic band-limits in the pass, then resamples and
+/// adds the floor. Either way each sample is
+/// `(band_limited as f32 + floor).clamp(-1, 1)`, the arithmetic of mixing
+/// a from-zero `white_noise` floor and clipping.
+pub fn capture_batch(streams: &mut [(&Microphone, &mut Signal)]) {
+    let mut lanes: Vec<(LaneKey, &mut Signal)> = streams
+        .iter_mut()
+        .map(|(mic, sig)| (mic.lane_key(sig.sample_rate()), &mut **sig))
+        .collect();
+    // Equal keys side by side, longest first, so a pass's lanes end
+    // close together.
+    lanes.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.len().cmp(&a.1.len())));
+    for same in lanes.chunk_by_mut(|a, b| a.0 == b.0) {
+        let key = same[0].0;
+        let coeffs = (f64::from_bits(key.a_lo), f64::from_bits(key.a_hi));
+        let resamples = key.sample_rate != key.noise.2;
+        let floor = (!resamples).then(|| noise_floor(key.noise, same[0].1.len()));
+        for pass in same.chunks_mut(CAPTURE_LANES) {
+            let width = pass.len();
+            let mut bufs: [&mut [f32]; CAPTURE_LANES] = Default::default();
+            for (buf, (_, sig)) in bufs.iter_mut().zip(pass) {
+                *buf = sig.samples_mut();
+            }
+            let (bufs, floor) = (&mut bufs[..width], floor.as_deref());
+            match width {
+                5.. => band_limit_pass::<CAPTURE_LANES, TILE>(coeffs, bufs, floor),
+                2..=4 => band_limit_pass::<4, TILE>(coeffs, bufs, floor),
+                _ => band_limit_pass::<1, 1>(coeffs, bufs, floor),
+            }
+        }
+        if resamples {
+            for (_, sig) in same.iter_mut() {
+                **sig = resample(sig, key.noise.2);
+                let floor = noise_floor(key.noise, sig.len());
+                for (s, &n) in sig.samples_mut().iter_mut().zip(floor.iter()) {
+                    *s = add_floor(*s, n);
+                }
+            }
+        }
+    }
+}
+
+/// Streams one band-limit pass carries: enough independent recurrences
+/// to hide the latency of one sample's subtract, multiply and add.
+pub const CAPTURE_LANES: usize = 8;
+
+/// Samples per lane a pass of several lanes moves between the streams
+/// and its registers at a time.
+const TILE: usize = 64;
+
+/// Everything a capture depends on besides its pressure samples: the
+/// input rate, the band limit's one-pole coefficients (as bits) and the
+/// noise floor. Streams with equal keys share a pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct LaneKey {
+    sample_rate: u32,
+    a_lo: u64,
+    a_hi: u64,
+    noise: NoiseKey,
+}
+
+/// Band-limit up to `K` streams in place, one lane each, with cascaded
+/// one-pole high/low-pass filters of coefficients `(a_lo, a_hi)`; with a
+/// `floor`, add it and clip each sample as it is written back. Lanes run
+/// to the longest stream; a shorter stream's lane writes nothing past its
+/// end.
+///
+/// This is the workspace's one band limit. Each lane performs exactly a
+/// lone stream's operations in its order: `lp += a_lo * (x - lp)`,
+/// `hp = x - lp`, `out += a_hi * (hp - out)`, `y = out as f32`. The
+/// samples are transposed through `T × K` tiles on the stack, so the
+/// inner loop advances all `K` recurrences in step in vector registers.
+/// A lone stream takes `T = 1`: its tile's samples would be stored one
+/// by one and loaded back as a vector, which stalls store forwarding.
+fn band_limit_pass<const K: usize, const T: usize>(
+    (a_lo, a_hi): (f64, f64),
+    lanes: &mut [&mut [f32]],
+    floor: Option<&[f32]>,
+) {
+    debug_assert!(lanes.len() <= K);
+    let len = lanes.iter().map(|l| l.len()).max().unwrap_or(0);
+    let mut lp = [0.0f64; K];
+    let mut out = [0.0f64; K];
+    // A lane past its stream's end keeps whatever the last tile left:
+    // its outputs are never written back.
+    let mut x = [[0.0f32; K]; T];
+    let mut y = [[0.0f32; K]; T];
+    for t0 in (0..len).step_by(T) {
+        for (l, lane) in lanes.iter().enumerate() {
+            let src = lane.get(t0..).unwrap_or_default();
+            for (xi, &s) in x.iter_mut().zip(src) {
+                xi[l] = s;
+            }
+        }
+        for (xi, yi) in x.iter().zip(&mut y) {
+            for l in 0..K {
+                let x = xi[l] as f64;
+                lp[l] += a_lo * (x - lp[l]);
+                let hp = x - lp[l];
+                out[l] += a_hi * (hp - out[l]);
+                yi[l] = out[l] as f32;
+            }
+        }
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            let dst = lane.get_mut(t0..).unwrap_or_default();
+            match floor {
+                Some(floor) => {
+                    for ((d, yi), &n) in dst.iter_mut().zip(&y).zip(&floor[t0..]) {
+                        *d = add_floor(yi[l], n);
+                    }
+                }
+                None => {
+                    for (d, yi) in dst.iter_mut().zip(&y) {
+                        *d = yi[l];
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// One captured sample: the band-limited pressure plus the mic floor,
 /// clipped at full scale.
 #[inline]
 fn add_floor(y: f32, noise: f32) -> f32 {
     (y + noise).clamp(-1.0, 1.0)
-}
-
-/// Band-limit a signal with cascaded one-pole high/low-pass filters,
-/// lazily, one output sample per input sample.
-fn band_limit(signal: &Signal, lo_hz: f64, hi_hz: f64) -> impl Iterator<Item = f32> + '_ {
-    let sr = signal.sample_rate() as f64;
-    let dt = 1.0 / sr;
-    let alpha = |fc: f64| {
-        let rc = 1.0 / (2.0 * std::f64::consts::PI * fc);
-        dt / (rc + dt)
-    };
-    let a_lo = alpha(lo_hz.max(1.0));
-    let a_hi = alpha(hi_hz.min(sr / 2.0 - 1.0));
-    let mut lp_state = 0.0f64; // tracks low-frequency content (to subtract)
-    let mut out_state = 0.0f64; // lowpass at the upper cutoff
-    signal.samples().iter().map(move |&x| {
-        lp_state += a_lo * (x as f64 - lp_state);
-        let highpassed = x as f64 - lp_state;
-        out_state += a_hi * (highpassed - out_state);
-        out_state as f32
-    })
 }
 
 #[cfg(test)]
@@ -251,11 +371,10 @@ mod tests {
     /// band-limited signal, a resample, a from-zero `white_noise` floor of
     /// the signal's duration mixed in, then a clip.
     fn staged_capture(mic: &Microphone, pressure: &Signal) -> Signal {
-        let (lo, hi) = mic.band;
-        let mut sig = Signal::from_samples(
-            band_limit(pressure, lo, hi).collect(),
-            pressure.sample_rate(),
-        );
+        let mut sig = pressure.clone();
+        let key = mic.lane_key(sig.sample_rate());
+        let coeffs = (f64::from_bits(key.a_lo), f64::from_bits(key.a_hi));
+        band_limit_pass::<1, 1>(coeffs, &mut [sig.samples_mut()], None);
         if sig.sample_rate() != mic.sample_rate {
             sig = resample(&sig, mic.sample_rate);
         }

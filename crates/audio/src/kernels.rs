@@ -220,7 +220,7 @@ fn blocks<const W: usize>(
     mut at: usize,
 ) -> usize {
     while at + W <= out.len() {
-        let lane = |v: &[f64]| -> [f64; W] { v[at..at + W].try_into().expect("W lanes") };
+        let lane = |v: &[f64]| -> [f64; W] { std::array::from_fn(|l| v[at + l]) };
         let (coeff, cos_w, sin_w) = (lane(bank.coeff), lane(bank.cos_w), lane(bank.sin_w));
         let mut s1 = [0.0f64; W];
         let mut s2 = [0.0f64; W];

@@ -164,12 +164,12 @@ impl Spectrogram {
         self.frames
             .iter()
             .map(|frame| {
-                let (k, &m) = frame
+                frame
                     .iter()
                     .enumerate()
                     .max_by(|a, b| a.1.total_cmp(b.1))
-                    .expect("frames are non-empty");
-                (m >= threshold).then_some(k as f64 * self.bin_hz)
+                    .filter(|&(_, &m)| m >= threshold)
+                    .map(|(k, _)| k as f64 * self.bin_hz)
             })
             .collect()
     }

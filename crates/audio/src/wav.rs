@@ -74,11 +74,12 @@ pub fn write_wav(signal: &Signal, path: impl AsRef<Path>) -> Result<(), WavError
 
 fn take<const N: usize>(data: &[u8], at: &mut usize) -> Result<[u8; N], WavError> {
     let end = *at + N;
-    let slice = data
+    let bytes = data
         .get(*at..end)
+        .and_then(|slice| slice.try_into().ok())
         .ok_or(WavError::Unsupported("truncated file"))?;
     *at = end;
-    Ok(slice.try_into().expect("length checked"))
+    Ok(bytes)
 }
 
 /// Read a mono 16-bit PCM WAV file back into a [`Signal`].
@@ -100,14 +101,21 @@ pub fn read_wav(path: impl AsRef<Path>) -> Result<Signal, WavError> {
         let len = u32::from_le_bytes(take(&data, &mut at)?) as usize;
         match &id {
             b"fmt " => {
-                let body_at = at;
-                let mut p = body_at;
-                let format = u16::from_le_bytes(take(&data, &mut p)?);
-                let channels = u16::from_le_bytes(take(&data, &mut p)?);
-                let sr = u32::from_le_bytes(take(&data, &mut p)?);
-                let _byte_rate = u32::from_le_bytes(take(&data, &mut p)?);
-                let _block = u16::from_le_bytes(take(&data, &mut p)?);
-                let bits = u16::from_le_bytes(take(&data, &mut p)?);
+                // The fields are read from the chunk's own bytes, never
+                // from the chunk after a short one.
+                let body = data
+                    .get(at..at + len)
+                    .ok_or(WavError::Unsupported("truncated fmt chunk"))?;
+                if len < 16 {
+                    return Err(WavError::Unsupported("fmt chunk shorter than 16 bytes"));
+                }
+                let mut p = 0;
+                let format = u16::from_le_bytes(take(body, &mut p)?);
+                let channels = u16::from_le_bytes(take(body, &mut p)?);
+                let sr = u32::from_le_bytes(take(body, &mut p)?);
+                let _byte_rate = u32::from_le_bytes(take(body, &mut p)?);
+                let _block = u16::from_le_bytes(take(body, &mut p)?);
+                let bits = u16::from_le_bytes(take(body, &mut p)?);
                 if format != 1 {
                     return Err(WavError::Unsupported("not PCM"));
                 }
@@ -116,6 +124,9 @@ pub fn read_wav(path: impl AsRef<Path>) -> Result<Signal, WavError> {
                 }
                 if bits != 16 {
                     return Err(WavError::Unsupported("not 16-bit"));
+                }
+                if sr == 0 {
+                    return Err(WavError::Unsupported("zero sample rate"));
                 }
                 sample_rate = Some(sr);
                 at += len;
@@ -197,6 +208,52 @@ mod tests {
         std::fs::write(&path, b"not a wav at all").unwrap();
         assert!(matches!(read_wav(&path), Err(WavError::Unsupported(_))));
         std::fs::remove_file(path).unwrap();
+    }
+
+    /// A canonical 10-sample file at 8 kHz, as bytes.
+    fn canonical_bytes(name: &str) -> Vec<u8> {
+        let path = tmp(name);
+        write_wav(&Signal::from_samples(vec![0.25; 10], 8_000), &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(path).unwrap();
+        bytes
+    }
+
+    fn read_bytes(name: &str, bytes: &[u8]) -> Result<Signal, WavError> {
+        let path = tmp(name);
+        std::fs::write(&path, bytes).unwrap();
+        let got = read_wav(&path);
+        std::fs::remove_file(path).unwrap();
+        got
+    }
+
+    #[test]
+    fn rejects_a_zero_sample_rate() {
+        let mut bytes = canonical_bytes("zero_rate_src");
+        bytes[24..28].copy_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            read_bytes("zero_rate", &bytes),
+            Err(WavError::Unsupported("zero sample rate"))
+        ));
+    }
+
+    #[test]
+    fn rejects_a_fmt_chunk_shorter_than_its_fields() {
+        // A 14-byte fmt chunk: its last field would be read from the
+        // `data` chunk's id.
+        let mut bytes = canonical_bytes("short_fmt_src");
+        bytes[16..20].copy_from_slice(&14u32.to_le_bytes());
+        bytes.drain(34..36);
+        assert!(matches!(
+            read_bytes("short_fmt", &bytes),
+            Err(WavError::Unsupported("fmt chunk shorter than 16 bytes"))
+        ));
+        // A fmt chunk cut off by the end of the file.
+        let bytes = canonical_bytes("cut_fmt_src");
+        assert!(matches!(
+            read_bytes("cut_fmt", &bytes[..30]),
+            Err(WavError::Unsupported("truncated fmt chunk"))
+        ));
     }
 
     #[test]

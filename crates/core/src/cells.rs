@@ -33,14 +33,16 @@
 //! Captures go through the windowed render path, so each listening tick
 //! costs O(window) regardless of elapsed scene time.
 
-use crate::controller::{merge_event_streams, MdnController, MdnEvent, PreRoll};
+use crate::controller::{
+    listen_cells, merge_event_streams, Heard, ListenScratch, MdnController, MdnEvent, PreRoll,
+};
 pub use crate::controller::{CellId, ShardEvent};
 use crate::detector::{DetectorConfig, FrameMagnitudes};
 use crate::encoder::{EmitError, SoundingDevice};
 use crate::freqplan::{FrequencyPlan, FrequencySet};
 use mdn_acoustics::ambient::AmbientProfile;
 use mdn_acoustics::medium::{incident_amplitude, spreading_gain, Pos};
-use mdn_acoustics::mic::Microphone;
+use mdn_acoustics::mic::{Microphone, CAPTURE_LANES};
 use mdn_acoustics::scene::Scene;
 use mdn_acoustics::speaker::Speaker;
 use mdn_audio::signal::{amplitude_to_spl, spl_to_amplitude, Window};
@@ -946,6 +948,9 @@ pub struct ShardedController {
     controllers: Vec<MdnController>,
     /// Each cell's carried pre-roll render, for the loop's next listen.
     pre_rolls: Vec<Option<PreRoll>>,
+    /// Each shard worker's render and capture buffers, kept from one
+    /// loop listen to the next.
+    scratch: Vec<ListenScratch>,
     reuse_factor: f64,
     threads: usize,
     obs_cell_events: Vec<Counter>,
@@ -964,6 +969,7 @@ impl ShardedController {
             .collect();
         Self {
             pre_rolls: controllers.iter().map(|_| None).collect(),
+            scratch: Vec::new(),
             controllers,
             reuse_factor: plan.reuse_factor(),
             threads: 0,
@@ -1063,49 +1069,59 @@ impl ShardedController {
     /// shards into one time-ordered, cell-attributed stream.
     ///
     /// Cells are captured/decoded in parallel (chunked over scoped
-    /// threads, each writing a pre-assigned output slot) and merged
-    /// sequentially by [`merge_event_streams`], so the result is
+    /// threads, each writing a pre-assigned output slot; inside a chunk,
+    /// groups of [`CAPTURE_LANES`] cells share one batched capture) and
+    /// merged sequentially by [`merge_event_streams`], so the result is
     /// bit-identical for any thread count.
     pub fn listen(&self, scene: &Scene, w: Window) -> Vec<ShardEvent> {
         let mut unit = vec![(); self.controllers.len()];
-        let per_cell = self.per_cell(&mut unit, |ctl, ()| ctl.listen(scene, w));
-        self.merge(per_cell)
+        let heard = self.per_group(&mut unit, &mut Vec::new(), |ctls, _, scratch, out| {
+            listen_cells(ctls, None, scene, w, scratch, out);
+        });
+        self.merge(heard.into_iter().map(|(events, _)| events).collect())
     }
 
     /// [`Self::listen`] plus each cell's ambient-retune analysis of `w`,
     /// cut from the cell's one listen render inside the same shard
-    /// worker (see [`MdnController::listen_and_analyze`]). `None` for a
-    /// cell with no bindings. Each cell carries the tail of its render to
-    /// its next call as that listen's pre-roll; [`Self::apply_plan`]
-    /// drops the carried tails.
+    /// worker (see [`listen_cells`]). `None` for a cell with no bindings.
+    /// Each cell carries the tail of its render to its next call as that
+    /// listen's pre-roll; [`Self::apply_plan`] drops the carried tails.
     pub(crate) fn listen_and_analyze(
         &mut self,
         scene: &Scene,
         w: Window,
     ) -> (Vec<ShardEvent>, Vec<Option<FrameMagnitudes>>) {
         let mut pre_rolls = std::mem::take(&mut self.pre_rolls);
+        let mut scratch = std::mem::take(&mut self.scratch);
         let (per_cell, analyses) = self
-            .per_cell(&mut pre_rolls, |ctl, pre_roll| {
-                ctl.listen_and_analyze(scene, w, pre_roll)
-            })
+            .per_group(
+                &mut pre_rolls,
+                &mut scratch,
+                |ctls, pre_rolls, scratch, out| {
+                    listen_cells(ctls, Some(pre_rolls), scene, w, scratch, out);
+                },
+            )
             .into_iter()
             .unzip();
         self.pre_rolls = pre_rolls;
+        self.scratch = scratch;
         (self.merge(per_cell), analyses)
     }
 
-    /// `listen_one` over every cell that has bindings, with that cell's
-    /// entry of `state`, in cell order, fanned over the shard workers; an
-    /// evacuated cell's controller has no bindings (and no detector), so
-    /// it yields the default.
-    fn per_cell<S: Send, T: Default + Send>(
+    /// `listen_group` over every cell, with each cell's entry of `state`,
+    /// fanned over the shard workers: each worker takes a contiguous
+    /// chunk of cells and hands it over in groups of [`CAPTURE_LANES`],
+    /// in cell order, with its own entry of `scratch`. Each group writes
+    /// its cells' shares into its slice of the output.
+    fn per_group<S: Send>(
         &self,
         state: &mut [S],
-        listen_one: impl Fn(&MdnController, &mut S) -> T + Sync,
-    ) -> Vec<T> {
+        scratch: &mut Vec<ListenScratch>,
+        listen_group: impl Fn(&[MdnController], &mut [S], &mut ListenScratch, &mut [Heard]) + Sync,
+    ) -> Vec<Heard> {
         let n = self.controllers.len();
-        let mut per_cell: Vec<T> = Vec::with_capacity(n);
-        per_cell.resize_with(n, T::default);
+        let mut heard: Vec<Heard> = Vec::with_capacity(n);
+        heard.resize_with(n, Heard::default);
 
         let workers = if self.threads == 0 {
             std::thread::available_parallelism().map_or(1, |p| p.get())
@@ -1114,37 +1130,39 @@ impl ShardedController {
         }
         .clamp(1, n.max(1));
 
-        let listen_one = |ctl: &MdnController, state: &mut S| -> T {
-            if ctl.bindings().is_empty() {
-                T::default()
-            } else {
-                listen_one(ctl, state)
+        scratch.resize_with(workers, ListenScratch::default);
+
+        let listen_chunk = |ctls: &[MdnController],
+                            state: &mut [S],
+                            scratch: &mut ListenScratch,
+                            out: &mut [Heard]| {
+            for ((ctls, state), out) in ctls
+                .chunks(CAPTURE_LANES)
+                .zip(state.chunks_mut(CAPTURE_LANES))
+                .zip(out.chunks_mut(CAPTURE_LANES))
+            {
+                listen_group(ctls, state, scratch, out);
             }
         };
 
         if workers <= 1 {
-            for ((ctl, state), out) in self.controllers.iter().zip(state).zip(&mut per_cell) {
-                *out = listen_one(ctl, state);
-            }
+            listen_chunk(&self.controllers, state, &mut scratch[0], &mut heard);
         } else {
             let chunk = n.div_ceil(workers);
-            let listen_one = &listen_one;
+            let listen_chunk = &listen_chunk;
             std::thread::scope(|s| {
-                for ((ctls, states), outs) in self
+                for (((ctls, states), scratch), outs) in self
                     .controllers
                     .chunks(chunk)
                     .zip(state.chunks_mut(chunk))
-                    .zip(per_cell.chunks_mut(chunk))
+                    .zip(scratch.iter_mut())
+                    .zip(heard.chunks_mut(chunk))
                 {
-                    s.spawn(move || {
-                        for ((ctl, state), out) in ctls.iter().zip(states).zip(outs) {
-                            *out = listen_one(ctl, state);
-                        }
-                    });
+                    s.spawn(move || listen_chunk(ctls, states, scratch, outs));
                 }
             });
         }
-        per_cell
+        heard
     }
 
     /// Count each cell's events and merge the shards.
@@ -1430,6 +1448,57 @@ mod tests {
             sharded.controllers()[host].bindings().len() > plan.config().switches_per_cell,
             "host controller binds the migrants"
         );
+    }
+
+    #[test]
+    fn mic_capture_span_counts_one_batch_per_group_of_cells() {
+        let plan =
+            CellPlan::plan(CAPTURE_LANES + 2, &[AmbientProfile::quiet()], small_cfg()).unwrap();
+        let mut sharded = ShardedController::new(&plan);
+        sharded.set_threads(1);
+        let registry = Registry::new();
+        sharded.attach_obs(&registry);
+        let batches =
+            || registry.snapshot().histograms["mdn_stage_ns{stage=\"mic.capture\"}"].count;
+        let scene = Scene::quiet(44_100);
+        let w = Window::new(Duration::from_millis(300), Duration::from_millis(300));
+        // A whole group of cells and a partial one: two batched calls.
+        let _ = sharded.listen(&scene, w);
+        assert_eq!(batches(), 2);
+        // The loop's listen captures each cell's listen and retune
+        // streams in the same call.
+        let _ = sharded.listen_and_analyze(&scene, w);
+        assert_eq!(batches(), 4);
+        // An evacuated cell inside the first group is skipped, not a
+        // batch of its own.
+        sharded.apply_plan(&plan.replan_without_cell(1).unwrap());
+        assert!(sharded.controllers()[1].bindings().is_empty());
+        let _ = sharded.listen_and_analyze(&scene, w);
+        assert_eq!(batches(), 6);
+    }
+
+    #[test]
+    fn resampling_mics_listen_in_groups_as_lone_captures() {
+        // A 48 kHz scene heard through the 44.1 kHz measurement mic: each
+        // capture resamples, leaving its group buffer at the mic's rate
+        // for the next group and the next window to render into again.
+        let plan =
+            CellPlan::plan(CAPTURE_LANES + 2, &[AmbientProfile::office()], small_cfg()).unwrap();
+        let mut sharded = ShardedController::new(&plan);
+        sharded.set_threads(1);
+        let scene = Scene::new(48_000, AmbientProfile::office());
+        for t in 0..2u32 {
+            let w = Window::new(Duration::from_millis(300) * t, Duration::from_millis(300));
+            let (_, analyses) = sharded.listen_and_analyze(&scene, w);
+            for (c, (ctl, got)) in sharded.controllers().iter().zip(&analyses).enumerate() {
+                let want = ctl.analyze(&ctl.capture(&scene, w));
+                let bits = |a: &Option<FrameMagnitudes>| {
+                    a.as_ref()
+                        .map(|a| a.magnitudes.iter().map(|m| m.to_bits()).collect::<Vec<_>>())
+                };
+                assert_eq!(bits(got), bits(&want), "window {t}, cell {c}");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::detector::{DetectorConfig, FrameMagnitudes, ToneDetector, ToneObservation};
 use crate::freqplan::FrequencySet;
 use mdn_acoustics::medium::Pos;
-use mdn_acoustics::mic::Microphone;
+use mdn_acoustics::mic::{capture_batch, Microphone};
 use mdn_acoustics::scene::{RenderMark, Scene};
 use mdn_audio::signal::{duration_to_samples, Window};
 use mdn_audio::Signal;
@@ -272,58 +272,56 @@ impl MdnController {
     ///
     /// The self-healing loop listens through a variant that also returns
     /// the ambient retune's analysis of `w`, cut from this same render,
-    /// and that carries each window's pre-roll render over from the
-    /// window before (see [`crate::selfheal::SelfHealingController::tick`]);
-    /// both give this call's events. This call renders the whole span,
+    /// that carries each window's pre-roll render over from the window
+    /// before, and that captures a group of cells' streams in one batched
+    /// call (see [`crate::selfheal::SelfHealingController::tick`]); both
+    /// give this call's events. This call renders the whole span,
     /// captures and decodes.
     pub fn listen(&self, scene: &Scene, w: Window) -> Vec<MdnEvent> {
         let span = pre_roll_span(w);
         let pressure = scene.render_window(self.pos, Window::new(span.from, span.len + w.len));
-        self.decode_listen(&pressure, span)
+        self.decode_listen(&self.capture_pressure(&pressure), span)
     }
 
-    /// [`Self::listen`] plus the ambient retune's analysis of `w` alone,
-    /// from the one render, with the pre-roll render carried between
-    /// consecutive calls in `pre_roll`. When the carried span is the one
-    /// this listen needs and the scene proves it unchanged, only `w` is
-    /// rendered and appended to it; otherwise the whole span is. A render
-    /// of `[w.from, w.end())` is byte-identical to that span of the
-    /// pre-rolled render, so the span is sliced out, captured from zero
-    /// state and analysed: the same bytes a separate capture of `w` would
-    /// give. The analysis is `None` until a device is bound.
-    pub(crate) fn listen_and_analyze(
+    /// Render the pre-rolled span of the loop's listen of `w` into
+    /// `pressure`, with the pre-roll render carried between consecutive
+    /// calls in `pre_roll`. When the carried span is the one this listen
+    /// needs and the scene proves it unchanged, only `w` is rendered and
+    /// appended to it; otherwise the whole span is. Either way the bytes
+    /// are those of one render of the whole span, and `pre_roll` then
+    /// holds this render's tail for the next window.
+    fn render_listen(
         &self,
         scene: &Scene,
         w: Window,
         pre_roll: &mut Option<PreRoll>,
-    ) -> (Vec<MdnEvent>, Option<FrameMagnitudes>) {
+        pressure: &mut Signal,
+    ) {
         let span = pre_roll_span(w);
         let mark = scene.render_mark();
-        let pressure = match pre_roll.take() {
+        match pre_roll.take() {
             Some(carried)
                 if carried.span == span && scene.renders_unchanged(carried.mark, span) =>
             {
                 self.obs_pre_roll_carried.inc();
-                let mut pressure = carried.samples;
-                scene.extend_render(self.pos, w, &mut pressure);
-                pressure
+                pressure.reset(0);
+                pressure.append(&carried.samples);
+                scene.extend_render(self.pos, w, pressure);
             }
-            _ => scene.render_window(self.pos, Window::new(span.from, span.len + w.len)),
-        };
-        let events = self.decode_listen(&pressure, span);
-        let sr = scene.sample_rate();
-        let offset = duration_to_samples(w.from, sr) - duration_to_samples(span.from, sr);
-        let own = pressure.slice(offset, pressure.len());
-        let analysis = self.analyze(&self.capture_pressure(&own));
-        *pre_roll = PreRoll::keep(mark, &pressure, span.from, w);
-        (events, analysis)
+            _ => scene.render_window_into(
+                self.pos,
+                Window::new(span.from, span.len + w.len),
+                pressure,
+            ),
+        }
+        *pre_roll = PreRoll::keep(mark, pressure, span.from, w);
     }
 
-    /// The events of `pressure`, a render of `span` followed by the
-    /// listened window: captured whole, decoded from the window's start,
-    /// with scene-absolute times.
-    fn decode_listen(&self, pressure: &Signal, span: Window) -> Vec<MdnEvent> {
-        let mut events = self.decode_from(&self.capture_pressure(pressure), span.len);
+    /// The events of `capture`, a capture of `span` followed by the
+    /// listened window: decoded from the window's start, with
+    /// scene-absolute times.
+    fn decode_listen(&self, capture: &Signal, span: Window) -> Vec<MdnEvent> {
+        let mut events = self.decode_from(capture, span.len);
         for e in &mut events {
             e.time += span.from;
         }
@@ -339,6 +337,94 @@ impl MdnController {
             freq_hz: o.freq_hz,
             magnitude: o.magnitude,
         }
+    }
+}
+
+/// One cell's share of a listen: its events and, for the loop's listen,
+/// the ambient retune's analysis of the window.
+pub(crate) type Heard = (Vec<MdnEvent>, Option<FrameMagnitudes>);
+
+/// The buffers a shard worker's batched listens render and capture into,
+/// reused from one group of cells to the next: per cell of a group, the
+/// pre-rolled render and the retune's copy of the window's span, each
+/// captured in place.
+#[derive(Debug, Default)]
+pub(crate) struct ListenScratch(Vec<(Signal, Signal)>);
+
+/// Listen to window `w` with a group of cells' controllers, batched at
+/// the capture, writing cell `c`'s share to `out[c]`. A cell with no
+/// bindings (an evacuated one) is skipped and keeps the default.
+///
+/// First every cell renders its pre-rolled span; then one
+/// [`capture_batch`] call, timed as one `mic.capture` span, captures all
+/// of the group's streams side by side; then each cell decodes its
+/// capture. Without `pre_rolls` this is [`MdnController::listen`] per
+/// cell: the whole span is rendered and only the listen is captured.
+/// With them it is the loop's listen: each cell carries its pre-roll
+/// render in `pre_rolls[c]` (see [`MdnController::render_listen`]), and
+/// the span of `w` is copied from the same render, captured from zero
+/// state and analysed for the ambient retune: the same bytes a separate
+/// capture of `w` would give. A capture's bits do not depend on the
+/// batch, so the result is the same for any grouping of the cells.
+pub(crate) fn listen_cells(
+    ctls: &[MdnController],
+    mut pre_rolls: Option<&mut [Option<PreRoll>]>,
+    scene: &Scene,
+    w: Window,
+    scratch: &mut ListenScratch,
+    out: &mut [Heard],
+) {
+    let span = pre_roll_span(w);
+    let sr = scene.sample_rate();
+    let offset = duration_to_samples(w.from, sr) - duration_to_samples(span.from, sr);
+    let live: Vec<usize> = (0..ctls.len())
+        .filter(|&c| !ctls[c].bindings().is_empty())
+        .collect();
+    let Some(&first) = live.first() else {
+        return;
+    };
+    let bufs = &mut scratch.0;
+    if bufs.len() < live.len() {
+        bufs.resize_with(live.len(), || (Signal::empty(sr), Signal::empty(sr)));
+    }
+    let bufs = &mut bufs[..live.len()];
+    for (&c, (listen, own)) in live.iter().zip(bufs.iter_mut()) {
+        // A resampling mic left its capture at its own rate.
+        for buf in [&mut *listen, &mut *own] {
+            if buf.sample_rate() != sr {
+                *buf = Signal::empty(sr);
+            }
+        }
+        let ctl = &ctls[c];
+        match pre_rolls.as_deref_mut() {
+            Some(pre_rolls) => {
+                ctl.render_listen(scene, w, &mut pre_rolls[c], listen);
+                own.reset(listen.len() - offset);
+                own.samples_mut()
+                    .copy_from_slice(&listen.samples()[offset..]);
+            }
+            None => {
+                let whole = Window::new(span.from, span.len + w.len);
+                scene.render_window_into(ctl.pos, whole, listen);
+            }
+        }
+    }
+    let retune = pre_rolls.is_some();
+    let mut streams: Vec<(&Microphone, &mut Signal)> = Vec::with_capacity(2 * live.len());
+    for (&c, (listen, own)) in live.iter().zip(bufs.iter_mut()) {
+        streams.push((&ctls[c].mic, listen));
+        if retune {
+            streams.push((&ctls[c].mic, own));
+        }
+    }
+    {
+        let _span = ctls[first].obs_capture_span.start_span();
+        capture_batch(&mut streams);
+    }
+    for (&c, (listen, own)) in live.iter().zip(bufs.iter()) {
+        let ctl = &ctls[c];
+        let analysis = if retune { ctl.analyze(own) } else { None };
+        out[c] = (ctl.decode_listen(listen, span), analysis);
     }
 }
 

@@ -34,6 +34,7 @@
 //! [`WindowReport`]: mdn_core::scenario::WindowReport
 //! [`ScenarioSpec`]: mdn_core::scenario::ScenarioSpec
 
+use mdn_acoustics::mic::CAPTURE_LANES;
 use mdn_audio::signal::Window;
 use mdn_core::controller::LISTEN_PRE_ROLL;
 use mdn_core::scenario::{
@@ -167,6 +168,11 @@ const HEAL_WINDOWS: u64 = 5;
 /// Consecutive windows in the carried pre-roll property: enough for a
 /// dead mic's three missed ticks to evacuate its cell mid-run.
 const CARRY_WINDOWS: u64 = 8;
+
+/// A hall of one whole capture group and a partial one: the shard
+/// listens batch the captures of up to [`CAPTURE_LANES`] cells, so with
+/// cell 1's mic dead, the evacuated cell sits inside the first group.
+const GROUPS_HALL: usize = CAPTURE_LANES + 3;
 
 /// A tick's report and every cell's detector floors (as bits) after it.
 type HealStep = (TickReport, Vec<Vec<u64>>);
@@ -326,7 +332,9 @@ proptest! {
     /// a second time for it. Over consecutive windows — the first at
     /// `w.from` = 0, the second with its pre-roll clamped short of
     /// 150 ms — the two give the same reports and bit-identical detector
-    /// floors, under each acoustic fault and for shard threads 0, 1, 4.
+    /// floors, under each acoustic fault, for shard threads 0, 1, 4, on a
+    /// hall of one partial capture group and on one of a whole group and
+    /// a partial one.
     #[test]
     fn shared_render_tick_matches_rerender_heal_pass(
         seed in any::<u64>(),
@@ -343,57 +351,59 @@ proptest! {
             .into_iter()
             .map(|(window, permil, dev, slot, dur_ms)| EmitSpec { window, permil, dev, slot, dur_ms })
             .collect();
-        let mut spec = ScenarioSpec::small_hall(2, 2, 3, "office");
-        spec.seed = seed;
-        spec.window_ms = win_ms;
-        spec.windows = HEAL_WINDOWS;
-        let total_ms = first_ms + win_ms * (HEAL_WINDOWS - 1);
-        spec.faults = match kind_sel {
-            0 => vec![],
-            1 => vec![FaultSpec {
-                kind: "mic_dead".into(),
-                cell: Some(1),
-                at_ms: first_ms,
-                until_ms: Some(total_ms),
-                ..FaultSpec::default()
-            }],
-            2 => vec![FaultSpec {
-                kind: "noise_burst".into(),
-                level_db: Some(60.0),
-                at_ms: first_ms / 2,
-                until_ms: Some(first_ms + win_ms),
-                ..FaultSpec::default()
-            }],
-            _ => vec![FaultSpec {
-                kind: "speaker_degraded".into(),
-                device: Some("c0-s0".into()),
-                level_db: Some(12.0),
-                at_ms: 0,
-                until_ms: Some(total_ms),
-                ..FaultSpec::default()
-            }],
-        };
-        let drive = Drive {
-            first_ms,
-            emits: &emits,
-            edge_dev,
-            starve_cell_1: false,
-            late: &[],
-            gc: false,
-        };
+        for cells in [2, GROUPS_HALL] {
+            let mut spec = ScenarioSpec::small_hall(cells, 2, 3, "office");
+            spec.seed = seed;
+            spec.window_ms = win_ms;
+            spec.windows = HEAL_WINDOWS;
+            let total_ms = first_ms + win_ms * (HEAL_WINDOWS - 1);
+            spec.faults = match kind_sel {
+                0 => vec![],
+                1 => vec![FaultSpec {
+                    kind: "mic_dead".into(),
+                    cell: Some(1),
+                    at_ms: first_ms,
+                    until_ms: Some(total_ms),
+                    ..FaultSpec::default()
+                }],
+                2 => vec![FaultSpec {
+                    kind: "noise_burst".into(),
+                    level_db: Some(60.0),
+                    at_ms: first_ms / 2,
+                    until_ms: Some(first_ms + win_ms),
+                    ..FaultSpec::default()
+                }],
+                _ => vec![FaultSpec {
+                    kind: "speaker_degraded".into(),
+                    device: Some("c0-s0".into()),
+                    level_db: Some(12.0),
+                    at_ms: 0,
+                    until_ms: Some(total_ms),
+                    ..FaultSpec::default()
+                }],
+            };
+            let drive = Drive {
+                first_ms,
+                emits: &emits,
+                edge_dev,
+                starve_cell_1: false,
+                late: &[],
+                gc: false,
+            };
 
-        spec.selfheal.threads = 1;
-        let reference = heal_run(&spec, &drive, false);
-        for threads in [0usize, 1, 4] {
-            spec.selfheal.threads = threads;
-            let shared = heal_run(&spec, &drive, true);
-            check_shared_run(&shared, &reference, 2, &[])
-                .map_err(|e| format!("threads={threads}: {e}"))?;
+            spec.selfheal.threads = 1;
+            let reference = heal_run(&spec, &drive, false);
+            for threads in [0usize, 1, 4] {
+                spec.selfheal.threads = threads;
+                let shared = heal_run(&spec, &drive, true);
+                check_shared_run(&shared, &reference, cells as u64, &[])
+                    .map_err(|e| format!("{cells} cells, threads={threads}: {e}"))?;
+            }
+            prop_assert!(
+                reference.iter().any(|((r, _), _)| !r.events.is_empty()),
+                "the schedule decoded something"
+            );
         }
-        prop_assert!(
-            reference.iter().any(|((r, _), _)| !r.events.is_empty()),
-            "the schedule decoded something"
-        );
     }
 
     /// `tick` carries each cell's pre-roll render from one window to the
@@ -403,7 +413,10 @@ proptest! {
     /// dead mic) an evacuation mid-run, both give the same reports and
     /// bit-identical detector floors for shard threads 0, 1 and 4. A tone
     /// that lands inside the carried span makes the next listen render
-    /// the whole span again.
+    /// the whole span again. The dead mic also runs on a hall of a whole
+    /// capture group and a partial one, where the evacuated cell sits
+    /// inside the first group and the first two windows' pre-rolls are
+    /// clamped.
     #[test]
     fn carried_pre_roll_tick_matches_fresh_listen(
         seed in any::<u64>(),
@@ -414,14 +427,22 @@ proptest! {
         ),
         edge_dev in 0usize..4,
         late in prop::collection::vec(0u64..CARRY_WINDOWS - 1, 1..3),
+        first_ms in 20u64..150,
     ) {
         let emits: Vec<EmitSpec> = raw_emits
             .into_iter()
             .map(|(window, permil, dev, slot, dur_ms)| EmitSpec { window, permil, dev, slot, dur_ms })
             .collect();
         let total_ms = win_ms * CARRY_WINDOWS;
-        for kind_sel in 0..4 {
-            let mut spec = ScenarioSpec::small_hall(2, 2, 3, "office");
+        // Every fault plan on the two-cell hall, whose cells share one
+        // capture group; then the dead mic on a hall of whole and partial
+        // groups, with a short first window so that the second window's
+        // pre-roll is clamped too.
+        let runs = (0..4)
+            .map(|kind_sel| (2, kind_sel, win_ms))
+            .chain([(GROUPS_HALL, 1, first_ms)]);
+        for (cells, kind_sel, first_ms) in runs {
+            let mut spec = ScenarioSpec::small_hall(cells, 2, 3, "office");
             spec.seed = seed;
             spec.window_ms = win_ms;
             spec.windows = CARRY_WINDOWS;
@@ -450,7 +471,7 @@ proptest! {
                 }],
             };
             let drive = Drive {
-                first_ms: win_ms,
+                first_ms,
                 emits: &emits,
                 edge_dev,
                 starve_cell_1: kind_sel == 1,
@@ -463,8 +484,9 @@ proptest! {
             for threads in [0usize, 1, 4] {
                 spec.selfheal.threads = threads;
                 let carried = heal_run(&spec, &drive, true);
-                check_shared_run(&carried, &fresh, 2, &late)
-                    .map_err(|e| format!("fault {kind_sel}, threads={threads}: {e}"))?;
+                check_shared_run(&carried, &fresh, cells as u64, &late).map_err(|e| {
+                    format!("{cells} cells, fault {kind_sel}, threads={threads}: {e}")
+                })?;
             }
             prop_assert!(
                 fresh.iter().any(|((r, _), _)| !r.events.is_empty()),
