@@ -24,7 +24,8 @@
 //!     .play(ToneRequest { freq_hz: 700.0, duration: Duration::from_millis(50), level_spl: 60.0 }, 44_100)
 //!     .unwrap();
 //! scene.add(Pos::ORIGIN, Duration::ZERO, tone, "switch-0");
-//! let heard = scene.capture(&Microphone::measurement(), Pos::new(0.5, 0.0, 0.0), Window::from_start(Duration::from_millis(60)));
+//! let pressure = scene.render_window(Pos::new(0.5, 0.0, 0.0), Window::from_start(Duration::from_millis(60)));
+//! let heard = Microphone::measurement().capture(&pressure);
 //! assert!(!heard.is_empty());
 //! ```
 

@@ -46,7 +46,6 @@
 use crate::ambient::AmbientProfile;
 use crate::faults::SceneFaultPlan;
 use crate::medium::{incident_amplitude, propagation_delay_s, spreading_gain, Pos};
-use crate::mic::Microphone;
 use mdn_audio::noise::white_noise_add;
 use mdn_audio::signal::{duration_to_samples, mix_scaled, spl_to_amplitude, Window};
 use mdn_audio::synth::Tone;
@@ -678,16 +677,6 @@ impl Scene {
         }
     }
 
-    /// Render window `w` at the microphone's position and pass it through
-    /// the microphone's capture chain (band limit, ADC resample, noise
-    /// floor, clipping): [`Microphone::capture`] of
-    /// [`Scene::render_window`]. A controller's listen makes the same two
-    /// calls itself so it can also cut the window's own span out of the
-    /// render; every capture is one `Microphone::capture` of one render.
-    pub fn capture(&self, mic: &Microphone, at: Pos, w: Window) -> Signal {
-        mic.capture(&self.render_window(at, w))
-    }
-
     /// Worst-case peak amplitude this scene's emissions can present at
     /// `listener`, excluding ambient: each emission's peak scaled by the
     /// same spreading law the renderer applies, summed coherently (as if
@@ -738,6 +727,7 @@ impl SceneCursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mic::Microphone;
     use mdn_audio::signal::spl_to_amplitude;
     use mdn_audio::spectral::Spectrum;
     use mdn_audio::synth::Tone;
@@ -884,11 +874,10 @@ mod tests {
     fn capture_through_microphone() {
         let mut scene = Scene::quiet(SR);
         scene.add(Pos::ORIGIN, Duration::ZERO, tone(1000.0, 300, 60.0), "sw");
-        let cap = scene.capture(
-            &Microphone::measurement(),
+        let cap = Microphone::measurement().capture(&scene.render_window(
             Pos::new(0.5, 0.0, 0.0),
             Window::from_start(Duration::from_millis(300)),
-        );
+        ));
         assert_eq!(cap.sample_rate(), 44_100);
         let spec = Spectrum::of(&cap);
         assert!(spec.magnitude_at(1000.0) > spl_to_amplitude(50.0));

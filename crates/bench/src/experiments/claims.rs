@@ -169,11 +169,10 @@ pub fn duration_sweep(trials: usize) -> DurationSweepResult {
                 )
                 .expect("in-band request");
             scene.add(Pos::ORIGIN, Duration::from_millis(100), sig, "dev");
-            let cap = scene.capture(
-                &Microphone::measurement(),
+            let cap = Microphone::measurement().capture(&scene.render_window(
                 Pos::new(0.5, 0.0, 0.0),
                 Window::from_start(Duration::from_millis(300)),
-            );
+            ));
             if !det.detect(&cap).is_empty() {
                 pipeline_hits += 1;
             }
@@ -188,11 +187,10 @@ pub fn duration_sweep(trials: usize) -> DurationSweepResult {
                 tone.render(SAMPLE_RATE),
                 "dev",
             );
-            let cap = scene.capture(
-                &Microphone::measurement(),
+            let cap = Microphone::measurement().capture(&scene.render_window(
                 Pos::new(0.5, 0.0, 0.0),
                 Window::from_start(Duration::from_millis(300)),
-            );
+            ));
             let mut det = ToneDetector::with_config(
                 vec![freq],
                 DetectorConfig {
@@ -202,11 +200,10 @@ pub fn duration_sweep(trials: usize) -> DurationSweepResult {
             );
             let mut noise_scene = Scene::new(SAMPLE_RATE, ambient.clone());
             noise_scene.set_ambient_seed(900 + t as u64);
-            let noise = noise_scene.capture(
-                &Microphone::measurement(),
+            let noise = Microphone::measurement().capture(&noise_scene.render_window(
                 Pos::new(0.5, 0.0, 0.0),
                 Window::from_start(Duration::from_millis(300)),
-            );
+            ));
             det.calibrate(&noise);
             if !det.detect(&cap).is_empty() {
                 raw_hits += 1;
@@ -289,11 +286,10 @@ pub fn intensity_sweep(trials: usize) -> SweepResult {
                 tone.render(SAMPLE_RATE),
                 "dev",
             );
-            let cap = scene.capture(
-                &Microphone::measurement(),
+            let cap = Microphone::measurement().capture(&scene.render_window(
                 Pos::new(0.3, 0.0, 0.0),
                 Window::from_start(Duration::from_millis(400)),
-            );
+            ));
             // Calibrated detector: floor learned from the ambient alone.
             let mut det = ToneDetector::with_config(
                 vec![freq],
@@ -304,11 +300,10 @@ pub fn intensity_sweep(trials: usize) -> SweepResult {
             );
             let mut noise_scene = Scene::new(SAMPLE_RATE, ambient.clone());
             noise_scene.set_ambient_seed(5000 + t as u64);
-            let noise_cap = noise_scene.capture(
-                &Microphone::measurement(),
+            let noise_cap = Microphone::measurement().capture(&noise_scene.render_window(
                 Pos::new(0.3, 0.0, 0.0),
                 Window::from_start(Duration::from_millis(400)),
-            );
+            ));
             det.calibrate(&noise_cap);
             if !det.detect(&cap).is_empty() {
                 hits += 1;

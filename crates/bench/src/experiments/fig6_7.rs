@@ -40,11 +40,10 @@ fn capture(ambient: &AmbientProfile, state: FanState, seed: u64) -> Signal {
         fan.render(WINDOW, SAMPLE_RATE, seed ^ 0xFA4),
         "server",
     );
-    scene.capture(
-        &Microphone::measurement(),
+    Microphone::measurement().capture(&scene.render_window(
         Pos::new(MIC_DISTANCE_M, 0.0, 0.0),
         Window::from_start(WINDOW),
-    )
+    ))
 }
 
 /// One Figure 6 panel: mean mel-band energies of a capture.

@@ -301,11 +301,8 @@ mod tests {
             "server",
         );
         // Close-range microphone, as the paper's answer requires.
-        scene.capture(
-            &Microphone::measurement(),
-            Pos::new(0.3, 0.0, 0.0),
-            Window::from_start(WINDOW),
-        )
+        Microphone::measurement()
+            .capture(&scene.render_window(Pos::new(0.3, 0.0, 0.0), Window::from_start(WINDOW)))
     }
 
     fn calibrated(ambient: &AmbientProfile) -> FanFailureDetector {

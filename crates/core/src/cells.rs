@@ -28,10 +28,10 @@
 //! for any thread count), and merges per-cell observations into one
 //! [`ShardEvent`] stream. This per-cell listen is the workspace's only
 //! thread fan-out: the render and the decode inside it are sequential.
-//! For the self-healing loop the same worker also analyses the window's
-//! own span of that render for the cell's ambient retune.
-//! Captures go through the windowed render path, so each listening tick
-//! costs O(window) regardless of elapsed scene time.
+//! The same worker also analyses the window's own span of that render
+//! for the cell's ambient retune. Captures go through the windowed render
+//! path, so each listening tick costs O(window) regardless of elapsed
+//! scene time.
 
 use crate::controller::{
     listen_cells, merge_event_streams, Heard, ListenScratch, MdnController, MdnEvent, PreRoll,
@@ -54,11 +54,12 @@ use std::time::Duration;
 /// cell's magnitude threshold — mirrors the detector's default SNR gate.
 const AMBIENT_SNR: f64 = 3.0;
 
-/// Sample rate the ambient leakage model is evaluated at when planning.
-/// Thresholds are derived before any audio exists; the generators'
-/// spectra vary only weakly with the rate, so the nominal testbed rate is
-/// representative for any deployment rate.
-const PLAN_SAMPLE_RATE: u32 = 44_100;
+/// Sample rate the ambient leakage model is evaluated at when planning,
+/// and the self-healing loop's re-plan proof renders at. Thresholds are
+/// derived before any audio exists; the generators' spectra vary only
+/// weakly with the rate, so the nominal testbed rate is representative
+/// for any deployment rate.
+pub(crate) const PLAN_SAMPLE_RATE: u32 = 44_100;
 
 /// Hard ceiling on the boosted source level a migrated switch may be
 /// driven at — roughly what a commodity speaker sustains without
@@ -946,10 +947,10 @@ fn emit_worst_case(
 #[derive(Debug)]
 pub struct ShardedController {
     controllers: Vec<MdnController>,
-    /// Each cell's carried pre-roll render, for the loop's next listen.
+    /// Each cell's carried pre-roll render, for its next listen.
     pre_rolls: Vec<Option<PreRoll>>,
     /// Each shard worker's render and capture buffers, kept from one
-    /// loop listen to the next.
+    /// listen to the next.
     scratch: Vec<ListenScratch>,
     reuse_factor: f64,
     threads: usize,
@@ -1052,73 +1053,27 @@ impl ShardedController {
         }
     }
 
-    /// Calibrate every cell's detector against an ambient-only window of
-    /// the scene (one containing no MDN tones). Cells with no bindings
-    /// (evacuated dead cells) are skipped.
-    pub fn calibrate(&mut self, scene: &Scene, w: Window) {
-        for ctl in &mut self.controllers {
-            if ctl.bindings().is_empty() {
-                continue;
-            }
-            let ambient = ctl.capture(scene, w);
-            ctl.calibrate(&ambient);
-        }
-    }
-
-    /// Listen over window `w` with every cell's controller and merge the
-    /// shards into one time-ordered, cell-attributed stream.
+    /// Listen over window `w` with every cell's controller: the merged,
+    /// time-ordered, cell-attributed event stream, and each cell's
+    /// ambient-retune analysis of `w` (`None` for a cell with no
+    /// bindings). Cell `c`'s events are `controllers()[c].listen(scene,
+    /// w)`'s, and its analysis is that of a separate capture of `w`.
     ///
-    /// Cells are captured/decoded in parallel (chunked over scoped
-    /// threads, each writing a pre-assigned output slot; inside a chunk,
-    /// groups of [`CAPTURE_LANES`] cells share one batched capture) and
-    /// merged sequentially by [`merge_event_streams`], so the result is
-    /// bit-identical for any thread count.
-    pub fn listen(&self, scene: &Scene, w: Window) -> Vec<ShardEvent> {
-        let mut unit = vec![(); self.controllers.len()];
-        let heard = self.per_group(&mut unit, &mut Vec::new(), |ctls, _, scratch, out| {
-            listen_cells(ctls, None, scene, w, scratch, out);
-        });
-        self.merge(heard.into_iter().map(|(events, _)| events).collect())
-    }
-
-    /// [`Self::listen`] plus each cell's ambient-retune analysis of `w`,
-    /// cut from the cell's one listen render inside the same shard
-    /// worker (see [`listen_cells`]). `None` for a cell with no bindings.
-    /// Each cell carries the tail of its render to its next call as that
-    /// listen's pre-roll; [`Self::apply_plan`] drops the carried tails.
-    pub(crate) fn listen_and_analyze(
+    /// Cells are listened in parallel (chunked over scoped threads, each
+    /// writing a pre-assigned output slot; inside a chunk, groups of
+    /// [`CAPTURE_LANES`] cells share one batched capture, and each cell's
+    /// analysis is cut from its one listen render; see [`listen_cells`])
+    /// and merged sequentially by [`merge_event_streams`], so the result
+    /// is bit-identical for any thread count. Each cell carries the tail
+    /// of its render to the next call, which reuses it only while
+    /// [`Scene::renders_unchanged`] proves it exact (in practice, when
+    /// that call's window starts where this one ended);
+    /// [`Self::apply_plan`] drops the carried tails.
+    pub fn listen(
         &mut self,
         scene: &Scene,
         w: Window,
     ) -> (Vec<ShardEvent>, Vec<Option<FrameMagnitudes>>) {
-        let mut pre_rolls = std::mem::take(&mut self.pre_rolls);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let (per_cell, analyses) = self
-            .per_group(
-                &mut pre_rolls,
-                &mut scratch,
-                |ctls, pre_rolls, scratch, out| {
-                    listen_cells(ctls, Some(pre_rolls), scene, w, scratch, out);
-                },
-            )
-            .into_iter()
-            .unzip();
-        self.pre_rolls = pre_rolls;
-        self.scratch = scratch;
-        (self.merge(per_cell), analyses)
-    }
-
-    /// `listen_group` over every cell, with each cell's entry of `state`,
-    /// fanned over the shard workers: each worker takes a contiguous
-    /// chunk of cells and hands it over in groups of [`CAPTURE_LANES`],
-    /// in cell order, with its own entry of `scratch`. Each group writes
-    /// its cells' shares into its slice of the output.
-    fn per_group<S: Send>(
-        &self,
-        state: &mut [S],
-        scratch: &mut Vec<ListenScratch>,
-        listen_group: impl Fn(&[MdnController], &mut [S], &mut ListenScratch, &mut [Heard]) + Sync,
-    ) -> Vec<Heard> {
         let n = self.controllers.len();
         let mut heard: Vec<Heard> = Vec::with_capacity(n);
         heard.resize_with(n, Heard::default);
@@ -1129,40 +1084,47 @@ impl ShardedController {
             self.threads
         }
         .clamp(1, n.max(1));
+        self.scratch.resize_with(workers, ListenScratch::default);
 
-        scratch.resize_with(workers, ListenScratch::default);
-
+        // A worker's contiguous chunk of cells, in groups of
+        // `CAPTURE_LANES`, in cell order.
         let listen_chunk = |ctls: &[MdnController],
-                            state: &mut [S],
+                            pre_rolls: &mut [Option<PreRoll>],
                             scratch: &mut ListenScratch,
                             out: &mut [Heard]| {
-            for ((ctls, state), out) in ctls
+            for ((ctls, pre_rolls), out) in ctls
                 .chunks(CAPTURE_LANES)
-                .zip(state.chunks_mut(CAPTURE_LANES))
+                .zip(pre_rolls.chunks_mut(CAPTURE_LANES))
                 .zip(out.chunks_mut(CAPTURE_LANES))
             {
-                listen_group(ctls, state, scratch, out);
+                listen_cells(ctls, pre_rolls, scene, w, scratch, out);
             }
         };
 
         if workers <= 1 {
-            listen_chunk(&self.controllers, state, &mut scratch[0], &mut heard);
+            listen_chunk(
+                &self.controllers,
+                &mut self.pre_rolls,
+                &mut self.scratch[0],
+                &mut heard,
+            );
         } else {
             let chunk = n.div_ceil(workers);
             let listen_chunk = &listen_chunk;
             std::thread::scope(|s| {
-                for (((ctls, states), scratch), outs) in self
+                for (((ctls, pre_rolls), scratch), out) in self
                     .controllers
                     .chunks(chunk)
-                    .zip(state.chunks_mut(chunk))
-                    .zip(scratch.iter_mut())
+                    .zip(self.pre_rolls.chunks_mut(chunk))
+                    .zip(self.scratch.iter_mut())
                     .zip(heard.chunks_mut(chunk))
                 {
-                    s.spawn(move || listen_chunk(ctls, states, scratch, outs));
+                    s.spawn(move || listen_chunk(ctls, pre_rolls, scratch, out));
                 }
             });
         }
-        heard
+        let (per_cell, analyses) = heard.into_iter().unzip();
+        (self.merge(per_cell), analyses)
     }
 
     /// Count each cell's events and merge the shards.
@@ -1462,19 +1424,81 @@ mod tests {
             || registry.snapshot().histograms["mdn_stage_ns{stage=\"mic.capture\"}"].count;
         let scene = Scene::quiet(44_100);
         let w = Window::new(Duration::from_millis(300), Duration::from_millis(300));
-        // A whole group of cells and a partial one: two batched calls.
+        // A whole group of cells and a partial one: two batched calls,
+        // each capturing its cells' listen and retune streams together.
         let _ = sharded.listen(&scene, w);
         assert_eq!(batches(), 2);
-        // The loop's listen captures each cell's listen and retune
-        // streams in the same call.
-        let _ = sharded.listen_and_analyze(&scene, w);
-        assert_eq!(batches(), 4);
         // An evacuated cell inside the first group is skipped, not a
         // batch of its own.
         sharded.apply_plan(&plan.replan_without_cell(1).unwrap());
         assert!(sharded.controllers()[1].bindings().is_empty());
-        let _ = sharded.listen_and_analyze(&scene, w);
-        assert_eq!(batches(), 6);
+        let _ = sharded.listen(&scene, w);
+        assert_eq!(batches(), 4);
+    }
+
+    #[test]
+    fn listens_in_any_window_order_equal_fresh_per_cell_listens() {
+        // A cell reuses its carried pre-roll only when the listen needs
+        // exactly the span it holds, heard from where it was rendered.
+        // Re-listening a window, going back, skipping ahead or moving the
+        // mic renders the whole span again; every order gives each cell's
+        // fresh `MdnController::listen` and the analysis of a separate
+        // capture of the window.
+        let plan = CellPlan::plan(3, &[AmbientProfile::office()], small_cfg()).unwrap();
+        let slots = plan.config().slots_per_switch;
+        let mut scene = Scene::new(44_100, AmbientProfile::office());
+        scene.set_ambient_seed(7);
+        for (c, devs) in plan.sounding_devices().into_iter().enumerate() {
+            for (j, mut dev) in devs.into_iter().enumerate() {
+                // One tone across every window boundary.
+                for k in 0..5u64 {
+                    let at = Duration::from_millis(300 * k + 250 + 10 * j as u64);
+                    let slot = (c + k as usize) % slots;
+                    dev.emit_slot(&mut scene, slot, at, Duration::from_millis(100))
+                        .unwrap();
+                }
+            }
+        }
+        let mut sharded = ShardedController::new(&plan);
+        sharded.set_threads(1);
+        let registry = Registry::new();
+        sharded.attach_obs(&registry);
+        let carried = || {
+            registry
+                .snapshot()
+                .counters
+                .get("mdn_listen_pre_roll_carried_total")
+                .copied()
+                .unwrap_or(0)
+        };
+        let bits = |a: &Option<FrameMagnitudes>| {
+            a.as_ref()
+                .map(|a| a.magnitudes.iter().map(|m| m.to_bits()).collect::<Vec<_>>())
+        };
+        let mut heard = 0;
+        // (window index, cells that reuse their carried pre-roll); cell 0's
+        // mic moves before window 5.
+        for (t, reused) in [(1, 0), (2, 3), (2, 0), (1, 0), (3, 0), (4, 3), (5, 2)] {
+            if t == 5 {
+                sharded.controller_mut(0).pos.x += 0.5;
+            }
+            let w = Window::new(Duration::from_millis(300) * t, Duration::from_millis(300));
+            let before = carried();
+            let (events, analyses) = sharded.listen(&scene, w);
+            assert_eq!(carried() - before, reused, "window {t}");
+            let fresh = sharded
+                .controllers()
+                .iter()
+                .map(|ctl| ctl.listen(&scene, w))
+                .collect();
+            assert_eq!(events, merge_event_streams(fresh), "window {t}");
+            for (c, (ctl, got)) in sharded.controllers().iter().zip(&analyses).enumerate() {
+                let want = ctl.analyze(&ctl.capture(&scene, w));
+                assert_eq!(bits(got), bits(&want), "window {t}, cell {c}");
+            }
+            heard += events.len();
+        }
+        assert!(heard > 0, "the boundary tones decoded");
     }
 
     #[test]
@@ -1489,7 +1513,7 @@ mod tests {
         let scene = Scene::new(48_000, AmbientProfile::office());
         for t in 0..2u32 {
             let w = Window::new(Duration::from_millis(300) * t, Duration::from_millis(300));
-            let (_, analyses) = sharded.listen_and_analyze(&scene, w);
+            let (_, analyses) = sharded.listen(&scene, w);
             for (c, (ctl, got)) in sharded.controllers().iter().zip(&analyses).enumerate() {
                 let want = ctl.analyze(&ctl.capture(&scene, w));
                 let bits = |a: &Option<FrameMagnitudes>| {

@@ -31,24 +31,32 @@ fn pre_roll_span(w: Window) -> Window {
     Window::new(w.from - len, len)
 }
 
-/// The pressure a cell's loop listen rendered over the next listen's
-/// pre-roll span, and the scene state it was rendered in. The next
-/// listen prepends it to a render of its own window alone when the scene
-/// proves the span unchanged ([`Scene::renders_unchanged`]); a render is
+/// The pressure a cell's hall listen rendered over the next listen's
+/// pre-roll span, where and in which scene state it was rendered. The
+/// next listen prepends it to a render of its own window alone when it
+/// listens from the same position and the scene proves the span
+/// unchanged ([`Scene::renders_unchanged`]); a render is
 /// time-functional, so the joined buffer is the bytes of one pre-rolled
 /// render.
 #[derive(Debug)]
 pub(crate) struct PreRoll {
     mark: RenderMark,
+    pos: Pos,
     span: Window,
     samples: Signal,
 }
 
 impl PreRoll {
-    /// The tail of `pressure`, a render of `[from, w.end())` taken at
-    /// `mark`, that the listen of the window after `w` opens with; `None`
-    /// when `pressure` starts too late to hold it.
-    fn keep(mark: RenderMark, pressure: &Signal, from: Duration, w: Window) -> Option<Self> {
+    /// The tail of `pressure`, a render at `pos` of `[from, w.end())`
+    /// taken at `mark`, that the listen of the window after `w` opens
+    /// with; `None` when `pressure` starts too late to hold it.
+    fn keep(
+        mark: RenderMark,
+        pos: Pos,
+        pressure: &Signal,
+        from: Duration,
+        w: Window,
+    ) -> Option<Self> {
         let span = pre_roll_span(Window::new(w.end(), Duration::ZERO));
         if span.from < from {
             return None;
@@ -57,6 +65,7 @@ impl PreRoll {
         let skip = duration_to_samples(span.from, sr) - duration_to_samples(from, sr);
         Some(Self {
             mark,
+            pos,
             span,
             samples: pressure.slice(skip, pressure.len()),
         })
@@ -127,7 +136,7 @@ impl MdnController {
 
     /// Register the controller's metrics with an observability registry:
     /// `mdn_events_decoded_total`, `mdn_listen_pre_roll_carried_total`
-    /// (loop listens that reused the previous window's pre-roll render),
+    /// (hall listens that reused the previous window's pre-roll render),
     /// the `mdn_stage_ns{stage="mic.capture"}` span, and the detector's
     /// counters and stage spans (kept attached across
     /// [`MdnController::set_config`] / [`MdnController::bind_device`]
@@ -182,9 +191,9 @@ impl MdnController {
     }
 
     /// Capture window `w` of the scene through the controller's
-    /// microphone — [`Scene::capture`] at the controller's position, so a
-    /// tick render costs O(window) no matter how much scene time has
-    /// elapsed.
+    /// microphone: [`Microphone::capture`] of [`Scene::render_window`] at
+    /// the controller's position, so a tick render costs O(window) no
+    /// matter how much scene time has elapsed.
     pub fn capture(&self, scene: &Scene, w: Window) -> Signal {
         self.capture_pressure(&scene.render_window(self.pos, w))
     }
@@ -270,23 +279,23 @@ impl MdnController {
     /// boundaries. The bank runs over the pre-roll only as far as that
     /// gate reads it: from the frame before the window's first onward.
     ///
-    /// The self-healing loop listens through a variant that also returns
-    /// the ambient retune's analysis of `w`, cut from this same render,
-    /// that carries each window's pre-roll render over from the window
-    /// before, and that captures a group of cells' streams in one batched
-    /// call (see [`crate::selfheal::SelfHealingController::tick`]); both
-    /// give this call's events. This call renders the whole span,
-    /// captures and decodes.
+    /// This is the plain one-cell listen: it renders the whole span,
+    /// captures and decodes. A hall listens through
+    /// [`crate::cells::ShardedController::listen`], which gives each cell
+    /// this call's events and also carries pre-roll renders between
+    /// windows, batches the captures and analyses `w` for the ambient
+    /// retune.
     pub fn listen(&self, scene: &Scene, w: Window) -> Vec<MdnEvent> {
         let span = pre_roll_span(w);
         let pressure = scene.render_window(self.pos, Window::new(span.from, span.len + w.len));
         self.decode_listen(&self.capture_pressure(&pressure), span)
     }
 
-    /// Render the pre-rolled span of the loop's listen of `w` into
+    /// Render the pre-rolled span of the hall's listen of `w` into
     /// `pressure`, with the pre-roll render carried between consecutive
     /// calls in `pre_roll`. When the carried span is the one this listen
-    /// needs and the scene proves it unchanged, only `w` is rendered and
+    /// needs, rendered at this position, and the scene proves it
+    /// unchanged, only `w` is rendered and
     /// appended to it; otherwise the whole span is. Either way the bytes
     /// are those of one render of the whole span, and `pre_roll` then
     /// holds this render's tail for the next window.
@@ -301,7 +310,9 @@ impl MdnController {
         let mark = scene.render_mark();
         match pre_roll.take() {
             Some(carried)
-                if carried.span == span && scene.renders_unchanged(carried.mark, span) =>
+                if carried.span == span
+                    && carried.pos == self.pos
+                    && scene.renders_unchanged(carried.mark, span) =>
             {
                 self.obs_pre_roll_carried.inc();
                 pressure.reset(0);
@@ -314,7 +325,7 @@ impl MdnController {
                 pressure,
             ),
         }
-        *pre_roll = PreRoll::keep(mark, pressure, span.from, w);
+        *pre_roll = PreRoll::keep(mark, self.pos, pressure, span.from, w);
     }
 
     /// The events of `capture`, a capture of `span` followed by the
@@ -340,8 +351,8 @@ impl MdnController {
     }
 }
 
-/// One cell's share of a listen: its events and, for the loop's listen,
-/// the ambient retune's analysis of the window.
+/// One cell's share of a listen: its events and the ambient retune's
+/// analysis of the window (`None` for a cell with no bindings).
 pub(crate) type Heard = (Vec<MdnEvent>, Option<FrameMagnitudes>);
 
 /// The buffers a shard worker's batched listens render and capture into,
@@ -355,20 +366,19 @@ pub(crate) struct ListenScratch(Vec<(Signal, Signal)>);
 /// the capture, writing cell `c`'s share to `out[c]`. A cell with no
 /// bindings (an evacuated one) is skipped and keeps the default.
 ///
-/// First every cell renders its pre-rolled span; then one
-/// [`capture_batch`] call, timed as one `mic.capture` span, captures all
-/// of the group's streams side by side; then each cell decodes its
-/// capture. Without `pre_rolls` this is [`MdnController::listen`] per
-/// cell: the whole span is rendered and only the listen is captured.
-/// With them it is the loop's listen: each cell carries its pre-roll
+/// First every cell renders its pre-rolled span, carrying its pre-roll
 /// render in `pre_rolls[c]` (see [`MdnController::render_listen`]), and
-/// the span of `w` is copied from the same render, captured from zero
-/// state and analysed for the ambient retune: the same bytes a separate
-/// capture of `w` would give. A capture's bits do not depend on the
-/// batch, so the result is the same for any grouping of the cells.
+/// copies the span of `w` out of that render for the ambient retune;
+/// then one [`capture_batch`] call, timed as one `mic.capture` span,
+/// captures all of the group's streams side by side, the retune copy
+/// from zero state; then each cell decodes its capture and analyses its
+/// retune copy. The events are [`MdnController::listen`]'s and the
+/// analysis that of a separate capture of `w`. A capture's bits do not
+/// depend on the batch, so the result is the same for any grouping of
+/// the cells.
 pub(crate) fn listen_cells(
     ctls: &[MdnController],
-    mut pre_rolls: Option<&mut [Option<PreRoll>]>,
+    pre_rolls: &mut [Option<PreRoll>],
     scene: &Scene,
     w: Window,
     scratch: &mut ListenScratch,
@@ -395,27 +405,15 @@ pub(crate) fn listen_cells(
                 *buf = Signal::empty(sr);
             }
         }
-        let ctl = &ctls[c];
-        match pre_rolls.as_deref_mut() {
-            Some(pre_rolls) => {
-                ctl.render_listen(scene, w, &mut pre_rolls[c], listen);
-                own.reset(listen.len() - offset);
-                own.samples_mut()
-                    .copy_from_slice(&listen.samples()[offset..]);
-            }
-            None => {
-                let whole = Window::new(span.from, span.len + w.len);
-                scene.render_window_into(ctl.pos, whole, listen);
-            }
-        }
+        ctls[c].render_listen(scene, w, &mut pre_rolls[c], listen);
+        own.reset(listen.len() - offset);
+        own.samples_mut()
+            .copy_from_slice(&listen.samples()[offset..]);
     }
-    let retune = pre_rolls.is_some();
     let mut streams: Vec<(&Microphone, &mut Signal)> = Vec::with_capacity(2 * live.len());
     for (&c, (listen, own)) in live.iter().zip(bufs.iter_mut()) {
         streams.push((&ctls[c].mic, listen));
-        if retune {
-            streams.push((&ctls[c].mic, own));
-        }
+        streams.push((&ctls[c].mic, own));
     }
     {
         let _span = ctls[first].obs_capture_span.start_span();
@@ -423,7 +421,7 @@ pub(crate) fn listen_cells(
     }
     for (&c, (listen, own)) in live.iter().zip(bufs.iter()) {
         let ctl = &ctls[c];
-        let analysis = if retune { ctl.analyze(own) } else { None };
+        let analysis = ctl.analyze(own);
         out[c] = (ctl.decode_listen(listen, span), analysis);
     }
 }
@@ -529,18 +527,18 @@ mod tests {
     }
 
     #[test]
-    fn controller_capture_pins_to_scene_capture() {
-        // There is exactly one capture implementation: the controller
-        // delegates to `Scene::capture` at its own mic/position. Pin the
-        // equivalence so the two paths can never drift apart again.
+    fn controller_capture_pins_to_mic_capture_of_render_window() {
+        // There is exactly one capture implementation: the controller's
+        // mic captures the scene's windowed render at its position. Pin
+        // the equivalence so the two can never drift apart again.
         let (_, ctl, mut d1, _) = setup();
         let mut scene = Scene::new(SR, AmbientProfile::office());
         scene.set_ambient_seed(3);
         d1.emit(&mut scene, 2, Duration::from_millis(40)).unwrap();
         let w = Window::new(Duration::from_millis(20), Duration::from_millis(150));
         let via_ctl = ctl.capture(&scene, w);
-        let via_scene = scene.capture(&ctl.mic, ctl.pos, w);
-        assert_eq!(via_ctl.samples(), via_scene.samples());
+        let via_mic = ctl.mic.capture(&scene.render_window(ctl.pos, w));
+        assert_eq!(via_ctl.samples(), via_mic.samples());
     }
 
     #[test]

@@ -112,9 +112,8 @@ pub enum Step {
     /// A capture window closed and its heal pass ran; the report covers
     /// the window `[report window's start, boundary)`.
     Window {
-        /// The window the report describes.
-        window: Window,
-        /// What the self-heal pass observed and did.
+        /// What the self-heal pass observed and did, and over which
+        /// window.
         report: TickReport,
     },
     /// An application event scheduled via [`UnifiedLoop::schedule_app`]
@@ -390,8 +389,7 @@ impl UnifiedLoop {
                 ControlEvent::WindowBoundary => {
                     let w = Window::between(self.window_start, at);
                     let observe_started = self.trace.is_enabled().then(Instant::now);
-                    let (events, analyses) =
-                        self.heal.sharded_mut().listen_and_analyze(&self.scene, w);
+                    let (events, analyses) = self.heal.sharded_mut().listen(&self.scene, w);
                     let observe_wall_ns =
                         observe_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
                     self.observed = Some(Observed {
@@ -437,7 +435,7 @@ impl UnifiedLoop {
                         self.emissions_retired +=
                             self.scene.retire_emissions_before(cutoff, bound) as u64;
                     }
-                    return Step::Window { window: w, report };
+                    return Step::Window { report };
                 }
             }
         }
@@ -657,7 +655,7 @@ mod tests {
         let mut windows = Vec::new();
         loop {
             match lp.step(Duration::from_millis(950)) {
-                Step::Window { window, report } => windows.push((window, report)),
+                Step::Window { report } => windows.push(report),
                 Step::App { .. } => unreachable!("no app events scheduled"),
                 Step::Done => break,
             }
@@ -666,14 +664,14 @@ mod tests {
         // but the one at 1200 ms does not.
         assert_eq!(windows.len(), 3);
         assert_eq!(
-            windows[0].0,
+            windows[0].window,
             Window::between(Duration::ZERO, Duration::from_millis(300))
         );
         assert!(
-            windows[0].1.heard.contains(&device),
+            windows[0].heard.contains(&device),
             "emission in window 0 decodes"
         );
-        assert!(windows[1].1.heard.is_empty() && windows[1].1.missed.is_empty());
+        assert!(windows[1].heard.is_empty() && windows[1].missed.is_empty());
     }
 
     #[test]
@@ -693,7 +691,7 @@ mod tests {
             Duration::from_millis(60),
         );
         let mut reports = Vec::new();
-        while let Step::Window { report, .. } = lp.step(Duration::from_millis(700)) {
+        while let Step::Window { report } = lp.step(Duration::from_millis(700)) {
             reports.push(report);
         }
         assert_eq!(reports.len(), 2);
@@ -719,8 +717,8 @@ mod tests {
         let mut order = Vec::new();
         loop {
             match lp.step(Duration::from_millis(500)) {
-                Step::Window { window, .. } => {
-                    order.push(format!("w@{}", window.end().as_millis()))
+                Step::Window { report } => {
+                    order.push(format!("w@{}", report.window.end().as_millis()))
                 }
                 Step::App { token, at } => order.push(format!("a{token}@{}", at.as_millis())),
                 Step::Done => break,

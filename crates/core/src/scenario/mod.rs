@@ -44,9 +44,7 @@ pub use fuzz::{fuzz, FuzzReport};
 /// The seeded splitmix64 stream the fuzzer and the benchmark workloads
 /// draw from: the workspace's one generator, also behind fault injection.
 pub use mdn_obs::SplitMix64;
-pub use run::{
-    check_expect, execute, run, run_batch, summary, ScenarioOutcome, ScenarioRun, WindowReport,
-};
+pub use run::{check_expect, execute, run, run_batch, summary, ScenarioOutcome, ScenarioRun};
 pub use spec::{
     AppSpec, ControllerSpec, EmissionSpec, EmitSpec, ExpectSpec, FaultSpec, HallSpec, OutputSpec,
     ScenarioError, ScenarioSpec, SelfHealSpec, TrafficSpec,

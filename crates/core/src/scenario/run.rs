@@ -2,9 +2,8 @@
 //!
 //! [`run`] steps the [`crate::eventloop::UnifiedLoop`] window by window
 //! — scheduling each window's sonification just-in-time, pumping the
-//! OpenFlow channel on app wakeups, folding every
-//! [`crate::selfheal::TickReport`] into a comparable
-//! [`WindowReport`] — and returns a [`ScenarioOutcome`] with the
+//! OpenFlow channel on app wakeups, keeping every window's
+//! [`TickReport`] — and returns a [`ScenarioOutcome`] with the
 //! counters every scenario summary reports. [`run_batch`] is the
 //! fixed-tick reference implementation (pre-emit, then `tick`; no
 //! network) that the fuzz harness holds the event path equal to.
@@ -14,7 +13,6 @@
 
 use super::builder::ScenarioBuilder;
 use super::spec::{Pattern, ScenarioError, ScenarioSpec};
-use crate::controller::ShardEvent;
 use crate::eventloop::Step;
 use crate::selfheal::TickReport;
 use mdn_audio::signal::Window;
@@ -24,43 +22,12 @@ use std::time::{Duration, Instant};
 
 const MS: fn(u64) -> Duration = Duration::from_millis;
 
-/// Everything one window's tick reported, in comparable form (the
-/// fuzz harness asserts these equal across batch/event paths and
-/// thread counts).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowReport {
-    /// The capture window this report covers.
-    pub window: Window,
-    /// Decoded, cell-attributed events.
-    pub events: Vec<ShardEvent>,
-    /// Expected devices that decoded at least once.
-    pub heard: Vec<String>,
-    /// Expected devices that never decoded.
-    pub missed: Vec<String>,
-    /// A cell evacuated this window.
-    pub replanned: Option<usize>,
-    /// Devices that completed a recovery this window.
-    pub recovered: Vec<String>,
-}
-
-impl WindowReport {
-    fn from_tick(window: Window, r: TickReport) -> Self {
-        Self {
-            window,
-            events: r.events,
-            heard: r.heard,
-            missed: r.missed,
-            replanned: r.replanned,
-            recovered: r.recovered,
-        }
-    }
-}
-
 /// What a scenario run produced, counters and all.
 #[derive(Debug, Clone)]
 pub struct ScenarioOutcome {
-    /// Per-window reports, in order.
-    pub windows: Vec<WindowReport>,
+    /// Per-window reports, in order (the fuzz harness asserts these
+    /// equal across batch/event paths and thread counts).
+    pub windows: Vec<TickReport>,
     /// `(window end, evacuated cell)` for every replan.
     pub replans: Vec<(Duration, usize)>,
     /// Total events through the unified queue.
@@ -186,13 +153,13 @@ pub fn run(spec: &ScenarioSpec, registry: &Registry) -> Result<ScenarioOutcome, 
         let slice = now - last_t;
         last_t = now;
         match step {
-            Step::Window { window, report } => {
+            Step::Window { report } => {
                 window_wall_hist.record(slice.as_nanos() as u64);
                 heard_total += report.heard.len() as u64;
                 if let Some(cell) = report.replanned {
-                    replans.push((window.end(), cell));
+                    replans.push((report.window.end(), cell));
                 }
-                windows.push(WindowReport::from_tick(window, report));
+                windows.push(report);
                 let next = windows.len() as u64;
                 if next < spec.windows {
                     expected_total += sched(&mut lp, next);
@@ -260,7 +227,7 @@ pub fn run(spec: &ScenarioSpec, registry: &Registry) -> Result<ScenarioOutcome, 
 /// persistent scene, then `tick` — the §6 batch idiom, no network, no
 /// scene GC. The event path must match this byte-for-byte; the fuzz
 /// harness asserts it does.
-pub fn run_batch(spec: &ScenarioSpec) -> Result<Vec<WindowReport>, ScenarioError> {
+pub fn run_batch(spec: &ScenarioSpec) -> Result<Vec<TickReport>, ScenarioError> {
     let builder = ScenarioBuilder::new(spec)?;
     let mut scene = builder.scene(None)?;
     let mut heal = builder.heal();
@@ -291,7 +258,7 @@ pub fn run_batch(spec: &ScenarioSpec) -> Result<Vec<WindowReport>, ScenarioError
             expected.push(name);
         }
         let w = Window::new(start, win);
-        out.push(WindowReport::from_tick(w, heal.tick(&scene, w, &expected)));
+        out.push(heal.tick(&scene, w, &expected));
     }
     Ok(out)
 }

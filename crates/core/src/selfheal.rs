@@ -21,7 +21,7 @@
 //!   between capture windows. Recovery times land in the tracker's MTTR
 //!   ledger and the attached registry.
 
-use crate::cells::{CellPlan, CellPlanError, ShardedController};
+use crate::cells::{CellPlan, CellPlanError, ShardedController, PLAN_SAMPLE_RATE};
 use crate::controller::ShardEvent;
 use crate::detector::FrameMagnitudes;
 use crate::health::{HealthConfig, HealthTracker};
@@ -198,11 +198,10 @@ pub struct SelfHealConfig {
     /// death threshold.
     pub health: HealthConfig,
     /// Run [`CellPlan::verify_reuse`] on every patched plan before
-    /// swapping it in. The proof replays real audio per cell — cheap at
-    /// test scale, worth skipping in large soaks.
+    /// swapping it in, at the planner's own sample rate. The proof
+    /// replays real audio per cell — cheap at test scale, worth skipping
+    /// in large soaks.
     pub verify_on_replan: bool,
-    /// Sample rate `verify_reuse` renders at.
-    pub verify_sample_rate: u32,
 }
 
 impl Default for SelfHealConfig {
@@ -211,7 +210,6 @@ impl Default for SelfHealConfig {
             estimator: AmbientEstimatorConfig::default(),
             health: HealthConfig::default(),
             verify_on_replan: true,
-            verify_sample_rate: 44_100,
         }
     }
 }
@@ -226,19 +224,15 @@ impl SelfHealConfig {
         self.health.validate().map_err(|e| {
             mdn_obs::ConfigError::new("health", format!("{}: {}", e.field, e.reason))
         })?;
-        if self.verify_sample_rate == 0 {
-            return Err(mdn_obs::ConfigError::new(
-                "verify_sample_rate",
-                "verification cannot render audio at 0 Hz",
-            ));
-        }
         Ok(())
     }
 }
 
 /// What one [`SelfHealingController::tick`] observed and did.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TickReport {
+    /// The capture window this report covers.
+    pub window: Window,
     /// Decoded, cell-attributed events for the window.
     pub events: Vec<ShardEvent>,
     /// Expected devices that decoded at least once.
@@ -348,18 +342,17 @@ impl SelfHealingController {
     /// declared dead and the cell is evacuated (at most one evacuation
     /// per tick).
     ///
-    /// Each cell renders its pre-rolled listen window once: the listen
-    /// decodes it, and the ambient retune analyses the `w` span cut from
-    /// the same render, inside the same shard worker. Consecutive ticks
-    /// carry each cell's pre-roll render over: when `w` starts where the
-    /// last tick's window ended and the scene proves that span unchanged
-    /// ([`Scene::renders_unchanged`]), only `w` itself is rendered. The
-    /// report and every detector floor are byte-identical to
-    /// [`ShardedController::listen`] followed by [`Self::heal_pass`],
-    /// which renders the whole pre-rolled span and then `w` a second
-    /// time.
+    /// The listen is [`ShardedController::listen`]: each cell renders its
+    /// pre-rolled listen window once, carrying the pre-roll render over
+    /// from the tick before while the scene proves it unchanged
+    /// ([`Scene::renders_unchanged`]); the listen decodes it, and the
+    /// ambient retune analyses the `w` span cut from the same render. The
+    /// report and every detector floor are byte-identical to merging each
+    /// cell's [`MdnController::listen`](crate::controller::MdnController::listen)
+    /// and then calling [`Self::heal_pass`], which renders the whole
+    /// pre-rolled span and then `w` a second time.
     pub fn tick(&mut self, scene: &Scene, w: Window, expected: &[String]) -> TickReport {
-        let (events, analyses) = self.sharded.listen_and_analyze(scene, w);
+        let (events, analyses) = self.sharded.listen(scene, w);
         self.heal_analyzed(w, expected, events, analyses)
     }
 
@@ -368,10 +361,11 @@ impl SelfHealingController {
     /// cell's mic is declared dead — the evacuation re-plan.
     ///
     /// This pass renders and captures `w` again for every live cell to
-    /// analyse it for the ambient retune. [`Self::tick`] and the
-    /// event-driven loop do not: they take the analysis from the
-    /// listen's own render, at the window-boundary event, and feed the
-    /// same fold, so the three give byte-identical reports and floors.
+    /// analyse it for the ambient retune, so `events` may come from any
+    /// listen. [`Self::tick`] and the event-driven loop do not: they take
+    /// the analysis from [`ShardedController::listen`]'s own render, at
+    /// the window-boundary event, and feed the same fold, so the three
+    /// give byte-identical reports and floors.
     pub fn heal_pass(
         &mut self,
         scene: &Scene,
@@ -406,8 +400,12 @@ impl SelfHealingController {
     ) -> TickReport {
         let now = w.end();
         let mut report = TickReport {
+            window: w,
             events,
-            ..TickReport::default()
+            heard: Vec::new(),
+            missed: Vec::new(),
+            replanned: None,
+            recovered: Vec::new(),
         };
         self.obs.ticks.inc();
 
@@ -491,7 +489,7 @@ impl SelfHealingController {
                 .replan_without_cell(dead)
                 .and_then(|p| -> Result<CellPlan, CellPlanError> {
                     if self.cfg.verify_on_replan {
-                        p.verify_reuse(self.cfg.verify_sample_rate)?;
+                        p.verify_reuse(PLAN_SAMPLE_RATE)?;
                     }
                     Ok(p)
                 });

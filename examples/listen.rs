@@ -35,11 +35,10 @@ fn out_dir() -> PathBuf {
 }
 
 fn capture(scene: &Scene, secs: f64) -> mdn_audio::Signal {
-    scene.capture(
-        &Microphone::measurement(),
+    Microphone::measurement().capture(&scene.render_window(
         Pos::new(0.5, 0.3, 0.0),
         Window::from_start(Duration::from_secs_f64(secs)),
-    )
+    ))
 }
 
 fn main() {
@@ -129,11 +128,10 @@ fn main() {
                 );
                 t += secs;
             }
-            let sig = scene.capture(
-                &Microphone::measurement(),
+            let sig = Microphone::measurement().capture(&scene.render_window(
                 Pos::new(0.3, 0.0, 0.0),
                 Window::from_start(Duration::from_secs_f64(t)),
-            );
+            ));
             write_wav(&sig, dir.join(name)).unwrap();
         }
     }

@@ -8,7 +8,7 @@
 //! — and lets window boundaries and heal passes fire as events. For
 //! random seeds, window lengths, emission schedules, acoustic fault
 //! scripts, and thread counts, both must decode the *same bytes*: equal
-//! [`WindowReport`] streams — events, heard/missed sets, replan
+//! [`TickReport`] streams — windows, events, heard/missed sets, replan
 //! decisions and recoveries all included.
 //!
 //! Both paths are driven through the scenario harness: proptest draws a
@@ -31,12 +31,12 @@
 //! `[from, from+len)` — shows up here as a byte diff.
 //!
 //! [`SelfHealingController::tick`]: mdn_core::selfheal::SelfHealingController::tick
-//! [`WindowReport`]: mdn_core::scenario::WindowReport
+//! [`TickReport`]: mdn_core::selfheal::TickReport
 //! [`ScenarioSpec`]: mdn_core::scenario::ScenarioSpec
 
 use mdn_acoustics::mic::CAPTURE_LANES;
 use mdn_audio::signal::Window;
-use mdn_core::controller::LISTEN_PRE_ROLL;
+use mdn_core::controller::{merge_event_streams, LISTEN_PRE_ROLL};
 use mdn_core::scenario::{
     self, EmissionSpec, EmitSpec, FaultSpec, ScenarioBuilder, ScenarioSpec, TrafficSpec,
 };
@@ -199,11 +199,11 @@ struct Drive<'a> {
 /// Drive `spec`'s hall over `spec.windows` consecutive windows as `drive`
 /// schedules them. With `shared`, each window is one `tick`, which
 /// analyses the listen's own render and carries each cell's pre-roll
-/// render over from the window before; otherwise it is a fresh
-/// `sharded().listen` plus `heal_pass`, which renders the whole
-/// pre-rolled span and then the window again, with the end-of-window
-/// tone added between the two halves. Each step comes with how many cell
-/// listens reused their carried pre-roll.
+/// render over from the window before; otherwise it is the reference:
+/// every cell's plain `MdnController::listen`, merged, plus `heal_pass`,
+/// which renders the whole pre-rolled span and then the window again,
+/// with the end-of-window tone added between the two halves. Each step
+/// comes with how many cell listens reused their carried pre-roll.
 fn heal_run(spec: &ScenarioSpec, drive: &Drive, shared: bool) -> Vec<(HealStep, u64)> {
     let builder = ScenarioBuilder::new(spec).expect("spec validates");
     let mut scene = builder.scene(None).expect("scene builds");
@@ -269,7 +269,13 @@ fn heal_run(spec: &ScenarioSpec, drive: &Drive, shared: bool) -> Vec<(HealStep, 
             let _ = edge_dev.emit_slot(&mut scene, 0, w.end(), edge_tone);
             report
         } else {
-            let events = heal.sharded().listen(&scene, w);
+            let events = merge_event_streams(
+                heal.sharded()
+                    .controllers()
+                    .iter()
+                    .map(|ctl| ctl.listen(&scene, w))
+                    .collect(),
+            );
             let _ = edge_dev.emit_slot(&mut scene, 0, w.end(), edge_tone);
             heal.heal_pass(&scene, w, &expected, events)
         };
@@ -328,13 +334,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// `tick` cuts the ambient retune's analysis out of each cell's one
-    /// listen render; `sharded().listen` + `heal_pass` renders the window
-    /// a second time for it. Over consecutive windows — the first at
-    /// `w.from` = 0, the second with its pre-roll clamped short of
-    /// 150 ms — the two give the same reports and bit-identical detector
-    /// floors, under each acoustic fault, for shard threads 0, 1, 4, on a
-    /// hall of one partial capture group and on one of a whole group and
-    /// a partial one.
+    /// listen render; the reference, each cell's `MdnController::listen`
+    /// merged + `heal_pass`, renders the window a second time for it.
+    /// Over consecutive windows — the first at `w.from` = 0, the second
+    /// with its pre-roll clamped short of 150 ms — the two give the same
+    /// reports and bit-identical detector floors, under each acoustic
+    /// fault, for shard threads 0, 1, 4, on a hall of one partial capture
+    /// group and on one of a whole group and a partial one.
     #[test]
     fn shared_render_tick_matches_rerender_heal_pass(
         seed in any::<u64>(),
@@ -407,16 +413,16 @@ proptest! {
     }
 
     /// `tick` carries each cell's pre-roll render from one window to the
-    /// next and renders only the new window; a fresh `listen` renders the
-    /// whole pre-rolled span every time. Over consecutive windows with
-    /// tones at the boundaries, scene GC, each fault plan and (under a
-    /// dead mic) an evacuation mid-run, both give the same reports and
-    /// bit-identical detector floors for shard threads 0, 1 and 4. A tone
-    /// that lands inside the carried span makes the next listen render
-    /// the whole span again. The dead mic also runs on a hall of a whole
-    /// capture group and a partial one, where the evacuated cell sits
-    /// inside the first group and the first two windows' pre-rolls are
-    /// clamped.
+    /// next and renders only the new window; each cell's fresh
+    /// `MdnController::listen` renders the whole pre-rolled span every
+    /// time. Over consecutive windows with tones at the boundaries, scene
+    /// GC, each fault plan and (under a dead mic) an evacuation mid-run,
+    /// both give the same reports and bit-identical detector floors for
+    /// shard threads 0, 1 and 4. A tone that lands inside the carried
+    /// span makes the next listen render the whole span again. The dead
+    /// mic also runs on a hall of a whole capture group and a partial
+    /// one, where the evacuated cell sits inside the first group and the
+    /// first two windows' pre-rolls are clamped.
     #[test]
     fn carried_pre_roll_tick_matches_fresh_listen(
         seed in any::<u64>(),

@@ -32,7 +32,7 @@ fn capture_at(
         fan.render(WINDOW, SR, seed ^ 0xFA4),
         "srv",
     );
-    scene.capture(mic, Pos::new(dist_m, 0.0, 0.0), Window::from_start(WINDOW))
+    mic.capture(&scene.render_window(Pos::new(dist_m, 0.0, 0.0), Window::from_start(WINDOW)))
 }
 
 fn calibrated(ambient: &AmbientProfile, mic: &Microphone, dist_m: f64) -> FanFailureDetector {

@@ -73,14 +73,28 @@ fn emitted_scene() -> &'static EmittedScene {
     SCENE.get_or_init(|| build_scene(CELLS))
 }
 
-fn listen((scene, plan, _): &EmittedScene, threads: usize) -> Vec<ShardEvent> {
+/// The hall's sharded controller, every cell's detector calibrated
+/// against the scene's tone-free first 500 ms.
+fn calibrated((scene, plan, _): &EmittedScene) -> ShardedController {
     let mut sharded = ShardedController::new(plan);
+    let quiet = Window::from_start(Duration::from_millis(500));
+    for c in 0..sharded.num_cells() {
+        let ctl = sharded.controller_mut(c);
+        let ambient = ctl.capture(scene, quiet);
+        ctl.calibrate(&ambient);
+    }
+    sharded
+}
+
+/// The window every test listens to: all tones sound inside it.
+fn tone_window() -> Window {
+    Window::new(Duration::from_millis(550), Duration::from_millis(500))
+}
+
+fn listen(run: &EmittedScene, threads: usize) -> Vec<ShardEvent> {
+    let mut sharded = calibrated(run);
     sharded.set_threads(threads);
-    sharded.calibrate(scene, Window::from_start(Duration::from_millis(500)));
-    sharded.listen(
-        scene,
-        Window::new(Duration::from_millis(550), Duration::from_millis(500)),
-    )
+    sharded.listen(&run.0, tone_window()).0
 }
 
 /// A flat single-mic plan cannot even allocate this deployment: it
@@ -174,15 +188,11 @@ fn planner_worst_case_verified_against_detector() {
 /// Per-cell counters and the reuse-factor gauge flow through mdn-obs.
 #[test]
 fn obs_reports_per_cell_counters_and_reuse_gauge() {
-    let (scene, plan, expected) = emitted_scene();
+    let run @ (scene, plan, expected) = emitted_scene();
     let registry = Registry::new();
-    let mut sharded = ShardedController::new(plan);
+    let mut sharded = calibrated(run);
     sharded.attach_obs(&registry);
-    sharded.calibrate(scene, Window::from_start(Duration::from_millis(500)));
-    let events = sharded.listen(
-        scene,
-        Window::new(Duration::from_millis(550), Duration::from_millis(500)),
-    );
+    let (events, _) = sharded.listen(scene, tone_window());
     let snap = registry.snapshot();
     assert_eq!(
         snap.gauges["mdn_cells_reuse_factor"],

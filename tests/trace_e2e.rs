@@ -92,10 +92,10 @@ fn run_traced(threads: usize) -> (Vec<TraceSpan>, String, Vec<(Duration, usize)>
     let mut closed = 0u64;
     while closed < WINDOWS {
         match lp.step(total + WIN) {
-            Step::Window { window, report } => {
+            Step::Window { report } => {
                 closed += 1;
                 if let Some(cell) = report.replanned {
-                    replans.push((window.end(), cell));
+                    replans.push((report.window.end(), cell));
                 }
             }
             Step::App { .. } => unreachable!("no app events scheduled"),

@@ -336,8 +336,9 @@ proptest! {
         prop_assert_eq!(&streamed[..], batch.samples());
     }
 
-    /// The two public capture paths are one implementation: capturing
-    /// through a controller equals capturing from the scene directly.
+    /// There is one capture implementation: capturing through a
+    /// controller equals the microphone's capture of the scene's
+    /// windowed render.
     #[test]
     fn controller_capture_equals_scene_capture(
         emissions in proptest::collection::vec(emission_strategy(), 0..3),
@@ -352,7 +353,7 @@ proptest! {
         let pos = Pos::new(0.4, 0.0, 0.0);
         let ctl = MdnController::new(Microphone::measurement(), pos);
         let via_ctl = ctl.capture(&scene, w);
-        let via_scene = scene.capture(&ctl.mic, pos, w);
+        let via_scene = ctl.mic.capture(&scene.render_window(pos, w));
         prop_assert_eq!(via_ctl.samples(), via_scene.samples());
     }
 }
