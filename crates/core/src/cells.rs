@@ -1062,7 +1062,7 @@ impl ShardedController {
     /// Cells are listened in parallel (chunked over scoped threads, each
     /// writing a pre-assigned output slot; inside a chunk, groups of
     /// [`CAPTURE_LANES`] cells share one batched capture, and each cell's
-    /// analysis is cut from its one listen render; see [`listen_cells`])
+    /// analysis is cut from its one listen render; see `listen_cells`)
     /// and merged sequentially by [`merge_event_streams`], so the result
     /// is bit-identical for any thread count. Each cell carries the tail
     /// of its render to the next call, which reuses it only while

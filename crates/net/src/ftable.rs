@@ -119,6 +119,9 @@ pub enum Decision {
     Miss,
 }
 
+/// A rule's place in match order, lowest first.
+type Rank = (Reverse<u16>, u64);
+
 /// One installed rule with its install sequence and group state.
 #[derive(Debug, Clone)]
 struct Entry {
@@ -133,7 +136,7 @@ struct Entry {
 impl Entry {
     /// Match-order rank, lowest first: priority descending, then install
     /// order — the order a linear scan of the table visits rules in.
-    fn rank(&self) -> (Reverse<u16>, u64) {
+    fn rank(&self) -> Rank {
         (Reverse(self.rule.priority), self.seq)
     }
 
@@ -164,15 +167,167 @@ fn insert_ranked(list: &mut Vec<Entry>, entry: Entry) {
     list.insert(pos, entry);
 }
 
+/// The rules whose match names one destination address, in rank order.
+/// The best-ranked rule sits inline beside the address, so a lookup that
+/// stops at it reads one contiguous record.
+#[derive(Debug, Clone)]
+struct Bucket {
+    dst: Ip,
+    head: Entry,
+    /// The rules ranked after `head`, in rank order.
+    rest: Vec<Entry>,
+}
+
+impl Bucket {
+    /// The bucket's rules in rank order.
+    fn iter(&self) -> impl Iterator<Item = &Entry> {
+        std::iter::once(&self.head).chain(&self.rest)
+    }
+
+    /// The `i`-th rule in rank order.
+    fn entry_mut(&mut self, i: usize) -> &mut Entry {
+        match i.checked_sub(1) {
+            None => &mut self.head,
+            Some(j) => &mut self.rest[j],
+        }
+    }
+
+    /// The first rule matching `(in_port, flow)`: its place in rank order
+    /// and its rank.
+    fn first_match(&self, in_port: PortId, flow: &FlowKey) -> Option<(usize, Rank)> {
+        if self.head.rule.mat.matches(in_port, flow) {
+            return Some((0, self.head.rank()));
+        }
+        let j = self
+            .rest
+            .iter()
+            .position(|e| e.rule.mat.matches(in_port, flow))?;
+        Some((j + 1, self.rest[j].rank()))
+    }
+
+    /// Insert the newest rule for this address.
+    fn insert(&mut self, entry: Entry) {
+        if entry.rule.priority > self.head.rule.priority {
+            let head = std::mem::replace(&mut self.head, entry);
+            self.rest.insert(0, head);
+        } else {
+            insert_ranked(&mut self.rest, entry);
+        }
+    }
+
+    /// Remove every rule whose match equals `mat`. Returns how many, and
+    /// whether none is left, in which case `head` is stale and the caller
+    /// drops the bucket.
+    fn remove(&mut self, mat: &Match) -> (usize, bool) {
+        let removed = retain_unmatched(&mut self.rest, mat);
+        if &self.head.rule.mat != mat {
+            return (removed, false);
+        }
+        if self.rest.is_empty() {
+            return (removed + 1, true);
+        }
+        self.head = self.rest.remove(0);
+        (removed + 1, false)
+    }
+}
+
+/// Marks a vacant [`DstIndex`] slot.
+const VACANT: u32 = u32::MAX;
+
+/// The position of each destination's bucket, by address: open
+/// addressing with linear probing over a power-of-two table at most half
+/// full. Installs and removes update it in place; it is rehashed only
+/// when it doubles.
+#[derive(Debug, Clone, Default)]
+struct DstIndex {
+    /// `(dst, bucket position)`, or a [`VACANT`] position. A position
+    /// always fits: 2^32 buckets would take over 500 GB.
+    slots: Vec<(Ip, u32)>,
+    len: usize,
+}
+
+impl DstIndex {
+    /// The slot where a probe for `dst` starts: the top bits of its
+    /// Fibonacci hash. The table must not be empty.
+    fn home(&self, dst: Ip) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (u64::from(dst.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// The slot holding `dst`, or the vacant slot that ends its probe.
+    /// The table must not be empty.
+    fn probe(&self, dst: Ip) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(dst);
+        while self.slots[i].1 != VACANT && self.slots[i].0 != dst {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The bucket position of `dst`, if it has one.
+    fn find(&self, dst: Ip) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let (_, pos) = self.slots[self.probe(dst)];
+        (pos != VACANT).then_some(pos as usize)
+    }
+
+    /// Index a new destination at bucket `pos`.
+    fn insert(&mut self, dst: Ip, pos: usize) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            let grown = vec![(Ip(0), VACANT); (2 * self.slots.len()).max(8)];
+            let old = std::mem::replace(&mut self.slots, grown);
+            for (ip, pos) in old.into_iter().filter(|&(_, pos)| pos != VACANT) {
+                let i = self.probe(ip);
+                self.slots[i] = (ip, pos);
+            }
+        }
+        let i = self.probe(dst);
+        self.slots[i] = (dst, pos as u32);
+        self.len += 1;
+    }
+
+    /// Point indexed `dst` at bucket `pos`.
+    fn set(&mut self, dst: Ip, pos: usize) {
+        let i = self.probe(dst);
+        self.slots[i].1 = pos as u32;
+    }
+
+    /// Unindex `dst`. Each later slot of the probe run moves back into the
+    /// hole when its own probe starts at or before the hole, so every
+    /// probe still finds its address before a vacant slot.
+    fn remove(&mut self, dst: Ip) {
+        let mask = self.slots.len() - 1;
+        let mut hole = self.probe(dst);
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let (ip, pos) = self.slots[j];
+            if pos == VACANT {
+                break;
+            }
+            let home = self.home(ip);
+            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[j];
+                hole = j;
+            }
+        }
+        self.slots[hole] = (Ip(0), VACANT);
+        self.len -= 1;
+    }
+}
+
 /// A priority-ordered flow table.
 ///
 /// Rules match in rank order: priority descending, then install order.
 /// A rule that names a destination address can only match packets to that
-/// address, so such rules live in per-destination buckets; the rest sit in
-/// one wildcard list. Each list is kept in rank order, and a lookup takes
-/// the first match of the packet's bucket and of the wildcard list and
-/// returns the better-ranked one — exactly the rule a scan of the whole
-/// table in rank order would stop at.
+/// address, so such rules live in per-destination buckets, found through
+/// a hash index; the rest sit in one wildcard list. Each list is kept in
+/// rank order, and a lookup takes the first match of the packet's bucket
+/// and of the wildcard list and returns the better-ranked one — exactly
+/// the rule a scan of the whole table in rank order would stop at.
 ///
 /// ```
 /// use mdn_net::ftable::{FlowTable, Rule, Match, Action, Decision};
@@ -191,11 +346,10 @@ fn insert_ranked(list: &mut Vec<Entry>, entry: Entry) {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FlowTable {
-    /// Destination addresses that have rules, ascending.
-    dst_keys: Vec<Ip>,
-    /// `dst_buckets[i]`: the rules matching `dst_ip == Some(dst_keys[i])`,
-    /// in rank order. Never empty.
-    dst_buckets: Vec<Vec<Entry>>,
+    /// One bucket per destination address that has rules, in no order.
+    buckets: Vec<Bucket>,
+    /// Each bucket's position in `buckets`, by address.
+    index: DstIndex,
     /// The rules with no destination constraint, in rank order.
     wildcard: Vec<Entry>,
     len: usize,
@@ -222,14 +376,18 @@ impl FlowTable {
         };
         self.next_seq += 1;
         self.len += 1;
-        let Some(ip) = entry.rule.mat.dst_ip else {
+        let Some(dst) = entry.rule.mat.dst_ip else {
             return insert_ranked(&mut self.wildcard, entry);
         };
-        match self.dst_keys.binary_search(&ip) {
-            Ok(b) => insert_ranked(&mut self.dst_buckets[b], entry),
-            Err(b) => {
-                self.dst_keys.insert(b, ip);
-                self.dst_buckets.insert(b, vec![entry]);
+        match self.index.find(dst) {
+            Some(b) => self.buckets[b].insert(entry),
+            None => {
+                self.index.insert(dst, self.buckets.len());
+                self.buckets.push(Bucket {
+                    dst,
+                    head: entry,
+                    rest: Vec::new(),
+                });
             }
         }
     }
@@ -239,14 +397,17 @@ impl FlowTable {
     pub fn remove(&mut self, mat: &Match) -> usize {
         let removed = match mat.dst_ip {
             None => retain_unmatched(&mut self.wildcard, mat),
-            Some(ip) => {
-                let Ok(b) = self.dst_keys.binary_search(&ip) else {
+            Some(dst) => {
+                let Some(b) = self.index.find(dst) else {
                     return 0;
                 };
-                let removed = retain_unmatched(&mut self.dst_buckets[b], mat);
-                if self.dst_buckets[b].is_empty() {
-                    self.dst_keys.remove(b);
-                    self.dst_buckets.remove(b);
+                let (removed, emptied) = self.buckets[b].remove(mat);
+                if emptied {
+                    self.index.remove(dst);
+                    self.buckets.swap_remove(b);
+                    if let Some(moved) = self.buckets.get(b) {
+                        self.index.set(moved.dst, b);
+                    }
                 }
                 removed
             }
@@ -267,7 +428,7 @@ impl FlowTable {
 
     /// The installed rules in match order.
     pub fn rules(&self) -> Vec<&Rule> {
-        let mut all: Vec<&Entry> = self.dst_buckets.iter().flatten().collect();
+        let mut all: Vec<&Entry> = self.buckets.iter().flat_map(Bucket::iter).collect();
         all.extend(&self.wildcard);
         all.sort_unstable_by_key(|e| e.rank());
         all.into_iter().map(|e| &e.rule).collect()
@@ -279,26 +440,19 @@ impl FlowTable {
     /// pointer per packet, mirroring group-bucket state in a real switch.
     pub fn lookup(&mut self, in_port: PortId, flow: &FlowKey) -> Decision {
         self.lookups += 1;
-        let by_dst = self
-            .dst_keys
-            .binary_search(&flow.dst_ip)
-            .ok()
-            .and_then(|b| {
-                let i = self.dst_buckets[b]
-                    .iter()
-                    .position(|e| e.rule.mat.matches(in_port, flow))?;
-                Some((b, i))
-            });
+        let by_dst = self.index.find(flow.dst_ip).and_then(|b| {
+            let (i, rank) = self.buckets[b].first_match(in_port, flow)?;
+            Some((b, i, rank))
+        });
         // Only a wildcard rule ranked above the destination hit can win.
-        let bound = by_dst.map(|(b, i)| self.dst_buckets[b][i].rank());
         let by_wildcard = self
             .wildcard
             .iter()
-            .take_while(|e| bound.is_none_or(|r| e.rank() < r))
+            .take_while(|e| by_dst.is_none_or(|(_, _, r)| e.rank() < r))
             .position(|e| e.rule.mat.matches(in_port, flow));
         let entry = match (by_wildcard, by_dst) {
             (Some(i), _) => &mut self.wildcard[i],
-            (None, Some((b, i))) => &mut self.dst_buckets[b][i],
+            (None, Some((b, i, _))) => self.buckets[b].entry_mut(i),
             (None, None) => {
                 self.misses += 1;
                 return Decision::Miss;
@@ -532,5 +686,42 @@ mod tests {
         assert_eq!(t.remove(&m), 1);
         assert_eq!(t.len(), 1);
         assert_eq!(t.lookup(0, &flow(80)), Decision::Drop);
+    }
+
+    #[test]
+    fn destination_index_collides_grows_and_closes_holes_on_remove() {
+        // Distinct scattered addresses: consecutive ones never share a
+        // Fibonacci home slot.
+        let dst = |n: u32| Ip(n.wrapping_mul(0x2545_F491));
+        let route = |n: u32| Rule {
+            mat: Match::dst(dst(n)),
+            priority: 1,
+            action: Action::Forward(n as usize % 4),
+        };
+        let mut t = FlowTable::new();
+        (0..600).for_each(|n| t.install(route(n)));
+        // Doubled from 8 slots to stay at most half full.
+        assert_eq!(t.index.slots.len(), 2048);
+        let displaced = t.index.slots.iter().enumerate();
+        let displaced = displaced.filter(|&(i, &(ip, pos))| pos != VACANT && t.index.home(ip) != i);
+        assert!(displaced.count() > 0, "some destinations share a home slot");
+        for n in (0..600).step_by(3) {
+            assert_eq!(t.remove(&Match::dst(dst(n))), 1);
+        }
+        (0..600).step_by(6).for_each(|n| t.install(route(n)));
+        for n in 0..600 {
+            match t.index.find(dst(n)) {
+                Some(b) => assert_eq!(t.buckets[b].dst, dst(n)),
+                None => assert!(n % 3 == 0 && n % 6 != 0, "{n} lost from the index"),
+            }
+            let want = if n % 3 == 0 && n % 6 != 0 {
+                Decision::Miss
+            } else {
+                Decision::Forward(n as usize % 4)
+            };
+            let flow = FlowKey::udp(Ip::v4(10, 0, 0, 1), 1, dst(n), 2);
+            assert_eq!(t.lookup(0, &flow), want);
+        }
+        assert_eq!(t.len(), 500);
     }
 }

@@ -18,6 +18,15 @@ pub struct Endpoint {
     pub port: PortId,
 }
 
+/// A wired port's side of its link: the link, and whether the port's
+/// frames arrive at the link's `b` end (the port is its `a` end) or at
+/// its `a` end.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Wire {
+    pub(crate) link: LinkId,
+    pub(crate) to_b: bool,
+}
+
 /// A full-duplex point-to-point link.
 #[derive(Debug, Clone)]
 pub struct Link {

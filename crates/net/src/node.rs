@@ -1,6 +1,7 @@
 //! Nodes: hosts and switches.
 
 use crate::ftable::{FlowTable, PortId};
+use crate::link::Wire;
 use crate::packet::{FlowKey, Ip, Packet};
 use crate::queue::PacketQueue;
 use crate::traffic::Generator;
@@ -21,6 +22,8 @@ pub struct PortState {
     pub queue: PacketQueue,
     /// True while a packet is being serialized onto the wire.
     pub busy: bool,
+    /// The link wired to this port, set by `Network::connect`.
+    pub(crate) wire: Option<Wire>,
 }
 
 impl PortState {
@@ -29,6 +32,7 @@ impl PortState {
         Self {
             queue: PacketQueue::new(queue_capacity),
             busy: false,
+            wire: None,
         }
     }
 }
@@ -251,6 +255,14 @@ impl Node {
         match self {
             Node::Host(_) => 1,
             Node::Switch(s) => s.ports.len(),
+        }
+    }
+
+    /// The transmit state of every port, in port order.
+    pub(crate) fn ports(&self) -> &[PortState] {
+        match self {
+            Node::Host(h) => std::slice::from_ref(&h.port),
+            Node::Switch(s) => &s.ports,
         }
     }
 

@@ -80,7 +80,9 @@ pub struct Generator {
     pattern: TrafficPattern,
     seq: u64,
     scan_offset: u32,
-    rng: Option<SplitMix64>,
+    /// A Poisson pattern's gap draws, seeded by its `seed`; unused by the
+    /// other patterns.
+    rng: SplitMix64,
     /// A CBR pattern's inter-packet gap, converted once.
     cbr_gap: Duration,
 }
@@ -89,8 +91,8 @@ impl Generator {
     /// Wrap a pattern.
     pub fn new(pattern: TrafficPattern) -> Self {
         let rng = match &pattern {
-            TrafficPattern::Poisson { seed, .. } => Some(SplitMix64::new(*seed)),
-            _ => None,
+            TrafficPattern::Poisson { seed, .. } => SplitMix64::new(*seed),
+            _ => SplitMix64::new(0),
         };
         let cbr_gap = match &pattern {
             TrafficPattern::Cbr { pps, .. } => Duration::from_secs_f64(1.0 / pps.max(1e-9)),
@@ -182,8 +184,7 @@ impl Generator {
                     return (None, None);
                 }
                 let pkt = self.make(flow, size, now);
-                let rng = self.rng.as_mut().expect("poisson has rng");
-                let u = 1e-12 + (1.0 - 1e-12) * rng.f64();
+                let u = 1e-12 + (1.0 - 1e-12) * self.rng.f64();
                 let gap = -u.ln() / mean_pps.max(1e-9);
                 let next = now + Duration::from_secs_f64(gap);
                 (Some(pkt), (next < stop).then_some(next))

@@ -1,5 +1,5 @@
 //! The packet plane's indexed structures against their plain reference
-//! models: the destination-indexed flow table against a linear scan in
+//! models: the hash-indexed flow table against a linear scan in
 //! rank order, and the delay-lane event queue against a `BinaryHeap` on
 //! `(at, seq)`. Both references live only here. Also the sampled
 //! dispatch timing's counts against an independent count of dispatched
@@ -7,7 +7,9 @@
 //! idle-port pass-through against the identities the ring path keeps,
 //! under link flaps and switch crashes. And runs with every host's
 //! receive log on against the same runs with it off: the log records
-//! and changes nothing else.
+//! and changes nothing else. The queue, table and queue-accounting
+//! proofs count the case classes their inputs reach and fail naming any
+//! class no case hit, so a narrowed generator cannot pass silently.
 
 use mdn_net::flow::hash_flow;
 use mdn_net::ftable::{Action, Decision, FlowTable, Match, PortId, Rule};
@@ -18,8 +20,9 @@ use mdn_net::traffic::TrafficPattern;
 use mdn_net::{Network, RunOutcome};
 use mdn_obs::Registry;
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap, HashSet, VecDeque};
 use std::time::Duration;
 
 /// The flow table as a single rank-ordered list, scanned front to back.
@@ -237,30 +240,45 @@ impl Fabric {
     /// starts at tick 2i and ends at tick 2i + 1, `len` µs later. A kind
     /// below the host count flaps that host's link; any other kind
     /// crashes switch `(kind - hosts) % switches`, which restarts with its
-    /// rules reinstalled.
-    fn run_faulted(&mut self, faults: &[(u64, usize, u64)]) {
+    /// rules reinstalled. Returns how many link-downs found a frame being
+    /// serialized onto the link and how many crashes found one on a port
+    /// of the switch.
+    fn run_faulted(&mut self, faults: &[(u64, usize, u64)]) -> (usize, usize) {
         for (i, &(at, _, len)) in faults.iter().enumerate() {
             self.net
                 .schedule_tick(Duration::from_micros(at), 2 * i as u64);
             self.net
                 .schedule_tick(Duration::from_micros(at + len), 2 * i as u64 + 1);
         }
+        let (mut cut_frames, mut crashes_mid_frame) = (0, 0);
         while let RunOutcome::Tick { tag, .. } = self.net.run_until(Duration::from_secs(10)) {
             let (start, kind) = (tag % 2 == 0, faults[tag as usize / 2].1);
             if let Some(&host) = self.hosts.get(kind) {
                 let link = self.net.link_at(host, 0).expect("host link");
+                let l = self.net.link(link);
+                let sending = [l.a, l.b]
+                    .iter()
+                    .any(|end| self.net.node(end.node).port(end.port).busy);
+                cut_frames += usize::from(start && l.up && sending);
                 self.net.set_link_up(link, !start);
                 continue;
             }
-            let i = (kind - self.hosts.len()) % self.switches.len();
+            let (switch, i) = {
+                let i = (kind - self.hosts.len()) % self.switches.len();
+                (self.switches[i].0, i)
+            };
             if start {
-                self.net.crash_switch(self.switches[i].0);
+                let s = self.net.switch(switch);
+                let sending = s.ports.iter().any(|p| p.busy);
+                crashes_mid_frame += usize::from(!s.crashed && sending);
+                self.net.crash_switch(switch);
             } else {
-                self.net.restart_switch(self.switches[i].0);
+                self.net.restart_switch(switch);
                 self.install(i);
             }
         }
         self.net.drain();
+        (cut_frames, crashes_mid_frame)
     }
 }
 
@@ -394,115 +412,6 @@ fn star_routes() -> Vec<Rule> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// Every lookup decision, the match order, the rule count and the
-    /// lookup/miss counters of the indexed table equal a linear scan's,
-    /// over random installs, removes (absent matches included) and
-    /// lookups at colliding priorities.
-    #[test]
-    fn flow_table_index_matches_linear_scan(
-        ops in prop::collection::vec((0u8..10, any::<u8>(), any::<u8>(), any::<u8>(), 0u8..4), 1..160)
-    ) {
-        let mut table = FlowTable::new();
-        let mut reference = LinearTable::default();
-        for (op, a, b, c, prio) in ops {
-            match op {
-                0..=3 => {
-                    let rule = Rule {
-                        mat: match_from(c, a, b),
-                        priority: [0, 1, 5, 10][prio as usize],
-                        action: action_from(a ^ b),
-                    };
-                    table.install(rule.clone());
-                    reference.install(rule);
-                }
-                4 => {
-                    let mat = match_from(c, a, b);
-                    prop_assert_eq!(table.remove(&mat), reference.remove(&mat));
-                }
-                _ => {
-                    let in_port = c as usize % 3;
-                    let flow = flow_from(a, b);
-                    // Repeat the packet so round-robin pointers advance.
-                    for _ in 0..1 + prio {
-                        prop_assert_eq!(
-                            table.lookup(in_port, &flow),
-                            reference.lookup(in_port, &flow)
-                        );
-                    }
-                }
-            }
-            let order: Vec<&Rule> = reference.rules.iter().map(|(r, _)| r).collect();
-            prop_assert_eq!(table.rules(), order);
-            prop_assert_eq!(table.len(), reference.rules.len());
-            prop_assert_eq!(table.lookups, reference.lookups);
-            prop_assert_eq!(table.misses, reference.misses);
-        }
-    }
-
-    /// The lane queue pops the same `(at, event)` sequence as a
-    /// `BinaryHeap` on `(at, seq)` — through `pop` and `pop_before` —
-    /// reports the same `len` and `peek_time`, and reuses freed slots: the
-    /// slab never grows past the most events pending at once. Events are
-    /// scheduled a delay after the last popped time, as `Network` does,
-    /// drawn from more distinct delays than there are lanes, so lanes are
-    /// emptied and reused, keys fall back to the heap, and equal times
-    /// reached through different delays tie across lanes and the heap. A
-    /// few schedules name a time before the last pop and are clamped.
-    #[test]
-    fn event_queue_matches_binary_heap(
-        ops in prop::collection::vec((0u8..6, 0usize..DELAYS.len(), any::<u16>()), 1..400)
-    ) {
-        let mut queue = EventQueue::new();
-        let mut reference: BinaryHeap<(Reverse<Duration>, Reverse<u64>)> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut floor = Duration::ZERO;
-        let mut high_water = 0usize;
-        for (op, d, n) in ops {
-            let at = floor + DELAYS[d];
-            match op {
-                0..=2 => {
-                    let event = if n.is_multiple_of(2) {
-                        tick(seq)
-                    } else {
-                        Event::Generate { node: NodeId(n as usize), gen_idx: seq as usize }
-                    };
-                    // One schedule in 16 asks for a time before the last
-                    // pop; both queues hold it at the last pop.
-                    let asked = if n % 16 == 1 { floor.saturating_sub(DELAYS[d]) } else { at };
-                    queue.schedule(asked, event);
-                    reference.push((Reverse(asked.max(floor)), Reverse(seq)));
-                    seq += 1;
-                }
-                3 | 4 => {
-                    let deadline = if op == 3 { Duration::MAX } else { at };
-                    let want = match reference.peek() {
-                        Some((Reverse(t), _)) if *t < deadline => {
-                            reference.pop().map(|(Reverse(t), Reverse(s))| (t, s))
-                        }
-                        _ => None,
-                    };
-                    let got = if op == 3 { queue.pop() } else { queue.pop_before(deadline) };
-                    let got = got.map(|(t, event)| (t, tag_of(&event)));
-                    prop_assert_eq!(got, want);
-                    if let Some((t, _)) = got {
-                        floor = t;
-                    }
-                }
-                _ => {}
-            }
-            high_water = high_water.max(reference.len());
-            prop_assert_eq!(queue.len(), reference.len());
-            prop_assert_eq!(queue.is_empty(), reference.is_empty());
-            prop_assert_eq!(queue.peek_time(), reference.peek().map(|(Reverse(t), _)| *t));
-            prop_assert_eq!(queue.slots(), high_water);
-        }
-        while let Some((Reverse(at), Reverse(s))) = reference.pop() {
-            let got = queue.pop().map(|(t, event)| (t, tag_of(&event)));
-            prop_assert_eq!(got, Some((at, s)));
-        }
-        prop_assert!(queue.pop().is_none());
-    }
-
     /// One `drain`, one `run_until`, and random `run_until` slices with
     /// ticks interleaved all leave the same per-kind dispatch counts,
     /// equal to an independent count. After every return the counts
@@ -555,50 +464,6 @@ proptest! {
         }
     }
 
-    /// Idle ports hand packets straight to the transmitter; the queue
-    /// counters must still read as if every packet went through the ring.
-    /// Over star runs with small switch queues, CBR and Poisson flows, and
-    /// scripted link flaps and switch crash/restarts (many shorter than a
-    /// frame): every queue reconciles `accepted == dequeued + cleared +
-    /// in_flight` and has a high-water mark once it accepted a packet,
-    /// each host egress that dropped nothing accepted exactly the host's
-    /// `tx_bytes`, and every packet sent is delivered or charged to one
-    /// drop class.
-    #[test]
-    fn queue_accounting_reconciles_through_pass_through(
-        flows in prop::collection::vec((any::<u8>(), any::<u8>(), 50u16..4000, any::<u64>(), any::<bool>()), 1..6),
-        capacity in 1usize..5,
-        faults in prop::collection::vec((0u64..300_000, 0usize..6, 0u64..3_000), 0..8),
-    ) {
-        let mut fabric = small_queue_star(&flows, capacity);
-        fabric.run_faulted(&faults);
-        let net = &fabric.net;
-
-        let host_queues = fabric.hosts.iter().map(|&h| &net.host(h).port.queue);
-        let switch_stats = net.queue_stats();
-        let switch_queues = switch_stats.iter().map(|q| (q.accepted, q.dequeued, q.cleared, q.in_flight, q.high_water));
-        for (accepted, dequeued, cleared, in_flight, high_water) in host_queues
-            .map(|q| (q.accepted, q.dequeued, q.cleared, q.len(), q.high_water))
-            .chain(switch_queues)
-        {
-            prop_assert_eq!(accepted, dequeued + cleared + in_flight as u64);
-            prop_assert!(accepted == 0 || high_water >= 1, "a queue that accepted has a high-water mark");
-        }
-        let mut sent = 0;
-        for &h in &fabric.hosts {
-            let host = net.host(h);
-            if host.port.queue.dropped == 0 {
-                prop_assert_eq!(host.port.queue.accepted_bytes, host.tx_bytes);
-            }
-            sent += host.tx_packets;
-        }
-        let c = net.counters;
-        prop_assert_eq!(
-            sent,
-            c.delivered + c.policy_drops + c.queue_drops + c.link_drops + c.crash_drops
-        );
-    }
-
     /// The receive log only records. Over random stars with small switch
     /// queues and random leaf-spines, CBR and Poisson flows, and scripted
     /// link flaps and switch crash/restarts, a run with every host's log
@@ -648,4 +513,467 @@ proptest! {
         }
         prop_assert_eq!(received, a.counters.delivered);
     }
+}
+
+/// Fail naming every case class of `want` that no case hit.
+fn assert_all_hit(hit: &BTreeSet<&str>, want: &[&str]) {
+    let missed: Vec<&str> = want.iter().copied().filter(|c| !hit.contains(c)).collect();
+    assert!(missed.is_empty(), "case classes never hit: {missed:?}");
+}
+
+/// An address of a 512-address space, scattered over 10.1.0.0/16 (an
+/// odd multiplier is a bijection on the low 16 bits): routes to a few
+/// hundred of them at once make a table's destination index collide and
+/// grow, where consecutive addresses would each hash to a slot of their
+/// own.
+fn wide_ip(n: u16) -> Ip {
+    Ip(Ip::v4(10, 1, 0, 0).0 | u32::from(n.wrapping_mul(0xF491)))
+}
+
+/// Install `rule` in both tables, then true when it routes to a
+/// destination in `emptied`, which it takes out.
+fn install_both(
+    table: &mut FlowTable,
+    reference: &mut LinearTable,
+    emptied: &mut HashSet<Ip>,
+    rule: Rule,
+) -> bool {
+    table.install(rule.clone());
+    let reinstalled = rule.mat.dst_ip.is_some_and(|ip| emptied.remove(&ip));
+    reference.install(rule);
+    reinstalled
+}
+
+/// Every lookup decision, the match order, the rule count and the
+/// lookup/miss counters of the indexed table equal a linear scan's,
+/// over random installs, removes (absent matches included) and lookups
+/// at colliding priorities. Bursts route to 300 or more destinations at
+/// once, and sweeps remove every rule of some of them, emptying their
+/// buckets, then reinstall half of those.
+#[test]
+fn flow_table_index_matches_linear_scan() {
+    let hit = RefCell::new(BTreeSet::new());
+    let strategy = (prop::collection::vec(
+        (0u8..12, any::<u8>(), any::<u8>(), any::<u8>(), 0u8..4),
+        1..160,
+    ),);
+    proptest::runner::run(
+        "flow_table_index_matches_linear_scan",
+        &ProptestConfig::with_cases(200),
+        &strategy,
+        |(ops,)| {
+            let mut hit = hit.borrow_mut();
+            let mut table = FlowTable::new();
+            let mut reference = LinearTable::default();
+            let mut emptied = HashSet::new();
+            let mut removed_any = false;
+            for (op, a, b, c, prio) in ops {
+                let priority = [0, 1, 5, 10][prio as usize];
+                match op {
+                    0..=3 => {
+                        let rule = Rule {
+                            mat: match_from(c, a, b),
+                            priority,
+                            action: action_from(a ^ b),
+                        };
+                        if install_both(&mut table, &mut reference, &mut emptied, rule) {
+                            hit.insert("an emptied bucket reinstalled");
+                        }
+                    }
+                    4 | 11 => {
+                        // One match, or a sweep over every fifth wide
+                        // destination's plain route and port-1 route.
+                        let mats: Vec<Match> = if op == 4 {
+                            vec![match_from(c, a, b)]
+                        } else {
+                            (u16::from(a % 5)..512)
+                                .step_by(5)
+                                .flat_map(|n| {
+                                    let plain = Match::dst(wide_ip(n));
+                                    [
+                                        plain,
+                                        Match {
+                                            in_port: Some(1),
+                                            ..plain
+                                        },
+                                    ]
+                                })
+                                .collect()
+                        };
+                        for mat in &mats {
+                            let removed = table.remove(mat);
+                            prop_assert_eq!(removed, reference.remove(mat));
+                            removed_any |= removed > 0;
+                            let Some(dst) = mat.dst_ip else { continue };
+                            let left = reference
+                                .rules
+                                .iter()
+                                .any(|(r, _)| r.mat.dst_ip == Some(dst));
+                            if removed > 0 && !left {
+                                emptied.insert(dst);
+                            }
+                        }
+                        if op == 11 {
+                            for mat in mats.iter().step_by(4) {
+                                let action = Action::Forward(usize::from(c % 4));
+                                let rule = Rule {
+                                    mat: *mat,
+                                    priority,
+                                    action,
+                                };
+                                if install_both(&mut table, &mut reference, &mut emptied, rule) {
+                                    hit.insert("an emptied bucket reinstalled");
+                                }
+                            }
+                        }
+                    }
+                    10 if reference.rules.len() < 400 => {
+                        for n in 0..300 + u16::from(a % 64) {
+                            let n = n.wrapping_mul(u16::from(b | 1)) % 512;
+                            let mat = if n % 7 == 0 {
+                                Match {
+                                    in_port: Some(1),
+                                    ..Match::dst(wide_ip(n))
+                                }
+                            } else {
+                                Match::dst(wide_ip(n))
+                            };
+                            let action = action_from(c ^ n as u8);
+                            let rule = Rule {
+                                mat,
+                                priority,
+                                action,
+                            };
+                            if install_both(&mut table, &mut reference, &mut emptied, rule) {
+                                hit.insert("an emptied bucket reinstalled");
+                            }
+                        }
+                    }
+                    _ => {
+                        let in_port = c as usize % 3;
+                        let flow = if op == 9 {
+                            let dst = wide_ip(u16::from_le_bytes([a, b]) % 512);
+                            FlowKey::udp(ip(c), 40_000, dst, transport_port(b))
+                        } else {
+                            flow_from(a, b)
+                        };
+                        // Repeat the packet so round-robin pointers advance.
+                        for _ in 0..1 + prio {
+                            prop_assert_eq!(
+                                table.lookup(in_port, &flow),
+                                reference.lookup(in_port, &flow)
+                            );
+                        }
+                    }
+                }
+                let order: Vec<&Rule> = reference.rules.iter().map(|(r, _)| r).collect();
+                prop_assert_eq!(table.rules(), order);
+                prop_assert_eq!(table.len(), reference.rules.len());
+                prop_assert_eq!(table.lookups, reference.lookups);
+                prop_assert_eq!(table.misses, reference.misses);
+                let destinations: HashSet<Ip> = reference
+                    .rules
+                    .iter()
+                    .filter_map(|(r, _)| r.mat.dst_ip)
+                    .collect();
+                if destinations.len() >= 300 {
+                    hit.insert("300 or more destinations at once");
+                }
+                if std::mem::take(&mut removed_any) {
+                    hit.insert("match order checked after a remove");
+                }
+                if !emptied.is_empty() {
+                    hit.insert("a bucket removed to empty");
+                }
+            }
+            Ok(())
+        },
+    );
+    assert_all_hit(
+        &hit.into_inner(),
+        &[
+            "300 or more destinations at once",
+            "a bucket removed to empty",
+            "an emptied bucket reinstalled",
+            "match order checked after a remove",
+        ],
+    );
+}
+
+/// The event queue's lane count.
+const LANES: usize = 8;
+
+/// Where the queue's documented placement puts each key: on the lane of
+/// its delay, else on the first empty lane, which takes that delay, else
+/// in the overflow map. It classifies cases only; the order reference is
+/// the `BinaryHeap`.
+struct Placement {
+    lanes: [(Duration, VecDeque<(Duration, u64)>); LANES],
+    overflow: BTreeSet<(Duration, u64)>,
+}
+
+impl Placement {
+    fn new() -> Self {
+        Placement {
+            lanes: std::array::from_fn(|_| (Duration::MAX, VecDeque::new())),
+            overflow: BTreeSet::new(),
+        }
+    }
+
+    /// Place a key scheduled `delay` after the last pop; returns the case
+    /// classes the placement hits.
+    fn schedule(&mut self, key: (Duration, u64), delay: Duration) -> Vec<&'static str> {
+        let mut hit = Vec::new();
+        let lane = self
+            .lanes
+            .iter()
+            .position(|(d, _)| *d == delay)
+            .or_else(|| {
+                let i = self.lanes.iter().position(|(_, keys)| keys.is_empty())?;
+                if self.lanes[i].0 != Duration::MAX {
+                    hit.push("a lane emptied and re-keyed");
+                }
+                self.lanes[i].0 = delay;
+                Some(i)
+            });
+        match lane {
+            Some(i) => self.lanes[i].1.push_back(key),
+            None => {
+                hit.push("a ninth delay overflowing the lanes");
+                self.overflow.insert(key);
+            }
+        }
+        hit
+    }
+
+    /// Take the popped key from the lane front or overflow first holding it;
+    /// `None` if neither does, which breaks the documented placement.
+    fn pop(&mut self, key: (Duration, u64)) -> Option<Vec<&'static str>> {
+        let mut hit = Vec::new();
+        let top = self.overflow.first().copied();
+        let fronts = self.lanes.iter().filter_map(|(_, keys)| keys.front());
+        if top.is_some_and(|(t, _)| fronts.clone().any(|&(f, _)| f == t)) {
+            hit.push("a lane front tying the overflow's first");
+        }
+        if top == Some(key) {
+            self.overflow.pop_first();
+        } else {
+            let lane = self
+                .lanes
+                .iter_mut()
+                .find(|(_, keys)| keys.front() == Some(&key))?;
+            lane.1.pop_front();
+        }
+        Some(hit)
+    }
+}
+
+/// The lane queue pops the same `(at, event)` sequence as a `BinaryHeap`
+/// on `(at, seq)` — through `pop` and `pop_before` — and reports the same
+/// `len`, `peek_time` and most events ever pending. Events are scheduled
+/// a delay after the last popped time, as `Network` does, drawn from more
+/// distinct delays than there are lanes, so lanes are emptied and
+/// re-keyed, keys overflow the lanes while every lane holds events, and
+/// equal times reached through different delays tie across lanes and
+/// the overflow map. A few schedules name a time before the last pop and
+/// are clamped. Every popped key is a lane front or the overflow map's
+/// first under the documented placement.
+#[test]
+fn event_queue_matches_binary_heap() {
+    let hit = RefCell::new(BTreeSet::new());
+    let strategy = (prop::collection::vec(
+        (0u8..6, 0usize..DELAYS.len(), any::<u16>()),
+        1..400,
+    ),);
+    proptest::runner::run(
+        "event_queue_matches_binary_heap",
+        &ProptestConfig::with_cases(200),
+        &strategy,
+        |(ops,)| {
+            let mut hit = hit.borrow_mut();
+            let mut queue = EventQueue::new();
+            let mut reference: BinaryHeap<(Reverse<Duration>, Reverse<u64>)> = BinaryHeap::new();
+            let mut placement = Placement::new();
+            let mut seq = 0u64;
+            let mut floor = Duration::ZERO;
+            let mut high_water = 0usize;
+            for (op, d, n) in ops {
+                let at = floor + DELAYS[d];
+                match op {
+                    0..=2 => {
+                        let event = if n.is_multiple_of(2) {
+                            tick(seq)
+                        } else {
+                            Event::Generate {
+                                node: NodeId(n as usize),
+                                gen_idx: seq as usize,
+                            }
+                        };
+                        // One schedule in 16 asks for a time before the last
+                        // pop; both queues hold it at the last pop.
+                        let asked = if n % 16 == 1 {
+                            floor.saturating_sub(DELAYS[d])
+                        } else {
+                            at
+                        };
+                        if asked < floor {
+                            hit.insert("a clamped schedule");
+                        }
+                        queue.schedule(asked, event);
+                        let key = asked.max(floor);
+                        reference.push((Reverse(key), Reverse(seq)));
+                        let classes = placement.schedule((key, seq), key - floor);
+                        hit.extend(classes);
+                        seq += 1;
+                    }
+                    3 | 4 => {
+                        let deadline = if op == 3 { Duration::MAX } else { at };
+                        let want = match reference.peek() {
+                            Some((Reverse(t), _)) if *t < deadline => {
+                                reference.pop().map(|(Reverse(t), Reverse(s))| (t, s))
+                            }
+                            Some((Reverse(t), _)) if *t == deadline => {
+                                hit.insert("pop_before stopping at a deadline equal to a front");
+                                None
+                            }
+                            _ => None,
+                        };
+                        let got = if op == 3 {
+                            queue.pop()
+                        } else {
+                            queue.pop_before(deadline)
+                        };
+                        let got = got.map(|(t, event)| (t, tag_of(&event)));
+                        prop_assert_eq!(got, want);
+                        if let Some((t, s)) = got {
+                            let Some(classes) = placement.pop((t, s)) else {
+                                return Err(format!(
+                                    "popped ({t:?}, {s}) is no lane front nor overflow first"
+                                ));
+                            };
+                            hit.extend(classes);
+                            floor = t;
+                        }
+                    }
+                    _ => {}
+                }
+                high_water = high_water.max(reference.len());
+                prop_assert_eq!(queue.len(), reference.len());
+                prop_assert_eq!(queue.is_empty(), reference.is_empty());
+                prop_assert_eq!(
+                    queue.peek_time(),
+                    reference.peek().map(|(Reverse(t), _)| *t)
+                );
+                prop_assert_eq!(queue.slots(), high_water);
+            }
+            while let Some((Reverse(at), Reverse(s))) = reference.pop() {
+                let got = queue.pop().map(|(t, event)| (t, tag_of(&event)));
+                prop_assert_eq!(got, Some((at, s)));
+            }
+            prop_assert!(queue.pop().is_none());
+            Ok(())
+        },
+    );
+    assert_all_hit(
+        &hit.into_inner(),
+        &[
+            "a lane emptied and re-keyed",
+            "a ninth delay overflowing the lanes",
+            "a lane front tying the overflow's first",
+            "a clamped schedule",
+            "pop_before stopping at a deadline equal to a front",
+        ],
+    );
+}
+
+/// Idle ports hand packets straight to the transmitter; the queue
+/// counters must still read as if every packet went through the ring.
+/// Over stars with small switch queues and leaf-spines, CBR and Poisson
+/// flows, and scripted link flaps and switch crash/restarts (many shorter
+/// than a frame): every queue reconciles
+/// `accepted == dequeued + cleared + in_flight` and has a high-water mark
+/// once it accepted a packet, each host egress that dropped nothing
+/// accepted exactly the host's `tx_bytes`, and every packet sent is
+/// delivered or charged to one drop class.
+#[test]
+fn queue_accounting_reconciles_through_pass_through() {
+    let hit = RefCell::new(BTreeSet::new());
+    let flow = (
+        any::<u8>(),
+        any::<u8>(),
+        50u16..4000,
+        any::<u64>(),
+        any::<bool>(),
+    );
+    let strategy = (
+        prop::collection::vec(flow, 1..6),
+        1usize..5,
+        any::<bool>(),
+        prop::collection::vec((0u64..300_000, 0usize..11, 0u64..3_000), 0..8),
+    );
+    proptest::runner::run(
+        "queue_accounting_reconciles_through_pass_through",
+        &ProptestConfig::with_cases(200),
+        &strategy,
+        |(flows, capacity, leaf_spine, faults)| {
+            let mut hit = hit.borrow_mut();
+            let mut fabric = if leaf_spine {
+                small_leaf_spine(&flows)
+            } else {
+                small_queue_star(&flows, capacity)
+            };
+            let (cut_frames, crashes_mid_frame) = fabric.run_faulted(&faults);
+            let net = &fabric.net;
+            hit.insert(if leaf_spine { "a leaf-spine" } else { "a star" });
+            if cut_frames > 0 {
+                hit.insert("a flap cutting a frame");
+            }
+            if crashes_mid_frame > 0 {
+                hit.insert("a crash inside a frame time");
+            }
+            if net.counters.queue_drops > 0 {
+                hit.insert("a tail drop");
+            }
+
+            let host_queues = fabric.hosts.iter().map(|&h| &net.host(h).port.queue);
+            let switch_stats = net.queue_stats();
+            let switch_queues = switch_stats
+                .iter()
+                .map(|q| (q.accepted, q.dequeued, q.cleared, q.in_flight, q.high_water));
+            for (accepted, dequeued, cleared, in_flight, high_water) in host_queues
+                .map(|q| (q.accepted, q.dequeued, q.cleared, q.len(), q.high_water))
+                .chain(switch_queues)
+            {
+                prop_assert_eq!(accepted, dequeued + cleared + in_flight as u64);
+                prop_assert!(
+                    accepted == 0 || high_water >= 1,
+                    "a queue that accepted has a high-water mark"
+                );
+            }
+            let mut sent = 0;
+            for &h in &fabric.hosts {
+                let host = net.host(h);
+                if host.port.queue.dropped == 0 {
+                    prop_assert_eq!(host.port.queue.accepted_bytes, host.tx_bytes);
+                }
+                sent += host.tx_packets;
+            }
+            let c = net.counters;
+            prop_assert_eq!(
+                sent,
+                c.delivered + c.policy_drops + c.queue_drops + c.link_drops + c.crash_drops
+            );
+            Ok(())
+        },
+    );
+    assert_all_hit(
+        &hit.into_inner(),
+        &[
+            "a star",
+            "a leaf-spine",
+            "a flap cutting a frame",
+            "a crash inside a frame time",
+            "a tail drop",
+        ],
+    );
 }
